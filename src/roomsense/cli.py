@@ -141,18 +141,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    fixes = (
-        ingest.load_spelling_fixes(args.spelling_fixes)
-        if args.spelling_fixes
-        else ingest.default_spelling_fixes()
-    )
     config = IngestConfig(
-        spelling_fixes=fixes,
+        spelling_fixes=ingest.load_spelling_fixes(args.spelling_fixes),
         keep_object_category_for_secondary_space=args.keep_object_category,
     )
     processed = []
     for scene in args.scene:
-        raw = ingest.parse_scene_file(scene, config)
+        raw = ingest.parse_scene_file(scene)
         space = _resolve_object_space(raw, args.object_space) if raw.object_spaces else None
         if space is None:
             processed.append(raw)

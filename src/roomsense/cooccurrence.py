@@ -85,7 +85,6 @@ class CooccurrenceTable:
 def count_ground_truth(
     graph: SceneGraph,
     object_space: str,
-    room_space: str = ROOM_SPACE_NAME,
     alpha: float = 1.0,
     presence: bool = False,
 ) -> CooccurrenceTable:
@@ -100,7 +99,10 @@ def count_ground_truth(
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
     space = graph.object_space(object_space)
-    room_labels = _room_labels(graph, room_space)
+    room_space = graph.room_space
+    if room_space is None:
+        raise KeyError(f"no label space named {ROOM_SPACE_NAME!r} in graph")
+    room_labels = tuple(room_space.labels)
 
     counts: dict[str, dict[str, int]] = {label: {} for label in space.labels}
     rooms_by_id = graph.room_by_id()
@@ -139,7 +141,7 @@ def count_ground_truth(
 
     return CooccurrenceTable(
         object_space=object_space,
-        room_space=room_space,
+        room_space=room_space.name,
         room_labels=room_labels,
         rows=rows,
         entropy=entropies,
@@ -237,13 +239,6 @@ def select_informative(
             )
     ranked = sorted(present, key=lambda label: (table.entropy[label], label))
     return ranked[:k]
-
-
-def _room_labels(graph: SceneGraph, room_space: str) -> tuple[str, ...]:
-    for space in graph.label_spaces:
-        if space.name == room_space:
-            return tuple(space.labels)
-    raise KeyError(f"no label space named {room_space!r} in graph")
 
 
 # ---------------------------------------------------------------------------

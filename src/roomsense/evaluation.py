@@ -13,7 +13,7 @@ majority is the most frequent ground-truth label's share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .inference import TrialCondition
@@ -206,15 +206,7 @@ def write_report(report: EvalReport, path, manifest_id: str | None = None) -> No
     """Structured (JSON) form of the report."""
     payload = {
         "manifest": manifest_id,
-        "condition": None
-        if report.condition is None
-        else {
-            "object_space": report.condition.object_space,
-            "provenance": report.condition.provenance,
-            "k": report.condition.k,
-            "template_version": report.condition.template_version,
-            "backend": report.condition.backend,
-        },
+        "condition": None if report.condition is None else asdict(report.condition),
         "room_labels": list(report.room_labels),
         "overall_accuracy": report.overall_accuracy,
         "per_label": {

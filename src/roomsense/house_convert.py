@@ -22,8 +22,6 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-import numpy as np
-
 from .ingest import ParseError, write_scene_file
 from .scene_model import (
     ROOM_SPACE_NAME,
@@ -33,6 +31,8 @@ from .scene_model import (
     RoomNode,
     SceneGraph,
     normalize_label,
+    observed_space,
+    rooms_with_members,
 )
 
 logger = logging.getLogger(__name__)
@@ -140,18 +140,17 @@ def load_category_map(path, column: str = "nyuClass") -> dict[int, str]:
 
 
 def _aabb_of_oriented_box(center, axis0, axis1, radii) -> BoundingBox:
-    a0 = np.asarray(axis0, dtype=float)
-    a1 = np.asarray(axis1, dtype=float)
-    a2 = np.cross(a0, a1)
-    half = (
-        abs(radii[0]) * np.abs(a0)
-        + abs(radii[1]) * np.abs(a1)
-        + abs(radii[2]) * np.abs(a2)
-    )
-    c = np.asarray(center, dtype=float)
+    (x0, y0, z0), (x1, y1, z1) = axis0, axis1
+    axis2 = (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)
+    r0, r1, r2 = (abs(r) for r in radii)
+    # Keep this operation order: scene files store the corners by repr, so a
+    # reordered sum would change their bytes.
+    half = [
+        r0 * abs(u) + r1 * abs(v) + r2 * abs(w) for u, v, w in zip(axis0, axis1, axis2)
+    ]
     return BoundingBox(
-        min_corner=tuple(float(v) for v in c - half),
-        max_corner=tuple(float(v) for v in c + half),
+        min_corner=tuple(c - h for c, h in zip(center, half)),
+        max_corner=tuple(c + h for c, h in zip(center, half)),
     )
 
 
@@ -246,26 +245,14 @@ def parse_house_file(
             )
         )
 
-    members: dict[str, list[str]] = {room.id: [] for room in rooms}
-    for obj in objects:
-        members[obj.assigned_room].append(obj.id)
-    rooms = [
-        RoomNode(id=r.id, gt_label=r.gt_label, bbox=r.bbox, objects=tuple(members[r.id]))
-        for r in rooms
-    ]
-
-    spaces = [
+    spaces = (
         LabelSpace(name=ROOM_SPACE_NAME, labels=ROOM_LABEL_LIST),
-        LabelSpace(
-            name=COARSE_SPACE,
-            labels=tuple(sorted({o.label_per_space[COARSE_SPACE] for o in objects})),
-        ),
-        LabelSpace(
-            name=fine_space,
-            labels=tuple(sorted({o.label_per_space[fine_space] for o in objects})),
-        ),
-    ]
-    return SceneGraph(rooms=tuple(rooms), objects=tuple(objects), label_spaces=tuple(spaces))
+        observed_space(COARSE_SPACE, objects),
+        observed_space(fine_space, objects),
+    )
+    return SceneGraph(
+        rooms=rooms_with_members(rooms, objects), objects=tuple(objects), label_spaces=spaces
+    )
 
 
 def convert_house(house_path, out_path, category_map_path=None) -> SceneGraph:

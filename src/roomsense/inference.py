@@ -15,7 +15,7 @@ inflate accuracy invisibly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .cooccurrence import CooccurrenceTable, select_informative
@@ -75,6 +75,18 @@ class GraphClassification:
     condition: TrialCondition
 
 
+def _condition(
+    table: CooccurrenceTable, scorer: SentenceScorer, k: int, template: QueryTemplate
+) -> TrialCondition:
+    return TrialCondition(
+        object_space=table.object_space,
+        provenance=table.provenance,
+        k=k,
+        template_version=template.version,
+        backend=scorer.identity,
+    )
+
+
 def argmax_label(candidates) -> str:
     """Highest-scoring room label; exact ties break lexicographically."""
     best = min(candidates, key=lambda c: (-c.total_logprob, c.room_label))
@@ -127,13 +139,7 @@ def classify_room(
         candidates=tuple(candidates),
         predicted_label=argmax_label(candidates),
         gt_label=room.gt_label,
-        condition=TrialCondition(
-            object_space=table.object_space,
-            provenance=table.provenance,
-            k=k,
-            template_version=template.version,
-            backend=scorer.identity,
-        ),
+        condition=_condition(table, scorer, k, template),
     )
 
 
@@ -157,17 +163,10 @@ def classify_graph(
             predictions.append(classify_room(room, graph, table, scorer, k, template))
         except RoomClassificationError as err:
             failures.append(RoomFailure(room_id=room.id, reason=str(err)))
-    condition = TrialCondition(
-        object_space=table.object_space,
-        provenance=table.provenance,
-        k=k,
-        template_version=template.version,
-        backend=scorer.identity,
-    )
     return GraphClassification(
         predictions=tuple(predictions),
         failures=tuple(failures),
-        condition=condition,
+        condition=_condition(table, scorer, k, template),
     )
 
 
@@ -184,11 +183,7 @@ def write_predictions(
     header = {
         "kind": "header",
         "format": _FORMAT,
-        "object_space": result.condition.object_space,
-        "provenance": result.condition.provenance,
-        "k": result.condition.k,
-        "template_version": result.condition.template_version,
-        "backend": result.condition.backend,
+        **asdict(result.condition),
         "manifest": manifest_id,
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -217,13 +212,7 @@ def read_predictions(path) -> GraphClassification:
     header = json.loads(lines[0])
     if header.get("kind") != "header" or header.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a {_FORMAT} file")
-    condition = TrialCondition(
-        object_space=header["object_space"],
-        provenance=header["provenance"],
-        k=header["k"],
-        template_version=header["template_version"],
-        backend=header["backend"],
-    )
+    condition = TrialCondition(**{f.name: header[f.name] for f in fields(TrialCondition)})
     predictions: list[RoomPrediction] = []
     failures: list[RoomFailure] = []
     for line in lines[1:]:

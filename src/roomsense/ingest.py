@@ -34,6 +34,8 @@ from .scene_model import (
     RoomNode,
     SceneGraph,
     normalize_label,
+    observed_space,
+    rooms_with_members,
 )
 
 DEFAULT_OUTDOOR_ROOM_LABELS = frozenset({"yard", "balcony", "porch"})
@@ -60,10 +62,17 @@ class SchemaError(DataError):
     pass
 
 
-def load_spelling_fixes(path) -> dict[str, str]:
-    """Read a two-column text map of old label -> new label."""
+def load_spelling_fixes(path=None) -> dict[str, str]:
+    """Read a two-column text map of old label -> new label.
+
+    With no path, reads the table shipped with the package.
+    """
+    if path is None:
+        path = resources.files("roomsense").joinpath("data/spelling_fixes.txt")
+    else:
+        path = Path(path)
     fixes: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -74,19 +83,6 @@ def load_spelling_fixes(path) -> dict[str, str]:
     return fixes
 
 
-def default_spelling_fixes() -> dict[str, str]:
-    """The spelling-fix table shipped with the package."""
-    text = resources.files("roomsense").joinpath("data/spelling_fixes.txt").read_text("utf-8")
-    fixes: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        old, new = line.split("\t")
-        fixes[normalize_label(old)] = normalize_label(new)
-    return fixes
-
-
 @dataclass
 class IngestConfig:
     """Knobs for the preprocessing pipeline, all label strings normalized."""
@@ -94,7 +90,7 @@ class IngestConfig:
     outdoor_room_labels: frozenset[str] = DEFAULT_OUTDOOR_ROOM_LABELS
     removed_room_labels: frozenset[str] = DEFAULT_REMOVED_ROOM_LABELS
     rejected_object_labels: frozenset[str] = DEFAULT_REJECTED_OBJECT_LABELS
-    spelling_fixes: dict[str, str] = field(default_factory=default_spelling_fixes)
+    spelling_fixes: dict[str, str] = field(default_factory=load_spelling_fixes)
     keep_object_category_for_secondary_space: bool = True
 
     def __post_init__(self):
@@ -120,7 +116,7 @@ def _bbox(fields: list[str], where: str) -> BoundingBox:
     return BoundingBox(min_corner=values[0:3], max_corner=values[3:6])
 
 
-def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
+def parse_scene_file(path) -> SceneGraph:
     """Parse a scene file into a raw, unfiltered graph.
 
     Labels are normalized but nothing is removed or reassigned. Room labels
@@ -128,7 +124,6 @@ def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
     from the file. A missing header is only legal for an entirely empty
     file. Malformed records and duplicate ids raise :class:`ParseError`.
     """
-    del config  # parsing is config-independent; kept for call-site symmetry
     lines = Path(path).read_text(encoding="utf-8").splitlines()
 
     space_names: list[str] = []
@@ -136,7 +131,6 @@ def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
     header_seen = False
     rooms: dict[str, RoomNode] = {}
     objects: dict[str, ObjectNode] = {}
-    room_members: dict[str, list[str]] = {}
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")
@@ -186,7 +180,6 @@ def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
             rooms[room_id] = RoomNode(
                 id=room_id, gt_label=label, bbox=_bbox(fields[3:9], where)
             )
-            room_members.setdefault(room_id, [])
         elif kind == "object":
             expected = 3 + len(space_names) + 6
             if len(fields) != expected:
@@ -207,7 +200,6 @@ def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
                 bbox=_bbox(fields[3 + len(space_names):], where),
                 assigned_room=room_id,
             )
-            room_members.setdefault(room_id, []).append(obj_id)
         else:
             raise ParseError(f"{where}: unknown record kind {kind!r}")
 
@@ -216,24 +208,14 @@ def parse_scene_file(path, config: IngestConfig | None = None) -> SceneGraph:
             raise SchemaError(f"{path}: records without a header")
         return SceneGraph()
 
-    label_spaces = [LabelSpace(name=ROOM_SPACE_NAME, labels=room_labels)]
-    for name in space_names:
-        observed = sorted({obj.label_per_space[name] for obj in objects.values()})
-        label_spaces.append(LabelSpace(name=name, labels=tuple(observed)))
-
-    room_nodes = tuple(
-        RoomNode(
-            id=r.id,
-            gt_label=r.gt_label,
-            bbox=r.bbox,
-            objects=tuple(room_members.get(r.id, [])),
-        )
-        for r in rooms.values()
-    )
+    object_nodes = tuple(objects.values())
     return SceneGraph(
-        rooms=room_nodes,
-        objects=tuple(objects.values()),
-        label_spaces=tuple(label_spaces),
+        rooms=rooms_with_members(rooms.values(), object_nodes),
+        objects=object_nodes,
+        label_spaces=(
+            LabelSpace(name=ROOM_SPACE_NAME, labels=room_labels),
+            *(observed_space(name, object_nodes) for name in space_names),
+        ),
     )
 
 
@@ -261,20 +243,6 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
         lines.append("\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)]))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _rebuild_rooms(
-    rooms: tuple[RoomNode, ...], objects: tuple[ObjectNode, ...]
-) -> tuple[RoomNode, ...]:
-    """Recompute room object lists from object-side assignments."""
-    members: dict[str, list[str]] = {room.id: [] for room in rooms}
-    for obj in objects:
-        if obj.assigned_room in members:
-            members[obj.assigned_room].append(obj.id)
-    return tuple(
-        RoomNode(id=r.id, gt_label=r.gt_label, bbox=r.bbox, objects=tuple(members[r.id]))
-        for r in rooms
-    )
 
 
 def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
@@ -310,7 +278,7 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
             moved.append(obj)
     objects = tuple(moved)
     return SceneGraph(
-        rooms=_rebuild_rooms(graph.rooms, objects),
+        rooms=rooms_with_members(graph.rooms, objects),
         objects=objects,
         label_spaces=graph.label_spaces,
     )
@@ -332,11 +300,12 @@ def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph
         )
         for obj in graph.objects
     )
-    return SceneGraph(
-        rooms=graph.rooms,
-        objects=objects,
-        label_spaces=_recompute_object_spaces(graph.label_spaces, objects),
+    spaces = tuple(
+        space if space.name == ROOM_SPACE_NAME
+        else observed_space(space.name, objects, space.rejected)
+        for space in graph.label_spaces
     )
+    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
 
 
 def resolve_label_space_conflicts(
@@ -392,14 +361,16 @@ def resolve_label_space_conflicts(
         )
 
     shadowed = frozenset(label for label in mapping if label in rejected_labels)
-    spaces = []
-    for space in _recompute_object_spaces(graph.label_spaces, objects):
-        if space.name == secondary_space and shadowed:
-            space = LabelSpace(
-                name=space.name, labels=space.labels, rejected=space.rejected | shadowed
-            )
-        spaces.append(space)
-    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=tuple(spaces))
+    spaces = tuple(
+        space if space.name == ROOM_SPACE_NAME
+        else observed_space(
+            space.name,
+            objects,
+            space.rejected | shadowed if space.name == secondary_space else space.rejected,
+        )
+        for space in graph.label_spaces
+    )
+    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
 
 
 def filter_graph(
@@ -446,7 +417,7 @@ def filter_graph(
 
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
     rooms = tuple(
-        room for room in _rebuild_rooms(kept_rooms, kept_objects) if room.objects
+        room for room in rooms_with_members(kept_rooms, kept_objects) if room.objects
     )
     kept_room_ids = {room.id for room in rooms}
     kept_objects = tuple(obj for obj in kept_objects if obj.assigned_room in kept_room_ids)
@@ -462,13 +433,10 @@ def filter_graph(
                 )
             )
         else:
-            observed = sorted({obj.label_per_space[space.name] for obj in kept_objects})
             rejected = config.rejected_object_labels | space.rejected
             if keep_exception and space.name == primary_space:
                 rejected = rejected - {RETAINED_COARSE_LABEL}
-            spaces.append(
-                LabelSpace(name=space.name, labels=tuple(observed), rejected=rejected)
-            )
+            spaces.append(observed_space(space.name, kept_objects, rejected))
     return SceneGraph(rooms=rooms, objects=kept_objects, label_spaces=tuple(spaces))
 
 
@@ -527,11 +495,10 @@ def merge_graphs(graphs) -> SceneGraph:
         if name == ROOM_SPACE_NAME:
             spaces.append(room_space)
         else:
-            observed = sorted({o.label_per_space[name] for o in objects})
             rejected = frozenset().union(
                 *(g.object_space(name).rejected for g in graphs)
             )
-            spaces.append(LabelSpace(name=name, labels=tuple(observed), rejected=rejected))
+            spaces.append(observed_space(name, objects, rejected))
     return SceneGraph(rooms=tuple(rooms), objects=tuple(objects), label_spaces=tuple(spaces))
 
 
@@ -544,18 +511,3 @@ def room_label_histogram(graph: SceneGraph) -> dict[str, int]:
     for room in graph.rooms:
         counts[room.gt_label] = counts.get(room.gt_label, 0) + 1
     return counts
-
-
-def _recompute_object_spaces(
-    label_spaces: tuple[LabelSpace, ...], objects: tuple[ObjectNode, ...]
-) -> tuple[LabelSpace, ...]:
-    spaces = []
-    for space in label_spaces:
-        if space.name == ROOM_SPACE_NAME:
-            spaces.append(space)
-        else:
-            observed = sorted({obj.label_per_space[space.name] for obj in objects})
-            spaces.append(
-                LabelSpace(name=space.name, labels=tuple(observed), rejected=space.rejected)
-            )
-    return tuple(spaces)

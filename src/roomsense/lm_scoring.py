@@ -200,32 +200,6 @@ class OfflineScorer(SentenceScorer):
         )
 
 
-class ShiftedScorer(SentenceScorer):
-    """Wrap a scorer and add a constant to every total.
-
-    Exists for invariance checks: softmax rows and argmax decisions must
-    not move under a uniform shift of all candidate scores.
-    """
-
-    def __init__(self, inner: SentenceScorer, shift: float):
-        self.inner = inner
-        self.shift = shift
-
-    @property
-    def identity(self) -> str:
-        return f"{self.inner.identity}+shift={self.shift}"
-
-    def score(self, sentence: str) -> SentenceScore:
-        base = self.inner.score(sentence)
-        return SentenceScore(
-            sentence=base.sentence,
-            total_logprob=base.total_logprob + self.shift,
-            token_count=base.token_count,
-            backend=self.identity,
-            tokens=None,
-        )
-
-
 def _parse_logprob_payload(payload: dict) -> tuple[list[str], list[float | None], str]:
     """Pull (tokens, per-token logprobs, model id) out of a response body.
 

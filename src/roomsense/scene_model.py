@@ -52,6 +52,16 @@ class LabelSpace:
         return label in set(self.labels)
 
 
+def observed_space(name: str, objects, rejected=frozenset()) -> LabelSpace:
+    """The object space ``name`` with exactly the labels its objects carry.
+
+    Labels are sorted; ``rejected`` is recorded as given, so each caller
+    keeps its own rejection policy.
+    """
+    labels = sorted({obj.label_per_space[name] for obj in objects})
+    return LabelSpace(name=name, labels=tuple(labels), rejected=rejected)
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in meters, stored as min/max corners."""
@@ -95,6 +105,22 @@ class RoomNode:
     gt_label: str
     bbox: BoundingBox
     objects: tuple[str, ...] = ()
+
+
+def rooms_with_members(rooms, objects) -> tuple[RoomNode, ...]:
+    """``rooms`` with object lists rebuilt from object-side assignments.
+
+    Each room lists the ids of the objects assigned to it, in object order;
+    objects assigned to a room not in ``rooms`` are listed nowhere.
+    """
+    members: dict[str, list[str]] = {room.id: [] for room in rooms}
+    for obj in objects:
+        if obj.assigned_room in members:
+            members[obj.assigned_room].append(obj.id)
+    return tuple(
+        RoomNode(id=r.id, gt_label=r.gt_label, bbox=r.bbox, objects=tuple(members[r.id]))
+        for r in rooms
+    )
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,12 @@ from roomsense.ingest import (
     run_pipeline,
     write_scene_file,
 )
-from roomsense.lm_scoring import OfflineScorer, ShiftedScorer
+from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate, render_room_query
 from roomsense.scene_model import validate
 
 from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, scene_file_text
-from test_cooccurrence import TotalScorer, make_table, room_with
+from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, room_with
 from test_evaluation import LABELS_ABC, hand_built_predictions, prediction
 from test_inference import BATH_BONUSES, synthetic_graph
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER

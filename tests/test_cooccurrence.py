@@ -43,6 +43,32 @@ class TotalScorer(SentenceScorer):
         return SentenceScore(sentence, self.totals[sentence], 1, self.identity)
 
 
+class ShiftedScorer(SentenceScorer):
+    """Wrap a scorer and add a constant to every total.
+
+    Exists for invariance checks: softmax rows and argmax decisions must
+    not move under a uniform shift of all candidate scores.
+    """
+
+    def __init__(self, inner: SentenceScorer, shift: float):
+        self.inner = inner
+        self.shift = shift
+
+    @property
+    def identity(self) -> str:
+        return f"{self.inner.identity}+shift={self.shift}"
+
+    def score(self, sentence: str) -> SentenceScore:
+        base = self.inner.score(sentence)
+        return SentenceScore(
+            sentence=base.sentence,
+            total_logprob=base.total_logprob + self.shift,
+            token_count=base.token_count,
+            backend=self.identity,
+            tokens=None,
+        )
+
+
 class TestEntropy:
     def test_uniform_23_labels(self):
         assert entropy([1 / 23] * 23) == pytest.approx(math.log(23), abs=1e-9)

@@ -73,6 +73,10 @@ class TestParseHouse:
         assert bbox.max_corner[1] == pytest.approx(5.0 + half, abs=1e-6)
         assert bbox.min_corner[2] == pytest.approx(0.0, abs=1e-5)
         assert bbox.max_corner[2] == pytest.approx(2.0, abs=1e-5)
+        # exact floats: scene files store corners by repr, so any change in
+        # the order of the hull arithmetic would change their bytes
+        assert bbox.min_corner == (3.9393395, 3.9393395, -6.188980001819999e-07)
+        assert bbox.max_corner == (6.0606605, 6.0606605, 2.0000006188980004)
 
     def test_room_space_is_full_declared_list(self, house_path):
         graph = parse_house_file(house_path)

@@ -18,13 +18,12 @@ from roomsense.inference import (
     read_predictions,
     write_predictions,
 )
-from roomsense.lm_scoring import OfflineScorer, ShiftedScorer
+from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate, render_room_query
 from roomsense.scene_model import LabelSpace, RoomNode, SceneGraph
 
 from conftest import ROOM_LABELS_3, build_graph, box
-
-from test_cooccurrence import TotalScorer
+from test_cooccurrence import ShiftedScorer, TotalScorer
 
 BATH_BONUSES = {
     ("toilet", "bathroom"): 25.0,

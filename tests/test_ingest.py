@@ -6,7 +6,6 @@ from roomsense.ingest import (
     ParseError,
     SchemaError,
     apply_spelling_fixes,
-    default_spelling_fixes,
     filter_graph,
     load_spelling_fixes,
     merge_graphs,
@@ -243,7 +242,7 @@ class TestSpellingFixes:
         assert apply_spelling_fixes(raw_graph, {}) == raw_graph
 
     def test_packaged_default_table(self):
-        fixes = default_spelling_fixes()
+        fixes = load_spelling_fixes()
         assert fixes["refridgerator"] == "refrigerator"
 
     def test_loader(self, tmp_path):
