@@ -190,11 +190,7 @@ def cmd_cooc(args) -> int:
         if room_space is None:
             raise DataError("graph declares no room label space")
         table = build_proxy_table(
-            scorer,
-            graph.object_space(space_name),
-            room_space,
-            template=template,
-            max_workers=args.max_inflight,
+            scorer, graph.object_space(space_name), room_space, template=template
         )
         backend = scorer.identity
     manifest, manifest_id = build_manifest(

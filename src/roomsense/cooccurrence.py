@@ -19,10 +19,9 @@ Entropies are in nats. Built tables are immutable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .lm_scoring import SentenceScore, SentenceScorer, TransportError
+from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_proxy_query
 from .scene_model import ROOM_SPACE_NAME, LabelSpace, RoomNode, SceneGraph
 
@@ -150,6 +149,16 @@ def count_ground_truth(
     )
 
 
+def _proxy_row(totals) -> tuple[float, ...]:
+    """Softmax over one row's totals; raises the row's first failure."""
+    logs: list[float] = []
+    for total in totals:
+        if isinstance(total, TransportError):
+            raise total
+        logs.append(total)
+    return softmax_from_logs(logs)
+
+
 def proxy_conditional(
     scorer: SentenceScorer,
     object_label: str,
@@ -163,14 +172,7 @@ def proxy_conditional(
     """
     labels = list(room_labels.labels) if isinstance(room_labels, LabelSpace) else list(room_labels)
     sentences = [render_proxy_query(object_label, r, template) for r in labels]
-    outcomes = scorer.score_batch(sentences)
-    logs: list[float] = []
-    for outcome in outcomes:
-        if isinstance(outcome, TransportError):
-            raise outcome
-        assert isinstance(outcome, SentenceScore)
-        logs.append(outcome.total_logprob)
-    return softmax_from_logs(logs)
+    return _proxy_row(score_totals(scorer, sentences))
 
 
 def build_proxy_table(
@@ -178,34 +180,34 @@ def build_proxy_table(
     object_space: LabelSpace,
     room_space: LabelSpace,
     template: QueryTemplate | None = None,
-    max_workers: int = 1,
+    max_workers: int = 1,  # unused; kept because bench/workloads.py passes it
 ) -> CooccurrenceTable:
     """Proxy table over the full object-space x room-space cross product.
 
-    Rows for distinct object labels may be computed concurrently; they are
-    assembled by label, so the result is independent of completion order.
+    Every sentence of the table is rendered first and scored through
+    :func:`score_totals`, ``scorer.max_inflight`` at a time; rows are then
+    assembled in object label order. A scorer failure raises the first
+    :class:`TransportError` in (object label, room label) order.
     """
     template = template or QueryTemplate()
     room_labels = tuple(room_space.labels)
-
-    def one(label: str) -> tuple[str, tuple[float, ...]]:
-        return label, proxy_conditional(scorer, label, room_labels, template)
-
-    rows: dict[str, tuple[float, ...]] = {}
-    if max_workers > 1 and len(object_space.labels) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for label, row in pool.map(one, object_space.labels):
-                rows[label] = row
-    else:
-        for label in object_space.labels:
-            rows[label] = one(label)[1]
-
+    sentences = [
+        render_proxy_query(label, r, template)
+        for label in object_space.labels
+        for r in room_labels
+    ]
+    totals = score_totals(scorer, sentences)
+    width = len(room_labels)
+    rows = {
+        label: _proxy_row(totals[i * width:(i + 1) * width])
+        for i, label in enumerate(object_space.labels)
+    }
     return CooccurrenceTable(
         object_space=object_space.name,
         room_space=room_space.name,
         room_labels=room_labels,
-        rows={label: rows[label] for label in object_space.labels},
-        entropy={label: entropy(rows[label]) for label in object_space.labels},
+        rows=rows,
+        entropy={label: entropy(row) for label, row in rows.items()},
         provenance=PROXY,
         scorer_identity=scorer.identity,
         template_version=template.version,

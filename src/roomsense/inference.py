@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .cooccurrence import CooccurrenceTable, select_informative
-from .lm_scoring import SentenceScore, SentenceScorer, TransportError
+from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_room_query
 from .scene_model import RoomNode, SceneGraph
 
@@ -102,45 +102,10 @@ def classify_room(
     template: QueryTemplate | None = None,
 ) -> RoomPrediction:
     """Predict one room's label from its most informative objects."""
-    template = template or QueryTemplate()
-    selected = select_informative(room, graph, table, k)
-    if not selected:
-        # Ingest filtering removes label-less rooms; defend anyway.
-        raise RoomClassificationError(
-            f"room {room.id!r} has no usable object labels", room.id
-        )
-    room_space = graph.room_space
-    if room_space is None or not room_space.labels:
-        raise RoomClassificationError("graph declares no room label space", room.id)
-
-    sentences = [
-        render_room_query(selected, room_label, template)
-        for room_label in room_space.labels
-    ]
-    outcomes = scorer.score_batch(sentences)
-    candidates = []
-    for room_label, sentence, outcome in zip(room_space.labels, sentences, outcomes):
-        if isinstance(outcome, TransportError):
-            raise RoomClassificationError(
-                f"scoring failed for room {room.id!r}: {outcome}", room.id
-            )
-        assert isinstance(outcome, SentenceScore)
-        candidates.append(
-            Candidate(
-                room_label=room_label,
-                sentence=sentence,
-                total_logprob=outcome.total_logprob,
-            )
-        )
-
-    return RoomPrediction(
-        room_id=room.id,
-        selected_objects=tuple(selected),
-        candidates=tuple(candidates),
-        predicted_label=argmax_label(candidates),
-        gt_label=room.gt_label,
-        condition=_condition(table, scorer, k, template),
-    )
+    result = _classify([room], graph, table, scorer, k, template or QueryTemplate())
+    if result.failures:
+        raise RoomClassificationError(result.failures[0].reason, room.id)
+    return result.predictions[0]
 
 
 def classify_graph(
@@ -155,18 +120,56 @@ def classify_graph(
     Per-room failures are collected, not raised, so one flaky room cannot
     take down a long run.
     """
-    template = template or QueryTemplate()
-    predictions: list[RoomPrediction] = []
-    failures: list[RoomFailure] = []
-    for room in sorted(graph.rooms, key=lambda r: r.id):
-        try:
-            predictions.append(classify_room(room, graph, table, scorer, k, template))
-        except RoomClassificationError as err:
-            failures.append(RoomFailure(room_id=room.id, reason=str(err)))
+    rooms = sorted(graph.rooms, key=lambda r: r.id)
+    return _classify(rooms, graph, table, scorer, k, template or QueryTemplate())
+
+
+def _classify(rooms, graph, table, scorer, k, template) -> GraphClassification:
+    """Plan, score and assemble the predictions of the given rooms.
+
+    Every room's sentences are rendered first and scored through
+    :func:`score_totals`; predictions are then assembled room by room. A
+    room fails with the first of its sentences, in room-label order, that
+    failed to score.
+    """
+    condition = _condition(table, scorer, k, template)
+    room_labels = graph.room_space.labels if graph.room_space is not None else ()
+    plans = []
+    reasons: dict[str, str] = {}
+    for room in rooms:
+        selected = select_informative(room, graph, table, k)
+        if not selected:
+            # Ingest filtering removes label-less rooms; defend anyway.
+            reasons[room.id] = f"room {room.id!r} has no usable object labels"
+        elif not room_labels:
+            reasons[room.id] = "graph declares no room label space"
+        else:
+            sentences = [render_room_query(selected, r, template) for r in room_labels]
+            plans.append((room, selected, sentences))
+    totals = iter(score_totals(scorer, (s for *_, sentences in plans for s in sentences)))
+
+    predictions = []
+    for room, selected, sentences in plans:
+        room_totals = [next(totals) for _ in sentences]
+        failed = [t for t in room_totals if isinstance(t, TransportError)]
+        if failed:
+            reasons[room.id] = f"scoring failed for room {room.id!r}: {failed[0]}"
+            continue
+        candidates = list(map(Candidate, room_labels, sentences, room_totals))
+        predictions.append(
+            RoomPrediction(
+                room_id=room.id,
+                selected_objects=tuple(selected),
+                candidates=tuple(candidates),
+                predicted_label=argmax_label(candidates),
+                gt_label=room.gt_label,
+                condition=condition,
+            )
+        )
     return GraphClassification(
         predictions=tuple(predictions),
-        failures=tuple(failures),
-        condition=_condition(table, scorer, k, template),
+        failures=tuple(RoomFailure(room_id=i, reason=r) for i, r in sorted(reasons.items())),
+        condition=condition,
     )
 
 

@@ -32,15 +32,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import requests
+from requests.adapters import HTTPAdapter
 
 logger = logging.getLogger(__name__)
 
 ENDPOINT_ENV = "ROOMSENSE_LM_ENDPOINT"
 API_KEY_ENV = "ROOMSENSE_LM_API_KEY"
 MODEL_ENV = "ROOMSENSE_LM_MODEL"
+
+
+# Statuses that no retry can turn into a success: a bad request, bad or
+# missing credentials, or a wrong endpoint path.
+_NOT_RETRIED = frozenset({400, 401, 403, 404})
 
 
 class TransportError(Exception):
@@ -81,7 +87,14 @@ def perplexity(score: SentenceScore) -> float:
 
 
 class SentenceScorer:
-    """Interface contract shared by every backend."""
+    """Interface contract shared by every backend.
+
+    ``max_inflight`` is how many :meth:`score` calls :func:`score_totals`
+    may run at once; a backend that computes locally keeps 1, so its
+    sentences are scored in the calling thread.
+    """
+
+    max_inflight = 1
 
     @property
     def identity(self) -> str:
@@ -90,28 +103,43 @@ class SentenceScorer:
     def score(self, sentence: str) -> SentenceScore:
         raise NotImplementedError
 
-    def score_batch(
-        self, sentences: Sequence[str]
-    ) -> list[SentenceScore | TransportError]:
-        """Score each sentence; order-preserving.
-
-        Transport failures do not abort the batch: the failing slot holds
-        the :class:`TransportError` instance and every other slot its
-        :class:`SentenceScore`. Elementwise identical to calling
-        :meth:`score` sequentially.
-        """
-        results: list[SentenceScore | TransportError] = []
-        for sentence in sentences:
-            try:
-                results.append(self.score(sentence))
-            except TransportError as err:
-                results.append(err)
-        return results
-
 
 def _require_sentence(sentence: str) -> None:
     if not sentence:
         raise ValueError("cannot score an empty sentence")
+
+
+def score_totals(
+    scorer: SentenceScorer, sentences: Iterable[str]
+) -> list[float | TransportError]:
+    """Score every sentence; return the total log probabilities in order.
+
+    A transport failure does not abort the others: its slot holds the
+    :class:`TransportError` instead. ``scorer.max_inflight`` workers pull
+    sentences from one shared iterator, so up to that many calls are in
+    flight until the last sentence is taken. Only totals are kept, never
+    whole :class:`SentenceScore` records.
+    """
+    sentences = list(sentences)
+    totals: list = [None] * len(sentences)
+    # an enumerate over a list hands out each item once, even across threads
+    pending = enumerate(sentences)
+
+    def drain() -> None:
+        for i, sentence in pending:
+            try:
+                totals[i] = scorer.score(sentence).total_logprob
+            except TransportError as err:
+                totals[i] = err
+
+    workers = min(scorer.max_inflight, len(sentences))
+    if workers <= 1:
+        drain()
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(drain) for _ in range(workers)]:
+                future.result()
+    return totals
 
 
 def _unit_float(*parts: str) -> float:
@@ -230,9 +258,12 @@ class RemoteScorer(SentenceScorer):
     the token list and per-token logprobs (first entry may be null). Any
     other shape, HTTP failure, or non-real logprob is a transport error.
 
-    Transient faults are retried with exponential backoff up to
-    ``max_attempts``; long batch evaluations must survive them. A bounded
-    semaphore caps in-flight requests across threads.
+    Transient faults (timeouts, 408, 429, 5xx, malformed bodies) are
+    retried with exponential backoff up to ``max_attempts``; long batch
+    evaluations must survive them. 400, 401, 403 and 404 fail after one
+    POST. ``max_inflight`` is the number of concurrent requests
+    :func:`score_totals` makes; a session the scorer builds itself keeps
+    that many connections open. An injected ``session`` is used as given.
     """
 
     def __init__(
@@ -259,8 +290,12 @@ class RemoteScorer(SentenceScorer):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._session = session or requests.Session()
-        self._gate = threading.BoundedSemaphore(max_inflight)
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=max_inflight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
 
     @property
     def identity(self) -> str:
@@ -281,13 +316,12 @@ class RemoteScorer(SentenceScorer):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        with self._gate:
-            response = self._session.post(
-                self.endpoint,
-                json=self._request_body(sentence),
-                headers=headers,
-                timeout=self.timeout,
-            )
+        response = self._session.post(
+            self.endpoint,
+            json=self._request_body(sentence),
+            headers=headers,
+            timeout=self.timeout,
+        )
         response.raise_for_status()
         try:
             tokens, logprobs, model = _parse_logprob_payload(response.json())
@@ -299,7 +333,12 @@ class RemoteScorer(SentenceScorer):
             if lp is None:
                 parsed.append(TokenLogProb(token=token, logprob=None))
                 continue
-            value = float(lp)
+            try:
+                value = float(lp)
+            except (TypeError, ValueError) as err:
+                raise TransportError(
+                    f"logprob {lp!r} for token {token!r} is not a number", sentence
+                ) from err
             if not math.isfinite(value) or value > 0:
                 raise TransportError(
                     f"logprob {value!r} for token {token!r} is not a log probability",
@@ -323,9 +362,13 @@ class RemoteScorer(SentenceScorer):
         for attempt in range(self.max_attempts):
             try:
                 return self._post_once(sentence)
-            except TransportError as err:
+            except requests.HTTPError as err:
+                if err.response is not None and err.response.status_code in _NOT_RETRIED:
+                    raise TransportError(
+                        f"backend refused the request: {err}", sentence
+                    ) from err
                 last = err
-            except requests.RequestException as err:
+            except (TransportError, requests.RequestException) as err:
                 last = err
             if attempt + 1 < self.max_attempts:
                 delay = self.backoff_base * 2**attempt
@@ -337,24 +380,6 @@ class RemoteScorer(SentenceScorer):
         raise TransportError(
             f"backend failed after {self.max_attempts} attempts: {last}", sentence
         )
-
-    def score_batch(
-        self, sentences: Sequence[str]
-    ) -> list[SentenceScore | TransportError]:
-        for sentence in sentences:
-            _require_sentence(sentence)
-        if not sentences:
-            return []
-
-        def one(sentence: str) -> SentenceScore | TransportError:
-            try:
-                return self.score(sentence)
-            except TransportError as err:
-                return err
-
-        workers = min(self.max_inflight, len(sentences))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, sentences))
 
 
 class CachingScorer(SentenceScorer):
@@ -377,6 +402,10 @@ class CachingScorer(SentenceScorer):
     @property
     def identity(self) -> str:
         return self.inner.identity
+
+    @property
+    def max_inflight(self) -> int:
+        return self.inner.max_inflight
 
     def _load(self) -> None:
         for lineno, raw in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
@@ -431,27 +460,6 @@ class CachingScorer(SentenceScorer):
         fresh = self.inner.score(sentence)
         self._append(fresh)
         return fresh
-
-    def score_batch(
-        self, sentences: Sequence[str]
-    ) -> list[SentenceScore | TransportError]:
-        for sentence in sentences:
-            _require_sentence(sentence)
-        results: list[SentenceScore | TransportError | None] = [None] * len(sentences)
-        missing: list[int] = []
-        for i, sentence in enumerate(sentences):
-            hit = self._hit(sentence)
-            if hit is not None:
-                results[i] = hit
-            else:
-                missing.append(i)
-        if missing:
-            fresh = self.inner.score_batch([sentences[i] for i in missing])
-            for i, outcome in zip(missing, fresh):
-                if isinstance(outcome, SentenceScore):
-                    self._append(outcome)
-                results[i] = outcome
-        return results  # type: ignore[return-value]
 
 
 def make_scorer(

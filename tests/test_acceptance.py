@@ -429,8 +429,7 @@ class TestFullReproductionRunbook:
             assert len(graph.rooms) == 1878
             gt_table = count_ground_truth(graph, space_choice, alpha=1.0)
             proxy_table = build_proxy_table(
-                scorer, graph.object_space(space_choice), graph.room_space,
-                max_workers=8,
+                scorer, graph.object_space(space_choice), graph.room_space
             )
             for table in (gt_table, proxy_table):
                 run = classify_graph(graph, table, scorer, k=3)

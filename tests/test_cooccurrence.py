@@ -238,6 +238,12 @@ class TestProxyConditional:
         assert all(x > 0 for x in row)
 
 
+def _threaded(scorer, workers):
+    """The scorer, set to be scored by ``workers`` threads at once."""
+    scorer.max_inflight = workers
+    return scorer
+
+
 class TestBuildProxyTable:
     def test_full_cross_product_and_metadata(self):
         scorer = OfflineScorer(seed=1)
@@ -252,11 +258,11 @@ class TestBuildProxyTable:
             assert sum(table.rows[label]) == pytest.approx(1.0, abs=1e-9)
 
     def test_concurrent_build_matches_sequential(self):
-        scorer = OfflineScorer(seed=1)
         object_space = LabelSpace.create("things", list(OBJECT_LABELS_12))
         room_space = LabelSpace.create("room", ROOM_LABELS_3)
-        sequential = build_proxy_table(scorer, object_space, room_space, max_workers=1)
-        concurrent = build_proxy_table(scorer, object_space, room_space, max_workers=6)
+        sequential = build_proxy_table(OfflineScorer(seed=1), object_space, room_space)
+        threaded = _threaded(OfflineScorer(seed=1), 6)
+        concurrent = build_proxy_table(threaded, object_space, room_space)
         assert sequential == concurrent
 
     def test_concurrent_build_through_shared_cache(self, tmp_path):
@@ -266,16 +272,17 @@ class TestBuildProxyTable:
         room_space = LabelSpace.create("room", ROOM_LABELS_3)
         plain = build_proxy_table(OfflineScorer(seed=2), object_space, room_space)
         cache_path = tmp_path / "scores.jsonl"
-        cached = CachingScorer(OfflineScorer(seed=2), cache_path)
-        assert build_proxy_table(cached, object_space, room_space, max_workers=8) == plain
+        cached = CachingScorer(_threaded(OfflineScorer(seed=2), 8), cache_path)
+        assert cached.max_inflight == 8
+        assert build_proxy_table(cached, object_space, room_space) == plain
         # every record written under concurrency is intact
         records = [
             json.loads(line) for line in cache_path.read_text().splitlines()
         ]
         assert len(records) == len(OBJECT_LABELS_12) * len(ROOM_LABELS_3)
         # warm rebuild hits the cache only and still agrees
-        warm = CachingScorer(OfflineScorer(seed=2), cache_path)
-        assert build_proxy_table(warm, object_space, room_space, max_workers=8) == plain
+        warm = CachingScorer(_threaded(OfflineScorer(seed=2), 8), cache_path)
+        assert build_proxy_table(warm, object_space, room_space) == plain
 
 
 def make_table(entropies, room_labels=ROOM_LABELS_3):

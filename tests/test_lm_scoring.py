@@ -1,11 +1,17 @@
 import json
+import logging
 import math
+import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+import requests
 
+from roomsense.cooccurrence import count_ground_truth
+from roomsense.inference import classify_graph
 from roomsense.lm_scoring import (
     CachingScorer,
     OfflineScorer,
@@ -17,7 +23,10 @@ from roomsense.lm_scoring import (
     load_bonus_table,
     make_scorer,
     perplexity,
+    score_totals,
 )
+
+from conftest import build_graph
 
 
 class FixtureScorer(SentenceScorer):
@@ -138,21 +147,54 @@ class TestPerplexity:
 
 
 class TestScoreBatch:
+    """:func:`score_totals` over a batch of sentences."""
+
     def test_matches_sequential_calls(self):
         scorer = OfflineScorer(seed=5)
         sentences = ["alpha beta", "gamma", "delta epsilon zeta"]
-        assert scorer.score_batch(sentences) == [scorer.score(s) for s in sentences]
+        totals = score_totals(scorer, sentences)
+        assert totals == [scorer.score(s).total_logprob for s in sentences]
 
     def test_empty_batch(self):
-        assert OfflineScorer().score_batch([]) == []
+        assert score_totals(OfflineScorer(), []) == []
 
     def test_partial_failure_marks_slot(self):
         scorer = FixtureScorer({"good": [("good", -1.0)]})
-        results = scorer.score_batch(["good", "bad", "good"])
-        assert isinstance(results[0], SentenceScore)
+        results = score_totals(scorer, ["good", "bad", "good"])
+        assert results[0] == -1.0
         assert isinstance(results[1], TransportError)
         assert results[1].sentence == "bad"
-        assert isinstance(results[2], SentenceScore)
+        assert results[2] == -1.0
+
+    def test_many_workers_score_each_sentence_once(self):
+        class Counting(SentenceScorer):
+            max_inflight = 16
+            identity = "counting"
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.calls = {}
+
+            def score(self, sentence):
+                with self.lock:
+                    self.calls[sentence] = self.calls.get(sentence, 0) + 1
+                return SentenceScore(sentence, -float(len(sentence)), 1, self.identity)
+
+        sentences = [f"sentence {i % 700}" for i in range(2000)]
+        scorer = Counting()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            totals = score_totals(scorer, sentences)
+        finally:
+            sys.setswitchinterval(interval)
+        assert totals == [-float(len(s)) for s in sentences]
+        assert scorer.calls == Counter(sentences)
+
+    def test_errors_other_than_transport_propagate(self):
+        scorer = FixtureScorer({"fine": [("fine", -1.0)]})
+        with pytest.raises(ValueError):
+            score_totals(scorer, ["fine", "", "unscripted"])
 
 
 class TestCachingScorer:
@@ -186,7 +228,7 @@ class TestCachingScorer:
     def test_append_only_records(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cached = CachingScorer(OfflineScorer(seed=1), path)
-        cached.score_batch(["one", "two"])
+        score_totals(cached, ["one", "two"])
         cached.score("one")
         records = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(records) == 2
@@ -197,9 +239,9 @@ class TestCachingScorer:
         path = tmp_path / "cache.jsonl"
         cached = CachingScorer(OfflineScorer(seed=2), path)
         cached.score("warm")
-        results = cached.score_batch(["warm", "cold"])
+        results = score_totals(cached, ["warm", "cold"])
         plain = OfflineScorer(seed=2)
-        assert [r.total_logprob for r in results] == [
+        assert results == [
             plain.score("warm").total_logprob,
             plain.score("cold").total_logprob,
         ]
@@ -254,6 +296,7 @@ def mock_endpoint():
     _Handler.calls = 0
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -340,56 +383,166 @@ class TestRemoteScorer:
             backoff_base=0.0,
             max_inflight=2,
         )
-        results = scorer.score_batch(["ok one", "bad two", "ok three four"])
-        assert isinstance(results[0], SentenceScore)
+        results = score_totals(scorer, ["ok one", "bad two", "ok three four"])
+        assert results[0] == pytest.approx(-1.0)
         assert isinstance(results[1], TransportError)
-        assert results[2].total_logprob == pytest.approx(-2.0)
+        assert results[1].sentence == "bad two"
+        assert results[2] == pytest.approx(-2.0)
 
     def test_missing_endpoint_rejected(self, monkeypatch):
         monkeypatch.delenv("ROOMSENSE_LM_ENDPOINT", raising=False)
         with pytest.raises(ValueError):
             RemoteScorer()
 
-    def test_max_inflight_bounds_concurrency(self):
-        lock = threading.Lock()
-        state = {"active": 0, "peak": 0}
+    def test_max_inflight_bounds_concurrency(self, counting_endpoint):
+        scorer = RemoteScorer(
+            endpoint=counting_endpoint.url,
+            model="test-lm",
+            max_inflight=2,
+            backoff_base=0.0,
+        )
+        results = score_totals(scorer, [f"sentence {i} x" for i in range(10)])
+        assert all(isinstance(r, float) for r in results)
+        assert counting_endpoint.peak <= 2
 
-        class CountingHandler(BaseHTTPRequestHandler):
+    def test_non_numeric_logprob_is_transport_error(self, mock_endpoint):
+        _Handler.behaviors = [
+            lambda p: (200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]})
+        ]
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+        )
+        with pytest.raises(TransportError) as excinfo:
+            scorer.score("a b")
+        assert excinfo.value.sentence == "a b"
+
+    def test_non_numeric_logprob_fails_only_its_room(self, mock_endpoint):
+        def oops_for_stove(payload):
+            if "stove" in payload["prompt"]:
+                return 200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]}
+            return _echo_logprobs(payload)
+
+        _Handler.behaviors = [oops_for_stove]
+        graph = build_graph(
+            {"r-bath": ("bathroom", ["toilet"]), "r-kitchen": ("kitchen", ["stove"])},
+            room_labels=("bathroom", "kitchen"),
+        )
+        table = count_ground_truth(graph, "things")
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+        )
+        result = classify_graph(graph, table, scorer, k=3)
+        assert [p.room_id for p in result.predictions] == ["r-bath"]
+        assert [f.room_id for f in result.failures] == ["r-kitchen"]
+        assert "not a number" in result.failures[0].reason
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_errors_are_not_retried(self, mock_endpoint, status):
+        _Handler.behaviors = [lambda p: (status, {"error": "refused"})]
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+        )
+        with pytest.raises(TransportError) as excinfo:
+            scorer.score("x y")
+        assert excinfo.value.sentence == "x y"
+        assert _Handler.calls == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_statuses_retry(self, mock_endpoint, status):
+        _Handler.behaviors = [lambda p: (status, {"error": "later"}), _echo_logprobs]
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=3, backoff_base=0.0
+        )
+        assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
+        assert _Handler.calls == 2
+
+    def test_own_session_pool_holds_max_inflight_connections(self, counting_endpoint, caplog):
+        scorer = RemoteScorer(
+            endpoint=counting_endpoint.url, model="test-lm", max_inflight=16, backoff_base=0.0
+        )
+        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+            results = score_totals(scorer, [f"sentence {i} x" for i in range(64)])
+        scorer._session.close()
+        assert all(isinstance(r, float) for r in results)
+        # 64 requests, 16 at a time, over at most 16 kept-alive connections
+        assert len(counting_endpoint.clients) <= 16
+        assert "Connection pool is full" not in caplog.text
+
+    def test_injected_session_is_left_as_given(self):
+        session = requests.Session()
+        adapter = session.get_adapter("http://127.0.0.1/")
+        RemoteScorer(endpoint="http://127.0.0.1/", max_inflight=16, session=session)
+        assert session.get_adapter("http://127.0.0.1/") is adapter
+
+
+class _CountingEndpoint:
+    """Keep-alive endpoint that records requests in flight and client ports."""
+
+    def __init__(self, latency_s: float):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.posts = 0
+        self.clients: set[int] = set()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
-                with lock:
-                    state["active"] += 1
-                    state["peak"] = max(state["peak"], state["active"])
-                time.sleep(0.02)
+                with endpoint.lock:
+                    endpoint.active += 1
+                    endpoint.posts += 1
+                    endpoint.peak = max(endpoint.peak, endpoint.active)
+                    endpoint.clients.add(self.client_address[1])
+                time.sleep(latency_s)
                 length = int(self.headers["Content-Length"])
                 payload = json.loads(self.rfile.read(length))
                 _, body = _echo_logprobs(payload)
                 data = json.dumps(body).encode()
+                with endpoint.lock:
+                    endpoint.active -= 1
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
-                with lock:
-                    state["active"] -= 1
 
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), CountingHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            scorer = RemoteScorer(
-                endpoint=f"http://127.0.0.1:{server.server_port}/",
-                model="test-lm",
-                max_inflight=2,
-                backoff_base=0.0,
-            )
-            results = scorer.score_batch([f"sentence {i} x" for i in range(10)])
-            assert all(isinstance(r, SentenceScore) for r in results)
-            assert state["peak"] <= 2
-        finally:
-            server.shutdown()
-            thread.join()
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/"
+
+
+@pytest.fixture
+def counting_endpoint():
+    endpoint = _CountingEndpoint(latency_s=0.05)
+    thread = threading.Thread(target=endpoint.server.serve_forever, daemon=True)
+    thread.start()
+    yield endpoint
+    endpoint.server.shutdown()
+    endpoint.server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestFlatScoringStage:
+    """Each stage scores all of its sentences through one pool."""
+
+    def test_classify_graph_fills_max_inflight(self, counting_endpoint):
+        rooms = ["bed", "oven", "sink", "stove", "toilet", "lamp", "table", "chair"]
+        graph = build_graph(
+            {f"r{i}": ("bathroom", [label]) for i, label in enumerate(rooms)},
+            room_labels=("bathroom", "kitchen"),
+        )
+        scorer = RemoteScorer(
+            endpoint=counting_endpoint.url, model="test-lm", max_inflight=4, backoff_base=0.0
+        )
+        result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
+        scorer._session.close()
+        assert len(result.predictions) == len(rooms) and result.failures == ()
+        # two sentences per room: a per-room barrier would cap this at 2
+        assert counting_endpoint.peak == 4
 
 
 class TestMakeScorer:
