@@ -18,11 +18,13 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import evaluation, house_convert, inference, ingest
+from .atomic import atomic_write
 from .cooccurrence import (
     build_proxy_table,
     count_ground_truth,
@@ -47,6 +49,28 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _say(*lines: str) -> None:
+    """Print ``lines`` to stdout and flush them.
+
+    A reader that stops early (``roomsense ingest ... | head -1``) is not an
+    error: stdout is pointed at the null device and the command goes on, so
+    it still writes every output file and keeps its exit code.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_text(path, text: str) -> None:
+    with atomic_write(path) as handle:
+        handle.write(text)
 
 
 def _sha256_file(path) -> str:
@@ -75,7 +99,7 @@ def build_manifest(command: str, flags: dict, inputs, outputs, backend: str | No
 
 def _write_manifest(manifest: dict, out_path) -> None:
     side = Path(str(out_path) + ".manifest.json")
-    side.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _jsonable(value):
@@ -136,7 +160,7 @@ def cmd_convert(args) -> int:
     )
     ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
     _write_manifest(manifest, args.out)
-    print(f"converted {args.house}: {len(graph.rooms)} rooms, {len(graph.objects)} objects")
+    _say(f"converted {args.house}: {len(graph.rooms)} rooms, {len(graph.objects)} objects")
     return EXIT_OK
 
 
@@ -167,11 +191,15 @@ def cmd_ingest(args) -> int:
     ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
     _write_manifest(manifest, args.out)
 
-    print(f"rooms: {len(graph.rooms)}")
-    print(f"objects: {len(graph.objects)}")
     total = max(len(graph.rooms), 1)
-    for label, count in ingest.room_label_histogram(graph).items():
-        print(f"  {label}: {count} ({count / total * 100:.2f}%)")
+    _say(
+        f"rooms: {len(graph.rooms)}",
+        f"objects: {len(graph.objects)}",
+        *(
+            f"  {label}: {count} ({count / total * 100:.2f}%)"
+            for label, count in ingest.room_label_histogram(graph).items()
+        ),
+    )
     return EXIT_OK
 
 
@@ -198,7 +226,7 @@ def cmd_cooc(args) -> int:
     )
     write_table(table, args.out, manifest_id=manifest_id)
     _write_manifest(manifest, args.out)
-    print(f"wrote {len(table.rows)} rows over {len(table.room_labels)} room labels")
+    _say(f"wrote {len(table.rows)} rows over {len(table.room_labels)} room labels")
     return EXIT_OK
 
 
@@ -223,7 +251,7 @@ def cmd_infer(args) -> int:
     )
     inference.write_predictions(result, args.out, manifest_id=manifest_id)
     _write_manifest(manifest, args.out)
-    print(f"predicted {len(result.predictions)} rooms, {len(result.failures)} failed")
+    _say(f"predicted {len(result.predictions)} rooms, {len(result.failures)} failed")
     if result.failures and not result.predictions:
         raise TransportError("every room failed to score")
     return EXIT_OK
@@ -232,6 +260,7 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
+    lines = []
     for path in args.predictions:
         run = inference.read_predictions(path)
         room_labels = _room_labels_from(run)
@@ -248,14 +277,15 @@ def cmd_eval(args) -> int:
             None,
         )
         evaluation.write_report(report, args.out_dir / f"{stem}.report.json", manifest_id)
-        (args.out_dir / f"{stem}.report.txt").write_text(
-            evaluation.format_report(report) + f"\nmanifest: {manifest_id}\n", "utf-8"
+        _write_text(
+            args.out_dir / f"{stem}.report.txt",
+            evaluation.format_report(report) + f"\nmanifest: {manifest_id}\n",
         )
         evaluation.emit_label_breakdown(
             report, args.out_dir / f"{stem}.breakdown.csv", manifest_id
         )
         _write_manifest(manifest, args.out_dir / f"{stem}.report.json")
-        print(f"{path}: overall accuracy {report.overall_accuracy * 100:.2f}%")
+        lines.append(f"{path}: overall accuracy {report.overall_accuracy * 100:.2f}%")
     if len(reports) > 1:
         table = evaluation.compare_conditions(reports)
         text = evaluation.format_condition_table(table)
@@ -266,11 +296,10 @@ def cmd_eval(args) -> int:
             None,
             None,
         )
-        (args.out_dir / "conditions.txt").write_text(
-            text + f"\nmanifest: {manifest_id}\n", "utf-8"
-        )
+        _write_text(args.out_dir / "conditions.txt", text + f"\nmanifest: {manifest_id}\n")
         _write_manifest(manifest, args.out_dir / "conditions.txt")
-        print(text)
+        lines.append(text)
+    _say(*lines)
     return EXIT_OK
 
 
@@ -338,6 +367,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
+        _say()  # --help text: a closed stdout is no error here either
         return int(exit_.code or 0)
     try:
         return args.func(args)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_proxy_query
 from .scene_model import ROOM_SPACE_NAME, LabelSpace, RoomNode, SceneGraph
@@ -270,7 +271,7 @@ def write_table(table: CooccurrenceTable, path, manifest_id: str | None = None) 
         cells.extend(repr(x) for x in table.rows[label])
         cells.append(repr(table.entropy[label]))
         lines.append("\t".join(cells))
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
+from .atomic import atomic_write
 from .inference import TrialCondition
 from .scene_model import LabelSpace
 
@@ -173,7 +173,8 @@ def emit_label_breakdown(report: EvalReport, path, manifest_id: str | None = Non
     for label, correct, total, accuracy in breakdown_rows(report):
         acc = "" if accuracy is None else repr(accuracy)
         lines.append(f"{label},{correct},{total},{acc}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def format_report(report: EvalReport) -> str:
@@ -218,4 +219,5 @@ def write_report(report: EvalReport, path, manifest_id: str | None = None) -> No
         "failed_rooms": list(report.failed_rooms),
         "evaluated": report.evaluated,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

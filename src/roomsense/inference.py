@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .atomic import atomic_write
 from .cooccurrence import CooccurrenceTable, select_informative
 from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_room_query
@@ -189,7 +190,7 @@ def write_predictions(
         **asdict(result.condition),
         "manifest": manifest_id,
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for p in result.predictions:
             record = {

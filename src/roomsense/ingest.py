@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .atomic import atomic_write
 from .scene_model import (
     ROOM_SPACE_NAME,
     BoundingBox,
@@ -226,7 +227,7 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
         lines.append(f"# manifest: {manifest_id}")
     if not graph.label_spaces:
         # an empty graph round-trips as an (effectively) empty file
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             handle.write("\n".join(lines) + "\n" if lines else "")
         return
     room_space = graph.room_space
@@ -241,7 +242,7 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
         coords = [*obj.bbox.min_corner, *obj.bbox.max_corner]
         labels = [obj.label_per_space[name] for name in space_names]
         lines.append("\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)]))
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 

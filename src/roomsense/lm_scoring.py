@@ -258,12 +258,15 @@ class RemoteScorer(SentenceScorer):
     the token list and per-token logprobs (first entry may be null). Any
     other shape, HTTP failure, or non-real logprob is a transport error.
 
-    Transient faults (timeouts, 408, 429, 5xx, malformed bodies) are
+    Transient faults (connection errors, timeouts, 408, 429, 5xx) are
     retried with exponential backoff up to ``max_attempts``; long batch
-    evaluations must survive them. 400, 401, 403 and 404 fail after one
-    POST. ``max_inflight`` is the number of concurrent requests
-    :func:`score_totals` makes; a session the scorer builds itself keeps
-    that many connections open. An injected ``session`` is used as given.
+    evaluations must survive them. 400, 401, 403 and 404 and malformed
+    bodies (a missing field, a logprob that is not a finite non-positive
+    number, no usable logprob) fail after one POST: the same request gets
+    the same answer again. ``max_inflight`` is the number of concurrent
+    requests :func:`score_totals` makes; a session the scorer builds itself
+    keeps that many connections open. An injected ``session`` is used as
+    given.
     """
 
     def __init__(
@@ -325,7 +328,7 @@ class RemoteScorer(SentenceScorer):
         response.raise_for_status()
         try:
             tokens, logprobs, model = _parse_logprob_payload(response.json())
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise TransportError(f"malformed response: {err}", sentence) from err
 
         parsed: list[TokenLogProb] = []
@@ -368,7 +371,7 @@ class RemoteScorer(SentenceScorer):
                         f"backend refused the request: {err}", sentence
                     ) from err
                 last = err
-            except (TransportError, requests.RequestException) as err:
+            except requests.RequestException as err:
                 last = err
             if attempt + 1 < self.max_attempts:
                 delay = self.backoff_base * 2**attempt

@@ -7,11 +7,15 @@ across data sources that mix capitalization.
 
 A :class:`SceneGraph` is immutable after construction and safe to share
 across threads. Pipeline stages that "modify" a graph build a new one.
+Lookup indexes (a graph's objects by id, a space's label set) are built
+once per instance, on first use; they are not dataclass fields, so
+equality, hashing, ``repr`` and ``asdict`` see only the declared data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 ROOM_SPACE_NAME = "room"
 
@@ -48,8 +52,12 @@ class LabelSpace:
             rejected=frozenset(normalize_label(l) for l in rejected),
         )
 
+    @cached_property
+    def _label_set(self) -> frozenset[str]:
+        return frozenset(self.labels)
+
     def __contains__(self, label: str) -> bool:
-        return label in set(self.labels)
+        return label in self._label_set
 
 
 def observed_space(name: str, objects, rejected=frozenset()) -> LabelSpace:
@@ -159,8 +167,12 @@ class SceneGraph:
     def object_by_id(self) -> dict[str, ObjectNode]:
         return {o.id: o for o in self.objects}
 
+    @cached_property
+    def _object_index(self) -> dict[str, ObjectNode]:
+        return self.object_by_id()
+
     def objects_in_room(self, room: RoomNode) -> list[ObjectNode]:
-        by_id = self.object_by_id()
+        by_id = self._object_index
         return [by_id[oid] for oid in room.objects if oid in by_id]
 
 

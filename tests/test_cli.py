@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roomsense
 from roomsense.cli import main
 from roomsense.lm_scoring import OfflineScorer, TransportError
 
@@ -227,6 +232,77 @@ class TestObjectSpaceConditions:
         run("infer", "--graph", graph, "--cooc", cooc, "--out", preds1)
         run("infer", "--graph", graph, "--cooc", cooc, "--out", preds2)
         assert run("eval", preds1, preds2, "--out-dir", tmp_path / "r") == 2
+
+
+def _run_into_closed_pipe(argv, unbuffered):
+    """Run the CLI in a child whose stdout is a pipe nobody reads."""
+    env = dict(os.environ)
+    src = str(Path(roomsense.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "roomsense", *map(str, argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    def test_ingest_writes_its_files(self, tmp_path, scene, unbuffered):
+        graph = tmp_path / "clean.txt"
+        assert run("ingest", "--scene", scene, "--out", graph) == 0
+        expected = graph.read_bytes()
+        for path in tmp_path.glob("clean.txt*"):
+            path.unlink()
+        done = _run_into_closed_pipe(["ingest", "--scene", scene, "--out", graph], unbuffered)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert graph.read_bytes() == expected
+        assert (tmp_path / "clean.txt.manifest.json").exists()
+
+    def test_eval_writes_every_report(self, tmp_path, scene, unbuffered):
+        pred_paths = []
+        for space in ("fine", "coarse"):
+            graph = tmp_path / f"clean-{space}.txt"
+            cooc = tmp_path / f"cooc-{space}.tsv"
+            preds = tmp_path / f"preds-{space}.jsonl"
+            run("ingest", "--scene", scene, "--out", graph, "--object-space", space)
+            run("cooc", "--graph", graph, "--out", cooc, "--object-space", space)
+            run("infer", "--graph", graph, "--cooc", cooc, "--out", preds)
+            pred_paths.append(preds)
+        reports = tmp_path / "reports"
+        done = _run_into_closed_pipe(["eval", *pred_paths, "--out-dir", reports], unbuffered)
+        assert (done.returncode, done.stderr) == (0, b"")
+        written = sorted(p.name for p in reports.iterdir())
+        assert "conditions.txt" in written and "conditions.txt.manifest.json" in written
+        for stem in ("preds-fine", "preds-coarse"):
+            for suffix in ("report.json", "report.txt", "breakdown.csv",
+                           "report.json.manifest.json"):
+                assert f"{stem}.{suffix}" in written
+
+    def test_help_text(self, unbuffered):
+        done = _run_into_closed_pipe(["--help"], unbuffered)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+    def test_backend_failure_keeps_its_exit_code(self, tmp_path, scene, unbuffered):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        done = _run_into_closed_pipe(
+            ["infer", "--graph", graph, "--cooc", cooc, "--out", tmp_path / "p.jsonl",
+             "--backend", "remote", "--endpoint", "http://127.0.0.1:9/v1/completions",
+             "--max-attempts", "1"],
+            unbuffered,
+        )
+        assert done.returncode == 3
+        assert b"every room failed" in done.stderr
 
 
 class TestExitCodes:

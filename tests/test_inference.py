@@ -211,6 +211,27 @@ class TestClassifyGraph:
         assert [f.room_id for f in result.failures] == ["r-bed"]
         assert [p.room_id for p in result.predictions] == ["r-bath", "r-kitchen"]
 
+    def test_object_index_built_once_per_graph(self, monkeypatch):
+        graph = build_graph(
+            {
+                "r-bath": ("bathroom", ["toilet", "shower", "sink"]),
+                "r-bed": ("bedroom", ["bed", "pillow"]),
+                "r-kitchen": ("kitchen", ["stove", "refrigerator"]),
+            }
+        )
+        table = count_ground_truth(graph, "things", alpha=1.0)
+        calls = []
+        index = SceneGraph.object_by_id
+
+        def counted(self):
+            calls.append(self)
+            return index(self)
+
+        monkeypatch.setattr(SceneGraph, "object_by_id", counted)
+        result = classify_graph(graph, table, OfflineScorer(seed=13), k=3)
+        assert len(result.predictions) == 3
+        assert len(calls) == 1
+
     def test_condition_recorded(self, bath_graph, bath_table):
         scorer = OfflineScorer(seed=7)
         result = classify_graph(bath_graph, bath_table, scorer, k=2)
@@ -268,6 +289,23 @@ class TestPredictionFiles:
         path = tmp_path / "p.jsonl"
         write_predictions(result, path)
         assert read_predictions(path) == result
+
+    def test_interrupted_write_keeps_previous_file(self, bath_graph, bath_table, tmp_path):
+        scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
+        result = classify_graph(bath_graph, bath_table, scorer, k=3)
+        path = tmp_path / "predictions.jsonl"
+        write_predictions(result, path, manifest_id="m1")
+        before = path.read_bytes()
+        # the second room's record cannot be serialized, so the write
+        # stops after the header and the first room
+        broken = dataclasses.replace(result.predictions[1], gt_label=object())
+        rerun = dataclasses.replace(
+            result, predictions=(result.predictions[0], broken, *result.predictions[2:])
+        )
+        with pytest.raises(TypeError):
+            write_predictions(rerun, path, manifest_id="m2")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["predictions.jsonl"]
 
     def test_byte_identical_across_five_runs(self, tmp_path):
         graph = synthetic_graph()

@@ -447,6 +447,29 @@ class TestRemoteScorer:
         assert excinfo.value.sentence == "x y"
         assert _Handler.calls == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, 0.5]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, float("nan")]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, None]},
+            {"model": "m", "tokens": ["a", "b"]},
+            {"model": "m", "choices": [1]},
+            [1, 2],
+        ],
+        ids=["oops", "positive", "nan", "no-usable", "missing-field", "bad-choice", "list"],
+    )
+    def test_malformed_body_is_not_retried(self, mock_endpoint, body):
+        _Handler.behaviors = [lambda p: (200, body), _echo_logprobs]
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+        )
+        with pytest.raises(TransportError) as excinfo:
+            scorer.score("a b")
+        assert excinfo.value.sentence == "a b"
+        assert _Handler.calls == 1
+
     @pytest.mark.parametrize("status", [408, 429])
     def test_timeout_and_rate_limit_statuses_retry(self, mock_endpoint, status):
         _Handler.behaviors = [lambda p: (status, {"error": "later"}), _echo_logprobs]

@@ -130,3 +130,38 @@ class TestSceneGraphAccessors:
         room = two_room_graph.room_by_id()["r-bath"]
         labels = {o.label_per_space["things"] for o in two_room_graph.objects_in_room(room)}
         assert labels == {"toilet", "shower", "sink"}
+
+
+class TestLookupIndexes:
+    def test_label_set_leaves_the_space_as_declared(self):
+        used = LabelSpace.create("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        assert "bed" in used and "rug" not in used
+        fresh = LabelSpace.create("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        assert set(dataclasses.asdict(used)) == {"name", "labels", "rejected"}
+
+    def test_object_index_leaves_the_graph_as_declared(self):
+        specs = {"r-bath": ("bathroom", ["toilet", "sink"]), "r-bed": ("bedroom", ["bed"])}
+        used = build_graph(specs)
+        for room in used.rooms:
+            assert {o.assigned_room for o in used.objects_in_room(room)} == {room.id}
+        fresh = build_graph(specs)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        assert set(dataclasses.asdict(used)) == {"rooms", "objects", "label_spaces"}
+
+    def test_indexed_graph_hashes_as_a_fresh_one(self):
+        # objects carry a label dict, so only an object-free graph hashes
+        def graph():
+            return SceneGraph(
+                rooms=(RoomNode(id="r1", gt_label="bathroom", bbox=box()),),
+                label_spaces=(LabelSpace(name="room", labels=("bathroom", "bedroom")),),
+            )
+
+        used = graph()
+        assert used.objects_in_room(used.rooms[0]) == []
+        assert hash(used) == hash(graph())
