@@ -153,7 +153,10 @@ def _make_scorer(args: argparse.Namespace):
 
 
 def cmd_convert(args) -> int:
-    graph = house_convert.convert_house(args.house, args.out, args.category_map)
+    category_map = (
+        house_convert.load_category_map(args.category_map) if args.category_map else None
+    )
+    graph = house_convert.parse_house_file(args.house, category_map=category_map)
     inputs = [args.house] + ([args.category_map] if args.category_map else [])
     manifest, manifest_id = build_manifest(
         "convert", _flags_dict(args), inputs, [args.out], None, None

@@ -29,7 +29,8 @@ from .scene_model import ROOM_SPACE_NAME, LabelSpace, RoomNode, SceneGraph
 GROUND_TRUTH = "ground_truth"
 PROXY = "proxy"
 
-_SUM_TOLERANCE = 1e-9
+# how far a row sum may stray from 1, and a stored entropy from its row's
+_TOLERANCE = 1e-9
 
 
 def entropy(p) -> float:
@@ -42,7 +43,7 @@ def entropy(p) -> float:
     if any(x < 0 for x in values):
         raise ValueError("probability entries must be non-negative")
     total = math.fsum(values)
-    if abs(total - 1.0) > _SUM_TOLERANCE:
+    if abs(total - 1.0) > _TOLERANCE:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return -math.fsum(x * math.log(x) for x in values if x > 0.0)
 
@@ -276,10 +277,17 @@ def write_table(table: CooccurrenceTable, path, manifest_id: str | None = None) 
 
 
 def read_table(path) -> CooccurrenceTable:
+    """Read a table written by :func:`write_table`.
+
+    Every row must hold finite numbers, a label no other row holds,
+    probabilities summing to 1 within 1e-9 and the entropy of those
+    probabilities within 1e-9; any other input raises ``ValueError`` naming
+    ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a roomsense co-occurrence file")
+        raise ValueError(f"{path}:1: not a roomsense co-occurrence file")
 
     meta: dict[str, str] = {}
     body_start = 0
@@ -292,19 +300,38 @@ def read_table(path) -> CooccurrenceTable:
             break
     header = lines[body_start].split("\t")
     if header[0] != "label" or header[-1] != "entropy":
-        raise ValueError(f"{path}: malformed table header")
+        raise ValueError(f"{path}:{body_start + 1}: malformed table header")
     room_labels = tuple(header[1:-1])
 
     rows: dict[str, tuple[float, ...]] = {}
     entropies: dict[str, float] = {}
-    for line in lines[body_start + 1:]:
+    for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):
         if not line:
             continue
         cells = line.split("\t")
+        label = cells[0]
+        where = f"{path}:{lineno}: row {label!r}"
         if len(cells) != len(room_labels) + 2:
-            raise ValueError(f"{path}: row {cells[0]!r} has wrong column count")
-        rows[cells[0]] = tuple(float(x) for x in cells[1:-1])
-        entropies[cells[0]] = float(cells[-1])
+            raise ValueError(f"{where} has wrong column count")
+        if label in rows:
+            raise ValueError(f"{where} repeats an earlier row's label")
+        try:
+            values = [float(x) for x in cells[1:]]
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where} holds a non-finite number")
+        row, stored = tuple(values[:-1]), values[-1]
+        try:
+            recomputed = entropy(row)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        if abs(recomputed - stored) > _TOLERANCE:
+            raise ValueError(
+                f"{where} stores entropy {stored!r}; its probabilities give {recomputed!r}"
+            )
+        rows[label] = row
+        entropies[label] = stored
 
     alpha_text = meta.get("alpha", "-")
     return CooccurrenceTable(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
-from .ingest import ParseError, write_scene_file
+from .ingest import ParseError
 from .scene_model import (
     ROOM_SPACE_NAME,
     BoundingBox,
@@ -253,11 +253,3 @@ def parse_house_file(
     return SceneGraph(
         rooms=rooms_with_members(rooms, objects), objects=tuple(objects), label_spaces=spaces
     )
-
-
-def convert_house(house_path, out_path, category_map_path=None) -> SceneGraph:
-    """CLI body for ``convert --house <path> --out <path>``."""
-    category_map = load_category_map(category_map_path) if category_map_path else None
-    graph = parse_house_file(house_path, category_map=category_map)
-    write_scene_file(graph, out_path)
-    return graph

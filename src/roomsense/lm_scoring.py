@@ -27,8 +27,10 @@ import json
 import logging
 import math
 import os
+import struct
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,10 +144,12 @@ def score_totals(
     return totals
 
 
-def _unit_float(*parts: str) -> float:
-    """Stable hash of the parts mapped into [0, 1)."""
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+_BIG_ENDIAN_U64 = struct.Struct(">Q")
+
+
+def _unit_float(digest: bytes) -> float:
+    """A SHA-256 digest mapped into [0, 1) by its first 8 bytes, big-endian."""
+    return _BIG_ENDIAN_U64.unpack_from(digest)[0] / 2**64
 
 
 def load_bonus_table(path) -> dict[tuple[str, str], float]:
@@ -182,9 +186,6 @@ class OfflineScorer(SentenceScorer):
     ):
         self.seed = seed
         self.bonus_table = dict(bonus_table or {})
-
-    @property
-    def identity(self) -> str:
         if self.bonus_table:
             canon = json.dumps(sorted(
                 (o, r, b) for (o, r), b in self.bonus_table.items()
@@ -192,10 +193,15 @@ class OfflineScorer(SentenceScorer):
             digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:8]
         else:
             digest = "none"
-        return f"offline:seed={self.seed}:bonus={digest}"
+        self._identity = f"offline:seed={seed}:bonus={digest}"
+
+    @property
+    def identity(self) -> str:
+        return self._identity
 
     def base_value(self, sentence: str) -> float:
-        return -(4.0 + 4.0 * _unit_float("base", str(self.seed), sentence))
+        key = f"base\x1f{self.seed}\x1f{sentence}".encode("utf-8")
+        return -(4.0 + 4.0 * _unit_float(hashlib.sha256(key).digest()))
 
     def bonus_value(self, sentence: str) -> float:
         return sum(
@@ -209,21 +215,22 @@ class OfflineScorer(SentenceScorer):
         total = self.base_value(sentence) + self.bonus_value(sentence)
         # whitespace-only input still needs one token to carry the total
         words = sentence.split() or [sentence]
-        weights = [
-            1.0 + _unit_float("tok", str(self.seed), sentence, str(i), word)
-            for i, word in enumerate(words)
-        ]
+        # every token hashes "tok", seed, sentence, index and word joined by
+        # \x1f; SHA-256 streams, so the shared prefix is hashed once
+        prefix = hashlib.sha256(f"tok\x1f{self.seed}\x1f{sentence}\x1f".encode("utf-8"))
+        weights = []
+        for i, word in enumerate(words):
+            token_hash = prefix.copy()
+            token_hash.update(f"{i}\x1f{word}".encode("utf-8"))
+            weights.append(1.0 + _unit_float(token_hash.digest()))
         weight_sum = math.fsum(weights)
         values = [total * w / weight_sum for w in weights]
-        tokens = tuple(
-            TokenLogProb(token=word, logprob=value)
-            for word, value in zip(words, values)
-        )
+        tokens = tuple(map(TokenLogProb, words, values))
         return SentenceScore(
             sentence=sentence,
             total_logprob=math.fsum(values),
             token_count=len(tokens),
-            backend=self.identity,
+            backend=self._identity,
             tokens=tokens,
         )
 
@@ -390,8 +397,10 @@ class CachingScorer(SentenceScorer):
 
     Cache hits reproduce the stored total and token count (token detail is
     not cached); downstream predictions are identical either way because
-    they consume totals only. Safe for concurrent use; records are flushed
-    as they are written so an interrupted run resumes where it stopped.
+    they consume totals only. Safe for concurrent use within one scorer. A
+    cache file has a single writer: the scorer opens one append handle on
+    its first miss, keeps it until it is collected, and flushes every
+    record as it is written, so an interrupted run resumes where it stopped.
     """
 
     def __init__(self, inner: SentenceScorer, path):
@@ -399,6 +408,7 @@ class CachingScorer(SentenceScorer):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._memory: dict[tuple[str, str], tuple[float, int]] = {}
+        self._handle = None
         if self.path.exists():
             self._load()
 
@@ -432,15 +442,18 @@ class CachingScorer(SentenceScorer):
             "total_logprob": score.total_logprob,
             "token_count": score.token_count,
         }
+        line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
             self._memory[(score.backend, score.sentence)] = (
                 score.total_logprob,
                 score.token_count,
             )
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = self.path.open("a", encoding="utf-8")
+                weakref.finalize(self, self._handle.close)
+            self._handle.write(line)
+            self._handle.flush()
 
     def _hit(self, sentence: str) -> SentenceScore | None:
         cached = self._memory.get((self.inner.identity, sentence))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,22 @@ class TestPipelineComposition:
         assert run(
             "ingest", "--scene", out, "--out", clean, "--object-space", "coarse"
         ) == 0
+
+    def test_convert_writes_the_scene_file_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("testhouse.house").write_text(HOUSE_TEXT)
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        assert run("convert", "--house", "testhouse.house", "--out", "scene.txt") == 0
+        assert replaced.count("scene.txt") == 1
+        digest = hashlib.sha256(Path("scene.txt").read_bytes()).hexdigest()
+        assert digest == "7f9daa72810ceaa1e34e7f756e11d3dcd873c4591e2c4342fca74c1fd92538e2"
 
     def test_two_converted_buildings_through_whole_chain(self, tmp_path):
         scenes = []

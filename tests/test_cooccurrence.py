@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from roomsense.cli import main
 from roomsense.cooccurrence import (
     GROUND_TRUTH,
     CooccurrenceTable,
@@ -17,6 +18,7 @@ from roomsense.cooccurrence import (
     softmax_from_logs,
     write_table,
 )
+from roomsense.ingest import write_scene_file
 from roomsense.lm_scoring import OfflineScorer, SentenceScore, SentenceScorer, TransportError
 from roomsense.querygen import render_proxy_query
 from roomsense.scene_model import LabelSpace, SceneGraph
@@ -411,3 +413,64 @@ class TestTableInvariantsAndRoundTrip:
         path.write_text("hello\n")
         with pytest.raises(ValueError):
             read_table(path)
+
+
+def _scaled(cells, factor):
+    return [cells[0], *(repr(float(x) * factor) for x in cells[1:-1]), cells[-1]]
+
+
+def _entropy_off_by(cells, delta):
+    return [*cells[:-1], repr(float(cells[-1]) + delta)]
+
+
+# name -> (edit of the first row's cells, whether the edited row is appended)
+_CORRUPTIONS = {
+    "nan-cell": (lambda cells: [cells[0], "nan", *cells[2:]], False),
+    "non-numeric-cell": (lambda cells: [cells[0], "0.5x", *cells[2:]], False),
+    "duplicate-label": (lambda cells: cells, True),
+    "row-sums-to-0.95": (lambda cells: _scaled(cells, 0.95), False),
+    "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), False),
+}
+
+
+class TestReadTableRejectsCorruptRows:
+    @staticmethod
+    def _corrupt(path, two_room_graph, name):
+        write_table(count_ground_truth(two_room_graph, "things"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("label\t")) + 1
+        edit, appended = _CORRUPTIONS[name]
+        edited = "\t".join(edit(lines[first].split("\t")))
+        if appended:
+            lines.append(edited)
+        else:
+            lines[first] = edited
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return len(lines) if appended else first + 1
+
+    @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+    def test_error_names_file_and_line(self, tmp_path, two_room_graph, name):
+        path = tmp_path / "cooc.tsv"
+        lineno = self._corrupt(path, two_room_graph, name)
+        with pytest.raises(ValueError) as caught:
+            read_table(path)
+        assert str(caught.value).startswith(f"{path}:{lineno}: ")
+
+    def test_entropy_within_tolerance_is_accepted(self, tmp_path, two_room_graph):
+        table = count_ground_truth(two_room_graph, "things")
+        path = tmp_path / "cooc.tsv"
+        write_table(table, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = "\t".join(_entropy_off_by(lines[-1].split("\t"), 1e-12))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_table(path).rows == table.rows
+
+    def test_cli_exits_with_a_data_error(self, tmp_path, two_room_graph, capsys):
+        graph = tmp_path / "graph.txt"
+        write_scene_file(two_room_graph, graph)
+        path = tmp_path / "cooc.tsv"
+        lineno = self._corrupt(path, two_room_graph, "nan-cell")
+        code = main(["infer", "--graph", str(graph), "--cooc", str(path),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 2
+        assert f"data error: {path}:{lineno}: " in capsys.readouterr().err

@@ -1,9 +1,9 @@
 import pytest
 
+from roomsense.cli import main
 from roomsense.house_convert import (
     REGION_LETTER_LABELS,
     ROOM_LABEL_LIST,
-    convert_house,
     load_category_map,
     parse_house_file,
 )
@@ -105,7 +105,7 @@ class TestParseHouse:
 class TestConvertEndToEnd:
     def test_convert_then_ingest(self, house_path, tmp_path):
         out = tmp_path / "scene.txt"
-        convert_house(house_path, out)
+        assert main(["convert", "--house", str(house_path), "--out", str(out)]) == 0
         raw = parse_scene_file(out)
         assert len(raw.rooms) == 3
         graph = run_pipeline(raw, IngestConfig(), "rawcategory")
@@ -119,9 +119,12 @@ class TestConvertEndToEnd:
         map_path = tmp_path / "mapping.tsv"
         map_path.write_text(CATEGORY_MAP)
         out = tmp_path / "scene.txt"
-        graph = convert_house(house_path, out, map_path)
-        assert graph.object_space("nyuclass")
+        assert main([
+            "convert", "--house", str(house_path), "--out", str(out),
+            "--category-map", str(map_path),
+        ]) == 0
         reparsed = parse_scene_file(out)
+        assert reparsed.object_space("nyuclass")
         assert [s.name for s in reparsed.object_spaces] == ["mpcat40", "nyuclass"]
 
     def test_missing_map_columns(self, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import math
@@ -6,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -27,6 +29,7 @@ from roomsense.lm_scoring import (
 )
 
 from conftest import build_graph
+from test_inference import BATH_BONUSES
 
 
 class FixtureScorer(SentenceScorer):
@@ -82,6 +85,101 @@ class TestScoreContract:
         assert math.isfinite(score.total_logprob)
 
 
+# float.hex of the total and of every token logprob, keyed by (seed, with
+# BATH_BONUSES, sentence); recorded from the scorer that hashed the whole
+# "tok", seed, sentence, index, word join once per token.
+PINNED_BITS = {
+    (0, False, "A room containing toilet is called a bathroom."): (
+        "-0x1.c2bdf73ecce43p+2",
+        (
+            "-0x1.a9d3411b74ea1p-1", "-0x1.9b2fc6b4bc440p-1", "-0x1.1e34130b2645dp+0",
+            "-0x1.9861f37dc82a8p-1", "-0x1.893e914af49d9p-1", "-0x1.55acf864e3607p-1",
+            "-0x1.fceacd8d28ba6p-1", "-0x1.102620aa90428p+0",
+        ),
+    ),
+    (0, False, "   "): (
+        "-0x1.47ba7c82e98b0p+2",
+        (
+            "-0x1.47ba7c82e98b0p+2",
+        ),
+    ),
+    (0, False, "A room containing évier is called a cuisine 浴室."): (
+        "-0x1.9c80e72987b6ep+2",
+        (
+            "-0x1.446cd79af536ep-1", "-0x1.828924bb788d4p-1", "-0x1.6f2475a9343b0p-1",
+            "-0x1.2d69da812ad19p-1", "-0x1.5bf11e7516862p-1", "-0x1.77738dcc414e0p-1",
+            "-0x1.a48ce432b8967p-1", "-0x1.79b7f50029041p-1", "-0x1.8ed9675737777p-1",
+        ),
+    ),
+    (0, True, "A room containing toilet is called a bathroom."): (
+        "0x1.1f5082304cc6ep+4",
+        (
+            "0x1.0f6e8e1a7fa0bp+1", "0x1.0619d120f85dbp+1", "0x1.6cdde15ca0475p+1",
+            "0x1.045041c44b1efp+1", "0x1.f553fa1ecc8f4p+0", "0x1.b395e839868aap+0",
+            "0x1.4465953c496e0p+1", "0x1.5af308bd8fd7bp+1",
+        ),
+    ),
+    (0, True, "   "): (
+        "-0x1.47ba7c82e98b0p+2",
+        (
+            "-0x1.47ba7c82e98b0p+2",
+        ),
+    ),
+    (0, True, "A room containing évier is called a cuisine 浴室."): (
+        "-0x1.9c80e72987b6ep+2",
+        (
+            "-0x1.446cd79af536ep-1", "-0x1.828924bb788d4p-1", "-0x1.6f2475a9343b0p-1",
+            "-0x1.2d69da812ad19p-1", "-0x1.5bf11e7516862p-1", "-0x1.77738dcc414e0p-1",
+            "-0x1.a48ce432b8967p-1", "-0x1.79b7f50029041p-1", "-0x1.8ed9675737777p-1",
+        ),
+    ),
+    (7, False, "A room containing toilet is called a bathroom."): (
+        "-0x1.aff5d4153eed8p+2",
+        (
+            "-0x1.c2171cadadcc5p-1", "-0x1.69089ccb86cedp-1", "-0x1.dbf1367f6b476p-1",
+            "-0x1.f30717102d6fap-1", "-0x1.d35e975ae5757p-1", "-0x1.0606c3ec9df90p+0",
+            "-0x1.600b111889456p-1", "-0x1.461f69547f6d0p-1",
+        ),
+    ),
+    (7, False, "   "): (
+        "-0x1.27f25b67a4e5ap+2",
+        (
+            "-0x1.27f25b67a4e5ap+2",
+        ),
+    ),
+    (7, False, "A room containing évier is called a cuisine 浴室."): (
+        "-0x1.05150323bb1c9p+2",
+        (
+            "-0x1.ea1b5e4697be1p-2", "-0x1.3a36414a3d360p-2", "-0x1.07f3dcfe05df1p-1",
+            "-0x1.6477836e55cd6p-2", "-0x1.0f3c9fb8503b1p-1", "-0x1.21b0488e9bd4ep-1",
+            "-0x1.41abc9e135110p-2", "-0x1.2421aafb30fcbp-1", "-0x1.ccd664db0c1f6p-2",
+        ),
+    ),
+    (7, True, "A room containing toilet is called a bathroom."): (
+        "0x1.24028afab044ap+4",
+        (
+            "0x1.30441a21c8de7p+1", "0x1.e820207c16424p+0", "0x1.41be02fd96f6bp+1",
+            "0x1.5159277c71605p+1", "0x1.3bf26c501e760p+1", "0x1.6243faa91f0a7p+1",
+            "0x1.dbf862d360bcbp+0", "0x1.b8ecd5316fdf2p+0",
+        ),
+    ),
+    (7, True, "   "): (
+        "-0x1.27f25b67a4e5ap+2",
+        (
+            "-0x1.27f25b67a4e5ap+2",
+        ),
+    ),
+    (7, True, "A room containing évier is called a cuisine 浴室."): (
+        "-0x1.05150323bb1c9p+2",
+        (
+            "-0x1.ea1b5e4697be1p-2", "-0x1.3a36414a3d360p-2", "-0x1.07f3dcfe05df1p-1",
+            "-0x1.6477836e55cd6p-2", "-0x1.0f3c9fb8503b1p-1", "-0x1.21b0488e9bd4ep-1",
+            "-0x1.41abc9e135110p-2", "-0x1.2421aafb30fcbp-1", "-0x1.ccd664db0c1f6p-2",
+        ),
+    ),
+}
+
+
 class TestOfflineScorer:
     def test_deterministic_across_instances(self):
         a = OfflineScorer(seed=7).score("A room containing bed is called a bedroom.")
@@ -120,6 +218,21 @@ class TestOfflineScorer:
             OfflineScorer(seed=0).identity
             != OfflineScorer(seed=0, bonus_table={("a", "b"): 1.0}).identity
         )
+
+    @pytest.mark.parametrize("seed, bonus, sentence", sorted(PINNED_BITS))
+    def test_pinned_bits(self, seed, bonus, sentence):
+        scorer = OfflineScorer(seed=seed, bonus_table=BATH_BONUSES if bonus else None)
+        score = scorer.score(sentence)
+        total, logprobs = PINNED_BITS[(seed, bonus, sentence)]
+        assert score.total_logprob.hex() == total
+        assert tuple(t.logprob.hex() for t in score.tokens) == logprobs
+        assert tuple(t.token for t in score.tokens) == tuple(sentence.split() or [sentence])
+
+    def test_pinned_identity(self):
+        assert OfflineScorer(seed=7).identity == "offline:seed=7:bonus=none"
+        scorer = OfflineScorer(seed=7, bonus_table=BATH_BONUSES)
+        assert scorer.identity == "offline:seed=7:bonus=a9fc1bcc"
+        assert scorer.score("a bed").backend == scorer.identity
 
     def test_bonus_file_loader(self, tmp_path):
         path = tmp_path / "bonus.tsv"
@@ -265,6 +378,74 @@ class TestCachingScorer:
             OfflineScorer(seed=1).score("intact sentence").total_logprob
         )
         assert reloaded.score("fresh sentence")  # torn record does not block new work
+
+    def test_misses_open_the_cache_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "nested" / "cache.jsonl"
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == path:
+                opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        cached = CachingScorer(OfflineScorer(seed=1), path)
+        score_totals(cached, [f"sentence {i}" for i in range(20)])
+        assert len(opened) == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 20
+
+    def test_each_miss_is_on_disk_before_the_next(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cached = CachingScorer(OfflineScorer(seed=1), path)
+        for i in range(5):
+            cached.score(f"sentence {i}")
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == i + 1
+            assert json.loads(lines[-1])["sentence"] == f"sentence {i}"
+
+    def test_fresh_scorer_replays_an_open_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        sentences = [f"sentence {i}" for i in range(30)]
+        writer = CachingScorer(OfflineScorer(seed=4), path)
+        expected = score_totals(writer, sentences)
+
+        class Exploding(SentenceScorer):
+            identity = writer.identity
+
+            def score(self, sentence):
+                raise AssertionError("cache miss hit the backend")
+
+        # the writer is still alive and holds its append handle
+        assert score_totals(CachingScorer(Exploding(), path), sentences) == expected
+
+    def test_handle_closed_when_scorer_is_collected(self, tmp_path):
+        cached = CachingScorer(OfflineScorer(seed=1), tmp_path / "cache.jsonl")
+        assert cached._handle is None  # opened on the first miss only
+        cached.score("one")
+        handle = cached._handle
+        assert not handle.closed
+        del cached
+        gc.collect()
+        assert handle.closed
+
+    def test_concurrent_misses_leave_whole_lines(self, tmp_path):
+        class Threaded(OfflineScorer):
+            max_inflight = 16
+
+        path = tmp_path / "cache.jsonl"
+        sentences = [f"distinct sentence {i}" for i in range(500)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            totals = score_totals(CachingScorer(Threaded(seed=5), path), sentences)
+        finally:
+            sys.setswitchinterval(interval)
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 500
+        assert sorted(r["sentence"] for r in records) == sorted(sentences)
+        by_sentence = {r["sentence"]: r["total_logprob"] for r in records}
+        assert [by_sentence[s] for s in sentences] == totals
 
 
 class _Handler(BaseHTTPRequestHandler):
