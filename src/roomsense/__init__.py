@@ -22,7 +22,6 @@ from .inference import (
     RoomPrediction,
     TrialCondition,
     classify_graph,
-    classify_room,
     read_predictions,
     write_predictions,
 )
@@ -44,7 +43,6 @@ from .lm_scoring import (
     SentenceScorer,
     TokenLogProb,
     TransportError,
-    perplexity,
 )
 from .querygen import QueryTemplate, render_proxy_query, render_room_query
 from .scene_model import (
@@ -82,7 +80,6 @@ __all__ = [
     "apply_spelling_fixes",
     "build_proxy_table",
     "classify_graph",
-    "classify_room",
     "compare_conditions",
     "count_ground_truth",
     "emit_label_breakdown",
@@ -91,7 +88,6 @@ __all__ = [
     "filter_graph",
     "normalize_label",
     "parse_scene_file",
-    "perplexity",
     "proxy_conditional",
     "read_predictions",
     "read_table",

@@ -7,9 +7,11 @@ smaller label; real backends never tie, coarse mock scorers can).
 
 Rooms are independent: each prediction depends only on its own room, the
 immutable table, and the scorer, so results do not depend on execution
-order. A room whose scorer calls fail (after the backend's own retries) is
-marked failed and reported, never silently skipped: silent exclusion would
-inflate accuracy invisibly.
+order. Each distinct sentence is scored once per :func:`classify_graph`
+call, so rooms that render the same sentence share its total, or its
+failure. A room whose scorer calls fail (after the backend's own retries)
+is marked failed and reported, never silently skipped: silent exclusion
+would inflate accuracy invisibly.
 """
 
 from __future__ import annotations
@@ -22,17 +24,9 @@ from .atomic import atomic_write
 from .cooccurrence import CooccurrenceTable, select_informative
 from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_room_query
-from .scene_model import RoomNode, SceneGraph
+from .scene_model import SceneGraph
 
 _FORMAT = "roomsense-predictions/v1"
-
-
-class RoomClassificationError(Exception):
-    """A single room could not be classified; carries the room id."""
-
-    def __init__(self, message: str, room_id: str):
-        super().__init__(message)
-        self.room_id = room_id
 
 
 @dataclass(frozen=True)
@@ -94,21 +88,6 @@ def argmax_label(candidates) -> str:
     return best.room_label
 
 
-def classify_room(
-    room: RoomNode,
-    graph: SceneGraph,
-    table: CooccurrenceTable,
-    scorer: SentenceScorer,
-    k: int = 3,
-    template: QueryTemplate | None = None,
-) -> RoomPrediction:
-    """Predict one room's label from its most informative objects."""
-    result = _classify([room], graph, table, scorer, k, template or QueryTemplate())
-    if result.failures:
-        raise RoomClassificationError(result.failures[0].reason, room.id)
-    return result.predictions[0]
-
-
 def classify_graph(
     graph: SceneGraph,
     table: CooccurrenceTable,
@@ -119,25 +98,17 @@ def classify_graph(
     """Classify every room; output ordered by room id.
 
     Per-room failures are collected, not raised, so one flaky room cannot
-    take down a long run.
+    take down a long run. Every room's sentences are rendered first and
+    scored through :func:`score_totals`; predictions are then assembled
+    room by room. A room fails with the first of its sentences, in
+    room-label order, that failed to score.
     """
-    rooms = sorted(graph.rooms, key=lambda r: r.id)
-    return _classify(rooms, graph, table, scorer, k, template or QueryTemplate())
-
-
-def _classify(rooms, graph, table, scorer, k, template) -> GraphClassification:
-    """Plan, score and assemble the predictions of the given rooms.
-
-    Every room's sentences are rendered first and scored through
-    :func:`score_totals`; predictions are then assembled room by room. A
-    room fails with the first of its sentences, in room-label order, that
-    failed to score.
-    """
+    template = template or QueryTemplate()
     condition = _condition(table, scorer, k, template)
     room_labels = graph.room_space.labels if graph.room_space is not None else ()
     plans = []
     reasons: dict[str, str] = {}
-    for room in rooms:
+    for room in sorted(graph.rooms, key=lambda r: r.id):
         selected = select_informative(room, graph, table, k)
         if not selected:
             # Ingest filtering removes label-less rooms; defend anyway.

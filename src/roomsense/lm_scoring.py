@@ -81,13 +81,6 @@ class SentenceScore:
     tokens: tuple[TokenLogProb, ...] | None = None
 
 
-def perplexity(score: SentenceScore) -> float:
-    """Per-token perplexity: exp(-total / token_count). Diagnostic only."""
-    if score.token_count <= 0:
-        raise ValueError("perplexity needs token_count > 0")
-    return math.exp(-score.total_logprob / score.token_count)
-
-
 class SentenceScorer:
     """Interface contract shared by every backend.
 
@@ -116,16 +109,20 @@ def score_totals(
 ) -> list[float | TransportError]:
     """Score every sentence; return the total log probabilities in order.
 
-    A transport failure does not abort the others: its slot holds the
-    :class:`TransportError` instead. ``scorer.max_inflight`` workers pull
-    sentences from one shared iterator, so up to that many calls are in
-    flight until the last sentence is taken. Only totals are kept, never
-    whole :class:`SentenceScore` records.
+    Each distinct sentence is scored once and its total, or its
+    :class:`TransportError`, fills every slot the sentence occupies, so
+    repeats share one result. A transport failure does not abort the
+    others: its slots hold the error instead. ``scorer.max_inflight``
+    workers pull distinct sentences from one shared iterator, so up to that
+    many calls are in flight until the last one is taken. Only totals are
+    kept, never whole :class:`SentenceScore` records.
     """
-    sentences = list(sentences)
-    totals: list = [None] * len(sentences)
+    slot_of: dict[str, int] = {}
+    slots = [slot_of.setdefault(s, len(slot_of)) for s in sentences]
+    distinct = list(slot_of)
+    totals: list = [None] * len(distinct)
     # an enumerate over a list hands out each item once, even across threads
-    pending = enumerate(sentences)
+    pending = enumerate(distinct)
 
     def drain() -> None:
         for i, sentence in pending:
@@ -134,14 +131,14 @@ def score_totals(
             except TransportError as err:
                 totals[i] = err
 
-    workers = min(scorer.max_inflight, len(sentences))
+    workers = min(scorer.max_inflight, len(distinct))
     if workers <= 1:
         drain()
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for future in [pool.submit(drain) for _ in range(workers)]:
                 future.result()
-    return totals
+    return [totals[i] for i in slots]
 
 
 _BIG_ENDIAN_U64 = struct.Struct(">Q")
@@ -401,6 +398,8 @@ class CachingScorer(SentenceScorer):
     cache file has a single writer: the scorer opens one append handle on
     its first miss, keeps it until it is collected, and flushes every
     record as it is written, so an interrupted run resumes where it stopped.
+    A torn last line left by such a run is ended before the first new
+    record, so only the torn record is lost.
     """
 
     def __init__(self, inner: SentenceScorer, path):
@@ -442,7 +441,7 @@ class CachingScorer(SentenceScorer):
             "total_logprob": score.total_logprob,
             "token_count": score.token_count,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self._memory[(score.backend, score.sentence)] = (
                 score.total_logprob,
@@ -450,8 +449,14 @@ class CachingScorer(SentenceScorer):
             )
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a", encoding="utf-8")
+                self._handle = self.path.open("a+b")
                 weakref.finalize(self, self._handle.close)
+                # end a torn last line, so this record is not glued onto it
+                end = self._handle.seek(0, os.SEEK_END)
+                if end:
+                    self._handle.seek(end - 1)
+                    if self._handle.read(1) != b"\n":
+                        self._handle.write(b"\n")
             self._handle.write(line)
             self._handle.flush()
 

@@ -23,7 +23,7 @@ from roomsense.cooccurrence import (
     select_informative,
 )
 from roomsense.evaluation import evaluate
-from roomsense.inference import classify_graph, classify_room, write_predictions
+from roomsense.inference import classify_graph, write_predictions
 from roomsense.ingest import (
     IngestConfig,
     parse_scene_file,
@@ -37,7 +37,7 @@ from roomsense.scene_model import validate
 from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, scene_file_text
 from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, room_with
 from test_evaluation import LABELS_ABC, hand_built_predictions, prediction
-from test_inference import BATH_BONUSES, synthetic_graph
+from test_inference import BATH_BONUSES, classify_room, synthetic_graph
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
 
 

@@ -8,13 +8,11 @@ from roomsense.cooccurrence import count_ground_truth
 from roomsense.inference import (
     Candidate,
     GraphClassification,
-    RoomClassificationError,
     RoomFailure,
     RoomPrediction,
     TrialCondition,
     argmax_label,
     classify_graph,
-    classify_room,
     read_predictions,
     write_predictions,
 )
@@ -34,6 +32,23 @@ BATH_BONUSES = {
     ("stove", "kitchen"): 25.0,
     ("refrigerator", "kitchen"): 20.0,
 }
+
+
+class RoomClassificationError(Exception):
+    """A single room could not be classified; carries the room id."""
+
+    def __init__(self, message: str, room_id: str):
+        super().__init__(message)
+        self.room_id = room_id
+
+
+def classify_room(room, graph, table, scorer, k=3, template=None):
+    """Predict one room's label: :func:`classify_graph` on a graph holding
+    only that room, with its failure raised as :class:`RoomClassificationError`."""
+    result = classify_graph(dataclasses.replace(graph, rooms=(room,)), table, scorer, k, template)
+    if result.failures:
+        raise RoomClassificationError(result.failures[0].reason, room.id)
+    return result.predictions[0]
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import math
 import sys
 import threading
 import time
-from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from roomsense.lm_scoring import (
     TransportError,
     load_bonus_table,
     make_scorer,
-    perplexity,
     score_totals,
 )
 
@@ -243,6 +241,13 @@ class TestOfflineScorer:
         }
 
 
+def perplexity(score: SentenceScore) -> float:
+    """Per-token perplexity: exp(-total / token_count)."""
+    if score.token_count <= 0:
+        raise ValueError("perplexity needs token_count > 0")
+    return math.exp(-score.total_logprob / score.token_count)
+
+
 class TestPerplexity:
     def test_one_token_half_probability(self):
         score = SentenceScore("s", -math.log(2), 1, "x")
@@ -302,7 +307,24 @@ class TestScoreBatch:
         finally:
             sys.setswitchinterval(interval)
         assert totals == [-float(len(s)) for s in sentences]
-        assert scorer.calls == Counter(sentences)
+        # one call per distinct sentence, not per occurrence
+        assert scorer.calls == {s: 1 for s in sentences}
+
+    def test_repeats_are_scored_once(self):
+        class Recording(SentenceScorer):
+            identity = "recording"
+
+            def __init__(self):
+                self.calls = []
+
+            def score(self, sentence):
+                self.calls.append(sentence)
+                return SentenceScore(sentence, -float(len(sentence)), 1, self.identity)
+
+        scorer = Recording()
+        assert score_totals(scorer, ["a", "b", "a"]) == [-1.0, -1.0, -1.0]
+        assert scorer.calls == ["a", "b"]
+        assert score_totals(scorer, ["ccc", "a", "ccc"]) == [-3.0, -1.0, -3.0]
 
     def test_errors_other_than_transport_propagate(self):
         scorer = FixtureScorer({"fine": [("fine", -1.0)]})
@@ -378,6 +400,25 @@ class TestCachingScorer:
             OfflineScorer(seed=1).score("intact sentence").total_logprob
         )
         assert reloaded.score("fresh sentence")  # torn record does not block new work
+
+    def test_record_after_a_torn_line_survives_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CachingScorer(OfflineScorer(seed=1), path).score("intact")
+        with path.open("a") as handle:
+            handle.write('{"backend": "offline:seed=1:bonus=none", "sent')  # killed mid-write
+        CachingScorer(OfflineScorer(seed=1), path).score("fresh")
+
+        class Exploding(SentenceScorer):
+            identity = OfflineScorer(seed=1).identity
+
+            def score(self, sentence):
+                raise AssertionError("cache miss hit the backend")
+
+        reloaded = CachingScorer(Exploding(), path)
+        assert score_totals(reloaded, ["intact", "fresh"]) == score_totals(
+            OfflineScorer(seed=1), ["intact", "fresh"]
+        )
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_misses_open_the_cache_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "nested" / "cache.jsonl"
@@ -747,6 +788,60 @@ class TestFlatScoringStage:
         assert len(result.predictions) == len(rooms) and result.failures == ()
         # two sentences per room: a per-room barrier would cap this at 2
         assert counting_endpoint.peak == 4
+
+
+class TestDistinctSentences:
+    """A stage sends one request per distinct sentence."""
+
+    def test_rooms_with_the_same_objects_share_their_posts(self, mock_endpoint):
+        _Handler.behaviors = [_echo_logprobs]
+        graph = build_graph(
+            {
+                "r-a": ("bathroom", ["toilet", "sink"]),
+                "r-b": ("bathroom", ["sink", "toilet"]),
+                "r-c": ("kitchen", ["stove"]),
+            },
+            room_labels=("bathroom", "kitchen"),
+        )
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_inflight=2, backoff_base=0.0
+        )
+        result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
+        scorer._session.close()
+        assert [p.room_id for p in result.predictions] == ["r-a", "r-b", "r-c"]
+        a, b, _ = result.predictions
+        assert a.selected_objects == b.selected_objects
+        assert a.candidates == b.candidates
+        # 6 sentences rendered, 4 distinct: r-a and r-b render the same two
+        assert _Handler.calls == 4
+
+    def test_a_failing_shared_sentence_fails_every_room_using_it(self, mock_endpoint):
+        def refuse_toilet_kitchen(payload):
+            if "toilet" in payload["prompt"] and "kitchen" in payload["prompt"]:
+                return 400, {"error": "refused"}
+            return _echo_logprobs(payload)
+
+        _Handler.behaviors = [refuse_toilet_kitchen]
+        graph = build_graph(
+            {
+                "r-a": ("bathroom", ["toilet"]),
+                "r-b": ("bathroom", ["toilet"]),
+                "r-c": ("kitchen", ["stove"]),
+            },
+            room_labels=("bathroom", "kitchen"),
+        )
+        scorer = RemoteScorer(
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+        )
+        result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
+        scorer._session.close()
+        assert [p.room_id for p in result.predictions] == ["r-c"]
+        assert [f.room_id for f in result.failures] == ["r-a", "r-b"]
+        reasons = [f.reason.split(": ", 1)[1] for f in result.failures]
+        assert reasons[0] == reasons[1]
+        assert "backend refused the request" in reasons[0] and "400" in reasons[0]
+        # the refused sentence is sent once and not retried
+        assert _Handler.calls == 4
 
 
 class TestMakeScorer:
