@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -49,6 +50,28 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite non-negative number")
+    return value
 
 
 def _say(*lines: str) -> None:
@@ -129,8 +152,8 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--offline-bonus-file", type=Path, default=None)
     group.add_argument("--endpoint", default=None, help="remote endpoint URL")
     group.add_argument("--model", default=None, help="remote model identity")
-    group.add_argument("--max-inflight", type=int, default=4)
-    group.add_argument("--max-attempts", type=int, default=5,
+    group.add_argument("--max-inflight", type=_positive_int, default=4)
+    group.add_argument("--max-attempts", type=_positive_int, default=5,
                        help="remote retry budget per sentence")
     group.add_argument("--cache-dir", type=Path, default=None)
 
@@ -339,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--mode", "--cooc", dest="mode", choices=["gt", "proxy"], default="gt")
-    p.add_argument("--alpha", type=float, default=1.0, help="Laplace smoothing constant")
+    p.add_argument("--alpha", type=_non_negative_float, default=1.0,
+                   help="Laplace smoothing constant")
     p.add_argument("--presence", action="store_true",
                    help="count labels once per room instead of per instance")
     p.add_argument("--object-space", choices=["fine", "coarse"], default="fine")
@@ -351,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--cooc", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--k", type=int, default=3, help="objects per query sentence")
+    p.add_argument("--k", type=_positive_int, default=3, help="objects per query sentence")
     p.add_argument("--article", choices=["grammatical", "literal"], default="grammatical")
     _add_scorer_flags(p)
     p.set_defaults(func=cmd_infer)

@@ -34,10 +34,10 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import requests
-from requests.adapters import HTTPAdapter
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -271,6 +271,10 @@ class RemoteScorer(SentenceScorer):
     requests :func:`score_totals` makes; a session the scorer builds itself
     keeps that many connections open. An injected ``session`` is used as
     given.
+
+    The HTTP stack (``requests``) is imported here, at construction, and
+    nowhere else in the package: offline runs never load it, and no
+    :meth:`score` call pays for the import.
     """
 
     def __init__(
@@ -293,10 +297,16 @@ class RemoteScorer(SentenceScorer):
         self.model = model if model is not None else os.environ.get(MODEL_ENV, "")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.max_inflight = max_inflight
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
+        import requests
+        from requests.adapters import HTTPAdapter
+
+        self._requests = requests
         if session is None:
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=max_inflight)
@@ -365,6 +375,7 @@ class RemoteScorer(SentenceScorer):
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
+        requests = self._requests
         last: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
@@ -427,10 +438,16 @@ class CachingScorer(SentenceScorer):
             try:
                 record = json.loads(line)
                 key = (record["backend"], record["sentence"])
-                self._memory[key] = (record["total_logprob"], record["token_count"])
-            except (ValueError, KeyError):
+                total, count = record["total_logprob"], record["token_count"]
+                # json.loads accepts NaN and Infinity; bool is an int subclass
+                if (type(total) not in (int, float) or not math.isfinite(total)
+                        or type(count) is not int or count < 0):
+                    raise ValueError("cached values are not numbers")
+                self._memory[key] = (total, count)
+            except (ValueError, KeyError, TypeError, OverflowError):
                 # a torn trailing record from an interrupted run is expected;
-                # skip it and let the sentence be re-scored
+                # skip it, or any record whose values are not numbers, and
+                # let the sentence be re-scored
                 logger.warning("skipping malformed cache record %s:%d", self.path, lineno)
 
     def _append(self, score: SentenceScore) -> None:

@@ -251,11 +251,17 @@ class TestObjectSpaceConditions:
         assert run("eval", preds1, preds2, "--out-dir", tmp_path / "r") == 2
 
 
-def _run_into_closed_pipe(argv, unbuffered):
-    """Run the CLI in a child whose stdout is a pipe nobody reads."""
+def _child_env() -> dict:
+    """This process's environment, with the tested package on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(roomsense.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_into_closed_pipe(argv, unbuffered):
+    """Run the CLI in a child whose stdout is a pipe nobody reads."""
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -330,6 +336,24 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert run("ingest", "--frobnicate") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--k", "0"],
+        ["infer", "--k", "-2"],
+        ["infer", "--max-inflight", "0"],
+        ["infer", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/",
+         "--max-attempts", "0"],
+        ["cooc", "--alpha", "-1"],
+        ["cooc", "--alpha", "nan"],
+    ], ids=["k-zero", "k-negative", "max-inflight", "max-attempts", "alpha", "alpha-nan"])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, scene, capsys, argv):
+        command, *flags = argv
+        inputs = {"infer": ["--graph", scene, "--cooc", scene],
+                  "cooc": ["--graph", scene]}[command]
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", out, *flags) == 1
+        assert f"argument {flags[-2]}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_scene_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("room\tr0\tbathroom\t0\t0\t0\t1\t1\t1\n")
@@ -361,6 +385,43 @@ class TestExitCodes:
             "--endpoint", "http://127.0.0.1:9/none", "--max-attempts", "1",
         )
         assert rc == 3
+
+
+# Runs in a fresh interpreter, because pytest has already imported requests.
+_IMPORT_BOUNDARY = """
+import sys
+from pathlib import Path
+
+import roomsense
+from roomsense.cli import main
+
+d = Path(sys.argv[1])
+commands = [
+    ["convert", "--house", d / "one.house", "--out", d / "scene.txt"],
+    ["ingest", "--scene", d / "scene.txt", "--out", d / "clean.txt"],
+    ["cooc", "--graph", d / "clean.txt", "--out", d / "gt.tsv", "--mode", "gt"],
+    ["cooc", "--graph", d / "clean.txt", "--out", d / "proxy.tsv", "--mode", "proxy"],
+    ["infer", "--graph", d / "clean.txt", "--cooc", d / "gt.tsv", "--out", d / "p.jsonl"],
+    ["eval", d / "p.jsonl", "--out-dir", d / "reports"],
+]
+assert "requests" not in sys.modules, "import roomsense"
+for argv in commands:
+    assert main([str(a) for a in argv]) == 0, argv[0]
+    assert "requests" not in sys.modules, argv[0]
+roomsense.RemoteScorer(endpoint="http://127.0.0.1:9/")
+assert "requests" in sys.modules, "RemoteScorer"
+"""
+
+
+class TestImportBoundary:
+    def test_only_a_remote_scorer_loads_the_http_client(self, tmp_path):
+        (tmp_path / "one.house").write_text(HOUSE_TEXT)
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "reports" / "p.report.json").exists()
 
 
 class TestProxyCacheResume:

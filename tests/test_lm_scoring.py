@@ -332,6 +332,17 @@ class TestScoreBatch:
             score_totals(scorer, ["fine", "", "unscripted"])
 
 
+def _cache_line(sentence, total="-3.5", count="2"):
+    """A cache record for ``OfflineScorer(seed=1)`` with raw JSON values."""
+    record = {
+        "backend": OfflineScorer(seed=1).identity,
+        "sentence": sentence,
+        "total_logprob": "@total",
+        "token_count": "@count",
+    }
+    return json.dumps(record).replace('"@total"', total).replace('"@count"', count)
+
+
 class TestCachingScorer:
     def test_transparent_totals(self, tmp_path):
         inner = OfflineScorer(seed=9)
@@ -400,6 +411,46 @@ class TestCachingScorer:
             OfflineScorer(seed=1).score("intact sentence").total_logprob
         )
         assert reloaded.score("fresh sentence")  # torn record does not block new work
+
+    @pytest.mark.parametrize("line", [
+        *(pytest.param(_cache_line("bad record", total=value), id=f"total-{name}")
+          for name, value in (
+              ("string", '"oops"'), ("nan", "NaN"), ("inf", "Infinity"),
+              ("-inf", "-Infinity"), ("bool", "true"), ("null", "null"), ("list", "[1]"),
+              ("huge-int", "1" + "0" * 400),
+          )),
+        *(pytest.param(_cache_line("bad record", count=value), id=f"count-{name}")
+          for name, value in (
+              ("string", '"2"'), ("negative", "-1"), ("float", "2.0"), ("bool", "true"),
+              ("null", "null"), ("list", "[1]"),
+          )),
+        *(pytest.param(line, id=f"record-{name}")
+          for name, line in (("list", "[1]"), ("string", '"bad record"'), ("null", "null"),
+                             ("number", "7"))),
+    ])
+    def test_record_whose_values_are_not_numbers_is_scored_again(self, tmp_path, caplog, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line + "\n")
+        with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
+            cached = CachingScorer(OfflineScorer(seed=1), path)
+        assert f"skipping malformed cache record {path}:1" in caplog.text
+        assert score_totals(cached, ["bad record"]) == score_totals(
+            OfflineScorer(seed=1), ["bad record"]
+        )
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_record_with_an_int_total_is_served(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_cache_line("int record", total="-3", count="0") + "\n")
+
+        class Exploding(SentenceScorer):
+            identity = OfflineScorer(seed=1).identity
+
+            def score(self, sentence):
+                raise AssertionError("cache miss hit the backend")
+
+        hit = CachingScorer(Exploding(), path).score("int record")
+        assert (hit.total_logprob, hit.token_count) == (-3, 0)
 
     def test_record_after_a_torn_line_survives_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -615,6 +666,12 @@ class TestRemoteScorer:
         monkeypatch.delenv("ROOMSENSE_LM_ENDPOINT", raising=False)
         with pytest.raises(ValueError):
             RemoteScorer()
+
+    @pytest.mark.parametrize("setting", [{"max_inflight": 0}, {"max_attempts": 0}],
+                             ids=["max_inflight", "max_attempts"])
+    def test_budgets_below_one_rejected(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            RemoteScorer(endpoint="http://127.0.0.1:9/", **setting)
 
     def test_max_inflight_bounds_concurrency(self, counting_endpoint):
         scorer = RemoteScorer(
