@@ -116,7 +116,11 @@ def _clean_name(token: str) -> str:
 
 
 def load_category_map(path, column: str = "nyuClass") -> dict[int, str]:
-    """Read the official category mapping TSV: category index -> fine label."""
+    """Read the official category mapping TSV: category index -> fine label.
+
+    A short row or a non-integer index is a :class:`ParseError` naming its
+    ``path:line``.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty category mapping file")
@@ -135,22 +139,29 @@ def load_category_map(path, column: str = "nyuClass") -> dict[int, str]:
             raise ParseError(f"{path}:{lineno}: short row")
         label = cells[label_col].strip()
         if label:
-            mapping[int(cells[index_col])] = normalize_label(label)
+            try:
+                index = int(cells[index_col])
+            except ValueError as err:
+                raise ParseError(
+                    f"{path}:{lineno}: category index {cells[index_col]!r} is not an integer"
+                ) from err
+            mapping[index] = normalize_label(label)
     return mapping
 
 
-def _aabb_of_oriented_box(center, axis0, axis1, radii) -> BoundingBox:
-    (x0, y0, z0), (x1, y1, z1) = axis0, axis1
-    axis2 = (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)
-    r0, r1, r2 = (abs(r) for r in radii)
+def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
+    """The axis-aligned hull of an ``O`` record's box: center, two axes, radii."""
+    cx, cy, cz, x0, y0, z0, x1, y1, z1, r0, r1, r2 = box
+    x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
+    r0, r1, r2 = abs(r0), abs(r1), abs(r2)
     # Keep this operation order: scene files store the corners by repr, so a
     # reordered sum would change their bytes.
-    half = [
-        r0 * abs(u) + r1 * abs(v) + r2 * abs(w) for u, v, w in zip(axis0, axis1, axis2)
-    ]
+    hx = r0 * abs(x0) + r1 * abs(x1) + r2 * abs(x2)
+    hy = r0 * abs(y0) + r1 * abs(y1) + r2 * abs(y2)
+    hz = r0 * abs(z0) + r1 * abs(z1) + r2 * abs(z2)
     return BoundingBox(
-        min_corner=tuple(c - h for c, h in zip(center, half)),
-        max_corner=tuple(c + h for c, h in zip(center, half)),
+        min_corner=(cx - hx, cy - hy, cz - hz),
+        max_corner=(cx + hx, cy + hy, cz + hz),
     )
 
 
@@ -174,7 +185,6 @@ def parse_house_file(
         if not tokens:
             continue
         kind = tokens[0]
-        where = f"{path}:{lineno}"
         try:
             if kind == "H":
                 if len(tokens) > 1 and tokens[1] not in ("", "-"):
@@ -186,15 +196,16 @@ def parse_house_file(
                 letter = tokens[5]
                 label = letters.get(letter)
                 if label is None:
-                    logger.warning("%s: unknown region code %r, using 'none'", where, letter)
+                    logger.warning(
+                        "%s:%d: unknown region code %r, using 'none'", path, lineno, letter
+                    )
                     label = "none"
-                lo = tuple(float(x) for x in tokens[9:12])
-                hi = tuple(float(x) for x in tokens[12:15])
+                bounds = tuple(map(float, tokens[9:15]))
                 rooms.append(
                     RoomNode(
                         id=f"{house_name}/R{index}",
                         gt_label=normalize_label(label),
-                        bbox=BoundingBox(min_corner=lo, max_corner=hi),
+                        bbox=BoundingBox(min_corner=bounds[0:3], max_corner=bounds[3:6]),
                     )
                 )
                 region_ids.add(index)
@@ -214,20 +225,16 @@ def parse_house_file(
                 obj_index = int(tokens[1])
                 region_index = int(tokens[2])
                 category_index = int(tokens[3])
-                center = [float(x) for x in tokens[4:7]]
-                axis0 = [float(x) for x in tokens[7:10]]
-                axis1 = [float(x) for x in tokens[10:13]]
-                radii = [float(x) for x in tokens[13:16]]
                 raw_objects.append(
                     (
                         f"{house_name}/O{obj_index}",
                         region_index,
                         category_index,
-                        _aabb_of_oriented_box(center, axis0, axis1, radii),
+                        _aabb_of_oriented_box(tuple(map(float, tokens[4:16]))),
                     )
                 )
         except (IndexError, ValueError) as err:
-            raise ParseError(f"{where}: malformed {kind!r} record: {err}") from err
+            raise ParseError(f"{path}:{lineno}: malformed {kind!r} record: {err}") from err
 
     fine_space = FINE_SPACE_MAPPED if category_map is not None else FINE_SPACE_RAW
     objects: list[ObjectNode] = []

@@ -17,7 +17,7 @@ would inflate accuracy invisibly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .atomic import atomic_write
@@ -180,38 +180,90 @@ def write_predictions(
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _json_object(line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as err:
+        raise ValueError(f"not valid JSON: {err}") from err
+    if type(record) is not dict:
+        raise ValueError("record is not a JSON object")
+    return record
+
+
+def _field(record: dict, key: str, kind: type):
+    """``record[key]``, whose JSON type must be ``kind``."""
+    if key not in record:
+        raise ValueError(f"missing key {key!r}")
+    value = record[key]
+    # an exact type: a JSON boolean must not pass as an int
+    if type(value) is not kind:
+        raise ValueError(f"key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
+    selected = _field(record, "selected_objects", list)
+    if any(type(label) is not str for label in selected):
+        raise ValueError("key 'selected_objects' must list strings")
+    candidates = []
+    for c in _field(record, "candidates", list):
+        if not (type(c) is list and len(c) == 3 and type(c[0]) is str
+                and type(c[1]) is str and type(c[2]) in (int, float)):
+            raise ValueError(
+                "key 'candidates' must list [room label, sentence, total logprob] triples"
+            )
+        candidates.append(Candidate(room_label=c[0], sentence=c[1], total_logprob=c[2]))
+    return RoomPrediction(
+        room_id=_field(record, "room_id", str),
+        selected_objects=tuple(selected),
+        candidates=tuple(candidates),
+        predicted_label=_field(record, "predicted_label", str),
+        gt_label=_field(record, "gt_label", str),
+        condition=condition,
+    )
+
+
 def read_predictions(path) -> GraphClassification:
+    """Read a predictions file back into the result it was written from.
+
+    A line that is not a JSON object, or a record with a missing or
+    mistyped key, is a ``ValueError`` naming its ``path:line``.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty predictions file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header" or header.get("format") != _FORMAT:
-        raise ValueError(f"{path}: not a {_FORMAT} file")
-    condition = TrialCondition(**{f.name: header[f.name] for f in fields(TrialCondition)})
     predictions: list[RoomPrediction] = []
     failures: list[RoomFailure] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if record["kind"] == "prediction":
-            predictions.append(
-                RoomPrediction(
-                    room_id=record["room_id"],
-                    selected_objects=tuple(record["selected_objects"]),
-                    candidates=tuple(
-                        Candidate(room_label=c[0], sentence=c[1], total_logprob=c[2])
-                        for c in record["candidates"]
-                    ),
-                    predicted_label=record["predicted_label"],
-                    gt_label=record["gt_label"],
-                    condition=condition,
+    lineno = 1
+    try:
+        header = _json_object(lines[0])
+        if header.get("kind") != "header" or header.get("format") != _FORMAT:
+            raise ValueError(f"not a {_FORMAT} file")
+        condition = TrialCondition(
+            object_space=_field(header, "object_space", str),
+            provenance=_field(header, "provenance", str),
+            k=_field(header, "k", int),
+            template_version=_field(header, "template_version", str),
+            backend=_field(header, "backend", str),
+        )
+        for lineno, line in enumerate(lines[1:], 2):
+            if not line.strip():
+                continue
+            record = _json_object(line)
+            kind = _field(record, "kind", str)
+            if kind == "prediction":
+                predictions.append(_prediction(record, condition))
+            elif kind == "failure":
+                failures.append(
+                    RoomFailure(
+                        room_id=_field(record, "room_id", str),
+                        reason=_field(record, "reason", str),
+                    )
                 )
-            )
-        elif record["kind"] == "failure":
-            failures.append(RoomFailure(room_id=record["room_id"], reason=record["reason"]))
-        else:
-            raise ValueError(f"{path}: unknown record kind {record['kind']!r}")
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+    except ValueError as err:
+        raise ValueError(f"{path}:{lineno}: {err}") from err
     return GraphClassification(
         predictions=tuple(predictions), failures=tuple(failures), condition=condition
     )

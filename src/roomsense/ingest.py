@@ -105,15 +105,11 @@ class IngestConfig:
         }
 
 
-def _parse_floats(fields: list[str], where: str) -> tuple[float, ...]:
+def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
     try:
-        return tuple(float(x) for x in fields)
+        values = tuple(map(float, fields))
     except ValueError as err:
-        raise ParseError(f"{where}: bad number in {fields!r}") from err
-
-
-def _bbox(fields: list[str], where: str) -> BoundingBox:
-    values = _parse_floats(fields, where)
+        raise ParseError(f"{path}:{lineno}: bad number in {fields!r}") from err
     return BoundingBox(min_corner=values[0:3], max_corner=values[3:6])
 
 
@@ -123,7 +119,8 @@ def parse_scene_file(path) -> SceneGraph:
     Labels are normalized but nothing is removed or reassigned. Room labels
     must be declared in the header; object-space label sets are collected
     from the file. A missing header is only legal for an entirely empty
-    file. Malformed records and duplicate ids raise :class:`ParseError`.
+    file. Malformed records and duplicate ids raise :class:`ParseError`,
+    whose message starts with the record's ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
 
@@ -133,15 +130,15 @@ def parse_scene_file(path) -> SceneGraph:
     rooms: dict[str, RoomNode] = {}
     objects: dict[str, ObjectNode] = {}
 
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    # the location of a record is formatted only when it is reported
+    for lineno, line in enumerate(lines, 1):
+        if line.lstrip()[:1] in ("", "#"):
             continue
-        where = f"{path}:{lineno}"
         fields = line.split("\t")
         kind = fields[0]
 
         if not header_seen:
+            where = f"{path}:{lineno}"
             if kind != _MAGIC:
                 raise SchemaError(f"{where}: expected '{_MAGIC}' header before records")
             if len(fields) != 4 or fields[1] != _VERSION:
@@ -166,43 +163,45 @@ def parse_scene_file(path) -> SceneGraph:
                     if r.strip()
                 )
             )
+            label_end = 3 + len(space_names)
             header_seen = True
             continue
 
         if kind == "room":
             if len(fields) != 9:
-                raise ParseError(f"{where}: room record needs 9 fields, got {len(fields)}")
+                raise ParseError(
+                    f"{path}:{lineno}: room record needs 9 fields, got {len(fields)}"
+                )
             room_id = fields[1]
             if room_id in rooms:
-                raise ParseError(f"{where}: duplicate room id {room_id!r}")
+                raise ParseError(f"{path}:{lineno}: duplicate room id {room_id!r}")
             label = normalize_label(fields[2])
             if label not in room_labels:
-                raise SchemaError(f"{where}: room label {label!r} not declared in header")
+                raise SchemaError(
+                    f"{path}:{lineno}: room label {label!r} not declared in header"
+                )
             rooms[room_id] = RoomNode(
-                id=room_id, gt_label=label, bbox=_bbox(fields[3:9], where)
+                id=room_id, gt_label=label, bbox=_bbox(fields[3:9], path, lineno)
             )
         elif kind == "object":
-            expected = 3 + len(space_names) + 6
-            if len(fields) != expected:
+            if len(fields) != label_end + 6:
                 raise ParseError(
-                    f"{where}: object record needs {expected} fields, got {len(fields)}"
+                    f"{path}:{lineno}: object record needs {label_end + 6} fields, "
+                    f"got {len(fields)}"
                 )
             obj_id = fields[1]
             if obj_id in objects:
-                raise ParseError(f"{where}: duplicate object id {obj_id!r}")
-            room_id = fields[2]
-            labels = {
-                name: normalize_label(value)
-                for name, value in zip(space_names, fields[3:3 + len(space_names)])
-            }
+                raise ParseError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
             objects[obj_id] = ObjectNode(
                 id=obj_id,
-                label_per_space=labels,
-                bbox=_bbox(fields[3 + len(space_names):], where),
-                assigned_room=room_id,
+                label_per_space=dict(
+                    zip(space_names, map(normalize_label, fields[3:label_end]))
+                ),
+                bbox=_bbox(fields[label_end:], path, lineno),
+                assigned_room=fields[2],
             )
         else:
-            raise ParseError(f"{where}: unknown record kind {kind!r}")
+            raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
 
     if not header_seen:
         if rooms or objects:
@@ -286,11 +285,16 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
 
 
 def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph:
-    """Replace misspelled object labels and recompute space membership."""
+    """Replace misspelled object labels and recompute space membership.
+
+    An object none of whose labels has a fix is kept as it is.
+    """
     if not fixes:
         return graph
     objects = tuple(
-        ObjectNode(
+        obj
+        if fixes.keys().isdisjoint(obj.label_per_space.values())
+        else ObjectNode(
             id=obj.id,
             label_per_space={
                 space: fixes.get(label, label)

@@ -18,6 +18,9 @@ Backends that cannot return a logprob for the first token (no empty-prefix
 conditioning) leave it absent; totals sum only the available terms and
 ``token_count`` counts those. The omission is uniform across candidate
 sentences sharing their first token, so downstream argmaxes are unaffected.
+
+:class:`TokenLogProb` is a named tuple: immutable, compared and hashed as
+the ``(token, logprob)`` pair it is, and cheap to build in bulk.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     import requests
@@ -59,8 +63,7 @@ class TransportError(Exception):
         self.sentence = sentence
 
 
-@dataclass(frozen=True)
-class TokenLogProb:
+class TokenLogProb(NamedTuple):
     """One token and its conditional log probability.
 
     ``logprob`` is None for the first token when the backend cannot
@@ -70,6 +73,11 @@ class TokenLogProb:
 
     token: str
     logprob: float | None
+
+
+# Builds a TokenLogProb from a (token, logprob) pair without running any
+# Python code: both the keyword constructor and ``_make`` do, per token.
+_token_from_pair = partial(tuple.__new__, TokenLogProb)
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,11 @@ def _unit_float(digest: bytes) -> float:
 
 
 def load_bonus_table(path) -> dict[tuple[str, str], float]:
-    """Read a bonus fixture file: tab-separated object, room, bonus rows."""
+    """Read a bonus fixture file: tab-separated object, room, bonus rows.
+
+    A row without three fields, or whose bonus is not a finite number, is a
+    ``ValueError`` naming its ``path:line``.
+    """
     table: dict[tuple[str, str], float] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -159,7 +171,13 @@ def load_bonus_table(path) -> dict[tuple[str, str], float]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        table[(fields[0].strip().lower(), fields[1].strip().lower())] = float(fields[2])
+        try:
+            bonus = float(fields[2])
+        except ValueError:
+            bonus = math.nan
+        if not math.isfinite(bonus):
+            raise ValueError(f"{path}:{lineno}: bonus {fields[2]!r} is not a finite number")
+        table[(fields[0].strip().lower(), fields[1].strip().lower())] = bonus
     return table
 
 
@@ -222,7 +240,7 @@ class OfflineScorer(SentenceScorer):
             weights.append(1.0 + _unit_float(token_hash.digest()))
         weight_sum = math.fsum(weights)
         values = [total * w / weight_sum for w in weights]
-        tokens = tuple(map(TokenLogProb, words, values))
+        tokens = tuple(map(_token_from_pair, zip(words, values)))
         return SentenceScore(
             sentence=sentence,
             total_logprob=math.fsum(values),

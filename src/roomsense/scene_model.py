@@ -15,11 +15,15 @@ equality, hashing, ``repr`` and ``asdict`` see only the declared data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 ROOM_SPACE_NAME = "room"
 
 
+# Labels repeat heavily (a few thousand distinct ones over tens of thousands
+# of objects), so each is normalized once; the bound caps the memory a file
+# of unique junk labels can take.
+@lru_cache(maxsize=1 << 14)
 def normalize_label(label: str) -> str:
     """Lowercase and whitespace-normalize a category string.
 

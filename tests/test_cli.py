@@ -359,6 +359,31 @@ class TestExitCodes:
         bad.write_text("room\tr0\tbathroom\t0\t0\t0\t1\t1\t1\n")
         assert run("ingest", "--scene", bad, "--out", tmp_path / "out.txt") == 2
 
+    @pytest.mark.parametrize("bonus", ["abc", "nan", "inf"])
+    def test_bad_bonus_file_is_data_error(self, tmp_path, scene, capsys, bonus):
+        graph = tmp_path / "clean.txt"
+        run("ingest", "--scene", scene, "--out", graph)
+        bonus_file = tmp_path / "bonus.tsv"
+        bonus_file.write_text(f"# pairs\ntoilet\tbathroom\t{bonus}\n")
+        out = tmp_path / "proxy.tsv"
+        assert run("cooc", "--graph", graph, "--out", out, "--mode", "proxy",
+                   "--offline-bonus-file", bonus_file) == 2
+        assert f"data error: {bonus_file}:2: bonus '{bonus}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_torn_predictions_file_is_data_error(self, tmp_path, scene, capsys):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        preds = tmp_path / "preds.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", preds)
+        text = preds.read_text()
+        preds.write_text(text[:text.index("\n", text.index("\n") + 1) + 30])
+        capsys.readouterr()
+        assert run("eval", preds, "--out-dir", tmp_path / "reports") == 2
+        assert f"data error: {preds}:3: not valid JSON" in capsys.readouterr().err
+
     def test_table_space_must_match_graph(self, tmp_path, scene):
         fine_graph = tmp_path / "fine.txt"
         run("ingest", "--scene", scene, "--out", fine_graph)

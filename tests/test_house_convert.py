@@ -1,9 +1,13 @@
+import logging
+
 import pytest
+from hypothesis import given, strategies as st
 
 from roomsense.cli import main
 from roomsense.house_convert import (
     REGION_LETTER_LABELS,
     ROOM_LABEL_LIST,
+    _aabb_of_oriented_box,
     load_category_map,
     parse_house_file,
 )
@@ -78,6 +82,19 @@ class TestParseHouse:
         assert bbox.min_corner == (3.9393395, 3.9393395, -6.188980001819999e-07)
         assert bbox.max_corner == (6.0606605, 6.0606605, 2.0000006188980004)
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12))
+    def test_hull_matches_the_per_axis_loop(self, values):
+        center, axis0, axis1, radii = (values[i:i + 3] for i in range(0, 12, 3))
+        (x0, y0, z0), (x1, y1, z1) = axis0, axis1
+        axis2 = (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)
+        r0, r1, r2 = (abs(r) for r in radii)
+        half = [
+            r0 * abs(u) + r1 * abs(v) + r2 * abs(w) for u, v, w in zip(axis0, axis1, axis2)
+        ]
+        bbox = _aabb_of_oriented_box(tuple(values))
+        assert bbox.min_corner == tuple(c - h for c, h in zip(center, half))
+        assert bbox.max_corner == tuple(c + h for c, h in zip(center, half))
+
     def test_room_space_is_full_declared_list(self, house_path):
         graph = parse_house_file(house_path)
         assert graph.room_space.labels == ROOM_LABEL_LIST
@@ -96,6 +113,29 @@ class TestParseHouse:
         path.write_text("R 0 0 0 0 a 1.0\n")
         with pytest.raises(ParseError):
             parse_house_file(path)
+
+    def test_bad_number_in_object_record(self, tmp_path):
+        path = tmp_path / "broken.house"
+        lines = HOUSE_TEXT.splitlines()
+        # O 1: the second axis's y component is not a number
+        lines[10] = lines[10].replace(" -0.707107 0.707107 ", " -0.707107 0.7o7107 ")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as caught:
+            parse_house_file(path)
+        assert str(caught.value) == (
+            f"{path}:11: malformed 'O' record: could not convert string to float: '0.7o7107'"
+        )
+
+    def test_unknown_region_code_warning_names_the_line(self, tmp_path, caplog):
+        path = tmp_path / "odd.house"
+        path.write_text(HOUSE_TEXT.replace("R 1 0 0 0 k ", "R 1 0 0 0 Q "))
+        with caplog.at_level(logging.WARNING, logger="roomsense.house_convert"):
+            graph = parse_house_file(path)
+        assert graph.room_by_id()["testhouse/R1"].gt_label == "none"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:5: unknown region code 'Q', using 'none'",
+            "skipping testhouse/O3: no region assignment",
+        ]
 
     def test_every_letter_maps_to_declared_label(self):
         for label in REGION_LETTER_LABELS.values():
@@ -126,6 +166,24 @@ class TestConvertEndToEnd:
         reparsed = parse_scene_file(out)
         assert reparsed.object_space("nyuclass")
         assert [s.name for s in reparsed.object_spaces] == ["mpcat40", "nyuclass"]
+
+    def test_category_index_that_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "mapping.tsv"
+        path.write_text(CATEGORY_MAP + "x\tlamp\tlamp\n")
+        with pytest.raises(ParseError) as caught:
+            load_category_map(path)
+        assert str(caught.value) == f"{path}:5: category index 'x' is not an integer"
+
+    def test_bad_category_map_is_data_error(self, house_path, tmp_path, capsys):
+        map_path = tmp_path / "mapping.tsv"
+        map_path.write_text("index\tnyuClass\nx\tlamp\n")
+        out = tmp_path / "scene.txt"
+        assert main([
+            "convert", "--house", str(house_path), "--out", str(out),
+            "--category-map", str(map_path),
+        ]) == 2
+        assert f"data error: {map_path}:2: category index 'x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_map_columns(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -341,6 +341,64 @@ class TestPredictionFiles:
         with pytest.raises(ValueError):
             read_predictions(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line[:40], "not valid JSON: Unterminated string starting at"),
+        (lambda line: "[1, 2]", "record is not a JSON object"),
+        (lambda line: line.replace('"room_id"', '"room"'), "missing key 'room_id'"),
+        (lambda line: line.replace('"kind": "prediction", ', ""), "missing key 'kind'"),
+        (lambda line: line.replace('"gt_label": "', '"gt_label": 5, "x": "'),
+         "key 'gt_label' must be str, got int"),
+        (lambda line: line.replace('"selected_objects": [', '"selected_objects": [7, '),
+         "key 'selected_objects' must list strings"),
+        (lambda line: line.replace('"candidates": [[', '"candidates": [[true, '),
+         "key 'candidates' must list [room label, sentence, total logprob] triples"),
+        (lambda line: line.replace('"kind": "prediction"', '"kind": "guess"'),
+         "unknown record kind 'guess'"),
+    ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
+            "kind"])
+    def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
+        scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
+        path = tmp_path / "predictions.jsonl"
+        write_predictions(classify_graph(bath_graph, bath_table, scorer, k=3), path)
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as caught:
+            read_predictions(path)
+        assert str(caught.value).startswith(f"{path}:3: {message}")
+
+    @pytest.mark.parametrize("value, message", [
+        ('7', "key 'room_id' must be str, got int"),
+        ('null', "key 'room_id' must be str, got NoneType"),
+    ])
+    def test_mistyped_failure_record(self, tmp_path, value, message):
+        condition = TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x")
+        result = GraphClassification(
+            predictions=(),
+            failures=(RoomFailure(room_id="b", reason="backend down"),),
+            condition=condition,
+        )
+        path = tmp_path / "p.jsonl"
+        write_predictions(result, path)
+        path.write_text(path.read_text().replace('"room_id": "b"', f'"room_id": {value}'))
+        with pytest.raises(ValueError) as caught:
+            read_predictions(path)
+        assert str(caught.value) == f"{path}:2: {message}"
+
+    def test_mistyped_header_key(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_predictions(
+            GraphClassification(
+                predictions=(), failures=(),
+                condition=TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x"),
+            ),
+            path,
+        )
+        path.write_text(path.read_text().replace('"k": 3', '"k": true'))
+        with pytest.raises(ValueError) as caught:
+            read_predictions(path)
+        assert str(caught.value) == f"{path}:1: key 'k' must be int, got bool"
+
     def test_score_cache_is_transparent(self, bath_graph, bath_table, tmp_path):
         from roomsense.lm_scoring import CachingScorer
 

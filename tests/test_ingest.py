@@ -16,7 +16,7 @@ from roomsense.ingest import (
     run_pipeline,
     write_scene_file,
 )
-from roomsense.scene_model import validate
+from roomsense.scene_model import ObjectNode, SceneGraph, observed_space, validate
 
 from conftest import scene_file_text
 
@@ -117,6 +117,22 @@ class TestParse:
         )
         with pytest.raises(ParseError, match="bad number"):
             parse_scene_file(path)
+
+    @pytest.mark.parametrize("record, fields", [
+        ("room\tr0\tbathroom\t0\t0\t0\t1\t1e\t1",
+         "['0', '0', '0', '1', '1e', '1']"),
+        ("object\to0\tr0\tsink\tsink\t0\t0\t0\t1\t1\tone",
+         "['0', '0', '0', '1', '1', 'one']"),
+    ], ids=["room", "object"])
+    def test_bad_number_message(self, tmp_path, record, fields):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen\n"
+            "# a comment and a blank line count as lines\n\n" + record + "\n"
+        )
+        with pytest.raises(ParseError) as caught:
+            parse_scene_file(path)
+        assert str(caught.value) == f"{path}:4: bad number in {fields}"
 
     def test_undeclared_room_label(self, scene_path):
         path = scene_path(
@@ -226,6 +242,28 @@ class TestReassignment:
                 assert after.assigned_room == before.assigned_room
 
 
+def _fix_every_object(graph, fixes):
+    """The spelling-fix rule applied by rebuilding every object."""
+    objects = tuple(
+        ObjectNode(
+            id=obj.id,
+            label_per_space={
+                space: fixes.get(label, label)
+                for space, label in obj.label_per_space.items()
+            },
+            bbox=obj.bbox,
+            assigned_room=obj.assigned_room,
+        )
+        for obj in graph.objects
+    )
+    spaces = tuple(
+        space if space.name == "room"
+        else observed_space(space.name, objects, space.rejected)
+        for space in graph.label_spaces
+    )
+    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
+
+
 class TestSpellingFixes:
     def test_known_misspelling_corrected(self, raw_graph):
         graph = apply_spelling_fixes(raw_graph, {"refridgerator": "refrigerator"})
@@ -240,6 +278,18 @@ class TestSpellingFixes:
 
     def test_empty_map_is_identity(self, raw_graph):
         assert apply_spelling_fixes(raw_graph, {}) == raw_graph
+
+    @pytest.mark.parametrize("fixes", [
+        {"refridgerator": "refrigerator"},
+        {"stairs": "staircase", "chair": "chair", "object": "thing", "absent": "x"},
+        {"table": "desk", "box": "crate", "bed": "bunk", "toilet": "wc"},
+    ])
+    def test_same_graph_as_rebuilding_every_object(self, raw_graph, fixes):
+        graph = apply_spelling_fixes(raw_graph, fixes)
+        assert graph == _fix_every_object(raw_graph, fixes)
+        for before, after in zip(raw_graph.objects, graph.objects):
+            if not set(fixes) & set(before.label_per_space.values()):
+                assert after is before
 
     def test_packaged_default_table(self):
         fixes = load_spelling_fixes()

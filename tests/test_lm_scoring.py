@@ -240,6 +240,49 @@ class TestOfflineScorer:
             ("bed", "bedroom"): 2.0,
         }
 
+    @pytest.mark.parametrize("bonus", ["abc", "nan", "-inf", "Infinity", "1e999"])
+    def test_bonus_file_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, bonus):
+        path = tmp_path / "bonus.tsv"
+        path.write_text(f"toilet\tbathroom\t5.5\nbed\tbedroom\t{bonus}\n")
+        with pytest.raises(ValueError) as caught:
+            load_bonus_table(path)
+        assert str(caught.value) == (
+            f"{path}:2: bonus {bonus!r} is not a finite number"
+        )
+
+
+class TestTokenLogProb:
+    def test_fields_by_name_and_position(self):
+        token = TokenLogProb(token="bed", logprob=-1.5)
+        assert (token.token, token.logprob) == ("bed", -1.5)
+        assert tuple(token) == ("bed", -1.5)
+        assert TokenLogProb._fields == ("token", "logprob")
+
+    def test_immutable(self):
+        token = TokenLogProb("bed", None)
+        with pytest.raises(AttributeError):
+            token.logprob = -1.0
+        with pytest.raises(AttributeError):
+            token.extra = 1
+
+    def test_equality_and_hash(self):
+        assert TokenLogProb("bed", -1.5) == TokenLogProb(token="bed", logprob=-1.5)
+        assert TokenLogProb("bed", -1.5) != TokenLogProb("bed", -2.5)
+        assert TokenLogProb("bed", None) != TokenLogProb("cot", None)
+        assert hash(TokenLogProb("bed", -1.5)) == hash(TokenLogProb(token="bed", logprob=-1.5))
+        assert len({TokenLogProb("bed", -1.5), TokenLogProb(token="bed", logprob=-1.5)}) == 1
+
+    def test_bulk_built_tokens_equal_keyword_built_ones(self):
+        words, values = ["a", "bed", "."], [-1.0, -2.0, -0.5]
+        made = tuple(map(TokenLogProb._make, zip(words, values)))
+        by_keyword = tuple(TokenLogProb(token=w, logprob=v) for w, v in zip(words, values))
+        assert made == by_keyword
+        score = OfflineScorer(seed=3).score("a bed .")
+        assert all(type(t) is TokenLogProb for t in score.tokens)
+        assert score.tokens == tuple(
+            TokenLogProb(token=t.token, logprob=t.logprob) for t in score.tokens
+        )
+
 
 def perplexity(score: SentenceScore) -> float:
     """Per-token perplexity: exp(-total / token_count)."""

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roomsense.scene_model import (
     BoundingBox,
@@ -24,6 +25,17 @@ class TestNormalization:
     def test_idempotent(self):
         once = normalize_label(" Washing  Machine ")
         assert normalize_label(once) == once
+
+    @given(st.lists(st.text(alphabet=st.sampled_from(
+        "aZ# -\t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u3000\u0130\u00df"
+    ), max_size=12), max_size=30))
+    def test_memo_matches_the_rule(self, labels):
+        # repeats come from the cache, first sightings from the rule itself
+        for label in labels + labels:
+            assert normalize_label(label) == normalize_label.__wrapped__(label)
+
+    def test_memo_is_bounded(self):
+        assert normalize_label.cache_info().maxsize is not None
 
 
 class TestLabelSpace:
