@@ -276,13 +276,27 @@ def write_table(table: CooccurrenceTable, path, manifest_id: str | None = None) 
         handle.write("\n".join(lines) + "\n")
 
 
+def _read_alpha(text: str, where: str) -> float | None:
+    """The ``# alpha:`` value: ``-`` (no smoothing) or a finite number >= 0."""
+    if text == "-":
+        return None
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"{where}: alpha {text!r} is not '-' or a finite number of at least 0")
+    return alpha
+
+
 def read_table(path) -> CooccurrenceTable:
     """Read a table written by :func:`write_table`.
 
-    Every row must hold finite numbers, a label no other row holds,
-    probabilities summing to 1 within 1e-9 and the entropy of those
-    probabilities within 1e-9; any other input raises ``ValueError`` naming
-    ``path:line``.
+    The ``# alpha:`` line must hold ``-`` or a finite number of at least 0,
+    and a header row must follow the metadata. Every row must hold finite
+    numbers, a label no other row holds, probabilities summing to 1 within
+    1e-9 and the entropy of those probabilities within 1e-9; any other input
+    raises ``ValueError`` naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -290,14 +304,19 @@ def read_table(path) -> CooccurrenceTable:
         raise ValueError(f"{path}:1: not a roomsense co-occurrence file")
 
     meta: dict[str, str] = {}
-    body_start = 0
+    alpha = None
+    body_start = len(lines)
     for i, line in enumerate(lines[1:], 1):
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-        else:
+        if not line.startswith("#"):
             body_start = i
             break
+        key, _, value = line[1:].partition(":")
+        key, value = key.strip(), value.strip()
+        meta[key] = value
+        if key == "alpha":
+            alpha = _read_alpha(value, f"{path}:{i + 1}")
+    if body_start == len(lines):
+        raise ValueError(f"{path}:{body_start + 1}: no table header after the metadata")
     header = lines[body_start].split("\t")
     if header[0] != "label" or header[-1] != "entropy":
         raise ValueError(f"{path}:{body_start + 1}: malformed table header")
@@ -333,7 +352,6 @@ def read_table(path) -> CooccurrenceTable:
         rows[label] = row
         entropies[label] = stored
 
-    alpha_text = meta.get("alpha", "-")
     return CooccurrenceTable(
         object_space=meta.get("object_space", ""),
         room_space=meta.get("room_space", ROOM_SPACE_NAME),
@@ -341,7 +359,7 @@ def read_table(path) -> CooccurrenceTable:
         rows=rows,
         entropy=entropies,
         provenance=meta.get("provenance", GROUND_TRUTH),
-        smoothing_alpha=None if alpha_text == "-" else float(alpha_text),
+        smoothing_alpha=alpha,
         scorer_identity="" if meta.get("scorer", "-") == "-" else meta["scorer"],
         template_version="" if meta.get("template", "-") == "-" else meta["template"],
     )

@@ -12,13 +12,19 @@ call, so rooms that render the same sentence share its total, or its
 failure. A room whose scorer calls fail (after the backend's own retries)
 is marked failed and reported, never silently skipped: silent exclusion
 would inflate accuracy invisibly.
+
+:class:`Candidate` is a named tuple: immutable, compared and hashed as its
+``(room label, sentence, total)`` triple, and cheap to build once per room
+label of every classified or read-back room.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .atomic import atomic_write
 from .cooccurrence import CooccurrenceTable, select_informative
@@ -40,11 +46,17 @@ class TrialCondition:
     backend: str
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
+    """One room label's candidate sentence and its total log probability."""
+
     room_label: str
     sentence: str
     total_logprob: float
+
+
+# Builds a Candidate from a (room label, sentence, total) triple without
+# running any Python code, unlike the keyword constructor and ``_make``.
+_candidate_from_triple = partial(tuple.__new__, Candidate)
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ def classify_graph(
         if failed:
             reasons[room.id] = f"scoring failed for room {room.id!r}: {failed[0]}"
             continue
-        candidates = list(map(Candidate, room_labels, sentences, room_totals))
+        candidates = list(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
         predictions.append(
             RoomPrediction(
                 room_id=room.id,
@@ -212,7 +224,7 @@ def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
             raise ValueError(
                 "key 'candidates' must list [room label, sentence, total logprob] triples"
             )
-        candidates.append(Candidate(room_label=c[0], sentence=c[1], total_logprob=c[2]))
+        candidates.append(_candidate_from_triple(c))
     return RoomPrediction(
         room_id=_field(record, "room_id", str),
         selected_objects=tuple(selected),

@@ -19,8 +19,9 @@ conditioning) leave it absent; totals sum only the available terms and
 ``token_count`` counts those. The omission is uniform across candidate
 sentences sharing their first token, so downstream argmaxes are unaffected.
 
-:class:`TokenLogProb` is a named tuple: immutable, compared and hashed as
-the ``(token, logprob)`` pair it is, and cheap to build in bulk.
+:class:`TokenLogProb` and :class:`SentenceScore` are named tuples:
+immutable, compared and hashed as the tuples of their fields, and cheap to
+build once per token and once per scored sentence.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+from .scene_model import normalize_label
 
 if TYPE_CHECKING:
     import requests
@@ -80,13 +82,24 @@ class TokenLogProb(NamedTuple):
 _token_from_pair = partial(tuple.__new__, TokenLogProb)
 
 
-@dataclass(frozen=True)
-class SentenceScore:
+class SentenceScore(NamedTuple):
+    """One scored sentence: its total log probability and where it came from.
+
+    ``token_count`` counts the tokens whose logprobs make up the total;
+    ``tokens`` holds them, or is None where token detail is not kept (a
+    cache hit).
+    """
+
     sentence: str
     total_logprob: float
     token_count: int
     backend: str
     tokens: tuple[TokenLogProb, ...] | None = None
+
+
+# Builds a SentenceScore from a tuple of all five fields without running any
+# Python code, as _token_from_pair does for a token.
+_score_from_fields = partial(tuple.__new__, SentenceScore)
 
 
 class SentenceScorer:
@@ -149,35 +162,59 @@ def score_totals(
     return [totals[i] for i in slots]
 
 
-_BIG_ENDIAN_U64 = struct.Struct(">Q")
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+@lru_cache(maxsize=256)
+def _leading_u64s(count: int) -> struct.Struct:
+    """Reads the first 8 bytes, big-endian, of each of ``count`` joined digests."""
+    return struct.Struct(">" + f"Q{_DIGEST_SIZE - 8}x" * count)
+
+
+def _unit_floats(digests: bytes) -> list[float]:
+    """Joined SHA-256 digests, each mapped into [0, 1) by its first 8 bytes.
+
+    Those bytes are read as a big-endian integer and scaled by 2**-64: a
+    power of two, so the product is the exact quotient by 2**64, rounded
+    once.
+    """
+    return [v * 2.0**-64 for v in _leading_u64s(len(digests) // _DIGEST_SIZE).unpack(digests)]
 
 
 def _unit_float(digest: bytes) -> float:
-    """A SHA-256 digest mapped into [0, 1) by its first 8 bytes, big-endian."""
-    return _BIG_ENDIAN_U64.unpack_from(digest)[0] / 2**64
+    """A SHA-256 digest mapped into [0, 1) by the rule of :func:`_unit_floats`."""
+    return _unit_floats(digest)[0]
 
 
 def load_bonus_table(path) -> dict[tuple[str, str], float]:
     """Read a bonus fixture file: tab-separated object, room, bonus rows.
 
-    A row without three fields, or whose bonus is not a finite number, is a
-    ``ValueError`` naming its ``path:line``.
+    Labels are normalized as scene labels are (:func:`normalize_label`), so
+    a label matches the sentences rendered from it. Whitespace around a row
+    or a field is ignored. A row without three fields, or whose bonus is
+    empty or not a finite number, is a ``ValueError`` naming its
+    ``path:line``.
     """
     table: dict[tuple[str, str], float] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        # split before stripping the end, so a tab before an empty bonus
+        # still counts; tabs after the bonus are trailing whitespace
+        fields = raw.lstrip().split("\t")
+        if not "".join(fields[3:]).strip():
+            del fields[3:]
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        text = fields[2].strip()
         try:
-            bonus = float(fields[2])
+            bonus = float(text)
         except ValueError:
             bonus = math.nan
         if not math.isfinite(bonus):
-            raise ValueError(f"{path}:{lineno}: bonus {fields[2]!r} is not a finite number")
-        table[(fields[0].strip().lower(), fields[1].strip().lower())] = bonus
+            raise ValueError(f"{path}:{lineno}: bonus {text!r} is not a finite number")
+        table[(normalize_label(fields[0]), normalize_label(fields[1]))] = bonus
     return table
 
 
@@ -227,26 +264,26 @@ class OfflineScorer(SentenceScorer):
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
-        total = self.base_value(sentence) + self.bonus_value(sentence)
+        total = self.base_value(sentence)
+        if self.bonus_table:
+            # an empty table adds the integer 0, which leaves the base as is
+            total += self.bonus_value(sentence)
         # whitespace-only input still needs one token to carry the total
         words = sentence.split() or [sentence]
         # every token hashes "tok", seed, sentence, index and word joined by
         # \x1f; SHA-256 streams, so the shared prefix is hashed once
         prefix = hashlib.sha256(f"tok\x1f{self.seed}\x1f{sentence}\x1f".encode("utf-8"))
-        weights = []
+        digests = []
         for i, word in enumerate(words):
             token_hash = prefix.copy()
             token_hash.update(f"{i}\x1f{word}".encode("utf-8"))
-            weights.append(1.0 + _unit_float(token_hash.digest()))
+            digests.append(token_hash.digest())
+        weights = [1.0 + u for u in _unit_floats(b"".join(digests))]
         weight_sum = math.fsum(weights)
         values = [total * w / weight_sum for w in weights]
         tokens = tuple(map(_token_from_pair, zip(words, values)))
-        return SentenceScore(
-            sentence=sentence,
-            total_logprob=math.fsum(values),
-            token_count=len(tokens),
-            backend=self._identity,
-            tokens=tokens,
+        return _score_from_fields(
+            (sentence, math.fsum(values), len(tokens), self._identity, tokens)
         )
 
 

@@ -474,3 +474,54 @@ class TestReadTableRejectsCorruptRows:
                      "--out", str(tmp_path / "preds.jsonl")])
         assert code == 2
         assert f"data error: {path}:{lineno}: " in capsys.readouterr().err
+
+
+class TestReadTableMetadata:
+    @staticmethod
+    def _with_alpha(path, two_room_graph, alpha):
+        """A written table whose ``# alpha:`` line holds ``alpha``; returns its line number."""
+        write_table(count_ground_truth(two_room_graph, "things"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("# alpha:"))
+        lines[index] = f"# alpha: {alpha}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return index + 1
+
+    @pytest.mark.parametrize("alpha, value", [("-", None), ("0", 0.0), ("0.0", 0.0), ("2.5", 2.5)])
+    def test_accepted_alpha(self, tmp_path, two_room_graph, alpha, value):
+        path = tmp_path / "cooc.tsv"
+        self._with_alpha(path, two_room_graph, alpha)
+        assert read_table(path).smoothing_alpha == value
+
+    @pytest.mark.parametrize("alpha", ["abc", "", "nan", "inf", "-inf", "-2", "1e999"])
+    def test_bad_alpha_names_file_and_line(self, tmp_path, two_room_graph, alpha):
+        path = tmp_path / "cooc.tsv"
+        lineno = self._with_alpha(path, two_room_graph, alpha)
+        with pytest.raises(ValueError) as caught:
+            read_table(path)
+        assert str(caught.value) == (
+            f"{path}:{lineno}: alpha {alpha!r} is not '-' or a finite number of at least 0"
+        )
+
+    def test_missing_header_names_the_line_after_the_metadata(self, tmp_path, two_room_graph):
+        path = tmp_path / "cooc.tsv"
+        write_table(count_ground_truth(two_room_graph, "things"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        meta = [line for line in lines if line.startswith("#")]
+        path.write_text("\n".join(meta) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            read_table(path)
+        assert str(caught.value) == (
+            f"{path}:{len(meta) + 1}: no table header after the metadata"
+        )
+
+    def test_cli_bad_alpha_is_a_data_error(self, tmp_path, two_room_graph, capsys):
+        graph = tmp_path / "graph.txt"
+        write_scene_file(two_room_graph, graph)
+        path = tmp_path / "cooc.tsv"
+        lineno = self._with_alpha(path, two_room_graph, "abc")
+        out = tmp_path / "preds.jsonl"
+        code = main(["infer", "--graph", str(graph), "--cooc", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"data error: {path}:{lineno}: alpha 'abc'" in capsys.readouterr().err
+        assert not out.exists()

@@ -276,6 +276,46 @@ def synthetic_graph(n_rooms=50, seed=0):
     return build_graph(specs)
 
 
+class TestCandidate:
+    def test_fields_by_name_and_position(self):
+        candidate = Candidate(room_label="bathroom", sentence="s", total_logprob=-1.5)
+        assert (candidate.room_label, candidate.sentence, candidate.total_logprob) == (
+            "bathroom", "s", -1.5
+        )
+        assert tuple(candidate) == ("bathroom", "s", -1.5)
+        assert Candidate._fields == ("room_label", "sentence", "total_logprob")
+
+    def test_immutable(self):
+        candidate = Candidate("bathroom", "s", -1.5)
+        with pytest.raises(AttributeError):
+            candidate.total_logprob = 0.0
+        with pytest.raises(AttributeError):
+            candidate.extra = 1
+
+    def test_equality_and_hash(self):
+        a = Candidate("bathroom", "s", -1.5)
+        b = Candidate(room_label="bathroom", sentence="s", total_logprob=-1.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Candidate("kitchen", "s", -1.5)
+        assert a != Candidate("bathroom", "s", -2.5)
+
+    def test_classified_and_read_back_candidates_equal_keyword_built_ones(
+        self, bath_graph, bath_table, tmp_path
+    ):
+        result = classify_graph(bath_graph, bath_table, OfflineScorer(seed=4), k=3)
+        path = tmp_path / "p.jsonl"
+        write_predictions(result, path)
+        for source in (result, read_predictions(path)):
+            for prediction in source.predictions:
+                assert all(type(c) is Candidate for c in prediction.candidates)
+                assert prediction.candidates == tuple(
+                    Candidate(room_label=c.room_label, sentence=c.sentence,
+                              total_logprob=c.total_logprob)
+                    for c in prediction.candidates
+                )
+
+
 class TestPredictionFiles:
     def test_round_trip(self, bath_graph, bath_table, tmp_path):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import logging
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
 from roomsense.cooccurrence import count_ground_truth
 from roomsense.inference import classify_graph
@@ -21,6 +23,8 @@ from roomsense.lm_scoring import (
     SentenceScorer,
     TokenLogProb,
     TransportError,
+    _unit_float,
+    _unit_floats,
     load_bonus_table,
     make_scorer,
     score_totals,
@@ -240,7 +244,7 @@ class TestOfflineScorer:
             ("bed", "bedroom"): 2.0,
         }
 
-    @pytest.mark.parametrize("bonus", ["abc", "nan", "-inf", "Infinity", "1e999"])
+    @pytest.mark.parametrize("bonus", ["abc", "nan", "-inf", "Infinity", "1e999", ""])
     def test_bonus_file_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, bonus):
         path = tmp_path / "bonus.tsv"
         path.write_text(f"toilet\tbathroom\t5.5\nbed\tbedroom\t{bonus}\n")
@@ -249,6 +253,47 @@ class TestOfflineScorer:
         assert str(caught.value) == (
             f"{path}:2: bonus {bonus!r} is not a finite number"
         )
+
+    def test_bonus_file_labels_are_normalized_like_scene_labels(self, tmp_path):
+        clean = tmp_path / "clean.tsv"
+        clean.write_text("washing machine\tlaundry room\t5\n")
+        messy = tmp_path / "messy.tsv"
+        messy.write_text(" Washing  machine \tLaundry   Room\t5\n")
+        assert load_bonus_table(messy) == {("washing machine", "laundry room"): 5.0}
+        scorer = OfflineScorer(seed=0, bonus_table=load_bonus_table(messy))
+        sentence = "A room containing washing machine is called a laundry room."
+        assert scorer.bonus_value(sentence) == 5.0
+        assert scorer.identity == OfflineScorer(seed=0, bonus_table=load_bonus_table(clean)).identity
+
+    @pytest.mark.parametrize("row", ["bed\tbedroom\t  ", "bed\tbedroom\t\t"])
+    def test_bonus_file_blank_bonus_is_a_bad_bonus(self, tmp_path, row):
+        path = tmp_path / "bonus.tsv"
+        path.write_text(f"toilet\tbathroom\t5.5\n{row}\n")
+        with pytest.raises(ValueError) as caught:
+            load_bonus_table(path)
+        assert str(caught.value) == f"{path}:2: bonus '' is not a finite number"
+
+    @pytest.mark.parametrize("row", ["bed\tbedroom", "bed\tbedroom ", "bed", "bed\tbedroom\t2\t5"])
+    def test_bonus_file_row_without_three_fields(self, tmp_path, row):
+        path = tmp_path / "bonus.tsv"
+        path.write_text(f"toilet\tbathroom\t5.5\n{row}\n")
+        with pytest.raises(ValueError) as caught:
+            load_bonus_table(path)
+        assert str(caught.value) == f"{path}:2: expected 3 tab-separated fields"
+
+    def test_bonus_file_whitespace_line_ends_and_comments_still_load(self, tmp_path):
+        path = tmp_path / "bonus.tsv"
+        path.write_bytes(
+            b"# pairs\r\n  # indented comment\n\n"
+            b"toilet\tbathroom\t5.5  \r\n"
+            b"bed\tbedroom\t2\t\n"
+            b"  sink\tbathroom\t1.5\t \n"
+        )
+        assert load_bonus_table(path) == {
+            ("toilet", "bathroom"): 5.5,
+            ("bed", "bedroom"): 2.0,
+            ("sink", "bathroom"): 1.5,
+        }
 
 
 class TestTokenLogProb:
@@ -282,6 +327,119 @@ class TestTokenLogProb:
         assert score.tokens == tuple(
             TokenLogProb(token=t.token, logprob=t.logprob) for t in score.tokens
         )
+
+
+class TestSentenceScore:
+    def test_fields_by_name_and_position(self):
+        tokens = (TokenLogProb("a", None), TokenLogProb("bed", -1.5))
+        score = SentenceScore("a bed", -1.5, 1, "fixture", tokens)
+        assert (score.sentence, score.total_logprob, score.token_count, score.backend,
+                score.tokens) == ("a bed", -1.5, 1, "fixture", tokens)
+        assert tuple(score) == ("a bed", -1.5, 1, "fixture", tokens)
+        assert SentenceScore._fields == (
+            "sentence", "total_logprob", "token_count", "backend", "tokens"
+        )
+
+    def test_tokens_default_to_none(self):
+        assert SentenceScore("a bed", -1.5, 1, "fixture").tokens is None
+        assert SentenceScore._field_defaults == {"tokens": None}
+
+    def test_immutable(self):
+        score = SentenceScore("a bed", -1.5, 1, "fixture")
+        with pytest.raises(AttributeError):
+            score.total_logprob = 0.0
+        with pytest.raises(AttributeError):
+            score.extra = 1
+
+    def test_equality_and_hash(self):
+        a = SentenceScore("a bed", -1.5, 1, "fixture")
+        b = SentenceScore(sentence="a bed", total_logprob=-1.5, token_count=1, backend="fixture")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != SentenceScore("a bed", -2.5, 1, "fixture")
+        assert a != SentenceScore("a bed", -1.5, 1, "other")
+
+    def test_keyword_built_equals_positional(self):
+        score = OfflineScorer(seed=3).score("a bed .")
+        assert type(score) is SentenceScore
+        assert score == SentenceScore(
+            sentence=score.sentence,
+            total_logprob=score.total_logprob,
+            token_count=score.token_count,
+            backend=score.backend,
+            tokens=score.tokens,
+        )
+        assert score == SentenceScore(*score)
+
+
+_digest_lists = st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=64)
+
+
+class TestUnitFloats:
+    """The bulk digest decode against the one-digest rule and a reference."""
+
+    @given(_digest_lists)
+    def test_bulk_decode_matches_one_digest_at_a_time(self, digests):
+        bulk = _unit_floats(b"".join(digests))
+        assert [v.hex() for v in bulk] == [_unit_float(d).hex() for d in digests]
+        reference = [int.from_bytes(d[:8], "big") / 2**64 for d in digests]
+        assert [v.hex() for v in bulk] == [v.hex() for v in reference]
+
+    @pytest.mark.parametrize("lead", [b"\x00" * 8, b"\x00" * 7 + b"\x01", b"\xff" * 8,
+                                      b"\x80" + b"\x00" * 7, b"\xff" * 7 + b"\xfe"])
+    def test_edge_values_match_the_reference(self, lead):
+        digest = lead + bytes(24)
+        assert _unit_float(digest).hex() == (int.from_bytes(lead, "big") / 2**64).hex()
+
+
+def _reference_score(seed, bonus_table, sentence):
+    """Per-token loop as the offline scorer is specified: (total, token logprobs)."""
+    def unit(digest):
+        return int.from_bytes(digest[:8], "big") / 2**64
+
+    base_key = f"base\x1f{seed}\x1f{sentence}".encode("utf-8")
+    total = -(4.0 + 4.0 * unit(hashlib.sha256(base_key).digest()))
+    total = total + sum(
+        bonus for (obj, room), bonus in bonus_table.items() if obj in sentence and room in sentence
+    )
+    words = sentence.split() or [sentence]
+    weights = []
+    for i, word in enumerate(words):
+        key = f"tok\x1f{seed}\x1f{sentence}\x1f{i}\x1f{word}".encode("utf-8")
+        weights.append(1.0 + unit(hashlib.sha256(key).digest()))
+    weight_sum = math.fsum(weights)
+    values = [total * w / weight_sum for w in weights]
+    return math.fsum(values), values
+
+
+_sentences = st.one_of(
+    st.text(min_size=1, max_size=80),
+    st.lists(
+        st.sampled_from(["a", "room", "containing", "toilet", "bed", "is", "called",
+                         "bathroom", "bedroom", "kitchen", "sink,", "and", "."]),
+        min_size=1, max_size=24,
+    ).map(" ".join),
+)
+
+
+class TestOfflineScoreMatchesReference:
+    @given(
+        seed=st.integers(0, 2**31),
+        sentence=_sentences,
+        pair=st.none() | st.sampled_from(sorted(BATH_BONUSES)),
+        bonus=st.booleans(),
+    )
+    def test_bits_match_a_per_token_loop(self, seed, sentence, pair, bonus):
+        if pair is not None:
+            # a sentence that earns a bonus when the table is given
+            sentence = f"{sentence} {pair[0]} in the {pair[1]}"
+        table = BATH_BONUSES if bonus else {}
+        score = OfflineScorer(seed=seed, bonus_table=table).score(sentence)
+        total, values = _reference_score(seed, table, sentence)
+        assert score.total_logprob.hex() == total.hex()
+        assert [t.logprob.hex() for t in score.tokens] == [v.hex() for v in values]
+        assert [t.token for t in score.tokens] == (sentence.split() or [sentence])
+        assert score.token_count == len(values)
 
 
 def perplexity(score: SentenceScore) -> float:
