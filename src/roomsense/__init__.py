@@ -11,7 +11,6 @@ from .cooccurrence import (
     build_proxy_table,
     count_ground_truth,
     entropy,
-    proxy_conditional,
     read_table,
     select_informative,
     write_table,
@@ -88,7 +87,6 @@ __all__ = [
     "filter_graph",
     "normalize_label",
     "parse_scene_file",
-    "proxy_conditional",
     "read_predictions",
     "read_table",
     "reassign_objects_by_bbox",

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -120,11 +121,6 @@ def build_manifest(command: str, flags: dict, inputs, outputs, backend: str | No
     return manifest, manifest_id
 
 
-def _write_manifest(manifest: dict, out_path) -> None:
-    side = Path(str(out_path) + ".manifest.json")
-    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def _jsonable(value):
     if isinstance(value, Path):
         return str(value)
@@ -133,8 +129,26 @@ def _jsonable(value):
     return value
 
 
-def _flags_dict(args: argparse.Namespace, skip=("func", "command")) -> dict:
-    return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
+@contextmanager
+def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None = None,
+                template_version: str | None = None):
+    """Yield the manifest id for the data file ``out``; then write its sidecar.
+
+    The body writes ``out`` (and any file that goes with it) stamped with the
+    id; the sidecar ``<out>.manifest.json`` is written only if the body
+    succeeds. The manifest records ``args.command`` and every flag but the
+    input paths ``eval`` takes as positionals, which it records as inputs.
+    """
+    flags = {
+        k: _jsonable(v) for k, v in vars(args).items()
+        if k not in ("func", "command", "predictions")
+    }
+    manifest, manifest_id = build_manifest(
+        args.command, flags, inputs, [out], backend, template_version
+    )
+    yield manifest_id
+    side = Path(str(out) + ".manifest.json")
+    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_object_space(graph, choice: str) -> str:
@@ -181,11 +195,8 @@ def cmd_convert(args) -> int:
     )
     graph = house_convert.parse_house_file(args.house, category_map=category_map)
     inputs = [args.house] + ([args.category_map] if args.category_map else [])
-    manifest, manifest_id = build_manifest(
-        "convert", _flags_dict(args), inputs, [args.out], None, None
-    )
-    ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
-    _write_manifest(manifest, args.out)
+    with _manifested(args, args.out, inputs) as manifest_id:
+        ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
     _say(f"converted {args.house}: {len(graph.rooms)} rooms, {len(graph.objects)} objects")
     return EXIT_OK
 
@@ -211,11 +222,8 @@ def cmd_ingest(args) -> int:
             print(f"invariant violation: {violation}", file=sys.stderr)
         raise DataError(f"preprocessed graph fails validation ({len(violations)} violations)")
 
-    manifest, manifest_id = build_manifest(
-        "ingest", _flags_dict(args), list(args.scene), [args.out], None, None
-    )
-    ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
-    _write_manifest(manifest, args.out)
+    with _manifested(args, args.out, args.scene) as manifest_id:
+        ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
 
     total = max(len(graph.rooms), 1)
     _say(
@@ -247,11 +255,8 @@ def cmd_cooc(args) -> int:
             scorer, graph.object_space(space_name), room_space, template=template
         )
         backend = scorer.identity
-    manifest, manifest_id = build_manifest(
-        "cooc", _flags_dict(args), [args.graph], [args.out], backend, template.version
-    )
-    write_table(table, args.out, manifest_id=manifest_id)
-    _write_manifest(manifest, args.out)
+    with _manifested(args, args.out, [args.graph], backend, template.version) as manifest_id:
+        write_table(table, args.out, manifest_id=manifest_id)
     _say(f"wrote {len(table.rows)} rows over {len(table.room_labels)} room labels")
     return EXIT_OK
 
@@ -267,16 +272,10 @@ def cmd_infer(args) -> int:
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
     result = inference.classify_graph(graph, table, scorer, k=args.k, template=template)
-    manifest, manifest_id = build_manifest(
-        "infer",
-        _flags_dict(args),
-        [args.graph, args.cooc],
-        [args.out],
-        scorer.identity,
-        template.version,
-    )
-    inference.write_predictions(result, args.out, manifest_id=manifest_id)
-    _write_manifest(manifest, args.out)
+    with _manifested(
+        args, args.out, [args.graph, args.cooc], scorer.identity, template.version
+    ) as manifest_id:
+        inference.write_predictions(result, args.out, manifest_id=manifest_id)
     _say(f"predicted {len(result.predictions)} rooms, {len(result.failures)} failed")
     if result.failures and not result.predictions:
         raise TransportError("every room failed to score")
@@ -295,35 +294,23 @@ def cmd_eval(args) -> int:
         )
         reports.append(report)
         stem = Path(path).stem
-        manifest, manifest_id = build_manifest(
-            "eval", _flags_dict(args, skip=("func", "command", "predictions")),
-            [path],
-            [args.out_dir / f"{stem}.report.json"],
-            None,
-            None,
-        )
-        evaluation.write_report(report, args.out_dir / f"{stem}.report.json", manifest_id)
-        _write_text(
-            args.out_dir / f"{stem}.report.txt",
-            evaluation.format_report(report) + f"\nmanifest: {manifest_id}\n",
-        )
-        evaluation.emit_label_breakdown(
-            report, args.out_dir / f"{stem}.breakdown.csv", manifest_id
-        )
-        _write_manifest(manifest, args.out_dir / f"{stem}.report.json")
+        report_path = args.out_dir / f"{stem}.report.json"
+        with _manifested(args, report_path, [path]) as manifest_id:
+            evaluation.write_report(report, report_path, manifest_id)
+            _write_text(
+                args.out_dir / f"{stem}.report.txt",
+                evaluation.format_report(report) + f"\nmanifest: {manifest_id}\n",
+            )
+            evaluation.emit_label_breakdown(
+                report, args.out_dir / f"{stem}.breakdown.csv", manifest_id
+            )
         lines.append(f"{path}: overall accuracy {report.overall_accuracy * 100:.2f}%")
     if len(reports) > 1:
         table = evaluation.compare_conditions(reports)
         text = evaluation.format_condition_table(table)
-        manifest, manifest_id = build_manifest(
-            "eval", _flags_dict(args, skip=("func", "command", "predictions")),
-            list(args.predictions),
-            [args.out_dir / "conditions.txt"],
-            None,
-            None,
-        )
-        _write_text(args.out_dir / "conditions.txt", text + f"\nmanifest: {manifest_id}\n")
-        _write_manifest(manifest, args.out_dir / "conditions.txt")
+        conditions_path = args.out_dir / "conditions.txt"
+        with _manifested(args, conditions_path, args.predictions) as manifest_id:
+            _write_text(conditions_path, text + f"\nmanifest: {manifest_id}\n")
         lines.append(text)
     _say(*lines)
     return EXIT_OK

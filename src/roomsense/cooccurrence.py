@@ -79,9 +79,6 @@ class CooccurrenceTable:
     scorer_identity: str = ""
     template_version: str = ""
 
-    def row(self, object_label: str) -> tuple[float, ...]:
-        return self.rows[object_label]
-
 
 def count_ground_truth(
     graph: SceneGraph,
@@ -159,22 +156,6 @@ def _proxy_row(totals) -> tuple[float, ...]:
             raise total
         logs.append(total)
     return softmax_from_logs(logs)
-
-
-def proxy_conditional(
-    scorer: SentenceScorer,
-    object_label: str,
-    room_labels,
-    template: QueryTemplate | None = None,
-) -> tuple[float, ...]:
-    """One proxy row: softmax over single-object query sentence scores.
-
-    Scorer failures propagate as :class:`TransportError` with the failing
-    sentence attached.
-    """
-    labels = list(room_labels.labels) if isinstance(room_labels, LabelSpace) else list(room_labels)
-    sentences = [render_proxy_query(object_label, r, template) for r in labels]
-    return _proxy_row(score_totals(scorer, sentences))
 
 
 def build_proxy_table(

@@ -10,8 +10,7 @@ Region letter codes are mapped to full room labels with the table below.
 Two codes have no exact counterpart in the room label list and are folded
 into the nearest one (toilet rooms into bathroom, dining booths into
 dining room); outdoor codes map to labels the ingest filter removes, and
-unknown or junk codes map to "none". Override the table via
-``region_labels`` if your dataset revision differs.
+unknown or junk codes map to "none".
 
 Object fine labels default to the raw category names; pass the official
 category mapping TSV to emit nyuClass labels instead.
@@ -115,8 +114,8 @@ def _clean_name(token: str) -> str:
     return normalize_label(name)
 
 
-def load_category_map(path, column: str = "nyuClass") -> dict[int, str]:
-    """Read the official category mapping TSV: category index -> fine label.
+def load_category_map(path) -> dict[int, str]:
+    """Read the official category mapping TSV: category index -> nyuClass label.
 
     A short row or a non-integer index is a :class:`ParseError` naming its
     ``path:line``.
@@ -127,9 +126,9 @@ def load_category_map(path, column: str = "nyuClass") -> dict[int, str]:
     header = lines[0].split("\t")
     try:
         index_col = header.index("index")
-        label_col = header.index(column)
+        label_col = header.index("nyuClass")
     except ValueError as err:
-        raise ParseError(f"{path}: need 'index' and {column!r} columns") from err
+        raise ParseError(f"{path}: need 'index' and 'nyuClass' columns") from err
     mapping: dict[int, str] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -165,13 +164,8 @@ def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
     )
 
 
-def parse_house_file(
-    path,
-    category_map: dict[int, str] | None = None,
-    region_labels: dict[str, str] | None = None,
-) -> SceneGraph:
+def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneGraph:
     """Parse one ``.house`` file into a raw (pre-filter) scene graph."""
-    letters = region_labels or REGION_LETTER_LABELS
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     house_name = Path(path).stem
 
@@ -194,7 +188,7 @@ def parse_house_file(
                     raise ValueError(f"need 15+ tokens, got {len(tokens)}")
                 index = int(tokens[1])
                 letter = tokens[5]
-                label = letters.get(letter)
+                label = REGION_LETTER_LABELS.get(letter)
                 if label is None:
                     logger.warning(
                         "%s:%d: unknown region code %r, using 'none'", path, lineno, letter

@@ -21,6 +21,7 @@ label of every classified or read-back room.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -224,6 +225,9 @@ def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
             raise ValueError(
                 "key 'candidates' must list [room label, sentence, total logprob] triples"
             )
+        # a comparison, not math.isfinite, which overflows on a huge int
+        if not -math.inf < c[2] < math.inf:
+            raise ValueError(f"candidate total {c[2]!r} is not a finite number")
         candidates.append(_candidate_from_triple(c))
     return RoomPrediction(
         room_id=_field(record, "room_id", str),
@@ -238,8 +242,9 @@ def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
 def read_predictions(path) -> GraphClassification:
     """Read a predictions file back into the result it was written from.
 
-    A line that is not a JSON object, or a record with a missing or
-    mistyped key, is a ``ValueError`` naming its ``path:line``.
+    A line that is not a JSON object, a record with a missing or mistyped
+    key, or a candidate total that is not finite is a ``ValueError`` naming
+    its ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:

@@ -86,20 +86,15 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
 
 @dataclass
 class IngestConfig:
-    """Knobs for the preprocessing pipeline, all label strings normalized."""
+    """Settings of the preprocessing pipeline; fix labels are normalized.
 
-    outdoor_room_labels: frozenset[str] = DEFAULT_OUTDOOR_ROOM_LABELS
-    removed_room_labels: frozenset[str] = DEFAULT_REMOVED_ROOM_LABELS
-    rejected_object_labels: frozenset[str] = DEFAULT_REJECTED_OBJECT_LABELS
+    The labels the pipeline filters out are the fixed ``DEFAULT_*`` sets.
+    """
+
     spelling_fixes: dict[str, str] = field(default_factory=load_spelling_fixes)
     keep_object_category_for_secondary_space: bool = True
 
     def __post_init__(self):
-        self.outdoor_room_labels = frozenset(map(normalize_label, self.outdoor_room_labels))
-        self.removed_room_labels = frozenset(map(normalize_label, self.removed_room_labels))
-        self.rejected_object_labels = frozenset(
-            map(normalize_label, self.rejected_object_labels)
-        )
         self.spelling_fixes = {
             normalize_label(k): normalize_label(v) for k, v in self.spelling_fixes.items()
         }
@@ -317,7 +312,6 @@ def resolve_label_space_conflicts(
     graph: SceneGraph,
     primary_space: str,
     secondary_space: str,
-    rejected_labels: frozenset[str] = DEFAULT_REJECTED_OBJECT_LABELS,
 ) -> SceneGraph:
     """Repair fine-grained labels mapped to multiple coarse labels.
 
@@ -342,7 +336,7 @@ def resolve_label_space_conflicts(
     for sec, primaries in mapping.items():
         if len(primaries) < 2:
             continue
-        usable = [p for p in primaries if p not in rejected_labels]
+        usable = [p for p in primaries if p not in DEFAULT_REJECTED_OBJECT_LABELS]
         chosen[sec] = usable[0] if usable else primaries[0]
 
     objects = graph.objects
@@ -365,7 +359,7 @@ def resolve_label_space_conflicts(
             for obj in graph.objects
         )
 
-    shadowed = frozenset(label for label in mapping if label in rejected_labels)
+    shadowed = frozenset(label for label in mapping if label in DEFAULT_REJECTED_OBJECT_LABELS)
     spaces = tuple(
         space if space.name == ROOM_SPACE_NAME
         else observed_space(
@@ -379,27 +373,24 @@ def resolve_label_space_conflicts(
 
 
 def filter_graph(
-    graph: SceneGraph,
-    config: IngestConfig,
-    object_space: str,
-    primary_space: str | None = None,
+    graph: SceneGraph, config: IngestConfig, object_space: str
 ) -> SceneGraph:
     """Drop outdoor/none rooms, rejected objects, and newly empty rooms.
 
-    Objects are rejected by their primary-space (coarse) label, except that
-    in runs over a finer space the coarse category "object" is retained:
-    the fine space keeps semantically rich labels under it. Labels in the
-    active space that are themselves rejected strings (or were marked
-    rejected by conflict resolution) are removed in every run. Label spaces
-    are rebuilt from the survivors, with rejected sets recorded.
+    Objects are rejected by their label in the graph's first (coarse)
+    object space, except that in runs over a finer space the coarse
+    category "object" is retained: the fine space keeps semantically rich
+    labels under it. Labels in the active space that are themselves
+    rejected strings (or were marked rejected by conflict resolution) are
+    removed in every run. Label spaces are rebuilt from the survivors, with
+    rejected sets recorded.
     """
     object_space_names = [s.name for s in graph.object_spaces]
     if object_space not in object_space_names:
         raise SchemaError(f"object space {object_space!r} not declared in graph")
-    if primary_space is None:
-        primary_space = object_space_names[0]
+    primary_space = object_space_names[0]
 
-    dropped_room_labels = config.outdoor_room_labels | config.removed_room_labels
+    dropped_room_labels = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
     kept_rooms = tuple(
         room for room in graph.rooms if room.gt_label not in dropped_room_labels
     )
@@ -408,13 +399,13 @@ def filter_graph(
     keep_exception = (
         config.keep_object_category_for_secondary_space and object_space != primary_space
     )
-    active_rejected = config.rejected_object_labels | graph.object_space(object_space).rejected
+    active_rejected = DEFAULT_REJECTED_OBJECT_LABELS | graph.object_space(object_space).rejected
 
     def keep(obj: ObjectNode) -> bool:
         if obj.assigned_room not in kept_room_ids:
             return False
         coarse = obj.label_per_space.get(primary_space)
-        if coarse in config.rejected_object_labels and not (
+        if coarse in DEFAULT_REJECTED_OBJECT_LABELS and not (
             keep_exception and coarse == RETAINED_COARSE_LABEL
         ):
             return False
@@ -438,7 +429,7 @@ def filter_graph(
                 )
             )
         else:
-            rejected = config.rejected_object_labels | space.rejected
+            rejected = DEFAULT_REJECTED_OBJECT_LABELS | space.rejected
             if keep_exception and space.name == primary_space:
                 rejected = rejected - {RETAINED_COARSE_LABEL}
             spaces.append(observed_space(space.name, kept_objects, rejected))
@@ -451,13 +442,10 @@ def run_pipeline(
     """Apply the full preprocessing pipeline in its fixed order."""
     graph = reassign_objects_by_bbox(graph)
     graph = apply_spelling_fixes(graph, config.spelling_fixes)
-    object_space_names = [s.name for s in graph.object_spaces]
-    primary = object_space_names[0] if object_space_names else object_space
-    for secondary in object_space_names[1:]:
-        graph = resolve_label_space_conflicts(
-            graph, primary, secondary, config.rejected_object_labels
-        )
-    return filter_graph(graph, config, object_space, primary)
+    names = [s.name for s in graph.object_spaces]
+    for secondary in names[1:]:
+        graph = resolve_label_space_conflicts(graph, names[0], secondary)
+    return filter_graph(graph, config, object_space)
 
 
 def merge_graphs(graphs) -> SceneGraph:

@@ -5,7 +5,8 @@ probabilities. Two backends ship here:
 
 * :class:`OfflineScorer`: fully deterministic, no model. A seeded
   hash-derived base value plus table-driven bonuses for (object label,
-  room label) substring pairs. Meant for tests and desk-scale runs.
+  room label) pairs found in the sentence as whole words. Meant for tests
+  and desk-scale runs.
 * :class:`RemoteScorer`: any completion service that echoes the prompt
   with per-token logprobs (GPT-J deployments are one such service).
 
@@ -31,6 +32,7 @@ import json
 import logging
 import math
 import os
+import re
 import struct
 import threading
 import time
@@ -55,6 +57,9 @@ MODEL_ENV = "ROOMSENSE_LM_MODEL"
 # Statuses that no retry can turn into a success: a bad request, bad or
 # missing credentials, or a wrong endpoint path.
 _NOT_RETRIED = frozenset({400, 401, 403, 404})
+
+# Seconds to wait for a connection or a response, per POST.
+_TIMEOUT_S = 60.0
 
 
 class TransportError(Exception):
@@ -218,14 +223,23 @@ def load_bonus_table(path) -> dict[tuple[str, str], float]:
     return table
 
 
+def _word_pattern(label: str) -> re.Pattern:
+    """Matches ``label`` where no word character touches either end.
+
+    So "bed" is found in "a bed." but not in "a bedroom."
+    """
+    return re.compile(rf"(?<!\w){re.escape(label)}(?!\w)")
+
+
 class OfflineScorer(SentenceScorer):
     """Deterministic scorer requiring no model.
 
     The total for a sentence is a hash-derived base in [-8, -4) plus the
     summed bonus of every (object label, room label) pair from the table
-    whose two labels both occur in the sentence as substrings. The total is
-    spread over whitespace tokens with hash-derived weights so per-token
-    logprobs are available and sum back to it exactly.
+    whose two labels both occur in the sentence as whole words: no word
+    character touches either end of the match. The total is spread over
+    whitespace tokens with hash-derived weights so per-token logprobs are
+    available and sum back to it exactly.
 
     With a bonus table the total can exceed 0 by at most the table's total
     positive mass; real backends never do.
@@ -238,10 +252,16 @@ class OfflineScorer(SentenceScorer):
     ):
         self.seed = seed
         self.bonus_table = dict(bonus_table or {})
+        self._bonus_rules = [
+            (_word_pattern(obj), _word_pattern(room), bonus)
+            for (obj, room), bonus in self.bonus_table.items()
+        ]
         if self.bonus_table:
-            canon = json.dumps(sorted(
+            # the matching rule is part of the digest, so a cache filled
+            # under the old substring rule is never served
+            canon = json.dumps(["whole words", sorted(
                 (o, r, b) for (o, r), b in self.bonus_table.items()
-            ))
+            )])
             digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:8]
         else:
             digest = "none"
@@ -258,8 +278,8 @@ class OfflineScorer(SentenceScorer):
     def bonus_value(self, sentence: str) -> float:
         return sum(
             bonus
-            for (obj, room), bonus in self.bonus_table.items()
-            if obj in sentence and room in sentence
+            for obj, room, bonus in self._bonus_rules
+            if obj.search(sentence) and room.search(sentence)
         )
 
     def score(self, sentence: str) -> SentenceScore:
@@ -340,7 +360,6 @@ class RemoteScorer(SentenceScorer):
         max_inflight: int = 4,
         max_attempts: int = 5,
         backoff_base: float = 0.5,
-        timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -357,7 +376,6 @@ class RemoteScorer(SentenceScorer):
         self.max_inflight = max_inflight
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.timeout = timeout
         import requests
         from requests.adapters import HTTPAdapter
 
@@ -392,7 +410,7 @@ class RemoteScorer(SentenceScorer):
             self.endpoint,
             json=self._request_body(sentence),
             headers=headers,
-            timeout=self.timeout,
+            timeout=_TIMEOUT_S,
         )
         response.raise_for_status()
         try:

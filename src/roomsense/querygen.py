@@ -39,16 +39,11 @@ class QueryTemplate:
     """
 
     article_mode: str = ARTICLE_GRAMMATICAL
-    separator: str = ", "
-    final_conjunction: str = " and "
 
     @property
     def version(self) -> str:
         """Tag identifying the exact rendered format."""
-        parts = [f"v1-{self.article_mode}"]
-        if self.separator != ", " or self.final_conjunction != " and ":
-            parts.append(f"sep={self.separator!r},conj={self.final_conjunction!r}")
-        return ";".join(parts)
+        return f"v1-{self.article_mode}"
 
 
 def _article_for(room_label: str, mode: str) -> str:
@@ -63,10 +58,10 @@ def _article_for(room_label: str, mode: str) -> str:
     return "a"
 
 
-def _join_objects(labels: list[str], template: QueryTemplate) -> str:
+def _join_objects(labels: list[str]) -> str:
     if len(labels) == 1:
         return labels[0]
-    return template.separator.join(labels[:-1]) + template.final_conjunction + labels[-1]
+    return ", ".join(labels[:-1]) + " and " + labels[-1]
 
 
 def render_room_query(
@@ -85,7 +80,7 @@ def render_room_query(
         raise ValueError("query needs at least one object label")
     room = normalize_label(room_label)
     article = _article_for(room, template.article_mode)
-    return f"A room containing {_join_objects(labels, template)} is called {article} {room}."
+    return f"A room containing {_join_objects(labels)} is called {article} {room}."
 
 
 def render_proxy_query(

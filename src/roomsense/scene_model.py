@@ -47,15 +47,6 @@ class LabelSpace:
     labels: tuple[str, ...]
     rejected: frozenset[str] = frozenset()
 
-    @staticmethod
-    def create(name: str, labels, rejected=()) -> "LabelSpace":
-        """Build a space with all strings normalized."""
-        return LabelSpace(
-            name=normalize_label(name),
-            labels=tuple(normalize_label(l) for l in labels),
-            rejected=frozenset(normalize_label(l) for l in rejected),
-        )
-
     @cached_property
     def _label_set(self) -> frozenset[str]:
         return frozenset(self.labels)
@@ -104,9 +95,6 @@ class ObjectNode:
     label_per_space: dict[str, str]
     bbox: BoundingBox
     assigned_room: str
-
-    def label(self, space_name: str) -> str:
-        return self.label_per_space[space_name]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from roomsense.scene_model import (
     ObjectNode,
     RoomNode,
     SceneGraph,
+    normalize_label,
 )
 
 ROOM_LABELS_3 = ("bathroom", "bedroom", "kitchen")
@@ -27,6 +28,15 @@ OBJECT_LABELS_12 = (
     "table",
     "toilet",
 )
+
+
+def label_space(name: str, labels, rejected=()) -> LabelSpace:
+    """A space with all strings normalized."""
+    return LabelSpace(
+        name=normalize_label(name),
+        labels=tuple(normalize_label(l) for l in labels),
+        rejected=frozenset(normalize_label(l) for l in rejected),
+    )
 
 
 def box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoundingBox:

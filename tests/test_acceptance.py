@@ -19,7 +19,6 @@ from roomsense.cooccurrence import (
     build_proxy_table,
     count_ground_truth,
     entropy,
-    proxy_conditional,
     select_informative,
 )
 from roomsense.evaluation import evaluate
@@ -35,7 +34,7 @@ from roomsense.querygen import QueryTemplate, render_room_query
 from roomsense.scene_model import validate
 
 from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, scene_file_text
-from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, room_with
+from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, room_with
 from test_evaluation import LABELS_ABC, hand_built_predictions, prediction
 from test_inference import BATH_BONUSES, classify_room, synthetic_graph
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER

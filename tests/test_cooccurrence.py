@@ -12,7 +12,6 @@ from roomsense.cooccurrence import (
     build_proxy_table,
     count_ground_truth,
     entropy,
-    proxy_conditional,
     read_table,
     select_informative,
     softmax_from_logs,
@@ -23,7 +22,17 @@ from roomsense.lm_scoring import OfflineScorer, SentenceScore, SentenceScorer, T
 from roomsense.querygen import render_proxy_query
 from roomsense.scene_model import LabelSpace, SceneGraph
 
-from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, box
+from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, box, label_space
+
+
+def proxy_conditional(scorer, object_label, room_labels):
+    """One proxy row: the only row of a proxy table over one object label."""
+    table = build_proxy_table(
+        scorer,
+        LabelSpace(name="things", labels=(object_label,)),
+        LabelSpace(name="room", labels=tuple(room_labels)),
+    )
+    return table.rows[object_label]
 
 
 class TotalScorer(SentenceScorer):
@@ -249,8 +258,8 @@ def _threaded(scorer, workers):
 class TestBuildProxyTable:
     def test_full_cross_product_and_metadata(self):
         scorer = OfflineScorer(seed=1)
-        object_space = LabelSpace.create("things", ["toilet", "bed", "stove"])
-        room_space = LabelSpace.create("room", ROOM_LABELS_3)
+        object_space = label_space("things", ["toilet", "bed", "stove"])
+        room_space = label_space("room", ROOM_LABELS_3)
         table = build_proxy_table(scorer, object_space, room_space)
         assert set(table.rows) == {"toilet", "bed", "stove"}
         assert table.provenance == "proxy"
@@ -260,8 +269,8 @@ class TestBuildProxyTable:
             assert sum(table.rows[label]) == pytest.approx(1.0, abs=1e-9)
 
     def test_concurrent_build_matches_sequential(self):
-        object_space = LabelSpace.create("things", list(OBJECT_LABELS_12))
-        room_space = LabelSpace.create("room", ROOM_LABELS_3)
+        object_space = label_space("things", list(OBJECT_LABELS_12))
+        room_space = label_space("room", ROOM_LABELS_3)
         sequential = build_proxy_table(OfflineScorer(seed=1), object_space, room_space)
         threaded = _threaded(OfflineScorer(seed=1), 6)
         concurrent = build_proxy_table(threaded, object_space, room_space)
@@ -270,8 +279,8 @@ class TestBuildProxyTable:
     def test_concurrent_build_through_shared_cache(self, tmp_path):
         from roomsense.lm_scoring import CachingScorer
 
-        object_space = LabelSpace.create("things", list(OBJECT_LABELS_12))
-        room_space = LabelSpace.create("room", ROOM_LABELS_3)
+        object_space = label_space("things", list(OBJECT_LABELS_12))
+        room_space = label_space("room", ROOM_LABELS_3)
         plain = build_proxy_table(OfflineScorer(seed=2), object_space, room_space)
         cache_path = tmp_path / "scores.jsonl"
         cached = CachingScorer(_threaded(OfflineScorer(seed=2), 8), cache_path)
@@ -401,8 +410,8 @@ class TestTableInvariantsAndRoundTrip:
         scorer = OfflineScorer(seed=5)
         table = build_proxy_table(
             scorer,
-            LabelSpace.create("things", ["toilet", "bed"]),
-            LabelSpace.create("room", ROOM_LABELS_3),
+            label_space("things", ["toilet", "bed"]),
+            label_space("room", ROOM_LABELS_3),
         )
         path = tmp_path / "cooc.tsv"
         write_table(table, path)

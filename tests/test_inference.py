@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -394,8 +395,12 @@ class TestPredictionFiles:
          "key 'candidates' must list [room label, sentence, total logprob] triples"),
         (lambda line: line.replace('"kind": "prediction"', '"kind": "guess"'),
          "unknown record kind 'guess'"),
+        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1NaN", line),
+         "candidate total nan is not a finite number"),
+        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1Infinity", line),
+         "candidate total inf is not a finite number"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
-            "kind"])
+            "kind", "nan-total", "infinite-total"])
     def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"

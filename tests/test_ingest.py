@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roomsense.ingest import (
+    DEFAULT_OUTDOOR_ROOM_LABELS,
+    DEFAULT_REMOVED_ROOM_LABELS,
     IngestConfig,
     ParseError,
     SchemaError,
@@ -405,9 +407,8 @@ class TestFullPipeline:
         assert twice.objects == once.objects
 
     def test_no_empty_or_outdoor_rooms_after_filter(self, raw_graph):
-        config = IngestConfig()
-        graph = run_pipeline(raw_graph, config, "nyuclass")
-        banned = config.outdoor_room_labels | config.removed_room_labels
+        graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")
+        banned = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
         for room in graph.rooms:
             assert room.objects
             assert room.gt_label not in banned

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import sys
 import threading
 import time
@@ -215,6 +216,15 @@ class TestOfflineScorer:
             plain.score(unrelated).total_logprob
         )
 
+    @pytest.mark.parametrize("sentence, bonus", [
+        ("A room containing lamp is called a bedroom.", 0),
+        ("A room containing bedside lamp is called a bedroom.", 0),
+        ("A room containing lamp and bed is called a bedroom.", 25.0),
+        ("A room containing bed, lamp and rug is called a bedroom.", 25.0),
+    ])
+    def test_bonus_labels_match_whole_words_only(self, sentence, bonus):
+        assert OfflineScorer(seed=0, bonus_table=BATH_BONUSES).bonus_value(sentence) == bonus
+
     def test_bonus_table_changes_identity(self):
         assert (
             OfflineScorer(seed=0).identity
@@ -233,7 +243,7 @@ class TestOfflineScorer:
     def test_pinned_identity(self):
         assert OfflineScorer(seed=7).identity == "offline:seed=7:bonus=none"
         scorer = OfflineScorer(seed=7, bonus_table=BATH_BONUSES)
-        assert scorer.identity == "offline:seed=7:bonus=a9fc1bcc"
+        assert scorer.identity == "offline:seed=7:bonus=d0b88e74"
         assert scorer.score("a bed").backend == scorer.identity
 
     def test_bonus_file_loader(self, tmp_path):
@@ -399,8 +409,11 @@ def _reference_score(seed, bonus_table, sentence):
 
     base_key = f"base\x1f{seed}\x1f{sentence}".encode("utf-8")
     total = -(4.0 + 4.0 * unit(hashlib.sha256(base_key).digest()))
+    def found(label):
+        return re.search(rf"(?<!\w){re.escape(label)}(?!\w)", sentence) is not None
+
     total = total + sum(
-        bonus for (obj, room), bonus in bonus_table.items() if obj in sentence and room in sentence
+        bonus for (obj, room), bonus in bonus_table.items() if found(obj) and found(room)
     )
     words = sentence.split() or [sentence]
     weights = []

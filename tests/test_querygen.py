@@ -100,20 +100,25 @@ class TestContract:
             render_room_query(["bed"], "bedroom", QueryTemplate(article_mode="shouting"))
 
     def test_version_tag_distinguishes_modes(self):
-        assert GRAMMATICAL.version != LITERAL.version
+        assert QueryTemplate().version == "v1-grammatical"
+        assert LITERAL.version == "v1-literal"
 
     @given(st.lists(label, min_size=1, max_size=6, unique=True), label)
     def test_object_list_round_trips_in_order(self, objects, room):
-        template = QueryTemplate(separator="|SEP|", final_conjunction="|AND|")
-        sentence = render_room_query(objects, room, template)
+        sentence = render_room_query(objects, room)
         segment = sentence[len("A room containing "):sentence.index(" is called")]
-        parsed = segment.replace("|AND|", "|SEP|").split("|SEP|")
+        head, _, last = segment.rpartition(" and ")
+        parsed = (head.split(", ") if head else []) + [last]
         assert parsed == objects
 
     @given(st.lists(label, min_size=1, max_size=8))
     def test_separator_and_conjunction_counts(self, objects):
-        template = QueryTemplate(separator="|SEP|", final_conjunction="|AND|")
-        sentence = render_room_query(objects, "zzz", template)
+        sentence = render_room_query(objects, "zzz")
+        segment = sentence[len("A room containing "):sentence.index(" is called")]
+        # a label may itself be "and", so the conjunction is found by position
+        head, conjunction, last = segment.rpartition(" and ")
         n = len(objects)
-        assert sentence.count("|SEP|") == max(n - 2, 0)
-        assert sentence.count("|AND|") == (1 if n >= 2 else 0)
+        assert head.count(", ") == max(n - 2, 0)
+        assert " and " not in head
+        assert conjunction == (" and " if n >= 2 else "")
+        assert last == objects[-1]

@@ -12,7 +12,7 @@ from roomsense.scene_model import (
     validate,
 )
 
-from conftest import box, build_graph
+from conftest import box, build_graph, label_space
 
 
 class TestNormalization:
@@ -40,13 +40,13 @@ class TestNormalization:
 
 class TestLabelSpace:
     def test_create_normalizes(self):
-        space = LabelSpace.create("Room", ["Bathroom", " Bed Room "], rejected=["NONE"])
+        space = label_space("Room", ["Bathroom", " Bed Room "], rejected=["NONE"])
         assert space.name == "room"
         assert space.labels == ("bathroom", "bed room")
         assert space.rejected == frozenset({"none"})
 
     def test_membership(self):
-        space = LabelSpace.create("things", ["toilet", "sink"])
+        space = label_space("things", ["toilet", "sink"])
         assert "toilet" in space
         assert "bed" not in space
 
@@ -146,9 +146,9 @@ class TestSceneGraphAccessors:
 
 class TestLookupIndexes:
     def test_label_set_leaves_the_space_as_declared(self):
-        used = LabelSpace.create("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        used = label_space("Things", ["Bed", "Lamp"], rejected=["Rug"])
         assert "bed" in used and "rug" not in used
-        fresh = LabelSpace.create("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        fresh = label_space("Things", ["Bed", "Lamp"], rejected=["Rug"])
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
