@@ -168,7 +168,7 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--model", default=None, help="remote model identity")
     group.add_argument("--max-inflight", type=_positive_int, default=4)
     group.add_argument("--max-attempts", type=_positive_int, default=5,
-                       help="remote retry budget per sentence")
+                       help="remote POSTs per sentence, at most")
     group.add_argument("--cache-dir", type=Path, default=None)
 
 
@@ -283,6 +283,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    stems = [path.stem for path in args.predictions]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            print(f"roomsense: two inputs share the stem {stem!r}, so one report "
+                  "would overwrite the other", file=sys.stderr)
+            return EXIT_USAGE
     args.out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     lines = []

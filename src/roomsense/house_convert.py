@@ -165,7 +165,11 @@ def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
 
 
 def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneGraph:
-    """Parse one ``.house`` file into a raw (pre-filter) scene graph."""
+    """Parse one ``.house`` file into a raw (pre-filter) scene graph.
+
+    A malformed record, or a repeated ``R`` or ``O`` index, is a
+    :class:`ParseError` naming its ``path:line``.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     house_name = Path(path).stem
 
@@ -173,6 +177,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     rooms: list[RoomNode] = []
     raw_objects: list[tuple[str, int, int, BoundingBox]] = []
     region_ids: set[int] = set()
+    object_ids: set[int] = set()
 
     for lineno, raw in enumerate(lines, 1):
         tokens = raw.split()
@@ -187,6 +192,8 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 if len(tokens) < 15:
                     raise ValueError(f"need 15+ tokens, got {len(tokens)}")
                 index = int(tokens[1])
+                if index in region_ids:
+                    raise ValueError(f"duplicate region index {index}")
                 letter = tokens[5]
                 label = REGION_LETTER_LABELS.get(letter)
                 if label is None:
@@ -217,6 +224,9 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 if len(tokens) < 16:
                     raise ValueError(f"need 16+ tokens, got {len(tokens)}")
                 obj_index = int(tokens[1])
+                if obj_index in object_ids:
+                    raise ValueError(f"duplicate object index {obj_index}")
+                object_ids.add(obj_index)
                 region_index = int(tokens[2])
                 category_index = int(tokens[3])
                 raw_objects.append(

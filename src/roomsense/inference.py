@@ -21,7 +21,6 @@ label of every classified or read-back room.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 from .atomic import atomic_write
 from .cooccurrence import CooccurrenceTable, select_informative
-from .lm_scoring import SentenceScorer, TransportError, score_totals
+from .lm_scoring import SentenceScorer, TransportError, _is_finite_number, score_totals
 from .querygen import QueryTemplate, render_room_query
 from .scene_model import SceneGraph
 
@@ -221,12 +220,11 @@ def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
     candidates = []
     for c in _field(record, "candidates", list):
         if not (type(c) is list and len(c) == 3 and type(c[0]) is str
-                and type(c[1]) is str and type(c[2]) in (int, float)):
+                and type(c[1]) is str):
             raise ValueError(
                 "key 'candidates' must list [room label, sentence, total logprob] triples"
             )
-        # a comparison, not math.isfinite, which overflows on a huge int
-        if not -math.inf < c[2] < math.inf:
+        if not _is_finite_number(c[2]):
             raise ValueError(f"candidate total {c[2]!r} is not a finite number")
         candidates.append(_candidate_from_triple(c))
     return RoomPrediction(
@@ -243,8 +241,8 @@ def read_predictions(path) -> GraphClassification:
     """Read a predictions file back into the result it was written from.
 
     A line that is not a JSON object, a record with a missing or mistyped
-    key, or a candidate total that is not finite is a ``ValueError`` naming
-    its ``path:line``.
+    key, or a candidate total that is not a finite number is a
+    ``ValueError`` naming its ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:

@@ -54,12 +54,25 @@ API_KEY_ENV = "ROOMSENSE_LM_API_KEY"
 MODEL_ENV = "ROOMSENSE_LM_MODEL"
 
 
-# Statuses that no retry can turn into a success: a bad request, bad or
-# missing credentials, or a wrong endpoint path.
-_NOT_RETRIED = frozenset({400, 401, 403, 404})
+# The only statuses worth another POST: a request timeout, a rate limit, or
+# a server fault. Any other status outside 2xx asks the client to change its
+# request (RFC 9110 section 15.5), so the same POST would fail again.
+_RETRIED = frozenset({408, 429, *range(500, 600)})
 
 # Seconds to wait for a connection or a response, per POST.
 _TIMEOUT_S = 60.0
+
+# Seconds slept before the first retry; each later retry sleeps twice the last.
+_BACKOFF_BASE_S = 0.5
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a JSON int or float (not a bool) whose float value is finite."""
+    try:
+        # an exact type test: bool is an int subclass
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class TransportError(Exception):
@@ -307,26 +320,34 @@ class OfflineScorer(SentenceScorer):
         )
 
 
-def _parse_logprob_payload(payload: dict) -> tuple[list[str], list[float | None], str]:
-    """Pull (tokens, per-token logprobs, model id) out of a response body.
+def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
+    """``(tokens, total, token count, model id)`` from a response body.
 
-    Accepts the documented flat shape and the completions-style nested one;
-    anything else is treated as a malformed response.
+    Accepts the documented flat shape and the completions-style nested one,
+    whose first choice carries the logprobs. Anything else is a
+    ``ValueError`` that names the fault: a missing field, token and logprob
+    fields that are not lists of one length, a logprob that is neither null
+    nor a finite JSON number <= 0, or no logprob at all.
     """
-    model = str(payload.get("model", ""))
-    source = payload
-    if "choices" in payload:
-        choices = payload["choices"]
-        if not isinstance(choices, list) or not choices:
-            raise KeyError("choices")
-        source = choices[0].get("logprobs") or {}
-    tokens = source["tokens"]
-    logprobs = source["token_logprobs"]
-    if not isinstance(tokens, list) or not isinstance(logprobs, list):
-        raise TypeError("tokens/token_logprobs must be lists")
-    if len(tokens) != len(logprobs):
-        raise ValueError("token/logprob length mismatch")
-    return [str(t) for t in tokens], logprobs, model
+    try:
+        source = body["choices"][0]["logprobs"] if "choices" in body else body
+        words, logprobs = source["tokens"], source["token_logprobs"]
+    except (KeyError, IndexError, TypeError) as err:
+        raise ValueError(f"missing field ({err!r})") from err
+    if type(words) is not list or type(logprobs) is not list or len(words) != len(logprobs):
+        raise ValueError("'tokens' and 'token_logprobs' must be lists of one length")
+    tokens = []
+    present = []
+    for word, lp in zip(words, logprobs):
+        if lp is not None:
+            if not _is_finite_number(lp) or lp > 0:
+                raise ValueError(f"logprob {lp!r} for token {word!r} is not a number <= 0")
+            lp = float(lp)
+            present.append(lp)
+        tokens.append(_token_from_pair((str(word), lp)))
+    if not present:
+        raise ValueError("no usable logprobs")
+    return tuple(tokens), math.fsum(present), len(present), str(body.get("model", ""))
 
 
 class RemoteScorer(SentenceScorer):
@@ -335,17 +356,17 @@ class RemoteScorer(SentenceScorer):
     Wire contract (see README): the request carries the full sentence with
     echo-logprobs enabled and zero completion tokens; the response carries
     the token list and per-token logprobs (first entry may be null). Any
-    other shape, HTTP failure, or non-real logprob is a transport error.
+    other shape, HTTP failure, or logprob that is not a JSON number is a
+    transport error.
 
     Transient faults (connection errors, timeouts, 408, 429, 5xx) are
-    retried with exponential backoff up to ``max_attempts``; long batch
-    evaluations must survive them. 400, 401, 403 and 404 and malformed
-    bodies (a missing field, a logprob that is not a finite non-positive
-    number, no usable logprob) fail after one POST: the same request gets
-    the same answer again. ``max_inflight`` is the number of concurrent
-    requests :func:`score_totals` makes; a session the scorer builds itself
-    keeps that many connections open. An injected ``session`` is used as
-    given.
+    retried with exponential backoff, for at most ``max_attempts`` POSTs;
+    long batch evaluations must survive them. Every other status outside
+    2xx and every malformed body (see :func:`_parse_response`) fails after
+    one POST: the same request gets the same answer again. ``max_inflight``
+    is the number of concurrent requests :func:`score_totals` makes; a
+    session the scorer builds itself keeps that many connections open. An
+    injected ``session`` is used as given.
 
     The HTTP stack (``requests``) is imported here, at construction, and
     nowhere else in the package: offline runs never load it, and no
@@ -359,7 +380,6 @@ class RemoteScorer(SentenceScorer):
         model: str | None = None,
         max_inflight: int = 4,
         max_attempts: int = 5,
-        backoff_base: float = 0.5,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -375,7 +395,9 @@ class RemoteScorer(SentenceScorer):
             raise ValueError("max_attempts must be >= 1")
         self.max_inflight = max_inflight
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
         import requests
         from requests.adapters import HTTPAdapter
 
@@ -391,78 +413,41 @@ class RemoteScorer(SentenceScorer):
     def identity(self) -> str:
         return f"remote:{self.model or self.endpoint}"
 
-    def _request_body(self, sentence: str) -> dict:
-        body = {
-            "prompt": sentence,
-            "echo": True,
-            "logprobs": 1,
-            "max_tokens": 0,
-        }
+    def _post_once(self, sentence: str) -> SentenceScore:
+        """Send one POST; raise a fault worth a retry as a ``RequestException``
+        and any other fault as a :class:`TransportError`."""
+        body = {"prompt": sentence, "echo": True, "logprobs": 1, "max_tokens": 0}
         if self.model:
             body["model"] = self.model
-        return body
-
-    def _post_once(self, sentence: str) -> SentenceScore:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         response = self._session.post(
-            self.endpoint,
-            json=self._request_body(sentence),
-            headers=headers,
-            timeout=_TIMEOUT_S,
+            self.endpoint, json=body, headers=self._headers, timeout=_TIMEOUT_S
         )
-        response.raise_for_status()
+        status = response.status_code
+        if status in _RETRIED:
+            raise self._requests.HTTPError(f"HTTP {status}", response=response)
+        if not 200 <= status < 300:
+            raise TransportError(f"backend refused the request: HTTP {status}", sentence)
         try:
-            tokens, logprobs, model = _parse_logprob_payload(response.json())
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            tokens, total, count, model = _parse_response(response.json())
+        except ValueError as err:
             raise TransportError(f"malformed response: {err}", sentence) from err
-
-        parsed: list[TokenLogProb] = []
-        for token, lp in zip(tokens, logprobs):
-            if lp is None:
-                parsed.append(TokenLogProb(token=token, logprob=None))
-                continue
-            try:
-                value = float(lp)
-            except (TypeError, ValueError) as err:
-                raise TransportError(
-                    f"logprob {lp!r} for token {token!r} is not a number", sentence
-                ) from err
-            if not math.isfinite(value) or value > 0:
-                raise TransportError(
-                    f"logprob {value!r} for token {token!r} is not a log probability",
-                    sentence,
-                )
-            parsed.append(TokenLogProb(token=token, logprob=value))
-        present = [t.logprob for t in parsed if t.logprob is not None]
-        if not present:
-            raise TransportError("response carried no usable logprobs", sentence)
         return SentenceScore(
             sentence=sentence,
-            total_logprob=math.fsum(present),
-            token_count=len(present),
+            total_logprob=total,
+            token_count=count,
             backend=self.identity if self.model else f"remote:{model or self.endpoint}",
-            tokens=tuple(parsed),
+            tokens=tokens,
         )
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
-        requests = self._requests
-        last: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
                 return self._post_once(sentence)
-            except requests.HTTPError as err:
-                if err.response is not None and err.response.status_code in _NOT_RETRIED:
-                    raise TransportError(
-                        f"backend refused the request: {err}", sentence
-                    ) from err
-                last = err
-            except requests.RequestException as err:
+            except self._requests.RequestException as err:
                 last = err
             if attempt + 1 < self.max_attempts:
-                delay = self.backoff_base * 2**attempt
+                delay = _BACKOFF_BASE_S * 2**attempt
                 logger.warning(
                     "retrying score (%d/%d) after %.1fs: %s",
                     attempt + 1, self.max_attempts, delay, last,
@@ -512,12 +497,11 @@ class CachingScorer(SentenceScorer):
                 record = json.loads(line)
                 key = (record["backend"], record["sentence"])
                 total, count = record["total_logprob"], record["token_count"]
-                # json.loads accepts NaN and Infinity; bool is an int subclass
-                if (type(total) not in (int, float) or not math.isfinite(total)
-                        or type(count) is not int or count < 0):
+                # bool is an int subclass
+                if not _is_finite_number(total) or type(count) is not int or count < 0:
                     raise ValueError("cached values are not numbers")
                 self._memory[key] = (total, count)
-            except (ValueError, KeyError, TypeError, OverflowError):
+            except (ValueError, KeyError, TypeError):
                 # a torn trailing record from an interrupted run is expected;
                 # skip it, or any record whose values are not numbers, and
                 # let the sentence be re-scored

@@ -250,6 +250,22 @@ class TestObjectSpaceConditions:
         run("infer", "--graph", graph, "--cooc", cooc, "--out", preds2)
         assert run("eval", preds1, preds2, "--out-dir", tmp_path / "r") == 2
 
+    def test_inputs_whose_reports_would_collide_rejected(self, tmp_path, scene, capsys):
+        graph = tmp_path / "clean.txt"
+        run("ingest", "--scene", scene, "--out", graph)
+        preds = []
+        for run_dir, space in (("a", "fine"), ("b", "coarse")):
+            (tmp_path / run_dir).mkdir()
+            cooc = tmp_path / run_dir / "cooc.tsv"
+            run("cooc", "--graph", graph, "--out", cooc, "--object-space", space)
+            preds.append(tmp_path / run_dir / "p.jsonl")
+            run("infer", "--graph", graph, "--cooc", cooc, "--out", preds[-1])
+        reports = tmp_path / "reports"
+        capsys.readouterr()
+        assert run("eval", *preds, "--out-dir", reports) == 1
+        assert "share the stem 'p'" in capsys.readouterr().err
+        assert not reports.exists()
+
 
 def _child_env() -> dict:
     """This process's environment, with the tested package on PYTHONPATH."""

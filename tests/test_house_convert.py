@@ -126,6 +126,23 @@ class TestParseHouse:
             f"{path}:11: malformed 'O' record: could not convert string to float: '0.7o7107'"
         )
 
+    @pytest.mark.parametrize("lineno, record", [
+        (6, "R 0 0 0 0 k 6.0 6.0 1.5 4 0 0 10 10 3 3.0 0 0 0 0"),
+        (13, "O 2 1 2 8.0 8.0 1.0 1 0 0 0 1 0 0.5 0.5 1.0 0 0 0 0 0 0 0 0"),
+    ], ids=["region", "object"])
+    def test_repeated_index_names_the_line(self, tmp_path, lineno, record):
+        path = tmp_path / "twice.house"
+        lines = HOUSE_TEXT.splitlines()
+        lines.insert(lineno - 1, record)
+        path.write_text("\n".join(lines) + "\n")
+        kind, index = record.split()[:2]
+        name = {"R": "region", "O": "object"}[kind]
+        with pytest.raises(ParseError) as caught:
+            parse_house_file(path)
+        assert str(caught.value) == (
+            f"{path}:{lineno}: malformed {kind!r} record: duplicate {name} index {index}"
+        )
+
     def test_unknown_region_code_warning_names_the_line(self, tmp_path, caplog):
         path = tmp_path / "odd.house"
         path.write_text(HOUSE_TEXT.replace("R 1 0 0 0 k ", "R 1 0 0 0 Q "))

@@ -399,8 +399,10 @@ class TestPredictionFiles:
          "candidate total nan is not a finite number"),
         (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1Infinity", line),
          "candidate total inf is not a finite number"),
+        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\g<1>1" + "0" * 400, line),
+         f"candidate total 1{'0' * 400} is not a finite number"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
-            "kind", "nan-total", "infinite-total"])
+            "kind", "nan-total", "infinite-total", "huge-int-total"])
     def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"

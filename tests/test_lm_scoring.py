@@ -14,6 +14,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from roomsense import lm_scoring
 from roomsense.cooccurrence import count_ground_truth
 from roomsense.inference import classify_graph
 from roomsense.lm_scoring import (
@@ -754,6 +755,12 @@ class TestCachingScorer:
         assert [by_sentence[s] for s in sentences] == totals
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries in these tests follow each other without sleeping."""
+    monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+
+
 class _Handler(BaseHTTPRequestHandler):
     behaviors = []  # list of callables(payload) -> (status, body dict)
     calls = 0
@@ -778,7 +785,10 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def mock_endpoint():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() at teardown returns at once
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _Handler.calls = 0
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
@@ -809,7 +819,7 @@ def _openai_shape(payload):
 class TestRemoteScorer:
     def test_flat_payload(self, mock_endpoint):
         _Handler.behaviors = [_echo_logprobs]
-        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm", backoff_base=0.0)
+        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm")
         score = scorer.score("a b c d")
         assert score.total_logprob == pytest.approx(-3.0)
         assert score.token_count == 3  # first-token logprob absent
@@ -817,13 +827,13 @@ class TestRemoteScorer:
 
     def test_completions_payload(self, mock_endpoint):
         _Handler.behaviors = [_openai_shape]
-        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm", backoff_base=0.0)
+        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm")
         assert scorer.score("a b c").total_logprob == pytest.approx(-1.0)
 
     def test_retry_then_success(self, mock_endpoint):
         _Handler.behaviors = [lambda p: (500, {"error": "flake"}), _echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=3, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=3
         )
         assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
         assert _Handler.calls == 2
@@ -831,7 +841,7 @@ class TestRemoteScorer:
     def test_bounded_attempts_then_transport_error(self, mock_endpoint):
         _Handler.behaviors = [lambda p: (500, {"error": "down"})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=2, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=2
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("x y")
@@ -841,7 +851,7 @@ class TestRemoteScorer:
     def test_malformed_payload_is_transport_error(self, mock_endpoint):
         _Handler.behaviors = [lambda p: (200, {"weird": True})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError):
             scorer.score("x y")
@@ -851,7 +861,7 @@ class TestRemoteScorer:
             lambda p: (200, {"model": "m", "tokens": ["a"], "token_logprobs": [0.5]})
         ]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError):
             scorer.score("a")
@@ -867,7 +877,6 @@ class TestRemoteScorer:
             endpoint=mock_endpoint,
             model="test-lm",
             max_attempts=1,
-            backoff_base=0.0,
             max_inflight=2,
         )
         results = score_totals(scorer, ["ok one", "bad two", "ok three four"])
@@ -892,7 +901,6 @@ class TestRemoteScorer:
             endpoint=counting_endpoint.url,
             model="test-lm",
             max_inflight=2,
-            backoff_base=0.0,
         )
         results = score_totals(scorer, [f"sentence {i} x" for i in range(10)])
         assert all(isinstance(r, float) for r in results)
@@ -903,7 +911,7 @@ class TestRemoteScorer:
             lambda p: (200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]})
         ]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("a b")
@@ -922,18 +930,36 @@ class TestRemoteScorer:
         )
         table = count_ground_truth(graph, "things")
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=1
         )
         result = classify_graph(graph, table, scorer, k=3)
         assert [p.room_id for p in result.predictions] == ["r-bath"]
         assert [f.room_id for f in result.failures] == ["r-kitchen"]
         assert "not a number" in result.failures[0].reason
 
-    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_huge_int_logprob_fails_only_its_room(self, mock_endpoint):
+        def huge_for_stove(payload):
+            if "stove" in payload["prompt"]:
+                return 200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, -10**400]}
+            return _echo_logprobs(payload)
+
+        _Handler.behaviors = [huge_for_stove]
+        graph = build_graph(
+            {"r-bath": ("bathroom", ["toilet"]), "r-kitchen": ("kitchen", ["stove"])},
+            room_labels=("bathroom", "kitchen"),
+        )
+        table = count_ground_truth(graph, "things")
+        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm", max_attempts=1)
+        result = classify_graph(graph, table, scorer, k=3)
+        assert [p.room_id for p in result.predictions] == ["r-bath"]
+        assert [f.room_id for f in result.failures] == ["r-kitchen"]
+        assert "malformed response" in result.failures[0].reason
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 405, 413, 422])
     def test_client_errors_are_not_retried(self, mock_endpoint, status):
         _Handler.behaviors = [lambda p: (status, {"error": "refused"})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("x y")
@@ -946,35 +972,40 @@ class TestRemoteScorer:
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, 0.5]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, float("nan")]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "-1.5"]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, " -2 "]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, False]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, -10**400]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, None]},
             {"model": "m", "tokens": ["a", "b"]},
             {"model": "m", "choices": [1]},
             [1, 2],
         ],
-        ids=["oops", "positive", "nan", "no-usable", "missing-field", "bad-choice", "list"],
+        ids=["oops", "positive", "nan", "numeric-string", "padded-string", "false",
+             "huge-int", "no-usable", "missing-field", "bad-choice", "list"],
     )
     def test_malformed_body_is_not_retried(self, mock_endpoint, body):
         _Handler.behaviors = [lambda p: (200, body), _echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("a b")
         assert excinfo.value.sentence == "a b"
         assert _Handler.calls == 1
 
-    @pytest.mark.parametrize("status", [408, 429])
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_timeout_and_rate_limit_statuses_retry(self, mock_endpoint, status):
         _Handler.behaviors = [lambda p: (status, {"error": "later"}), _echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=3, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=3
         )
         assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
         assert _Handler.calls == 2
 
     def test_own_session_pool_holds_max_inflight_connections(self, counting_endpoint, caplog):
         scorer = RemoteScorer(
-            endpoint=counting_endpoint.url, model="test-lm", max_inflight=16, backoff_base=0.0
+            endpoint=counting_endpoint.url, model="test-lm", max_inflight=16
         )
         with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
             results = score_totals(scorer, [f"sentence {i} x" for i in range(64)])
@@ -1033,7 +1064,9 @@ class _CountingEndpoint:
 @pytest.fixture
 def counting_endpoint():
     endpoint = _CountingEndpoint(latency_s=0.05)
-    thread = threading.Thread(target=endpoint.server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=endpoint.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield endpoint
     endpoint.server.shutdown()
@@ -1052,7 +1085,7 @@ class TestFlatScoringStage:
             room_labels=("bathroom", "kitchen"),
         )
         scorer = RemoteScorer(
-            endpoint=counting_endpoint.url, model="test-lm", max_inflight=4, backoff_base=0.0
+            endpoint=counting_endpoint.url, model="test-lm", max_inflight=4
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
         scorer._session.close()
@@ -1075,7 +1108,7 @@ class TestDistinctSentences:
             room_labels=("bathroom", "kitchen"),
         )
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_inflight=2, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_inflight=2
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
         scorer._session.close()
@@ -1102,7 +1135,7 @@ class TestDistinctSentences:
             room_labels=("bathroom", "kitchen"),
         )
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5, backoff_base=0.0
+            endpoint=mock_endpoint, model="test-lm", max_attempts=5
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
         scorer._session.close()
