@@ -167,7 +167,7 @@ def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
 def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneGraph:
     """Parse one ``.house`` file into a raw (pre-filter) scene graph.
 
-    A malformed record, or a repeated ``R`` or ``O`` index, is a
+    A malformed record, or a repeated ``R``, ``C`` or ``O`` index, is a
     :class:`ParseError` naming its ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -214,6 +214,8 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 if len(tokens) < 6:
                     raise ValueError(f"need 6+ tokens, got {len(tokens)}")
                 index = int(tokens[1])
+                if index in categories:
+                    raise ValueError(f"duplicate category index {index}")
                 mapping_index = int(tokens[2])
                 fine = _clean_name(tokens[3])
                 coarse = _clean_name(tokens[5])

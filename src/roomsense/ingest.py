@@ -36,6 +36,7 @@ from .scene_model import (
     SceneGraph,
     normalize_label,
     observed_space,
+    observed_spaces,
     rooms_with_members,
 )
 
@@ -66,13 +67,18 @@ class SchemaError(DataError):
 def load_spelling_fixes(path=None) -> dict[str, str]:
     """Read a two-column text map of old label -> new label.
 
-    With no path, reads the table shipped with the package.
+    With no path, reads the table shipped with the package. Each label has
+    one correction and no correction is corrected again, so a re-run changes
+    nothing: a label listed again with another correction, or a chain such
+    as ``a -> b``, ``b -> c``, is a :class:`ParseError` naming the later
+    row's ``path:line``. Exact repeats and identity rows are allowed.
     """
     if path is None:
         path = resources.files("roomsense").joinpath("data/spelling_fixes.txt")
     else:
         path = Path(path)
     fixes: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,7 +86,16 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        fixes[normalize_label(fields[0])] = normalize_label(fields[1])
+        old, new = map(normalize_label, fields)
+        if fixes.setdefault(old, new) != new:
+            raise ParseError(f"{path}:{lineno}: {old!r} already corrected to {fixes[old]!r}")
+        first_line.setdefault(old, lineno)
+    for old, new in fixes.items():
+        if fixes.get(new, new) != new:
+            raise ParseError(
+                f"{path}:{max(first_line[old], first_line[new])}: chained correction "
+                f"{old!r} -> {new!r} -> {fixes[new]!r}"
+            )
     return fixes
 
 
@@ -300,12 +315,11 @@ def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph
         )
         for obj in graph.objects
     )
-    spaces = tuple(
-        space if space.name == ROOM_SPACE_NAME
-        else observed_space(space.name, objects, space.rejected)
-        for space in graph.label_spaces
+    return SceneGraph(
+        rooms=graph.rooms,
+        objects=objects,
+        label_spaces=observed_spaces(graph.label_spaces, objects),
     )
-    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
 
 
 def resolve_label_space_conflicts(
@@ -318,9 +332,6 @@ def resolve_label_space_conflicts(
     For each secondary-space label seen with more than one primary-space
     label, every carrier is rewritten to the first non-rejected primary
     label in encounter order (all-rejected mappings keep the first seen).
-    Secondary-space labels that are string-identical to rejected primary
-    labels are marked rejected in the secondary space; the filtering stage
-    then removes their objects.
     """
     mapping: dict[str, list[str]] = {}
     for obj in graph.objects:
@@ -358,18 +369,11 @@ def resolve_label_space_conflicts(
             else obj
             for obj in graph.objects
         )
-
-    shadowed = frozenset(label for label in mapping if label in DEFAULT_REJECTED_OBJECT_LABELS)
-    spaces = tuple(
-        space if space.name == ROOM_SPACE_NAME
-        else observed_space(
-            space.name,
-            objects,
-            space.rejected | shadowed if space.name == secondary_space else space.rejected,
-        )
-        for space in graph.label_spaces
+    return SceneGraph(
+        rooms=graph.rooms,
+        objects=objects,
+        label_spaces=observed_spaces(graph.label_spaces, objects),
     )
-    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
 
 
 def filter_graph(
@@ -377,13 +381,12 @@ def filter_graph(
 ) -> SceneGraph:
     """Drop outdoor/none rooms, rejected objects, and newly empty rooms.
 
-    Objects are rejected by their label in the graph's first (coarse)
-    object space, except that in runs over a finer space the coarse
-    category "object" is retained: the fine space keeps semantically rich
-    labels under it. Labels in the active space that are themselves
-    rejected strings (or were marked rejected by conflict resolution) are
-    removed in every run. Label spaces are rebuilt from the survivors, with
-    rejected sets recorded.
+    An object is rejected when its label in the graph's first (coarse)
+    object space or in ``object_space`` is in
+    ``DEFAULT_REJECTED_OBJECT_LABELS``, except that in runs over a finer
+    space the coarse category "object" is retained: the fine space keeps
+    semantically rich labels under it. Other object spaces are carried
+    unfiltered. Label spaces are rebuilt from the survivors.
     """
     object_space_names = [s.name for s in graph.object_spaces]
     if object_space not in object_space_names:
@@ -399,7 +402,6 @@ def filter_graph(
     keep_exception = (
         config.keep_object_category_for_secondary_space and object_space != primary_space
     )
-    active_rejected = DEFAULT_REJECTED_OBJECT_LABELS | graph.object_space(object_space).rejected
 
     def keep(obj: ObjectNode) -> bool:
         if obj.assigned_room not in kept_room_ids:
@@ -409,31 +411,24 @@ def filter_graph(
             keep_exception and coarse == RETAINED_COARSE_LABEL
         ):
             return False
-        return obj.label_per_space.get(object_space) not in active_rejected
+        return obj.label_per_space.get(object_space) not in DEFAULT_REJECTED_OBJECT_LABELS
 
+    # a kept object's room is kept and lists it, so only rooms without kept
+    # objects are dropped as empty
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
     rooms = tuple(
         room for room in rooms_with_members(kept_rooms, kept_objects) if room.objects
     )
-    kept_room_ids = {room.id for room in rooms}
-    kept_objects = tuple(obj for obj in kept_objects if obj.assigned_room in kept_room_ids)
-
-    spaces: list[LabelSpace] = []
-    for space in graph.label_spaces:
-        if space.name == ROOM_SPACE_NAME:
-            spaces.append(
-                LabelSpace(
-                    name=space.name,
-                    labels=tuple(l for l in space.labels if l not in dropped_room_labels),
-                    rejected=frozenset(dropped_room_labels),
-                )
-            )
-        else:
-            rejected = DEFAULT_REJECTED_OBJECT_LABELS | space.rejected
-            if keep_exception and space.name == primary_space:
-                rejected = rejected - {RETAINED_COARSE_LABEL}
-            spaces.append(observed_space(space.name, kept_objects, rejected))
-    return SceneGraph(rooms=rooms, objects=kept_objects, label_spaces=tuple(spaces))
+    spaces = tuple(
+        LabelSpace(
+            name=space.name,
+            labels=tuple(l for l in space.labels if l not in dropped_room_labels),
+        )
+        if space.name == ROOM_SPACE_NAME
+        else observed_space(space.name, kept_objects)
+        for space in graph.label_spaces
+    )
+    return SceneGraph(rooms=rooms, objects=kept_objects, label_spaces=spaces)
 
 
 def run_pipeline(
@@ -483,16 +478,11 @@ def merge_graphs(graphs) -> SceneGraph:
             seen_objects.add(obj.id)
             objects.append(obj)
 
-    spaces: list[LabelSpace] = []
-    for name in names:
-        if name == ROOM_SPACE_NAME:
-            spaces.append(room_space)
-        else:
-            rejected = frozenset().union(
-                *(g.object_space(name).rejected for g in graphs)
-            )
-            spaces.append(observed_space(name, objects, rejected))
-    return SceneGraph(rooms=tuple(rooms), objects=tuple(objects), label_spaces=tuple(spaces))
+    return SceneGraph(
+        rooms=tuple(rooms),
+        objects=tuple(objects),
+        label_spaces=observed_spaces(first.label_spaces, objects),
+    )
 
 
 def room_label_histogram(graph: SceneGraph) -> dict[str, int]:

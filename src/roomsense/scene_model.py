@@ -38,14 +38,13 @@ class LabelSpace:
     """A named, ordered set of category strings.
 
     ``labels`` keeps declaration order (it defines column order in
-    co-occurrence tables); ``rejected`` holds categories excluded from
-    inference. After preprocessing the two sets are disjoint: rejected
-    labels are removed from ``labels``, not retained.
+    co-occurrence tables). A space records only what is in it: the labels
+    that preprocessing filters out are the ``DEFAULT_*`` sets in
+    :mod:`roomsense.ingest`.
     """
 
     name: str
     labels: tuple[str, ...]
-    rejected: frozenset[str] = frozenset()
 
     @cached_property
     def _label_set(self) -> frozenset[str]:
@@ -55,14 +54,18 @@ class LabelSpace:
         return label in self._label_set
 
 
-def observed_space(name: str, objects, rejected=frozenset()) -> LabelSpace:
-    """The object space ``name`` with exactly the labels its objects carry.
-
-    Labels are sorted; ``rejected`` is recorded as given, so each caller
-    keeps its own rejection policy.
-    """
+def observed_space(name: str, objects) -> LabelSpace:
+    """The object space ``name`` with exactly the labels its objects carry, sorted."""
     labels = sorted({obj.label_per_space[name] for obj in objects})
-    return LabelSpace(name=name, labels=tuple(labels), rejected=rejected)
+    return LabelSpace(name=name, labels=tuple(labels))
+
+
+def observed_spaces(label_spaces, objects) -> tuple[LabelSpace, ...]:
+    """``label_spaces`` with the room space kept and each object space re-observed."""
+    return tuple(
+        space if space.name == ROOM_SPACE_NAME else observed_space(space.name, objects)
+        for space in label_spaces
+    )
 
 
 @dataclass(frozen=True)
@@ -194,11 +197,6 @@ def validate(graph: SceneGraph) -> list[str]:
                     f"label space {space.name!r}: duplicate label {label!r}"
                 )
             seen.add(label)
-        overlap = set(space.labels) & space.rejected
-        for label in sorted(overlap):
-            violations.append(
-                f"label space {space.name!r}: rejected label {label!r} still present"
-            )
 
     room_space = graph.room_space
     if room_space is not None and len(room_space.labels) < 2:

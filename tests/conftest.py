@@ -30,12 +30,10 @@ OBJECT_LABELS_12 = (
 )
 
 
-def label_space(name: str, labels, rejected=()) -> LabelSpace:
+def label_space(name: str, labels) -> LabelSpace:
     """A space with all strings normalized."""
     return LabelSpace(
-        name=normalize_label(name),
-        labels=tuple(normalize_label(l) for l in labels),
-        rejected=frozenset(normalize_label(l) for l in rejected),
+        name=normalize_label(name), labels=tuple(normalize_label(l) for l in labels)
     )
 
 

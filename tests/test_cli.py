@@ -239,6 +239,23 @@ class TestObjectSpaceConditions:
         assert "nyuclass" in table and "mpcat40" in table
         assert "ground_truth" in table
 
+    def test_coarse_run_keeps_object_with_rejected_fine_label(self, tmp_path, capsys):
+        # the fine label "object" is a rejected string, but a coarse run
+        # filters by the coarse label, which here is the kept "objects"
+        scene = tmp_path / "scene.txt"
+        scene.write_text(scene_file_text(
+            [("h/r0", "bathroom", (0, 0, 0), (9, 9, 3))],
+            [("h/o0", "h/r0", ("toilet", "toilet"), (1, 1, 0), (2, 2, 1)),
+             ("h/o1", "h/r0", ("objects", "object"), (3, 3, 0), (4, 4, 1))],
+            spaces=("mpcat40", "rawcategory"),
+            room_labels=ROOMS_HEADER,
+        ))
+        graph = tmp_path / "clean.txt"
+        assert run("ingest", "--scene", scene, "--out", graph,
+                   "--object-space", "coarse") == 0
+        assert "objects: 2" in capsys.readouterr().out
+        assert "\th/o1\th/r0\tobjects\tobject\t" in graph.read_text()
+
     def test_duplicate_conditions_rejected(self, tmp_path, scene):
         graph = tmp_path / "clean.txt"
         cooc = tmp_path / "cooc.tsv"

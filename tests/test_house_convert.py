@@ -128,15 +128,16 @@ class TestParseHouse:
 
     @pytest.mark.parametrize("lineno, record", [
         (6, "R 0 0 0 0 k 6.0 6.0 1.5 4 0 0 10 10 3 3.0 0 0 0 0"),
+        (8, "C 0 10 bathtub 18 bathtub 0 0 0 0 0"),
         (13, "O 2 1 2 8.0 8.0 1.0 1 0 0 0 1 0 0.5 0.5 1.0 0 0 0 0 0 0 0 0"),
-    ], ids=["region", "object"])
+    ], ids=["region", "category", "object"])
     def test_repeated_index_names_the_line(self, tmp_path, lineno, record):
         path = tmp_path / "twice.house"
         lines = HOUSE_TEXT.splitlines()
         lines.insert(lineno - 1, record)
         path.write_text("\n".join(lines) + "\n")
         kind, index = record.split()[:2]
-        name = {"R": "region", "O": "object"}[kind]
+        name = {"R": "region", "C": "category", "O": "object"}[kind]
         with pytest.raises(ParseError) as caught:
             parse_house_file(path)
         assert str(caught.value) == (

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from roomsense.ingest import (
     DEFAULT_OUTDOOR_ROOM_LABELS,
+    DEFAULT_REJECTED_OBJECT_LABELS,
     DEFAULT_REMOVED_ROOM_LABELS,
     IngestConfig,
     ParseError,
@@ -260,7 +261,7 @@ def _fix_every_object(graph, fixes):
     )
     spaces = tuple(
         space if space.name == "room"
-        else observed_space(space.name, objects, space.rejected)
+        else observed_space(space.name, objects)
         for space in graph.label_spaces
     )
     return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
@@ -302,6 +303,31 @@ class TestSpellingFixes:
         path.write_text("# comment\nTeh Chair\tthe chair\n")
         assert load_spelling_fixes(path) == {"teh chair": "the chair"}
 
+    def test_exact_repeats_and_identity_rows_load(self, tmp_path):
+        path = tmp_path / "fixes.tsv"
+        path.write_text("frige\tfridge\nfridge\tfridge\nFrige\tFridge\n")
+        assert load_spelling_fixes(path) == {"frige": "fridge", "fridge": "fridge"}
+
+    def test_second_correction_names_its_line(self, tmp_path):
+        path = tmp_path / "fixes.tsv"
+        path.write_text("frige\tfridge\n# other\nfrige\trefrigerator\n")
+        with pytest.raises(ParseError) as caught:
+            load_spelling_fixes(path)
+        assert str(caught.value) == f"{path}:3: 'frige' already corrected to 'fridge'"
+
+    @pytest.mark.parametrize("rows", [
+        "frige\tfridge\nfridge\trefrigerator\n",
+        "fridge\trefrigerator\nfrige\tfridge\n",
+    ], ids=["correction-first", "correction-second"])
+    def test_chained_corrections_name_the_later_line(self, tmp_path, rows):
+        path = tmp_path / "fixes.tsv"
+        path.write_text("# header\n" + rows)
+        with pytest.raises(ParseError) as caught:
+            load_spelling_fixes(path)
+        assert str(caught.value) == (
+            f"{path}:3: chained correction 'frige' -> 'fridge' -> 'refrigerator'"
+        )
+
 
 class TestConflictResolution:
     def test_stairs_kept_over_miscellaneous(self, raw_graph):
@@ -309,11 +335,6 @@ class TestConflictResolution:
         by_id = graph.object_by_id()
         assert by_id["o-stairs1"].label_per_space["mpcat40"] == "stairs"
         assert by_id["o-stairs2"].label_per_space["mpcat40"] == "stairs"
-
-    def test_shadowed_secondary_labels_marked_rejected(self, raw_graph):
-        graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
-        rejected = graph.object_space("nyuclass").rejected
-        assert {"wall", "ceiling"} <= rejected
 
     def test_single_mapping_untouched(self, raw_graph):
         graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
@@ -352,10 +373,9 @@ class TestFiltering:
         graph = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
         assert "r-empty" not in {r.id for r in graph.rooms}
 
-    def test_room_space_pruned_and_rejections_recorded(self, raw_graph):
+    def test_room_space_pruned(self, raw_graph):
         graph = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
         assert graph.room_space.labels == ("bathroom", "bedroom", "kitchen", "living room")
-        assert graph.room_space.rejected == {"yard", "balcony", "porch", "none"}
 
     def test_unknown_space_rejected(self, raw_graph):
         with pytest.raises(SchemaError):
@@ -405,6 +425,16 @@ class TestFullPipeline:
         assert out1.read_bytes() == out2.read_bytes()
         assert twice.rooms == once.rooms
         assert twice.objects == once.objects
+
+    @pytest.mark.parametrize("run", ["fine", "coarse"])
+    def test_filtered_spaces_hold_no_rejected_label(self, raw_graph, run):
+        object_space = {"fine": "nyuclass", "coarse": "mpcat40"}[run]
+        graph = run_pipeline(raw_graph, IngestConfig(), object_space)
+        active = set(graph.object_space(object_space).labels)
+        assert not active & DEFAULT_REJECTED_OBJECT_LABELS
+        coarse = set(graph.object_space("mpcat40").labels)
+        allowed = {"object"} if run == "fine" else set()
+        assert coarse & DEFAULT_REJECTED_OBJECT_LABELS == allowed
 
     def test_no_empty_or_outdoor_rooms_after_filter(self, raw_graph):
         graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")

@@ -40,10 +40,9 @@ class TestNormalization:
 
 class TestLabelSpace:
     def test_create_normalizes(self):
-        space = label_space("Room", ["Bathroom", " Bed Room "], rejected=["NONE"])
+        space = label_space("Room", ["Bathroom", " Bed Room "])
         assert space.name == "room"
         assert space.labels == ("bathroom", "bed room")
-        assert space.rejected == frozenset({"none"})
 
     def test_membership(self):
         space = label_space("things", ["toilet", "sink"])
@@ -146,14 +145,14 @@ class TestSceneGraphAccessors:
 
 class TestLookupIndexes:
     def test_label_set_leaves_the_space_as_declared(self):
-        used = label_space("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        used = label_space("Things", ["Bed", "Lamp"])
         assert "bed" in used and "rug" not in used
-        fresh = label_space("Things", ["Bed", "Lamp"], rejected=["Rug"])
+        fresh = label_space("Things", ["Bed", "Lamp"])
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
-        assert set(dataclasses.asdict(used)) == {"name", "labels", "rejected"}
+        assert set(dataclasses.asdict(used)) == {"name", "labels"}
 
     def test_object_index_leaves_the_graph_as_declared(self):
         specs = {"r-bath": ("bathroom", ["toilet", "sink"]), "r-bed": ("bedroom", ["bed"])}
