@@ -208,7 +208,7 @@ def select_informative(
     Ordered by ascending entropy, ties broken by the lexicographically
     smaller label. Duplicate instances of a label count once; a room with
     fewer than k distinct labels contributes all of them. Invariant under
-    permutation and duplication of the room's object list.
+    permutation of the graph's objects.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
@@ -274,10 +274,11 @@ def read_table(path) -> CooccurrenceTable:
     """Read a table written by :func:`write_table`.
 
     The ``# alpha:`` line must hold ``-`` or a finite number of at least 0,
-    and a header row must follow the metadata. Every row must hold finite
-    numbers, a label no other row holds, probabilities summing to 1 within
-    1e-9 and the entropy of those probabilities within 1e-9; any other input
-    raises ``ValueError`` naming ``path:line``.
+    and a header row naming each room label once, none empty, must follow
+    the metadata. Every row must hold finite numbers, a label no other row
+    holds, probabilities summing to 1 within 1e-9 and the entropy of those
+    probabilities within 1e-9; any other input raises ``ValueError`` naming
+    ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -302,6 +303,10 @@ def read_table(path) -> CooccurrenceTable:
     if header[0] != "label" or header[-1] != "entropy":
         raise ValueError(f"{path}:{body_start + 1}: malformed table header")
     room_labels = tuple(header[1:-1])
+    if "" in room_labels or len(set(room_labels)) != len(room_labels):
+        raise ValueError(
+            f"{path}:{body_start + 1}: header repeats a room label or holds an empty one"
+        )
 
     rows: dict[str, tuple[float, ...]] = {}
     entropies: dict[str, float] = {}

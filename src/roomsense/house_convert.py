@@ -31,7 +31,6 @@ from .scene_model import (
     SceneGraph,
     normalize_label,
     observed_space,
-    rooms_with_members,
 )
 
 logger = logging.getLogger(__name__)
@@ -263,6 +262,4 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
         observed_space(COARSE_SPACE, objects),
         observed_space(fine_space, objects),
     )
-    return SceneGraph(
-        rooms=rooms_with_members(rooms, objects), objects=tuple(objects), label_spaces=spaces
-    )
+    return SceneGraph(rooms=tuple(rooms), objects=tuple(objects), label_spaces=spaces)

@@ -37,7 +37,6 @@ from .scene_model import (
     normalize_label,
     observed_space,
     observed_spaces,
-    rooms_with_members,
 )
 
 DEFAULT_OUTDOOR_ROOM_LABELS = frozenset({"yard", "balcony", "porch"})
@@ -220,7 +219,7 @@ def parse_scene_file(path) -> SceneGraph:
 
     object_nodes = tuple(objects.values())
     return SceneGraph(
-        rooms=rooms_with_members(rooms.values(), object_nodes),
+        rooms=tuple(rooms.values()),
         objects=object_nodes,
         label_spaces=(
             LabelSpace(name=ROOM_SPACE_NAME, labels=room_labels),
@@ -262,7 +261,7 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
     reassigned to a room whose bbox does contain the center; ties between
     overlapping rooms go to the lexicographically smallest room id. Objects
     contained by no room keep their original assignment (reassignment never
-    deletes). Edges are updated on both sides.
+    deletes).
     """
     rooms_by_id = graph.room_by_id()
     moved: list[ObjectNode] = []
@@ -286,12 +285,7 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
             )
         else:
             moved.append(obj)
-    objects = tuple(moved)
-    return SceneGraph(
-        rooms=rooms_with_members(graph.rooms, objects),
-        objects=objects,
-        label_spaces=graph.label_spaces,
-    )
+    return SceneGraph(rooms=graph.rooms, objects=tuple(moved), label_spaces=graph.label_spaces)
 
 
 def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph:
@@ -413,12 +407,11 @@ def filter_graph(
             return False
         return obj.label_per_space.get(object_space) not in DEFAULT_REJECTED_OBJECT_LABELS
 
-    # a kept object's room is kept and lists it, so only rooms without kept
-    # objects are dropped as empty
+    # a kept object's room is kept; a kept room that no kept object names is
+    # dropped as empty
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
-    rooms = tuple(
-        room for room in rooms_with_members(kept_rooms, kept_objects) if room.objects
-    )
+    occupied = {obj.assigned_room for obj in kept_objects}
+    rooms = tuple(room for room in kept_rooms if room.id in occupied)
     spaces = tuple(
         LabelSpace(
             name=space.name,

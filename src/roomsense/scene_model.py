@@ -5,9 +5,13 @@ evaluation) operates on these types. They are plain frozen dataclasses with
 no I/O; construction normalizes label strings so comparisons stay stable
 across data sources that mix capitalization.
 
+Room membership is stored once, on the object side: a room's objects are
+the objects whose ``assigned_room`` names it, in graph object order. Rooms
+carry no object list.
+
 A :class:`SceneGraph` is immutable after construction and safe to share
 across threads. Pipeline stages that "modify" a graph build a new one.
-Lookup indexes (a graph's objects by id, a space's label set) are built
+Lookup indexes (a graph's objects by room, a space's label set) are built
 once per instance, on first use; they are not dataclass fields, so
 equality, hashing, ``repr`` and ``asdict`` see only the declared data.
 """
@@ -102,28 +106,11 @@ class ObjectNode:
 
 @dataclass(frozen=True)
 class RoomNode:
-    """A room with its ground-truth label and contained object ids."""
+    """A room with its ground-truth label; its objects name it in ``assigned_room``."""
 
     id: str
     gt_label: str
     bbox: BoundingBox
-    objects: tuple[str, ...] = ()
-
-
-def rooms_with_members(rooms, objects) -> tuple[RoomNode, ...]:
-    """``rooms`` with object lists rebuilt from object-side assignments.
-
-    Each room lists the ids of the objects assigned to it, in object order;
-    objects assigned to a room not in ``rooms`` are listed nowhere.
-    """
-    members: dict[str, list[str]] = {room.id: [] for room in rooms}
-    for obj in objects:
-        if obj.assigned_room in members:
-            members[obj.assigned_room].append(obj.id)
-    return tuple(
-        RoomNode(id=r.id, gt_label=r.gt_label, bbox=r.bbox, objects=tuple(members[r.id]))
-        for r in rooms
-    )
 
 
 @dataclass(frozen=True)
@@ -159,25 +146,25 @@ class SceneGraph:
     def room_by_id(self) -> dict[str, RoomNode]:
         return {r.id: r for r in self.rooms}
 
-    def object_by_id(self) -> dict[str, ObjectNode]:
-        return {o.id: o for o in self.objects}
-
     @cached_property
-    def _object_index(self) -> dict[str, ObjectNode]:
-        return self.object_by_id()
+    def _room_members(self) -> dict[str, list[ObjectNode]]:
+        members: dict[str, list[ObjectNode]] = {}
+        for obj in self.objects:
+            members.setdefault(obj.assigned_room, []).append(obj)
+        return members
 
     def objects_in_room(self, room: RoomNode) -> list[ObjectNode]:
-        by_id = self._object_index
-        return [by_id[oid] for oid in room.objects if oid in by_id]
+        """The objects whose ``assigned_room`` is ``room.id``, in object order."""
+        return list(self._room_members.get(room.id, ()))
 
 
 def validate(graph: SceneGraph) -> list[str]:
     """Check every structural invariant; return one description per violation.
 
     Read-only and idempotent. An empty result means the graph is
-    well-formed: labels normalized and inside their spaces, boxes ordered,
-    rooms non-empty, and room/object containment edges consistent in both
-    directions. Violations are data, not exceptions.
+    well-formed: labels normalized and inside their spaces, ids unique,
+    boxes ordered, every object assigned to an existing room, and every
+    room named by at least one object. Violations are data, not exceptions.
     """
     violations: list[str] = []
 
@@ -213,7 +200,7 @@ def validate(graph: SceneGraph) -> list[str]:
         rooms_by_id[room.id] = room
         if not room.bbox.is_well_formed():
             violations.append(f"room {room.id!r}: bbox min exceeds max")
-        if not room.objects:
+        if room.id not in graph._room_members:
             violations.append(f"room {room.id!r}: contains no objects")
         if room_space is not None and room.gt_label not in room_space:
             violations.append(
@@ -221,11 +208,11 @@ def validate(graph: SceneGraph) -> list[str]:
             )
 
     object_spaces = {s.name: s for s in graph.object_spaces}
-    objects_by_id: dict[str, ObjectNode] = {}
+    object_ids: set[str] = set()
     for obj in graph.objects:
-        if obj.id in objects_by_id:
+        if obj.id in object_ids:
             violations.append(f"object {obj.id!r}: duplicate object id")
-        objects_by_id[obj.id] = obj
+        object_ids.add(obj.id)
         if not obj.bbox.is_well_formed():
             violations.append(f"object {obj.id!r}: bbox min exceeds max")
         if obj.assigned_room not in rooms_by_id:
@@ -242,24 +229,5 @@ def validate(graph: SceneGraph) -> list[str]:
                 violations.append(
                     f"object {obj.id!r}: label {label!r} not in space {space_name!r}"
                 )
-
-    # Bidirectional edge integrity: room.objects and object.assigned_room
-    # must describe the same containment relation.
-    for room in graph.rooms:
-        for oid in room.objects:
-            obj = objects_by_id.get(oid)
-            if obj is None:
-                violations.append(f"room {room.id!r}: lists missing object {oid!r}")
-            elif obj.assigned_room != room.id:
-                violations.append(
-                    f"room {room.id!r}: lists object {oid!r} assigned to "
-                    f"{obj.assigned_room!r}"
-                )
-    for obj in graph.objects:
-        room = rooms_by_id.get(obj.assigned_room)
-        if room is not None and obj.id not in room.objects:
-            violations.append(
-                f"object {obj.id!r}: not listed by its room {room.id!r}"
-            )
 
     return violations

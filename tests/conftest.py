@@ -41,6 +41,10 @@ def box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> BoundingBox:
     return BoundingBox(min_corner=tuple(map(float, lo)), max_corner=tuple(map(float, hi)))
 
 
+def object_by_id(graph: SceneGraph) -> dict[str, ObjectNode]:
+    return {o.id: o for o in graph.objects}
+
+
 def build_graph(room_specs, space_name="things", room_labels=ROOM_LABELS_3) -> SceneGraph:
     """Construct a validated-shape graph from {room_id: (label, [object labels])}.
 
@@ -51,26 +55,16 @@ def build_graph(room_specs, space_name="things", room_labels=ROOM_LABELS_3) -> S
     objects = []
     for i, (room_id, (label, obj_labels)) in enumerate(sorted(room_specs.items())):
         x0 = 10.0 * i
-        obj_ids = []
         for j, obj_label in enumerate(obj_labels):
-            obj_id = f"{room_id}-o{j}"
-            obj_ids.append(obj_id)
             objects.append(
                 ObjectNode(
-                    id=obj_id,
+                    id=f"{room_id}-o{j}",
                     label_per_space={space_name: obj_label},
                     bbox=box((x0 + 1 + 0.1 * j, 1, 0), (x0 + 1.5 + 0.1 * j, 1.5, 0.5)),
                     assigned_room=room_id,
                 )
             )
-        rooms.append(
-            RoomNode(
-                id=room_id,
-                gt_label=label,
-                bbox=box((x0, 0, 0), (x0 + 9, 9, 3)),
-                objects=tuple(obj_ids),
-            )
-        )
+        rooms.append(RoomNode(id=room_id, gt_label=label, bbox=box((x0, 0, 0), (x0 + 9, 9, 3))))
     observed = tuple(sorted({o.label_per_space[space_name] for o in objects}))
     return SceneGraph(
         rooms=tuple(rooms),

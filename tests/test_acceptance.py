@@ -33,7 +33,7 @@ from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate, render_room_query
 from roomsense.scene_model import validate
 
-from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, scene_file_text
+from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, object_by_id, scene_file_text
 from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, room_with
 from test_evaluation import LABELS_ABC, hand_built_predictions, prediction
 from test_inference import BATH_BONUSES, classify_room, synthetic_graph
@@ -54,7 +54,6 @@ def oracle_predictions(graph, space_name, alpha, k, scorer):
     and the Python standard library with the code under test.
     """
     room_labels = list(graph.room_space.labels)
-    objects_by_id = {o.id: o for o in graph.objects}
     rooms_by_id = {r.id: r for r in graph.rooms}
 
     counts = {}
@@ -79,7 +78,9 @@ def oracle_predictions(graph, space_name, alpha, k, scorer):
     records = []
     for room in sorted(graph.rooms, key=lambda r: r.id):
         present = {
-            objects_by_id[oid].label_per_space[space_name] for oid in room.objects
+            obj.label_per_space[space_name]
+            for obj in graph.objects
+            if obj.assigned_room == room.id
         }
         chosen = sorted(present, key=lambda l: (entropies[l], l))[:k]
 
@@ -320,7 +321,7 @@ class TestIngestion:
         config = IngestConfig()
         graph = run_pipeline(raw, config, "nyuclass")
         assert validate(graph) == []
-        by_id = graph.object_by_id()
+        by_id = object_by_id(graph)
 
         # bbox reassignment: the toilet filed under the living room
         assert by_id["o-toilet"].assigned_room == "r-bath"
@@ -336,7 +337,7 @@ class TestIngestion:
         assert "o-wall" not in by_id and "o-ceiling" not in by_id
         assert "o-pingpong" in by_id
         coarse = run_pipeline(raw, config, "mpcat40")
-        assert "o-pingpong" not in coarse.object_by_id()
+        assert "o-pingpong" not in object_by_id(coarse)
 
         # full pipeline is a fixed point on its own output
         first = tmp_path / "clean1.txt"

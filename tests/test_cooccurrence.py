@@ -432,13 +432,16 @@ def _entropy_off_by(cells, delta):
     return [*cells[:-1], repr(float(cells[-1]) + delta)]
 
 
-# name -> (edit of the first row's cells, whether the edited row is appended)
+# name -> (edit of a line's cells, the line: the "header", the first "row",
+# or a copy of the first row that is "appended")
 _CORRUPTIONS = {
-    "nan-cell": (lambda cells: [cells[0], "nan", *cells[2:]], False),
-    "non-numeric-cell": (lambda cells: [cells[0], "0.5x", *cells[2:]], False),
-    "duplicate-label": (lambda cells: cells, True),
-    "row-sums-to-0.95": (lambda cells: _scaled(cells, 0.95), False),
-    "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), False),
+    "nan-cell": (lambda cells: [cells[0], "nan", *cells[2:]], "row"),
+    "non-numeric-cell": (lambda cells: [cells[0], "0.5x", *cells[2:]], "row"),
+    "duplicate-label": (lambda cells: cells, "appended"),
+    "row-sums-to-0.95": (lambda cells: _scaled(cells, 0.95), "row"),
+    "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), "row"),
+    "header-repeated-room": (lambda cells: [*cells[:2], cells[1], *cells[3:]], "header"),
+    "header-empty-room": (lambda cells: [cells[0], "", *cells[2:]], "header"),
 }
 
 
@@ -447,15 +450,16 @@ class TestReadTableRejectsCorruptRows:
     def _corrupt(path, two_room_graph, name):
         write_table(count_ground_truth(two_room_graph, "things"), path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        first = next(i for i, line in enumerate(lines) if line.startswith("label\t")) + 1
-        edit, appended = _CORRUPTIONS[name]
-        edited = "\t".join(edit(lines[first].split("\t")))
-        if appended:
+        header = next(i for i, line in enumerate(lines) if line.startswith("label\t"))
+        edit, where = _CORRUPTIONS[name]
+        index = header if where == "header" else header + 1
+        edited = "\t".join(edit(lines[index].split("\t")))
+        if where == "appended":
             lines.append(edited)
         else:
-            lines[first] = edited
+            lines[index] = edited
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return len(lines) if appended else first + 1
+        return len(lines) if where == "appended" else index + 1
 
     @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
     def test_error_names_file_and_line(self, tmp_path, two_room_graph, name):

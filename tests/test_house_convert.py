@@ -13,6 +13,8 @@ from roomsense.house_convert import (
 )
 from roomsense.ingest import IngestConfig, ParseError, parse_scene_file, run_pipeline
 
+from conftest import object_by_id
+
 HOUSE_TEXT = """\
 ASCII 1.0
 H testhouse - 0 0 0 0 0 4 3 3 0 1 0 0 0 0 0 0 0 0 10 10 3 0 0 0 0 0
@@ -56,22 +58,22 @@ class TestParseHouse:
 
     def test_objects_carry_both_label_spaces(self, house_path):
         graph = parse_house_file(house_path)
-        obj = graph.object_by_id()["testhouse/O0"]
+        obj = object_by_id(graph)["testhouse/O0"]
         assert obj.assigned_room == "testhouse/R0"
         assert obj.label_per_space == {"mpcat40": "toilet", "rawcategory": "toilet"}
 
     def test_hash_means_space_in_names(self, house_path):
         graph = parse_house_file(house_path)
-        obj = graph.object_by_id()["testhouse/O1"]
+        obj = object_by_id(graph)["testhouse/O1"]
         assert obj.label_per_space["rawcategory"] == "kitchen counter"
 
     def test_unassigned_object_skipped(self, house_path):
         graph = parse_house_file(house_path)
-        assert "testhouse/O3" not in graph.object_by_id()
+        assert "testhouse/O3" not in object_by_id(graph)
 
     def test_oriented_box_becomes_axis_aligned_hull(self, house_path):
         graph = parse_house_file(house_path)
-        bbox = graph.object_by_id()["testhouse/O1"].bbox
+        bbox = object_by_id(graph)["testhouse/O1"].bbox
         half = 1.5 * 0.707107  # |a0|*r0 + |a1|*r1 projected on x (and y)
         assert bbox.min_corner[0] == pytest.approx(5.0 - half, abs=1e-6)
         assert bbox.max_corner[1] == pytest.approx(5.0 + half, abs=1e-6)
@@ -105,7 +107,7 @@ class TestParseHouse:
         map_path = tmp_path / "mapping.tsv"
         map_path.write_text(CATEGORY_MAP)
         graph = parse_house_file(house_path, category_map=load_category_map(map_path))
-        obj = graph.object_by_id()["testhouse/O1"]
+        obj = object_by_id(graph)["testhouse/O1"]
         assert obj.label_per_space["nyuclass"] == "counter"
 
     def test_malformed_record(self, tmp_path):

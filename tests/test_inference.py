@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import re
@@ -144,7 +145,7 @@ class TestClassifyRoom:
         )
 
     def test_empty_room_defended(self, bath_graph, bath_table):
-        ghost = RoomNode(id="r-ghost", gt_label="bathroom", bbox=box(), objects=())
+        ghost = RoomNode(id="r-ghost", gt_label="bathroom", bbox=box())
         with pytest.raises(RoomClassificationError):
             classify_room(ghost, bath_graph, bath_table, OfflineScorer(), k=3)
 
@@ -177,12 +178,8 @@ class TestClassifyRoom:
         scorer = OfflineScorer(seed=2)
         room = bath_graph.room_by_id()["r-bath"]
         base = classify_room(room, bath_graph, bath_table, scorer, k=3)
-        shuffled_room = dataclasses.replace(room, objects=room.objects[::-1])
-        graph = dataclasses.replace(
-            bath_graph,
-            rooms=tuple(shuffled_room if r.id == room.id else r for r in bath_graph.rooms),
-        )
-        again = classify_room(shuffled_room, graph, bath_table, scorer, k=3)
+        graph = dataclasses.replace(bath_graph, objects=bath_graph.objects[::-1])
+        again = classify_room(room, graph, bath_table, scorer, k=3)
         assert again == base
 
 
@@ -237,13 +234,15 @@ class TestClassifyGraph:
         )
         table = count_ground_truth(graph, "things", alpha=1.0)
         calls = []
-        index = SceneGraph.object_by_id
+        index = SceneGraph._room_members.func
 
         def counted(self):
             calls.append(self)
             return index(self)
 
-        monkeypatch.setattr(SceneGraph, "object_by_id", counted)
+        counted_index = functools.cached_property(counted)
+        counted_index.__set_name__(SceneGraph, "_room_members")
+        monkeypatch.setattr(SceneGraph, "_room_members", counted_index)
         result = classify_graph(graph, table, OfflineScorer(seed=13), k=3)
         assert len(result.predictions) == 3
         assert len(calls) == 1

@@ -21,7 +21,7 @@ from roomsense.ingest import (
 )
 from roomsense.scene_model import ObjectNode, SceneGraph, observed_space, validate
 
-from conftest import scene_file_text
+from conftest import object_by_id, scene_file_text
 
 ROOMS_HEADER = ("bathroom", "bedroom", "kitchen", "living room", "porch", "none")
 
@@ -169,22 +169,23 @@ class TestParse:
 class TestReassignment:
     def test_toilet_moves_to_bathroom(self, raw_graph):
         graph = reassign_objects_by_bbox(raw_graph)
-        toilet = graph.object_by_id()["o-toilet"]
+        toilet = object_by_id(graph)["o-toilet"]
         assert toilet.assigned_room == "r-bath"
-        assert "o-toilet" in graph.room_by_id()["r-bath"].objects
-        assert "o-toilet" not in graph.room_by_id()["r-living"].objects
+        bath, living = (graph.room_by_id()[r] for r in ("r-bath", "r-living"))
+        assert toilet in graph.objects_in_room(bath)
+        assert toilet not in graph.objects_in_room(living)
 
     def test_contained_object_unchanged(self, raw_graph):
         graph = reassign_objects_by_bbox(raw_graph)
-        assert graph.object_by_id()["o-sofa"].assigned_room == "r-living"
+        assert object_by_id(graph)["o-sofa"].assigned_room == "r-living"
 
     def test_uncontained_object_keeps_assignment(self, raw_graph):
         graph = reassign_objects_by_bbox(raw_graph)
-        assert graph.object_by_id()["o-nowhere"].assigned_room == "r-living"
+        assert object_by_id(graph)["o-nowhere"].assigned_room == "r-living"
 
     def test_overlap_resolved_by_room_id_order(self, raw_graph):
         graph = reassign_objects_by_bbox(raw_graph)
-        floating = graph.object_by_id()["o-floating"]
+        floating = object_by_id(graph)["o-floating"]
         # brute-force containment over every room
         center = floating.bbox.center
         containers = sorted(
@@ -270,14 +271,14 @@ def _fix_every_object(graph, fixes):
 class TestSpellingFixes:
     def test_known_misspelling_corrected(self, raw_graph):
         graph = apply_spelling_fixes(raw_graph, {"refridgerator": "refrigerator"})
-        fridge = graph.object_by_id()["o-fridge"]
+        fridge = object_by_id(graph)["o-fridge"]
         assert fridge.label_per_space["nyuclass"] == "refrigerator"
         assert "refrigerator" in graph.object_space("nyuclass").labels
         assert "refridgerator" not in graph.object_space("nyuclass").labels
 
     def test_unmatched_labels_unchanged(self, raw_graph):
         graph = apply_spelling_fixes(raw_graph, {"refridgerator": "refrigerator"})
-        assert graph.object_by_id()["o-sofa"].label_per_space["nyuclass"] == "sofa"
+        assert object_by_id(graph)["o-sofa"].label_per_space["nyuclass"] == "sofa"
 
     def test_empty_map_is_identity(self, raw_graph):
         assert apply_spelling_fixes(raw_graph, {}) == raw_graph
@@ -332,13 +333,13 @@ class TestSpellingFixes:
 class TestConflictResolution:
     def test_stairs_kept_over_miscellaneous(self, raw_graph):
         graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
-        by_id = graph.object_by_id()
+        by_id = object_by_id(graph)
         assert by_id["o-stairs1"].label_per_space["mpcat40"] == "stairs"
         assert by_id["o-stairs2"].label_per_space["mpcat40"] == "stairs"
 
     def test_single_mapping_untouched(self, raw_graph):
         graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
-        assert graph.object_by_id()["o-sofa"].label_per_space["mpcat40"] == "sofa"
+        assert object_by_id(graph)["o-sofa"].label_per_space["mpcat40"] == "sofa"
 
 
 class TestFiltering:
@@ -389,7 +390,7 @@ class TestFullPipeline:
         assert {r.id for r in graph.rooms} == {
             "r-bath", "r-living", "r-kitchen", "r-ovl-a", "r-ovl-b"
         }
-        by_id = graph.object_by_id()
+        by_id = object_by_id(graph)
         assert set(by_id) == {
             "o-toilet", "o-sofa", "o-stairs1", "o-pingpong", "o-nowhere",
             "o-fridge", "o-stairs2", "o-floating", "o-bed-b",
@@ -440,7 +441,7 @@ class TestFullPipeline:
         graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")
         banned = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
         for room in graph.rooms:
-            assert room.objects
+            assert graph.objects_in_room(room)
             assert room.gt_label not in banned
 
 

@@ -15,8 +15,10 @@ import requests
 from hypothesis import given, strategies as st
 
 from roomsense import lm_scoring
-from roomsense.cooccurrence import count_ground_truth
+from roomsense.cli import main
+from roomsense.cooccurrence import count_ground_truth, write_table
 from roomsense.inference import classify_graph
+from roomsense.ingest import write_scene_file
 from roomsense.lm_scoring import (
     CachingScorer,
     OfflineScorer,
@@ -1146,6 +1148,67 @@ class TestDistinctSentences:
         assert "backend refused the request" in reasons[0] and "400" in reasons[0]
         # the refused sentence is sent once and not retried
         assert _Handler.calls == 4
+
+
+class TestRemoteResumeThroughCli:
+    """An ``infer`` cut short by a refusing endpoint resumes from its cache."""
+
+    OK_POSTS = 5
+
+    @pytest.mark.parametrize("model_flags", [
+        pytest.param(["--model", "test-lm"], id="model"),
+        pytest.param([], id="no-model",
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP bug (a)")),
+    ])
+    def test_rerun_posts_only_what_is_not_cached(
+        self, tmp_path, mock_endpoint, monkeypatch, model_flags
+    ):
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        graph = build_graph(
+            {
+                "r-bath": ("bathroom", ["toilet", "shower", "sink"]),
+                "r-bed": ("bedroom", ["bed", "pillow", "lamp"]),
+                "r-kitchen": ("kitchen", ["stove", "oven", "table"]),
+                "r-study": ("bedroom", ["chair", "table", "lamp"]),
+            }
+        )
+        graph_path, cooc, out = tmp_path / "graph.txt", tmp_path / "cooc.tsv", tmp_path / "p.jsonl"
+        write_scene_file(graph, graph_path)
+        write_table(count_ground_truth(graph, "things"), cooc)
+        cache = tmp_path / "cache"
+        argv = [
+            "infer", "--graph", str(graph_path), "--cooc", str(cooc), "--out", str(out),
+            "--backend", "remote", "--endpoint", mock_endpoint, *model_flags,
+            "--max-inflight", "1", "--cache-dir", str(cache),
+        ]
+        posted = []
+
+        def healthy(payload):
+            posted.append(payload["prompt"])
+            return _echo_logprobs(payload)
+
+        def run(behaviors):
+            posted.clear()
+            _Handler.behaviors = behaviors
+            assert main(argv) == 0
+            return list(posted)
+
+        # the endpoint refuses every POST after the first few, without a retry
+        run([healthy] * self.OK_POSTS + [lambda p: (400, {"error": "quota exhausted"})])
+        records = (cache / "scores.jsonl").read_text(encoding="utf-8").splitlines()
+        cached = {json.loads(line)["sentence"] for line in records}
+        assert len(cached) == self.OK_POSTS
+
+        resumed_posts = run([healthy])
+        resumed = out.read_bytes()
+
+        # the same command from an empty cache on a healthy endpoint
+        (cache / "scores.jsonl").unlink()
+        out.unlink()
+        distinct = run([healthy])
+        assert len(distinct) == len(set(distinct)) > self.OK_POSTS
+        assert sorted(resumed_posts) == sorted(set(distinct) - cached)
+        assert resumed == out.read_bytes()
 
 
 class TestMakeScorer:

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from roomsense.ingest import parse_scene_file
 from roomsense.scene_model import (
     BoundingBox,
     LabelSpace,
@@ -13,6 +14,7 @@ from roomsense.scene_model import (
 )
 
 from conftest import box, build_graph, label_space
+from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS
 
 
 class TestNormalization:
@@ -74,15 +76,15 @@ class TestValidate:
 
     def test_empty_room(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
-        empty = RoomNode(id="r1", gt_label="bedroom", bbox=box(), objects=())
+        empty = RoomNode(id="r1", gt_label="bedroom", bbox=box())
         graph = dataclasses.replace(graph, rooms=graph.rooms + (empty,))
         violations = validate(graph)
         assert any("r1" in v and "no objects" in v for v in violations)
 
     def test_one_entry_per_violation(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
-        empty_a = RoomNode(id="rA", gt_label="bedroom", bbox=box(), objects=())
-        empty_b = RoomNode(id="rB", gt_label="bedroom", bbox=box(), objects=())
+        empty_a = RoomNode(id="rA", gt_label="bedroom", bbox=box())
+        empty_b = RoomNode(id="rB", gt_label="bedroom", bbox=box())
         graph = dataclasses.replace(graph, rooms=graph.rooms + (empty_a, empty_b))
         violations = [v for v in validate(graph) if "no objects" in v]
         assert len(violations) == 2
@@ -103,12 +105,6 @@ class TestValidate:
         graph = build_graph({"r0": ("bathroom", ["toilet"])}, room_labels=("bathroom",))
         assert any(">= 2 labels" in v for v in validate(graph))
 
-    def test_one_sided_edge(self, two_room_graph):
-        room = two_room_graph.rooms[0]
-        trimmed = dataclasses.replace(room, objects=room.objects[1:])
-        graph = dataclasses.replace(two_room_graph, rooms=(trimmed,) + two_room_graph.rooms[1:])
-        assert any("not listed by its room" in v for v in validate(graph))
-
     def test_idempotent_and_read_only(self, two_room_graph):
         graph = two_room_graph
         before = (graph.rooms, graph.objects, graph.label_spaces)
@@ -117,15 +113,21 @@ class TestValidate:
         assert first == second
         assert (graph.rooms, graph.objects, graph.label_spaces) == before
 
-    def test_containment_round_trips(self, two_room_graph):
-        assert validate(two_room_graph) == []
-        by_id = two_room_graph.object_by_id()
-        for room in two_room_graph.rooms:
-            for oid in room.objects:
-                assert by_id[oid].assigned_room == room.id
-        for obj in two_room_graph.objects:
-            room = two_room_graph.room_by_id()[obj.assigned_room]
-            assert obj.id in room.objects
+    def test_objects_in_room_yields_each_placed_object_once(self, two_room_graph, scene_path):
+        ghost = ("o-ghost", "r-ghost", ("chair", "chair"), (0, 0, 0), (1, 1, 1))
+        parsed = parse_scene_file(scene_path(FIXTURE_ROOMS, [*FIXTURE_OBJECTS, ghost]))
+        one_empty = build_graph({"r-a": ("bathroom", ["toilet", "sink"]), "r-b": ("bedroom", [])})
+        for graph in (two_room_graph, one_empty, parsed):
+            room_ids = {room.id for room in graph.rooms}
+            yielded = [obj.id for room in graph.rooms for obj in graph.objects_in_room(room)]
+            placed = [obj.id for obj in graph.objects if obj.assigned_room in room_ids]
+            assert sorted(yielded) == sorted(placed)
+            for room in graph.rooms:
+                assert graph.objects_in_room(room) == [
+                    obj for obj in graph.objects if obj.assigned_room == room.id
+                ]
+        assert "o-ghost" in {obj.id for obj in parsed.objects}
+        assert "o-ghost" not in yielded
 
 
 class TestSceneGraphAccessors:
