@@ -153,7 +153,7 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
 
 def _resolve_object_space(graph, choice: str) -> str:
     """Map fine/coarse onto the graph's declared spaces (coarse first)."""
-    names = [s.name for s in graph.object_spaces]
+    names = graph.object_space_names
     if not names:
         raise DataError("graph declares no object label spaces")
     return names[0] if choice == "coarse" else names[-1]
@@ -209,7 +209,7 @@ def cmd_ingest(args) -> int:
     processed = []
     for scene in args.scene:
         raw = ingest.parse_scene_file(scene)
-        space = _resolve_object_space(raw, args.object_space) if raw.object_spaces else None
+        space = _resolve_object_space(raw, args.object_space) if raw.object_space_names else None
         if space is None:
             processed.append(raw)
             continue
@@ -264,10 +264,10 @@ def cmd_cooc(args) -> int:
 def cmd_infer(args) -> int:
     graph = ingest.parse_scene_file(args.graph)
     table = read_table(args.cooc)
-    names = [s.name for s in graph.object_spaces]
+    names = graph.object_space_names
     if table.object_space not in names:
         raise DataError(
-            f"table object space {table.object_space!r} not in graph spaces {names}"
+            f"table object space {table.object_space!r} not in graph spaces {list(names)}"
         )
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)

@@ -91,8 +91,7 @@ def count_ground_truth(
     Counting tallies one per object instance by default; with
     ``presence=True`` a label counts at most once per room. Laplace
     smoothing adds ``alpha`` to every (object label, room label) cell, so
-    rows stay strictly positive for alpha > 0 and a never-observed label
-    gets the uniform row.
+    rows stay strictly positive for alpha > 0.
     """
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
@@ -107,7 +106,7 @@ def count_ground_truth(
     seen_in_room: set[tuple[str, str]] = set()
     for obj in graph.objects:
         label = obj.label_per_space.get(object_space)
-        if label is None or label not in counts:
+        if label is None:
             continue
         room = rooms_by_id.get(obj.assigned_room)
         if room is None:

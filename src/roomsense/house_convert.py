@@ -30,7 +30,6 @@ from .scene_model import (
     RoomNode,
     SceneGraph,
     normalize_label,
-    observed_space,
 )
 
 logger = logging.getLogger(__name__)
@@ -167,7 +166,9 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     """Parse one ``.house`` file into a raw (pre-filter) scene graph.
 
     A malformed record, or a repeated ``R``, ``C`` or ``O`` index, is a
-    :class:`ParseError` naming its ``path:line``.
+    :class:`ParseError` naming its ``path:line``. Ids take the house name
+    current at their record: the file stem until an ``H`` line names one.
+    An object takes the id its region was given at the region's ``R`` line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     house_name = Path(path).stem
@@ -175,7 +176,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     categories: dict[int, tuple[str, str]] = {}  # index -> (fine, coarse)
     rooms: list[RoomNode] = []
     raw_objects: list[tuple[str, int, int, BoundingBox]] = []
-    region_ids: set[int] = set()
+    room_ids: dict[int, str] = {}  # region index -> room id
     object_ids: set[int] = set()
 
     for lineno, raw in enumerate(lines, 1):
@@ -191,7 +192,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 if len(tokens) < 15:
                     raise ValueError(f"need 15+ tokens, got {len(tokens)}")
                 index = int(tokens[1])
-                if index in region_ids:
+                if index in room_ids:
                     raise ValueError(f"duplicate region index {index}")
                 letter = tokens[5]
                 label = REGION_LETTER_LABELS.get(letter)
@@ -201,14 +202,14 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                     )
                     label = "none"
                 bounds = tuple(map(float, tokens[9:15]))
+                room_ids[index] = f"{house_name}/R{index}"
                 rooms.append(
                     RoomNode(
-                        id=f"{house_name}/R{index}",
+                        id=room_ids[index],
                         gt_label=normalize_label(label),
                         bbox=BoundingBox(min_corner=bounds[0:3], max_corner=bounds[3:6]),
                     )
                 )
-                region_ids.add(index)
             elif kind == "C":
                 if len(tokens) < 6:
                     raise ValueError(f"need 6+ tokens, got {len(tokens)}")
@@ -244,7 +245,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     fine_space = FINE_SPACE_MAPPED if category_map is not None else FINE_SPACE_RAW
     objects: list[ObjectNode] = []
     for obj_id, region_index, category_index, bbox in raw_objects:
-        if region_index < 0 or region_index not in region_ids:
+        if region_index < 0 or region_index not in room_ids:
             logger.warning("skipping %s: no region assignment", obj_id)
             continue
         fine, coarse = categories.get(category_index, ("unlabeled", "unlabeled"))
@@ -253,13 +254,13 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 id=obj_id,
                 label_per_space={COARSE_SPACE: coarse, fine_space: fine},
                 bbox=bbox,
-                assigned_room=f"{house_name}/R{region_index}",
+                assigned_room=room_ids[region_index],
             )
         )
 
-    spaces = (
-        LabelSpace(name=ROOM_SPACE_NAME, labels=ROOM_LABEL_LIST),
-        observed_space(COARSE_SPACE, objects),
-        observed_space(fine_space, objects),
+    return SceneGraph(
+        rooms=tuple(rooms),
+        objects=tuple(objects),
+        room_space=LabelSpace(name=ROOM_SPACE_NAME, labels=ROOM_LABEL_LIST),
+        object_space_names=(COARSE_SPACE, fine_space),
     )
-    return SceneGraph(rooms=tuple(rooms), objects=tuple(objects), label_spaces=spaces)

@@ -16,13 +16,13 @@ Scene input files are UTF-8, line-delimited, tab-separated records
 
 The header declares the object label spaces (coarse space first by
 convention) and the full room-label list. Blank lines and lines starting
-with '#' are ignored. Object-space label sets are derived from the labels
-observed in the file; the room space is fixed by the header.
+with '#' are ignored. The room space is fixed by the header; an object
+space's labels are those its objects carry (:class:`SceneGraph`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,8 +35,6 @@ from .scene_model import (
     RoomNode,
     SceneGraph,
     normalize_label,
-    observed_space,
-    observed_spaces,
 )
 
 DEFAULT_OUTDOOR_ROOM_LABELS = frozenset({"yard", "balcony", "porch"})
@@ -126,10 +124,10 @@ def parse_scene_file(path) -> SceneGraph:
     """Parse a scene file into a raw, unfiltered graph.
 
     Labels are normalized but nothing is removed or reassigned. Room labels
-    must be declared in the header; object-space label sets are collected
-    from the file. A missing header is only legal for an entirely empty
-    file. Malformed records and duplicate ids raise :class:`ParseError`,
-    whose message starts with the record's ``path:line``.
+    must be declared in the header. A missing header is only legal for an
+    entirely empty file. Malformed records and duplicate ids raise
+    :class:`ParseError`, whose message starts with the record's
+    ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
 
@@ -217,14 +215,11 @@ def parse_scene_file(path) -> SceneGraph:
             raise SchemaError(f"{path}: records without a header")
         return SceneGraph()
 
-    object_nodes = tuple(objects.values())
     return SceneGraph(
         rooms=tuple(rooms.values()),
-        objects=object_nodes,
-        label_spaces=(
-            LabelSpace(name=ROOM_SPACE_NAME, labels=room_labels),
-            *(observed_space(name, object_nodes) for name in space_names),
-        ),
+        objects=tuple(objects.values()),
+        room_space=LabelSpace(name=ROOM_SPACE_NAME, labels=room_labels),
+        object_space_names=tuple(space_names),
     )
 
 
@@ -233,22 +228,21 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
     lines = []
     if manifest_id:
         lines.append(f"# manifest: {manifest_id}")
-    if not graph.label_spaces:
+    room_space = graph.room_space
+    if room_space is None and not graph.object_space_names:
         # an empty graph round-trips as an (effectively) empty file
         with atomic_write(path) as handle:
             handle.write("\n".join(lines) + "\n" if lines else "")
         return
-    room_space = graph.room_space
-    spaces = ",".join(s.name for s in graph.object_spaces)
+    spaces = ",".join(graph.object_space_names)
     rooms = ",".join(room_space.labels if room_space else ())
     lines.append(f"{_MAGIC}\t{_VERSION}\tspaces={spaces}\trooms={rooms}")
     for room in graph.rooms:
         coords = [*room.bbox.min_corner, *room.bbox.max_corner]
         lines.append("\t".join(["room", room.id, room.gt_label, *map(repr, coords)]))
-    space_names = [s.name for s in graph.object_spaces]
     for obj in graph.objects:
         coords = [*obj.bbox.min_corner, *obj.bbox.max_corner]
-        labels = [obj.label_per_space[name] for name in space_names]
+        labels = [obj.label_per_space[name] for name in graph.object_space_names]
         lines.append("\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)]))
     with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
@@ -274,22 +268,12 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
         containers = sorted(
             (room.id for room in graph.rooms if room.bbox.contains_point(center))
         )
-        if containers:
-            moved.append(
-                ObjectNode(
-                    id=obj.id,
-                    label_per_space=dict(obj.label_per_space),
-                    bbox=obj.bbox,
-                    assigned_room=containers[0],
-                )
-            )
-        else:
-            moved.append(obj)
-    return SceneGraph(rooms=graph.rooms, objects=tuple(moved), label_spaces=graph.label_spaces)
+        moved.append(replace(obj, assigned_room=containers[0]) if containers else obj)
+    return replace(graph, objects=tuple(moved))
 
 
 def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph:
-    """Replace misspelled object labels and recompute space membership.
+    """Replace misspelled object labels.
 
     An object none of whose labels has a fix is kept as it is.
     """
@@ -298,22 +282,16 @@ def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph
     objects = tuple(
         obj
         if fixes.keys().isdisjoint(obj.label_per_space.values())
-        else ObjectNode(
-            id=obj.id,
+        else replace(
+            obj,
             label_per_space={
                 space: fixes.get(label, label)
                 for space, label in obj.label_per_space.items()
             },
-            bbox=obj.bbox,
-            assigned_room=obj.assigned_room,
         )
         for obj in graph.objects
     )
-    return SceneGraph(
-        rooms=graph.rooms,
-        objects=objects,
-        label_spaces=observed_spaces(graph.label_spaces, objects),
-    )
+    return replace(graph, objects=objects)
 
 
 def resolve_label_space_conflicts(
@@ -344,30 +322,24 @@ def resolve_label_space_conflicts(
         usable = [p for p in primaries if p not in DEFAULT_REJECTED_OBJECT_LABELS]
         chosen[sec] = usable[0] if usable else primaries[0]
 
-    objects = graph.objects
-    if chosen:
-        objects = tuple(
-            ObjectNode(
-                id=obj.id,
-                label_per_space={
-                    **obj.label_per_space,
-                    primary_space: chosen.get(
-                        obj.label_per_space.get(secondary_space, ""),
-                        obj.label_per_space[primary_space],
-                    ),
-                },
-                bbox=obj.bbox,
-                assigned_room=obj.assigned_room,
-            )
-            if secondary_space in obj.label_per_space and primary_space in obj.label_per_space
-            else obj
-            for obj in graph.objects
+    if not chosen:
+        return graph
+    objects = tuple(
+        replace(
+            obj,
+            label_per_space={
+                **obj.label_per_space,
+                primary_space: chosen.get(
+                    obj.label_per_space.get(secondary_space, ""),
+                    obj.label_per_space[primary_space],
+                ),
+            },
         )
-    return SceneGraph(
-        rooms=graph.rooms,
-        objects=objects,
-        label_spaces=observed_spaces(graph.label_spaces, objects),
+        if secondary_space in obj.label_per_space and primary_space in obj.label_per_space
+        else obj
+        for obj in graph.objects
     )
+    return replace(graph, objects=objects)
 
 
 def filter_graph(
@@ -380,12 +352,11 @@ def filter_graph(
     ``DEFAULT_REJECTED_OBJECT_LABELS``, except that in runs over a finer
     space the coarse category "object" is retained: the fine space keeps
     semantically rich labels under it. Other object spaces are carried
-    unfiltered. Label spaces are rebuilt from the survivors.
+    unfiltered. The dropped room labels leave the room space.
     """
-    object_space_names = [s.name for s in graph.object_spaces]
-    if object_space not in object_space_names:
+    if object_space not in graph.object_space_names:
         raise SchemaError(f"object space {object_space!r} not declared in graph")
-    primary_space = object_space_names[0]
+    primary_space = graph.object_space_names[0]
 
     dropped_room_labels = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
     kept_rooms = tuple(
@@ -412,16 +383,13 @@ def filter_graph(
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
     occupied = {obj.assigned_room for obj in kept_objects}
     rooms = tuple(room for room in kept_rooms if room.id in occupied)
-    spaces = tuple(
-        LabelSpace(
-            name=space.name,
-            labels=tuple(l for l in space.labels if l not in dropped_room_labels),
+    room_space = graph.room_space
+    if room_space is not None:
+        room_space = LabelSpace(
+            name=room_space.name,
+            labels=tuple(l for l in room_space.labels if l not in dropped_room_labels),
         )
-        if space.name == ROOM_SPACE_NAME
-        else observed_space(space.name, kept_objects)
-        for space in graph.label_spaces
-    )
-    return SceneGraph(rooms=rooms, objects=kept_objects, label_spaces=spaces)
+    return replace(graph, rooms=rooms, objects=kept_objects, room_space=room_space)
 
 
 def run_pipeline(
@@ -430,7 +398,7 @@ def run_pipeline(
     """Apply the full preprocessing pipeline in its fixed order."""
     graph = reassign_objects_by_bbox(graph)
     graph = apply_spelling_fixes(graph, config.spelling_fixes)
-    names = [s.name for s in graph.object_spaces]
+    names = graph.object_space_names
     for secondary in names[1:]:
         graph = resolve_label_space_conflicts(graph, names[0], secondary)
     return filter_graph(graph, config, object_space)
@@ -439,20 +407,18 @@ def run_pipeline(
 def merge_graphs(graphs) -> SceneGraph:
     """Concatenate per-building graphs sharing the same label spaces.
 
-    Room spaces must agree exactly; object-space label sets are re-derived
-    from the union of objects. Duplicate node ids across inputs are a data
-    error (the converter prefixes ids with the building name).
+    Object-space names and room spaces must agree exactly; empty graphs
+    are skipped. Duplicate node ids across inputs are a data error (the
+    converter prefixes ids with the building name).
     """
-    graphs = [g for g in graphs if g.rooms or g.objects or g.label_spaces]
+    graphs = [g for g in graphs if g != SceneGraph()]
     if not graphs:
         return SceneGraph()
     first = graphs[0]
-    names = [s.name for s in first.label_spaces]
-    room_space = first.room_space
     for g in graphs[1:]:
-        if [s.name for s in g.label_spaces] != names:
+        if g.object_space_names != first.object_space_names:
             raise SchemaError("cannot merge graphs with different label spaces")
-        if g.room_space and room_space and g.room_space.labels != room_space.labels:
+        if g.room_space != first.room_space:
             raise SchemaError("cannot merge graphs with different room label lists")
 
     rooms: list[RoomNode] = []
@@ -471,11 +437,7 @@ def merge_graphs(graphs) -> SceneGraph:
             seen_objects.add(obj.id)
             objects.append(obj)
 
-    return SceneGraph(
-        rooms=tuple(rooms),
-        objects=tuple(objects),
-        label_spaces=observed_spaces(first.label_spaces, objects),
-    )
+    return replace(first, rooms=tuple(rooms), objects=tuple(objects))
 
 
 def room_label_histogram(graph: SceneGraph) -> dict[str, int]:

@@ -9,11 +9,15 @@ Room membership is stored once, on the object side: a room's objects are
 the objects whose ``assigned_room`` names it, in graph object order. Rooms
 carry no object list.
 
+Object label spaces are derived, not stored: a graph records only their
+names, and an object space's labels are the labels its objects carry.
+
 A :class:`SceneGraph` is immutable after construction and safe to share
 across threads. Pipeline stages that "modify" a graph build a new one.
-Lookup indexes (a graph's objects by room, a space's label set) are built
-once per instance, on first use; they are not dataclass fields, so
-equality, hashing, ``repr`` and ``asdict`` see only the declared data.
+Derived data (a graph's objects by room and its object spaces, a space's
+label set) is built once per instance, on first use; it is not a dataclass
+field, so equality, hashing, ``repr`` and ``asdict`` see only the declared
+data, and a graph built from another derives its own.
 """
 
 from __future__ import annotations
@@ -59,17 +63,12 @@ class LabelSpace:
 
 
 def observed_space(name: str, objects) -> LabelSpace:
-    """The object space ``name`` with exactly the labels its objects carry, sorted."""
-    labels = sorted({obj.label_per_space[name] for obj in objects})
-    return LabelSpace(name=name, labels=tuple(labels))
+    """The object space ``name`` with exactly the labels its objects carry, sorted.
 
-
-def observed_spaces(label_spaces, objects) -> tuple[LabelSpace, ...]:
-    """``label_spaces`` with the room space kept and each object space re-observed."""
-    return tuple(
-        space if space.name == ROOM_SPACE_NAME else observed_space(space.name, objects)
-        for space in label_spaces
-    )
+    An object with no label in ``name`` adds none; :func:`validate` reports it.
+    """
+    labels = {obj.label_per_space[name] for obj in objects if name in obj.label_per_space}
+    return LabelSpace(name=name, labels=tuple(sorted(labels)))
 
 
 @dataclass(frozen=True)
@@ -115,31 +114,28 @@ class RoomNode:
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Rooms and objects plus the label spaces they are annotated in.
+    """Rooms and objects, the room label space and the object spaces' names.
 
-    The room label space is the :class:`LabelSpace` named ``"room"``;
-    every other space in ``label_spaces`` is an object space, listed in
-    declaration order (coarse space first by convention).
+    ``room_space`` is the :class:`LabelSpace` named ``"room"``, declared by
+    the data source. ``object_space_names`` lists the object spaces in
+    declaration order (coarse space first by convention); each object
+    carries one label per name. Object-space labels are not stored:
+    :attr:`object_spaces` derives them from the objects.
     """
 
     rooms: tuple[RoomNode, ...] = ()
     objects: tuple[ObjectNode, ...] = ()
-    label_spaces: tuple[LabelSpace, ...] = ()
+    room_space: LabelSpace | None = None
+    object_space_names: tuple[str, ...] = ()
 
-    @property
-    def room_space(self) -> LabelSpace | None:
-        for space in self.label_spaces:
-            if space.name == ROOM_SPACE_NAME:
-                return space
-        return None
-
-    @property
+    @cached_property
     def object_spaces(self) -> tuple[LabelSpace, ...]:
-        return tuple(s for s in self.label_spaces if s.name != ROOM_SPACE_NAME)
+        """Each named object space, observed from the objects, in name order."""
+        return tuple(observed_space(name, self.objects) for name in self.object_space_names)
 
     def object_space(self, name: str) -> LabelSpace:
-        for space in self.label_spaces:
-            if space.name == name and name != ROOM_SPACE_NAME:
+        for space in self.object_spaces:
+            if space.name == name:
                 return space
         raise KeyError(f"no object label space named {name!r}")
 
@@ -162,14 +158,17 @@ def validate(graph: SceneGraph) -> list[str]:
     """Check every structural invariant; return one description per violation.
 
     Read-only and idempotent. An empty result means the graph is
-    well-formed: labels normalized and inside their spaces, ids unique,
-    boxes ordered, every object assigned to an existing room, and every
-    room named by at least one object. Violations are data, not exceptions.
+    well-formed: labels normalized, every object labelled in exactly the
+    declared object spaces, ids unique, boxes ordered, every object
+    assigned to an existing room, and every room named by at least one
+    object. Violations are data, not exceptions.
     """
     violations: list[str] = []
 
+    room_space = graph.room_space
     seen_space_names = set()
-    for space in graph.label_spaces:
+    spaces = graph.object_spaces if room_space is None else (room_space, *graph.object_spaces)
+    for space in spaces:
         if space.name in seen_space_names:
             violations.append(f"label space {space.name!r}: duplicate space name")
         seen_space_names.add(space.name)
@@ -185,7 +184,6 @@ def validate(graph: SceneGraph) -> list[str]:
                 )
             seen.add(label)
 
-    room_space = graph.room_space
     if room_space is not None and len(room_space.labels) < 2:
         violations.append(
             f"label space {room_space.name!r}: needs >= 2 labels, has {len(room_space.labels)}"
@@ -207,7 +205,7 @@ def validate(graph: SceneGraph) -> list[str]:
                 f"room {room.id!r}: label {room.gt_label!r} not in room label space"
             )
 
-    object_spaces = {s.name: s for s in graph.object_spaces}
+    declared = set(graph.object_space_names)
     object_ids: set[str] = set()
     for obj in graph.objects:
         if obj.id in object_ids:
@@ -219,15 +217,13 @@ def validate(graph: SceneGraph) -> list[str]:
             violations.append(
                 f"object {obj.id!r}: assigned room {obj.assigned_room!r} does not exist"
             )
-        for space_name, label in obj.label_per_space.items():
-            space = object_spaces.get(space_name)
-            if space is None:
+        for space_name in obj.label_per_space:
+            if space_name not in declared:
                 violations.append(
                     f"object {obj.id!r}: references undeclared label space {space_name!r}"
                 )
-            elif label not in space:
-                violations.append(
-                    f"object {obj.id!r}: label {label!r} not in space {space_name!r}"
-                )
+        for space_name in graph.object_space_names:
+            if space_name not in obj.label_per_space:
+                violations.append(f"object {obj.id!r}: no label in space {space_name!r}")
 
     return violations

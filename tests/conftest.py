@@ -65,14 +65,11 @@ def build_graph(room_specs, space_name="things", room_labels=ROOM_LABELS_3) -> S
                 )
             )
         rooms.append(RoomNode(id=room_id, gt_label=label, bbox=box((x0, 0, 0), (x0 + 9, 9, 3))))
-    observed = tuple(sorted({o.label_per_space[space_name] for o in objects}))
     return SceneGraph(
         rooms=tuple(rooms),
         objects=tuple(objects),
-        label_spaces=(
-            LabelSpace(name="room", labels=tuple(room_labels)),
-            LabelSpace(name=space_name, labels=observed),
-        ),
+        room_space=LabelSpace(name="room", labels=tuple(room_labels)),
+        object_space_names=(space_name,),
     )
 
 

@@ -20,7 +20,7 @@ from roomsense.cooccurrence import (
 from roomsense.ingest import write_scene_file
 from roomsense.lm_scoring import OfflineScorer, SentenceScore, SentenceScorer, TransportError
 from roomsense.querygen import render_proxy_query
-from roomsense.scene_model import LabelSpace, SceneGraph
+from roomsense.scene_model import LabelSpace
 
 from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, box, label_space
 
@@ -124,20 +124,6 @@ class TestCountGroundTruth:
         assert table.room_labels == ROOM_LABELS_3
         # kitchen is the third room label
         assert table.rows["stove"] == pytest.approx((1 / 4, 1 / 4, 2 / 4))
-
-    def test_unobserved_label_uniform(self):
-        graph = build_graph({"r0": ("bathroom", ["toilet"])})
-        space = graph.object_space("things")
-        padded = SceneGraph(
-            rooms=graph.rooms,
-            objects=graph.objects,
-            label_spaces=(
-                graph.room_space,
-                LabelSpace(name="things", labels=space.labels + ("unicorn",)),
-            ),
-        )
-        table = count_ground_truth(padded, "things", alpha=1.0)
-        assert table.rows["unicorn"] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_negative_alpha_rejected(self, two_room_graph):
         with pytest.raises(ValueError):

@@ -175,6 +175,24 @@ class TestConvertEndToEnd:
         assert "refrigerator" in labels
         assert "refridgerator" not in labels
 
+    def test_house_line_after_the_regions(self, tmp_path):
+        # rooms take the file stem current at their R lines; their objects
+        # must name those rooms, not rooms of the later H name
+        lines = HOUSE_TEXT.splitlines()
+        house_line = lines.pop(1).replace("testhouse", "renamed", 1)
+        last_region = max(i for i, line in enumerate(lines) if line.startswith("R "))
+        lines.insert(last_region + 1, house_line)
+        house = tmp_path / "late_h.house"
+        house.write_text("\n".join(lines) + "\n")
+        graph = parse_house_file(house)
+        room_ids = {room.id for room in graph.rooms}
+        assert room_ids == {"late_h/R0", "late_h/R1", "late_h/R2"}
+        assert len(graph.objects) == 3
+        assert all(obj.assigned_room in room_ids for obj in graph.objects)
+        scene, clean = tmp_path / "scene.txt", tmp_path / "clean.txt"
+        assert main(["convert", "--house", str(house), "--out", str(scene)]) == 0
+        assert main(["ingest", "--scene", str(scene), "--out", str(clean)]) == 0
+
     def test_category_map_flag(self, house_path, tmp_path):
         map_path = tmp_path / "mapping.tsv"
         map_path.write_text(CATEGORY_MAP)

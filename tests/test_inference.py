@@ -90,13 +90,8 @@ class TestClassifyRoom:
 
     def test_single_label_space_is_vacuous_argmax(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
-        solo = SceneGraph(
-            rooms=graph.rooms,
-            objects=graph.objects,
-            label_spaces=(
-                LabelSpace(name="room", labels=("bathroom",)),
-                graph.object_space("things"),
-            ),
+        solo = dataclasses.replace(
+            graph, room_space=LabelSpace(name="room", labels=("bathroom",))
         )
         table = count_ground_truth(solo, "things", alpha=1.0)
         prediction = classify_room(
@@ -192,10 +187,8 @@ class TestClassifyGraph:
 
     def test_empty_graph(self):
         graph = SceneGraph(
-            label_spaces=(
-                LabelSpace(name="room", labels=ROOM_LABELS_3),
-                LabelSpace(name="things", labels=()),
-            )
+            room_space=LabelSpace(name="room", labels=ROOM_LABELS_3),
+            object_space_names=("things",),
         )
         table = count_ground_truth(graph, "things", alpha=1.0)
         result = classify_graph(graph, table, OfflineScorer(), k=3)

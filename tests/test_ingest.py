@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,7 @@ from roomsense.ingest import (
     run_pipeline,
     write_scene_file,
 )
-from roomsense.scene_model import ObjectNode, SceneGraph, observed_space, validate
+from roomsense.scene_model import ObjectNode, SceneGraph, validate
 
 from conftest import object_by_id, scene_file_text
 
@@ -227,10 +229,8 @@ class TestReassignment:
         graph = SceneGraph(
             rooms=rooms,
             objects=objects,
-            label_spaces=(
-                LabelSpace(name="room", labels=("bathroom", "kitchen")),
-                LabelSpace(name="things", labels=("toilet",)),
-            ),
+            room_space=LabelSpace(name="room", labels=("bathroom", "kitchen")),
+            object_space_names=("things",),
         )
         moved = reassign_objects_by_bbox(graph)
         rooms_by_id = moved.room_by_id()
@@ -260,12 +260,7 @@ def _fix_every_object(graph, fixes):
         )
         for obj in graph.objects
     )
-    spaces = tuple(
-        space if space.name == "room"
-        else observed_space(space.name, objects)
-        for space in graph.label_spaces
-    )
-    return SceneGraph(rooms=graph.rooms, objects=objects, label_spaces=spaces)
+    return dataclasses.replace(graph, objects=objects)
 
 
 class TestSpellingFixes:
@@ -491,3 +486,34 @@ class TestRoundTripAndMerge:
         assert histogram["kitchen"] == 2
         assert histogram["bedroom"] == 2
         assert histogram["none"] == 1
+
+
+class TestDerivedObjectSpaces:
+    @pytest.mark.parametrize("stage", ["reassign", "spelling", "conflicts", "filter", "merge"])
+    def test_each_space_is_the_label_set_of_the_objects(self, raw_graph, tmp_path, stage):
+        config = IngestConfig()
+        other = tmp_path / "b2.txt"
+        other.write_text(scene_file_text(
+            [("b2/r-1", "kitchen", (0, 0, 0), (5, 5, 3))],
+            [("b2/o-1", "b2/r-1", ("appliances", "oven"), (1, 1, 0), (2, 2, 1))],
+            room_labels=ROOMS_HEADER,
+        ))
+        run = {
+            "reassign": lambda: reassign_objects_by_bbox(raw_graph),
+            "spelling": lambda: apply_spelling_fixes(raw_graph, config.spelling_fixes),
+            "conflicts": lambda: resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass"),
+            "filter": lambda: filter_graph(raw_graph, config, "nyuclass"),
+            "merge": lambda: merge_graphs([raw_graph, parse_scene_file(other)]),
+        }[stage]
+        graph = run()
+        assert graph.object_space_names == ("mpcat40", "nyuclass")
+        for name in graph.object_space_names:
+            labels = {obj.label_per_space[name] for obj in graph.objects}
+            assert graph.object_space(name).labels == tuple(sorted(labels))
+
+    def test_a_new_graph_derives_its_own_spaces(self, raw_graph):
+        assert len(raw_graph.object_space("nyuclass").labels) > 1
+        smaller = dataclasses.replace(raw_graph, objects=raw_graph.objects[:1])
+        only = smaller.objects[0].label_per_space
+        for name in smaller.object_space_names:
+            assert smaller.object_space(name).labels == (only[name],)

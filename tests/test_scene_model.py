@@ -101,17 +101,25 @@ class TestValidate:
         graph = dataclasses.replace(two_room_graph, rooms=(bad,) + two_room_graph.rooms[1:])
         assert any("observatory" in v for v in validate(graph))
 
+    def test_object_labelled_outside_the_declared_spaces(self, two_room_graph):
+        stray = dataclasses.replace(two_room_graph.objects[0], label_per_space={"other": "toilet"})
+        graph = dataclasses.replace(two_room_graph, objects=(stray,) + two_room_graph.objects[1:])
+        assert validate(graph) == [
+            f"object {stray.id!r}: references undeclared label space 'other'",
+            f"object {stray.id!r}: no label in space 'things'",
+        ]
+
     def test_small_room_space_flagged(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])}, room_labels=("bathroom",))
         assert any(">= 2 labels" in v for v in validate(graph))
 
     def test_idempotent_and_read_only(self, two_room_graph):
         graph = two_room_graph
-        before = (graph.rooms, graph.objects, graph.label_spaces)
+        before = dataclasses.astuple(graph)
         first = validate(graph)
         second = validate(graph)
         assert first == second
-        assert (graph.rooms, graph.objects, graph.label_spaces) == before
+        assert dataclasses.astuple(graph) == before
 
     def test_objects_in_room_yields_each_placed_object_once(self, two_room_graph, scene_path):
         ghost = ("o-ghost", "r-ghost", ("chair", "chair"), (0, 0, 0), (1, 1, 1))
@@ -161,18 +169,21 @@ class TestLookupIndexes:
         used = build_graph(specs)
         for room in used.rooms:
             assert {o.assigned_room for o in used.objects_in_room(room)} == {room.id}
+        assert used.object_space("things").labels == ("bed", "sink", "toilet")
         fresh = build_graph(specs)
         assert used == fresh
         assert repr(used) == repr(fresh)
         assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
-        assert set(dataclasses.asdict(used)) == {"rooms", "objects", "label_spaces"}
+        assert set(dataclasses.asdict(used)) == {
+            "rooms", "objects", "room_space", "object_space_names",
+        }
 
     def test_indexed_graph_hashes_as_a_fresh_one(self):
         # objects carry a label dict, so only an object-free graph hashes
         def graph():
             return SceneGraph(
                 rooms=(RoomNode(id="r1", gt_label="bathroom", bbox=box()),),
-                label_spaces=(LabelSpace(name="room", labels=("bathroom", "bedroom")),),
+                room_space=LabelSpace(name="room", labels=("bathroom", "bedroom")),
             )
 
         used = graph()
