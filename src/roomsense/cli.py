@@ -294,10 +294,10 @@ def cmd_eval(args) -> int:
     lines = []
     for path in args.predictions:
         run = inference.read_predictions(path)
-        room_labels = _room_labels_from(run)
-        report = evaluation.evaluate(
-            run.predictions, room_labels, failed_rooms=[f.room_id for f in run.failures]
-        )
+        try:
+            report = evaluation.evaluate(run)
+        except evaluation.EvaluationError as err:
+            raise evaluation.EvaluationError(f"{path}: {err}") from err
         reports.append(report)
         stem = Path(path).stem
         report_path = args.out_dir / f"{stem}.report.json"
@@ -320,12 +320,6 @@ def cmd_eval(args) -> int:
         lines.append(text)
     _say(*lines)
     return EXIT_OK
-
-
-def _room_labels_from(run: inference.GraphClassification) -> tuple[str, ...]:
-    if not run.predictions:
-        raise evaluation.EvaluationError("predictions file holds no successful rooms")
-    return tuple(c.room_label for c in run.predictions[0].candidates)
 
 
 def build_parser() -> argparse.ArgumentParser:

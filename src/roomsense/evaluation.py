@@ -1,8 +1,8 @@
 """Accuracy reports, baselines, and confusion matrices over predictions.
 
-``evaluate`` is a pure function of its prediction list: shuffling the
-input changes nothing. Failed rooms are excluded from every denominator
-but carried in the report so they stay visible. A label with zero
+``evaluate`` is a pure function of a run: shuffling its predictions
+changes nothing. Failed rooms are excluded from every denominator but
+carried in the report so they stay visible. A label with zero
 evaluated rooms gets no accuracy value at all (reported as undefined,
 never 0 or 1, which would mislead for rare labels). Baselines are
 recomputed from the evaluated subset rather than hardcoded, so subset and
@@ -16,8 +16,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .atomic import atomic_write
-from .inference import TrialCondition
-from .scene_model import LabelSpace
+from .inference import GraphClassification, TrialCondition
 
 
 class EvaluationError(Exception):
@@ -38,7 +37,7 @@ class LabelStats:
 
 @dataclass(frozen=True)
 class EvalReport:
-    condition: TrialCondition | None
+    condition: TrialCondition
     room_labels: tuple[str, ...]
     overall_accuracy: float
     per_label: dict[str, LabelStats]
@@ -48,54 +47,38 @@ class EvalReport:
     evaluated: int
 
 
-def _labels_of(room_space) -> tuple[str, ...]:
-    if isinstance(room_space, LabelSpace):
-        return tuple(room_space.labels)
-    return tuple(room_space)
+def evaluate(run: GraphClassification) -> EvalReport:
+    """Score a run's predictions against their ground-truth labels.
 
-
-def evaluate(
-    predictions,
-    room_space,
-    failed_rooms=(),
-) -> EvalReport:
-    """Score a prediction set against its ground-truth labels."""
-    predictions = list(predictions)
-    if not predictions:
+    The room labels are the first prediction's candidate labels, in order.
+    """
+    if not run.predictions:
         raise EvaluationError("no successful predictions to evaluate")
-    labels = _labels_of(room_space)
+    labels = tuple(c.room_label for c in run.predictions[0].candidates)
     index = {label: i for i, label in enumerate(labels)}
 
     matrix = [[0] * len(labels) for _ in labels]
-    correct = {label: 0 for label in labels}
-    total = {label: 0 for label in labels}
-    for p in predictions:
+    for p in run.predictions:
         if p.gt_label not in index:
             raise EvaluationError(f"ground-truth label {p.gt_label!r} not in room space")
         if p.predicted_label not in index:
             raise EvaluationError(f"predicted label {p.predicted_label!r} not in room space")
-        total[p.gt_label] += 1
         matrix[index[p.gt_label]][index[p.predicted_label]] += 1
-        if p.predicted_label == p.gt_label:
-            correct[p.gt_label] += 1
 
-    evaluated = len(predictions)
-    overall = sum(correct.values()) / evaluated
-    condition = predictions[0].condition
-    if any(p.condition != condition for p in predictions):
-        condition = None
-
+    correct = [row[i] for i, row in enumerate(matrix)]
+    total = [sum(row) for row in matrix]
+    evaluated = sum(total)
     return EvalReport(
-        condition=condition,
+        condition=run.condition,
         room_labels=labels,
-        overall_accuracy=overall,
-        per_label={label: LabelStats(correct[label], total[label]) for label in labels},
-        confusion=tuple(tuple(row) for row in matrix),
+        overall_accuracy=sum(correct) / evaluated,
+        per_label={label: LabelStats(c, t) for label, c, t in zip(labels, correct, total)},
+        confusion=tuple(map(tuple, matrix)),
         baselines={
             "random": 1.0 / len(labels),
-            "majority": max(total.values()) / evaluated,
+            "majority": max(total) / evaluated,
         },
-        failed_rooms=tuple(failed_rooms),
+        failed_rooms=tuple(f.room_id for f in run.failures),
         evaluated=evaluated,
     )
 
@@ -118,8 +101,6 @@ def compare_conditions(reports) -> ConditionTable:
     provenances: list[str] = []
     spaces: list[str] = []
     for report in reports:
-        if report.condition is None:
-            raise EvaluationError("report has no single trial condition")
         key = (report.condition.provenance, report.condition.object_space)
         if key in accuracy:
             raise EvaluationError(f"duplicate condition {key!r}")
@@ -179,14 +160,12 @@ def emit_label_breakdown(report: EvalReport, path, manifest_id: str | None = Non
 
 def format_report(report: EvalReport) -> str:
     """Human-readable accuracy table."""
-    lines = []
-    if report.condition is not None:
-        c = report.condition
-        lines.append(
-            f"condition: space={c.object_space} cooc={c.provenance} "
-            f"k={c.k} template={c.template_version} backend={c.backend}"
-        )
-    lines.append(f"rooms evaluated: {report.evaluated}")
+    c = report.condition
+    lines = [
+        f"condition: space={c.object_space} cooc={c.provenance} "
+        f"k={c.k} template={c.template_version} backend={c.backend}",
+        f"rooms evaluated: {report.evaluated}",
+    ]
     if report.failed_rooms:
         lines.append(f"rooms failed: {len(report.failed_rooms)} {list(report.failed_rooms)}")
     lines.append(f"overall accuracy: {report.overall_accuracy * 100:.2f}%")
@@ -207,7 +186,7 @@ def write_report(report: EvalReport, path, manifest_id: str | None = None) -> No
     """Structured (JSON) form of the report."""
     payload = {
         "manifest": manifest_id,
-        "condition": None if report.condition is None else asdict(report.condition),
+        "condition": asdict(report.condition),
         "room_labels": list(report.room_labels),
         "overall_accuracy": report.overall_accuracy,
         "per_label": {

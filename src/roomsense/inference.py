@@ -66,7 +66,6 @@ class RoomPrediction:
     candidates: tuple[Candidate, ...]
     predicted_label: str
     gt_label: str
-    condition: TrialCondition
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ def classify_graph(
     room-label order, that failed to score.
     """
     template = template or QueryTemplate()
-    condition = _condition(table, scorer, k, template)
     room_labels = graph.room_space.labels if graph.room_space is not None else ()
     plans = []
     reasons: dict[str, str] = {}
@@ -147,13 +145,12 @@ def classify_graph(
                 candidates=tuple(candidates),
                 predicted_label=argmax_label(candidates),
                 gt_label=room.gt_label,
-                condition=condition,
             )
         )
     return GraphClassification(
         predictions=tuple(predictions),
         failures=tuple(RoomFailure(room_id=i, reason=r) for i, r in sorted(reasons.items())),
-        condition=condition,
+        condition=_condition(table, scorer, k, template),
     )
 
 
@@ -213,7 +210,7 @@ def _field(record: dict, key: str, kind: type):
     return value
 
 
-def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
+def _prediction(record: dict) -> RoomPrediction:
     selected = _field(record, "selected_objects", list)
     if any(type(label) is not str for label in selected):
         raise ValueError("key 'selected_objects' must list strings")
@@ -233,7 +230,6 @@ def _prediction(record: dict, condition: TrialCondition) -> RoomPrediction:
         candidates=tuple(candidates),
         predicted_label=_field(record, "predicted_label", str),
         gt_label=_field(record, "gt_label", str),
-        condition=condition,
     )
 
 
@@ -241,14 +237,17 @@ def read_predictions(path) -> GraphClassification:
     """Read a predictions file back into the result it was written from.
 
     A line that is not a JSON object, a record with a missing or mistyped
-    key, or a candidate total that is not a finite number is a
-    ``ValueError`` naming its ``path:line``.
+    key, a candidate total that is not a finite number, a room id that an
+    earlier record holds, or a prediction whose candidate room labels
+    differ from the first prediction's is a ``ValueError`` naming its
+    ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty predictions file")
     predictions: list[RoomPrediction] = []
     failures: list[RoomFailure] = []
+    room_ids: set[str] = set()
     lineno = 1
     try:
         header = _json_object(lines[0])
@@ -267,16 +266,27 @@ def read_predictions(path) -> GraphClassification:
             record = _json_object(line)
             kind = _field(record, "kind", str)
             if kind == "prediction":
-                predictions.append(_prediction(record, condition))
+                entry = _prediction(record)
+                if predictions:
+                    labels = [c.room_label for c in entry.candidates]
+                    first = [c.room_label for c in predictions[0].candidates]
+                    if labels != first:
+                        raise ValueError(
+                            f"candidate room labels {labels} differ from the first "
+                            f"prediction's {first}"
+                        )
+                predictions.append(entry)
             elif kind == "failure":
-                failures.append(
-                    RoomFailure(
-                        room_id=_field(record, "room_id", str),
-                        reason=_field(record, "reason", str),
-                    )
+                entry = RoomFailure(
+                    room_id=_field(record, "room_id", str),
+                    reason=_field(record, "reason", str),
                 )
+                failures.append(entry)
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
+            if entry.room_id in room_ids:
+                raise ValueError(f"room id {entry.room_id!r} repeats an earlier record's")
+            room_ids.add(entry.room_id)
     except ValueError as err:
         raise ValueError(f"{path}:{lineno}: {err}") from err
     return GraphClassification(

@@ -35,7 +35,7 @@ from roomsense.scene_model import validate
 
 from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, object_by_id, scene_file_text
 from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, room_with
-from test_evaluation import LABELS_ABC, hand_built_predictions, prediction
+from test_evaluation import hand_built_predictions, prediction, run_of
 from test_inference import BATH_BONUSES, classify_room, synthetic_graph
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
 
@@ -351,7 +351,7 @@ class TestIngestion:
 
 class TestEvaluationCriteria:
     def test_hand_arithmetic_and_baselines(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC)
+        report = evaluate(run_of(hand_built_predictions()))
         assert report.overall_accuracy == 3 / 5
         assert report.per_label["attic"].accuracy == 0.5
         assert report.per_label["basement"].accuracy == 1.0
@@ -385,7 +385,7 @@ class TestEvaluationCriteria:
                 prediction(f"{label}-{i}", label, labels[0], labels)
                 for i in range(count)
             )
-        big = evaluate(preds, labels)
+        big = evaluate(run_of(preds))
         assert abs(big.baselines["majority"] - 365 / 1878) <= 1e-12
         assert abs(big.baselines["random"] - 1 / 23) <= 1e-12
         _pass("evaluation (hand arithmetic exact, weighted mean 1e-12, baselines)")
@@ -433,11 +433,7 @@ class TestFullReproductionRunbook:
             )
             for table in (gt_table, proxy_table):
                 run = classify_graph(graph, table, scorer, k=3)
-                report = evaluate(
-                    run.predictions,
-                    graph.room_space,
-                    failed_rooms=[f.room_id for f in run.failures],
-                )
+                report = evaluate(run)
                 results[(table.provenance, space_choice)] = report.overall_accuracy * 100
 
         for key, target in TARGET_ACCURACY.items():

@@ -8,12 +8,17 @@ from pathlib import Path
 import pytest
 
 import roomsense
+from roomsense import lm_scoring
 from roomsense.cli import main
+from roomsense.inference import read_predictions
+from roomsense.ingest import parse_scene_file
 from roomsense.lm_scoring import OfflineScorer, TransportError
+from roomsense.querygen import render_proxy_query
 
 from conftest import scene_file_text
 from test_house_convert import HOUSE_TEXT
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
+from test_lm_scoring import _Handler, mock_endpoint  # noqa: F401 (fixture)
 
 
 @pytest.fixture
@@ -206,7 +211,7 @@ class TestPipelineComposition:
         assert any(i.startswith("houseone/") for i in ids)
         assert any(i.startswith("housetwo/") for i in ids)
 
-    def test_all_rooms_failed_predictions_file(self, tmp_path):
+    def test_all_rooms_failed_predictions_file(self, tmp_path, capsys):
         from roomsense.inference import (
             GraphClassification, RoomFailure, TrialCondition, write_predictions,
         )
@@ -220,6 +225,7 @@ class TestPipelineComposition:
         path = tmp_path / "dead.jsonl"
         write_predictions(dead, path)
         assert run("eval", path, "--out-dir", tmp_path / "reports") == 2
+        assert f"data error: {path}: no successful predictions" in capsys.readouterr().err
 
 
 class TestObjectSpaceConditions:
@@ -417,6 +423,20 @@ class TestExitCodes:
         assert run("eval", preds, "--out-dir", tmp_path / "reports") == 2
         assert f"data error: {preds}:3: not valid JSON" in capsys.readouterr().err
 
+    def test_evaluation_error_names_its_input(self, tmp_path, scene, capsys):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", good)
+        bad.write_text(good.read_text().replace('"gt_label": "bathroom"', '"gt_label": "garage"'))
+        capsys.readouterr()
+        assert run("eval", good, bad, "--out-dir", tmp_path / "reports") == 2
+        assert (f"data error: {bad}: ground-truth label 'garage' not in room space"
+                in capsys.readouterr().err)
+
     def test_table_space_must_match_graph(self, tmp_path, scene):
         fine_graph = tmp_path / "fine.txt"
         run("ingest", "--scene", scene, "--out", fine_graph)
@@ -443,6 +463,46 @@ class TestExitCodes:
             "--endpoint", "http://127.0.0.1:9/none", "--max-attempts", "1",
         )
         assert rc == 3
+
+
+class TestFailingEndpointCost:
+    """What an endpoint that answers every POST with 503 costs a stage today:
+    each distinct sentence is sent ``--max-attempts`` times before the stage
+    exits 3."""
+
+    REMOTE = ("--backend", "remote", "--max-attempts", "2")
+
+    @pytest.fixture
+    def graph(self, tmp_path, scene, monkeypatch):
+        monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+        _Handler.behaviors = [lambda payload: (503, {"error": "unavailable"})]
+        graph = tmp_path / "clean.txt"
+        run("ingest", "--scene", scene, "--out", graph)
+        return graph
+
+    def test_proxy_cooc(self, tmp_path, graph, mock_endpoint):
+        scene_graph = parse_scene_file(graph)
+        space = scene_graph.object_space(scene_graph.object_space_names[-1])
+        sentences = {
+            render_proxy_query(obj, room)
+            for obj in space.labels
+            for room in scene_graph.room_space.labels
+        }
+        assert run("cooc", "--graph", graph, "--out", tmp_path / "proxy.tsv", "--mode", "proxy",
+                   *self.REMOTE, "--endpoint", mock_endpoint) == 3
+        assert _Handler.calls == len(sentences) * 2
+
+    def test_infer(self, tmp_path, graph, mock_endpoint):
+        cooc = tmp_path / "cooc.tsv"
+        offline = tmp_path / "offline.jsonl"
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", offline)
+        sentences = {
+            c.sentence for p in read_predictions(offline).predictions for c in p.candidates
+        }
+        assert run("infer", "--graph", graph, "--cooc", cooc, "--out", tmp_path / "p.jsonl",
+                   *self.REMOTE, "--endpoint", mock_endpoint) == 3
+        assert _Handler.calls == len(sentences) * 2
 
 
 # Runs in a fresh interpreter, because pytest has already imported requests.

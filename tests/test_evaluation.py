@@ -14,12 +14,18 @@ from roomsense.evaluation import (
     format_report,
     write_report,
 )
-from roomsense.inference import Candidate, RoomPrediction, TrialCondition
+from roomsense.inference import (
+    Candidate,
+    GraphClassification,
+    RoomFailure,
+    RoomPrediction,
+    TrialCondition,
+)
 
 CONDITION = TrialCondition("nyuclass", "ground_truth", 3, "v1-grammatical", "offline:x")
 
 
-def prediction(room_id, gt, predicted, labels, condition=CONDITION):
+def prediction(room_id, gt, predicted, labels):
     candidates = tuple(
         Candidate(label, f"sentence about {label}", 0.0 if label == predicted else -1.0)
         for label in labels
@@ -30,6 +36,14 @@ def prediction(room_id, gt, predicted, labels, condition=CONDITION):
         candidates=candidates,
         predicted_label=predicted,
         gt_label=gt,
+    )
+
+
+def run_of(predictions, failed=(), condition=CONDITION):
+    """A run of ``predictions`` whose rooms ``failed`` failed to score."""
+    return GraphClassification(
+        predictions=tuple(predictions),
+        failures=tuple(RoomFailure(room_id, "backend down") for room_id in failed),
         condition=condition,
     )
 
@@ -55,13 +69,13 @@ class TestEvaluate:
             prediction(f"r{i}", label, label, LABELS_ABC)
             for i, label in enumerate(LABELS_ABC)
         ]
-        report = evaluate(preds, LABELS_ABC)
+        report = evaluate(run_of(preds))
         assert report.overall_accuracy == 1.0
         for i, row in enumerate(report.confusion):
             assert row[i] == 1 and sum(row) == 1
 
     def test_hand_arithmetic(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC)
+        report = evaluate(run_of(hand_built_predictions()))
         assert report.overall_accuracy == pytest.approx(3 / 5)
         assert report.per_label["attic"].correct == 1
         assert report.per_label["attic"].total == 2
@@ -79,7 +93,7 @@ class TestEvaluate:
     def test_random_baseline_23_labels(self):
         labels = tuple(f"label{i:02d}" for i in range(23))
         preds = [prediction("r0", labels[0], labels[0], labels)]
-        report = evaluate(preds, labels)
+        report = evaluate(run_of(preds))
         assert report.baselines["random"] == pytest.approx(1 / 23, abs=1e-12)
         assert report.baselines["random"] == pytest.approx(0.0435, abs=5e-5)
 
@@ -102,7 +116,7 @@ class TestEvaluate:
             for _ in range(count):
                 preds.append(prediction(f"r{i}", label, labels[0], labels))
                 i += 1
-        report = evaluate(preds, labels)
+        report = evaluate(run_of(preds))
         assert report.baselines["majority"] == pytest.approx(365 / 1878, abs=1e-12)
         # printed as 19.43% (Table-style truncation); exact value 19.4356%
         assert report.baselines["majority"] == pytest.approx(0.1943, abs=1e-4)
@@ -114,7 +128,7 @@ class TestEvaluate:
             prediction(f"r{i}", rng.choice(labels), rng.choice(labels), labels)
             for i in range(200)
         ]
-        report = evaluate(preds, labels)
+        report = evaluate(run_of(preds))
         weighted = sum(
             stats.accuracy * stats.total
             for stats in report.per_label.values()
@@ -125,7 +139,7 @@ class TestEvaluate:
         )
 
     def test_confusion_row_sums_and_trace(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC)
+        report = evaluate(run_of(hand_built_predictions()))
         for label, row in zip(report.room_labels, report.confusion):
             assert sum(row) == report.per_label[label].total
         trace = sum(report.confusion[i][i] for i in range(len(LABELS_ABC)))
@@ -134,41 +148,30 @@ class TestEvaluate:
 
     def test_shuffle_invariance(self):
         preds = hand_built_predictions()
-        base = evaluate(preds, LABELS_ABC)
+        base = evaluate(run_of(preds))
         rng = random.Random(0)
         for _ in range(5):
             rng.shuffle(preds)
-            assert evaluate(preds, LABELS_ABC) == base
+            assert evaluate(run_of(preds)) == base
 
     def test_zero_support_label_undefined(self):
         preds = [prediction("r0", "attic", "attic", LABELS_ABC)]
-        report = evaluate(preds, LABELS_ABC)
+        report = evaluate(run_of(preds))
         assert report.per_label["cellar"].accuracy is None
 
     def test_failed_rooms_listed_but_not_counted(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC, failed_rooms=["p9"])
+        report = evaluate(run_of(hand_built_predictions(), failed=["p9"]))
         assert report.failed_rooms == ("p9",)
         assert report.evaluated == 5
 
     def test_all_failed_is_error(self):
         with pytest.raises(EvaluationError):
-            evaluate([], LABELS_ABC, failed_rooms=["p1"])
+            evaluate(run_of([], failed=["p1"]))
 
     def test_unknown_gt_label_is_error(self):
         preds = [prediction("r0", "observatory", "attic", LABELS_ABC)]
         with pytest.raises(EvaluationError):
-            evaluate(preds, LABELS_ABC)
-
-    def test_mixed_conditions_leave_no_single_condition(self):
-        other = TrialCondition("mpcat40", "proxy", 1, "v1-literal", "remote:x")
-        preds = [
-            prediction("r0", "attic", "attic", LABELS_ABC),
-            prediction("r1", "attic", "attic", LABELS_ABC, condition=other),
-        ]
-        report = evaluate(preds, LABELS_ABC)
-        assert report.condition is None
-        with pytest.raises(EvaluationError):
-            compare_conditions([report])
+            evaluate(run_of(preds))
 
 
 class TestCompareConditions:
@@ -177,10 +180,10 @@ class TestCompareConditions:
         n = max(int(round(accuracy * 100)), 1)
         preds = [
             prediction(f"r{i}", "attic", "attic" if i < n else "basement",
-                       LABELS_ABC, condition)
+                       LABELS_ABC)
             for i in range(100)
         ]
-        return evaluate(preds, LABELS_ABC)
+        return evaluate(run_of(preds, condition=condition))
 
     def test_four_reports_make_two_by_two(self):
         reports = [
@@ -212,11 +215,11 @@ class TestBreakdown:
     def test_row_per_label(self):
         labels = tuple(f"label{i:02d}" for i in range(23))
         preds = [prediction("r0", labels[0], labels[0], labels)]
-        report = evaluate(preds, labels)
+        report = evaluate(run_of(preds))
         assert len(breakdown_rows(report)) == 23
 
     def test_file_output_and_undefined_accuracy(self, tmp_path):
-        report = evaluate([prediction("r0", "attic", "attic", LABELS_ABC)], LABELS_ABC)
+        report = evaluate(run_of([prediction("r0", "attic", "attic", LABELS_ABC)]))
         path = tmp_path / "breakdown.csv"
         emit_label_breakdown(report, path, manifest_id="m7")
         lines = path.read_text().splitlines()
@@ -229,7 +232,7 @@ class TestBreakdown:
         assert by_label["cellar"]["accuracy"] == ""
 
     def test_hand_built_rows(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC)
+        report = evaluate(run_of(hand_built_predictions()))
         rows = {r[0]: r for r in breakdown_rows(report)}
         assert rows["attic"] == ("attic", 1, 2, 0.5)
         assert rows["basement"] == ("basement", 2, 2, 1.0)
@@ -238,7 +241,7 @@ class TestBreakdown:
 
 class TestReportOutput:
     def test_json_report(self, tmp_path):
-        report = evaluate(hand_built_predictions(), LABELS_ABC, failed_rooms=["px"])
+        report = evaluate(run_of(hand_built_predictions(), failed=["px"]))
         path = tmp_path / "report.json"
         write_report(report, path, manifest_id="m1")
         payload = json.loads(path.read_text())
@@ -249,7 +252,7 @@ class TestReportOutput:
         assert payload["condition"]["object_space"] == "nyuclass"
 
     def test_text_report_mentions_everything(self):
-        report = evaluate(hand_built_predictions(), LABELS_ABC)
+        report = evaluate(run_of(hand_built_predictions()))
         text = format_report(report)
         assert "overall accuracy: 60.00%" in text
         assert "attic" in text and "basement" in text

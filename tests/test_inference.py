@@ -250,7 +250,6 @@ class TestClassifyGraph:
             template_version=QueryTemplate().version,
             backend=scorer.identity,
         )
-        assert all(p.condition == result.condition for p in result.predictions)
 
 
 def synthetic_graph(n_rooms=50, seed=0):
@@ -328,7 +327,6 @@ class TestPredictionFiles:
                     candidates=(Candidate("bathroom", "s", -1.5),),
                     predicted_label="bathroom",
                     gt_label="bathroom",
-                    condition=condition,
                 ),
             ),
             failures=(RoomFailure(room_id="b", reason="backend down"),),
@@ -393,8 +391,16 @@ class TestPredictionFiles:
          "candidate total inf is not a finite number"),
         (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\g<1>1" + "0" * 400, line),
          f"candidate total 1{'0' * 400} is not a finite number"),
+        (lambda line: line.replace('"room_id": "r-bed"', '"room_id": "r-bath"'),
+         "room id 'r-bath' repeats an earlier record's"),
+        (lambda line: '{"kind": "failure", "reason": "backend down", "room_id": "r-bath"}',
+         "room id 'r-bath' repeats an earlier record's"),
+        (lambda line: line.replace('[["bathroom", ', '[["garage", '),
+         "candidate room labels ['garage', 'bedroom', 'kitchen'] differ from the first "
+         "prediction's ['bathroom', 'bedroom', 'kitchen']"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
-            "kind", "nan-total", "infinite-total", "huge-int-total"])
+            "kind", "nan-total", "infinite-total", "huge-int-total", "repeated-prediction",
+            "failure-repeats-prediction", "room-labels"])
     def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"
@@ -423,6 +429,18 @@ class TestPredictionFiles:
         with pytest.raises(ValueError) as caught:
             read_predictions(path)
         assert str(caught.value) == f"{path}:2: {message}"
+
+    def test_repeated_failure_names_its_line(self, tmp_path):
+        result = GraphClassification(
+            predictions=(),
+            failures=(RoomFailure("b", "backend down"), RoomFailure("b", "timeout")),
+            condition=TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x"),
+        )
+        path = tmp_path / "p.jsonl"
+        write_predictions(result, path)
+        with pytest.raises(ValueError) as caught:
+            read_predictions(path)
+        assert str(caught.value) == f"{path}:3: room id 'b' repeats an earlier record's"
 
     def test_mistyped_header_key(self, tmp_path):
         path = tmp_path / "p.jsonl"
