@@ -289,17 +289,21 @@ def cmd_eval(args) -> int:
             print(f"roomsense: two inputs share the stem {stem!r}, so one report "
                   "would overwrite the other", file=sys.stderr)
             return EXIT_USAGE
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    # every input is read and evaluated before any report is written
     reports = []
-    lines = []
     for path in args.predictions:
         run = inference.read_predictions(path)
         try:
-            report = evaluation.evaluate(run)
+            reports.append(evaluation.evaluate(run))
         except evaluation.EvaluationError as err:
             raise evaluation.EvaluationError(f"{path}: {err}") from err
-        reports.append(report)
-        stem = Path(path).stem
+    table = (
+        evaluation.compare_conditions(reports, names=args.predictions)
+        if len(reports) > 1 else None
+    )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for path, stem, report in zip(args.predictions, stems, reports):
         report_path = args.out_dir / f"{stem}.report.json"
         with _manifested(args, report_path, [path]) as manifest_id:
             evaluation.write_report(report, report_path, manifest_id)
@@ -311,8 +315,7 @@ def cmd_eval(args) -> int:
                 report, args.out_dir / f"{stem}.breakdown.csv", manifest_id
             )
         lines.append(f"{path}: overall accuracy {report.overall_accuracy * 100:.2f}%")
-    if len(reports) > 1:
-        table = evaluation.compare_conditions(reports)
+    if table is not None:
         text = evaluation.format_condition_table(table)
         conditions_path = args.out_dir / "conditions.txt"
         with _manifested(args, conditions_path, args.predictions) as manifest_id:

@@ -92,18 +92,25 @@ class ConditionTable:
     accuracy: dict[tuple[str, str], float]  # (provenance, object_space) -> value
 
 
-def compare_conditions(reports) -> ConditionTable:
-    """Arrange per-condition accuracies into a provenance x space grid."""
+def compare_conditions(reports, names=None) -> ConditionTable:
+    """Arrange per-condition accuracies into a provenance x space grid.
+
+    Two reports of one condition are an :class:`EvaluationError`; given
+    ``names``, one per report, its message names both reports.
+    """
     reports = list(reports)
     if not reports:
         raise EvaluationError("need at least one report to compare")
     accuracy: dict[tuple[str, str], float] = {}
     provenances: list[str] = []
     spaces: list[str] = []
-    for report in reports:
+    for i, report in enumerate(reports):
         key = (report.condition.provenance, report.condition.object_space)
         if key in accuracy:
-            raise EvaluationError(f"duplicate condition {key!r}")
+            # the keys before this report are distinct, so a key's position
+            # in accuracy is the index of the report that holds it
+            where = f": {names[list(accuracy).index(key)]} and {names[i]}" if names else ""
+            raise EvaluationError(f"duplicate condition {key!r}{where}")
         accuracy[key] = report.overall_accuracy
         if key[0] not in provenances:
             provenances.append(key[0])

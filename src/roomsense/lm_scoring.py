@@ -40,12 +40,10 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
+from urllib.parse import urlsplit, urlunsplit
 
 from .scene_model import normalize_label
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +62,10 @@ _TIMEOUT_S = 60.0
 
 # Seconds slept before the first retry; each later retry sleeps twice the last.
 _BACKOFF_BASE_S = 0.5
+
+
+class _RetriedStatus(Exception):
+    """A response whose status is in :data:`_RETRIED`."""
 
 
 def _is_finite_number(value) -> bool:
@@ -350,6 +352,104 @@ def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
     return tuple(tokens), math.fsum(present), len(present), str(body.get("model", ""))
 
 
+# Serializes a request body as requests does for ``json=``.
+_to_json = json.JSONEncoder(allow_nan=False).encode
+
+
+class _Response(NamedTuple):
+    """The part of a ``requests.Response`` the scorer reads."""
+
+    status_code: int
+    content: bytes
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _close_all(connections: list) -> None:
+    for connection in connections:
+        connection.close()
+    connections.clear()
+
+
+def _begin(connection, target: str, body: bytes, headers):
+    """Send one POST on ``connection``; return its response, body unread."""
+    connection.request("POST", target, body, headers)
+    return connection.getresponse()
+
+
+class _Session:
+    """Keep-alive JSON POSTs over ``http.client`` to the origin of ``url``.
+
+    It has the one method the scorer calls on a session, with the signature
+    of ``requests.Session.post``; a POST goes to its ``url``'s path on that
+    origin. A POST takes an idle connection or opens a new one, and gives it
+    back once the response is read whole; at most ``max_idle`` idle
+    connections are kept. A POST that fails with a connection error on a
+    reused connection before any response arrives (the server closed it
+    while it sat idle) is sent once more on a fresh connection, as urllib3
+    does. An ``http.client.HTTPException`` is raised as a
+    ``ConnectionError``, so a caller needs to catch only ``OSError``.
+    Proxies, ``.netrc`` and redirects are not handled.
+    """
+
+    def __init__(self, url: str, max_idle: int):
+        import http.client
+        import ssl
+
+        parts = urlsplit(url)
+        if parts.scheme == "https":
+            self._connect = partial(
+                http.client.HTTPSConnection, parts.hostname, parts.port,
+                context=ssl.create_default_context(),
+            )
+        elif parts.scheme == "http" and parts.hostname:
+            self._connect = partial(http.client.HTTPConnection, parts.hostname, parts.port)
+        else:
+            raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL")
+        self._http_error = http.client.HTTPException
+        self._max_idle = max_idle
+        self._lock = threading.Lock()
+        self._idle: list = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def post(self, url, *, json, headers, timeout) -> _Response:
+        parts = urlsplit(url)
+        target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        body = _to_json(json).encode("utf-8")
+        with self._lock:
+            reused = self._idle.pop() if self._idle else None
+        connection = reused if reused is not None else self._connect(timeout=timeout)
+        try:
+            try:
+                response = _begin(connection, target, body, headers)
+            except ConnectionError:
+                if connection is not reused:
+                    raise
+                # the server closed the connection while it sat idle
+                connection.close()
+                connection = self._connect(timeout=timeout)
+                response = _begin(connection, target, body, headers)
+            content = response.read()
+        except BaseException as err:
+            connection.close()
+            if isinstance(err, self._http_error):
+                raise ConnectionError(f"{type(err).__name__}: {err}") from err
+            raise
+        with self._lock:
+            keep = not response.will_close and len(self._idle) < self._max_idle
+            if keep:
+                self._idle.append(connection)
+        if not keep:
+            connection.close()
+        return _Response(response.status, content)
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            _close_all(self._idle)
+
+
 class RemoteScorer(SentenceScorer):
     """Score sentences against a completion endpoint with echoed logprobs.
 
@@ -362,15 +462,20 @@ class RemoteScorer(SentenceScorer):
     Transient faults (connection errors, timeouts, 408, 429, 5xx) are
     retried with exponential backoff, for at most ``max_attempts`` POSTs;
     long batch evaluations must survive them. Every other status outside
-    2xx and every malformed body (see :func:`_parse_response`) fails after
-    one POST: the same request gets the same answer again. ``max_inflight``
-    is the number of concurrent requests :func:`score_totals` makes; a
-    session the scorer builds itself keeps that many connections open. An
-    injected ``session`` is used as given.
+    2xx, a redirect included, and every malformed body (see
+    :func:`_parse_response`) fails after one POST: the same request gets the
+    same answer again. ``max_inflight`` is the number of concurrent
+    requests :func:`score_totals` makes.
 
-    The HTTP stack (``requests``) is imported here, at construction, and
-    nowhere else in the package: offline runs never load it, and no
-    :meth:`score` call pays for the import.
+    ``session`` is anything with ``post(url, json=, headers=, timeout=)``
+    returning an object with ``status_code`` and ``json()``, such as a
+    ``requests.Session``; it is used as given, and the scorer retries any
+    ``OSError`` it raises. Without one the scorer builds its own, a
+    standard-library session that keeps at most ``max_inflight`` connections
+    open. It ignores ``HTTP(S)_PROXY`` and ``.netrc``, and verifies https
+    against the system's CA store. ``http.client`` is imported only then,
+    and nowhere else in the package: offline runs and injected sessions
+    never load it, and no :meth:`score` call pays for the import.
     """
 
     def __init__(
@@ -380,7 +485,7 @@ class RemoteScorer(SentenceScorer):
         model: str | None = None,
         max_inflight: int = 4,
         max_attempts: int = 5,
-        session: requests.Session | None = None,
+        session=None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         if not self.endpoint:
@@ -398,15 +503,8 @@ class RemoteScorer(SentenceScorer):
         self._headers = {"Content-Type": "application/json"}
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
-        import requests
-        from requests.adapters import HTTPAdapter
-
-        self._requests = requests
         if session is None:
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=max_inflight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
+            session = _Session(self.endpoint, max_idle=max_inflight)
         self._session = session
 
     @property
@@ -414,8 +512,9 @@ class RemoteScorer(SentenceScorer):
         return f"remote:{self.model or self.endpoint}"
 
     def _post_once(self, sentence: str) -> SentenceScore:
-        """Send one POST; raise a fault worth a retry as a ``RequestException``
-        and any other fault as a :class:`TransportError`."""
+        """Send one POST; raise a fault worth a retry as an ``OSError`` or a
+        :class:`_RetriedStatus`, and any other fault as a
+        :class:`TransportError`."""
         body = {"prompt": sentence, "echo": True, "logprobs": 1, "max_tokens": 0}
         if self.model:
             body["model"] = self.model
@@ -424,7 +523,7 @@ class RemoteScorer(SentenceScorer):
         )
         status = response.status_code
         if status in _RETRIED:
-            raise self._requests.HTTPError(f"HTTP {status}", response=response)
+            raise _RetriedStatus(f"HTTP {status}")
         if not 200 <= status < 300:
             raise TransportError(f"backend refused the request: HTTP {status}", sentence)
         try:
@@ -444,7 +543,7 @@ class RemoteScorer(SentenceScorer):
         for attempt in range(self.max_attempts):
             try:
                 return self._post_once(sentence)
-            except self._requests.RequestException as err:
+            except (OSError, _RetriedStatus) as err:
                 last = err
             if attempt + 1 < self.max_attempts:
                 delay = _BACKOFF_BASE_S * 2**attempt

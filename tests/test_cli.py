@@ -437,6 +437,36 @@ class TestExitCodes:
         assert (f"data error: {bad}: ground-truth label 'garage' not in room space"
                 in capsys.readouterr().err)
 
+    def test_evaluation_error_leaves_the_output_directory_as_it_was(self, tmp_path, scene):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", good)
+        bad.write_text(good.read_text().replace('"gt_label": "bathroom"', '"gt_label": "garage"'))
+        assert run("eval", good, bad, "--out-dir", tmp_path / "reports") == 2
+        assert not (tmp_path / "reports").exists()
+
+    def test_duplicate_condition_names_both_inputs_and_writes_nothing(
+        self, tmp_path, scene, capsys
+    ):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        k1 = tmp_path / "k1.jsonl"
+        k3 = tmp_path / "k3.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", k1, "--k", "1")
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", k3, "--k", "3")
+        capsys.readouterr()
+        assert run("eval", k1, k3, "--out-dir", tmp_path / "reports") == 2
+        err = capsys.readouterr().err
+        assert "data error: duplicate condition ('ground_truth', " in err
+        assert f"{k1} and {k3}" in err
+        assert not (tmp_path / "reports").exists()
+
     def test_table_space_must_match_graph(self, tmp_path, scene):
         fine_graph = tmp_path / "fine.txt"
         run("ingest", "--scene", scene, "--out", fine_graph)
@@ -505,7 +535,7 @@ class TestFailingEndpointCost:
         assert _Handler.calls == len(sentences) * 2
 
 
-# Runs in a fresh interpreter, because pytest has already imported requests.
+# Runs in a fresh interpreter, because pytest has already imported http.client.
 _IMPORT_BOUNDARY = """
 import sys
 from pathlib import Path
@@ -522,12 +552,14 @@ commands = [
     ["infer", "--graph", d / "clean.txt", "--cooc", d / "gt.tsv", "--out", d / "p.jsonl"],
     ["eval", d / "p.jsonl", "--out-dir", d / "reports"],
 ]
-assert "requests" not in sys.modules, "import roomsense"
+http_clients = {"requests", "http.client"}
+assert not http_clients & set(sys.modules), "import roomsense"
 for argv in commands:
     assert main([str(a) for a in argv]) == 0, argv[0]
-    assert "requests" not in sys.modules, argv[0]
+    assert not http_clients & set(sys.modules), argv[0]
 roomsense.RemoteScorer(endpoint="http://127.0.0.1:9/")
-assert "requests" in sys.modules, "RemoteScorer"
+assert "http.client" in sys.modules, "RemoteScorer"
+assert "requests" not in sys.modules, "RemoteScorer"
 """
 
 

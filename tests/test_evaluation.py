@@ -210,6 +210,13 @@ class TestCompareConditions:
         with pytest.raises(EvaluationError):
             compare_conditions([a, b])
 
+    def test_duplicate_condition_names_both_reports(self):
+        a = self.report_for("nyuclass", "ground_truth", 0.5)
+        b = self.report_for("mpcat40", "proxy", 0.4)
+        c = self.report_for("nyuclass", "ground_truth", 0.6)
+        with pytest.raises(EvaluationError, match=r"'nyuclass'\): a\.jsonl and c\.jsonl$"):
+            compare_conditions([a, b, c], names=["a.jsonl", "b.jsonl", "c.jsonl"])
+
 
 class TestBreakdown:
     def test_row_per_label(self):

@@ -4,6 +4,9 @@ import json
 import logging
 import math
 import re
+import socket
+import socketserver
+import subprocess
 import sys
 import threading
 import time
@@ -11,7 +14,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 from roomsense import lm_scoring
@@ -898,6 +900,11 @@ class TestRemoteScorer:
         with pytest.raises(ValueError, match=next(iter(setting))):
             RemoteScorer(endpoint="http://127.0.0.1:9/", **setting)
 
+    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/", "localhost:8000/v1", "http:///v1"])
+    def test_endpoint_that_is_not_http_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="not an http:// or https:// URL"):
+            RemoteScorer(endpoint=endpoint)
+
     def test_max_inflight_bounds_concurrency(self, counting_endpoint):
         scorer = RemoteScorer(
             endpoint=counting_endpoint.url,
@@ -1005,23 +1012,134 @@ class TestRemoteScorer:
         assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
         assert _Handler.calls == 2
 
-    def test_own_session_pool_holds_max_inflight_connections(self, counting_endpoint, caplog):
+    def test_own_session_pool_holds_max_inflight_connections(self, counting_endpoint):
         scorer = RemoteScorer(
             endpoint=counting_endpoint.url, model="test-lm", max_inflight=16
         )
-        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+        # switch threads often, so two workers racing for one idle connection
+        # would show as a failed POST
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
             results = score_totals(scorer, [f"sentence {i} x" for i in range(64)])
-        scorer._session.close()
+        finally:
+            sys.setswitchinterval(interval)
+            scorer._session.close()
         assert all(isinstance(r, float) for r in results)
         # 64 requests, 16 at a time, over at most 16 kept-alive connections
         assert len(counting_endpoint.clients) <= 16
-        assert "Connection pool is full" not in caplog.text
 
     def test_injected_session_is_left_as_given(self):
-        session = requests.Session()
-        adapter = session.get_adapter("http://127.0.0.1/")
-        RemoteScorer(endpoint="http://127.0.0.1/", max_inflight=16, session=session)
-        assert session.get_adapter("http://127.0.0.1/") is adapter
+        # a fresh interpreter, because pytest has already imported http.client
+        done = subprocess.run(
+            [sys.executable, "-c", _INJECTED_SESSION,
+             str(Path(lm_scoring.__file__).resolve().parents[1])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_https_endpoint_that_refuses_fails_after_its_attempts(self):
+        scorer = RemoteScorer(endpoint="https://127.0.0.1:9/", max_attempts=1)
+        with pytest.raises(TransportError, match="failed after 1 attempts"):
+            scorer.score("x y")
+
+    def test_a_reply_that_is_not_http_is_retried(self, monkeypatch):
+        monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+        connections = []
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                connections.append(self.client_address)
+                headers = {}
+                while (line := self.rfile.readline().strip()):
+                    name, _, value = line.decode().partition(":")
+                    headers[name.lower()] = value.strip()
+                self.rfile.read(int(headers["content-length"]))
+                self.wfile.write(b"garbage\r\n\r\n")
+
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        thread.start()
+        scorer = RemoteScorer(
+            endpoint=f"http://127.0.0.1:{server.server_address[1]}/", max_attempts=2
+        )
+        try:
+            with pytest.raises(TransportError, match="after 2 attempts: BadStatusLine"):
+                scorer.score("x y")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert len(connections) == 2
+
+    def test_a_connection_closed_while_idle_is_sent_again(self):
+        connections = []
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                connections.append(self.connection)
+                length = int(self.headers["Content-Length"])
+                _, body = _echo_logprobs(json.loads(self.rfile.read(length)))
+                data = json.dumps(body).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        thread.start()
+        scorer = RemoteScorer(
+            endpoint=f"http://127.0.0.1:{server.server_port}/", model="test-lm",
+            max_attempts=1,
+        )
+        try:
+            assert scorer.score("a b").total_logprob == -1.0
+            # the server drops the connection the scorer keeps alive
+            connections[0].shutdown(socket.SHUT_RDWR)
+            assert scorer.score("c d").total_logprob == -1.0
+        finally:
+            scorer._session.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert len(connections) == 2 and connections[1] is not connections[0]
+
+
+_INJECTED_SESSION = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from roomsense import RemoteScorer
+
+
+class Response:
+    status_code = 200
+
+    def json(self):
+        return {"model": "stub", "tokens": ["a", "b"], "token_logprobs": [None, -1.5]}
+
+
+class Session:
+    def post(self, url, json=None, headers=None, timeout=None):
+        return Response()
+
+
+session = Session()
+scorer = RemoteScorer(endpoint="http://127.0.0.1:9/", session=session)
+assert scorer._session is session
+assert scorer.score("a b").total_logprob == -1.5
+assert "http.client" not in sys.modules
+"""
 
 
 class _CountingEndpoint:
