@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .atomic import atomic_write
 from .lm_scoring import SentenceScorer, TransportError, score_totals
-from .querygen import QueryTemplate, render_proxy_query
+from .querygen import QueryTemplate, render_room_queries
 from .scene_model import ROOM_SPACE_NAME, LabelSpace, RoomNode, SceneGraph
 
 GROUND_TRUTH = "ground_truth"
@@ -174,9 +174,9 @@ def build_proxy_table(
     template = template or QueryTemplate()
     room_labels = tuple(room_space.labels)
     sentences = [
-        render_proxy_query(label, r, template)
+        sentence
         for label in object_space.labels
-        for r in room_labels
+        for sentence in render_room_queries([label], room_labels, template)
     ]
     totals = score_totals(scorer, sentences)
     width = len(room_labels)

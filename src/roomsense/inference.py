@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .atomic import atomic_write
 from .cooccurrence import CooccurrenceTable, select_informative
 from .lm_scoring import SentenceScorer, TransportError, _is_finite_number, score_totals
-from .querygen import QueryTemplate, render_room_query
+from .querygen import QueryTemplate, render_room_queries
 from .scene_model import SceneGraph
 
 _FORMAT = "roomsense-predictions/v1"
@@ -126,7 +126,7 @@ def classify_graph(
         elif not room_labels:
             reasons[room.id] = "graph declares no room label space"
         else:
-            sentences = [render_room_query(selected, r, template) for r in room_labels]
+            sentences = render_room_queries(selected, room_labels, template)
             plans.append((room, selected, sentences))
     totals = iter(score_totals(scorer, (s for *_, sentences in plans for s in sentences)))
 
@@ -224,11 +224,17 @@ def _prediction(record: dict) -> RoomPrediction:
         if not _is_finite_number(c[2]):
             raise ValueError(f"candidate total {c[2]!r} is not a finite number")
         candidates.append(_candidate_from_triple(c))
+    if not candidates:
+        raise ValueError("key 'candidates' lists no candidate")
+    predicted = _field(record, "predicted_label", str)
+    best = argmax_label(candidates)
+    if predicted != best:
+        raise ValueError(f"predicted label {predicted!r} is not the best candidate {best!r}")
     return RoomPrediction(
         room_id=_field(record, "room_id", str),
         selected_objects=tuple(selected),
         candidates=tuple(candidates),
-        predicted_label=_field(record, "predicted_label", str),
+        predicted_label=predicted,
         gt_label=_field(record, "gt_label", str),
     )
 
@@ -237,10 +243,11 @@ def read_predictions(path) -> GraphClassification:
     """Read a predictions file back into the result it was written from.
 
     A line that is not a JSON object, a record with a missing or mistyped
-    key, a candidate total that is not a finite number, a room id that an
-    earlier record holds, or a prediction whose candidate room labels
-    differ from the first prediction's is a ``ValueError`` naming its
-    ``path:line``.
+    key, a candidate total that is not a finite number, a prediction with
+    no candidate or whose predicted label is not :func:`argmax_label` of
+    its candidates, a room id that an earlier record holds, or a prediction
+    whose candidate room labels differ from the first prediction's is a
+    ``ValueError`` naming its ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:

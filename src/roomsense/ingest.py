@@ -268,7 +268,7 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
         containers = sorted(
             (room.id for room in graph.rooms if room.bbox.contains_point(center))
         )
-        moved.append(replace(obj, assigned_room=containers[0]) if containers else obj)
+        moved.append(obj._replace(assigned_room=containers[0]) if containers else obj)
     return replace(graph, objects=tuple(moved))
 
 
@@ -282,8 +282,7 @@ def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph
     objects = tuple(
         obj
         if fixes.keys().isdisjoint(obj.label_per_space.values())
-        else replace(
-            obj,
+        else obj._replace(
             label_per_space={
                 space: fixes.get(label, label)
                 for space, label in obj.label_per_space.items()
@@ -325,8 +324,7 @@ def resolve_label_space_conflicts(
     if not chosen:
         return graph
     objects = tuple(
-        replace(
-            obj,
+        obj._replace(
             label_per_space={
                 **obj.label_per_space,
                 primary_space: chosen.get(

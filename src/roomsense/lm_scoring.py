@@ -39,6 +39,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
@@ -97,11 +98,6 @@ class TokenLogProb(NamedTuple):
     logprob: float | None
 
 
-# Builds a TokenLogProb from a (token, logprob) pair without running any
-# Python code: both the keyword constructor and ``_make`` do, per token.
-_token_from_pair = partial(tuple.__new__, TokenLogProb)
-
-
 class SentenceScore(NamedTuple):
     """One scored sentence: its total log probability and where it came from.
 
@@ -118,8 +114,14 @@ class SentenceScore(NamedTuple):
 
 
 # Builds a SentenceScore from a tuple of all five fields without running any
-# Python code, as _token_from_pair does for a token.
+# Python code: both the keyword constructor and ``_make`` do.
 _score_from_fields = partial(tuple.__new__, SentenceScore)
+
+
+def _tokens_from_pairs(pairs) -> tuple[TokenLogProb, ...]:
+    """TokenLogProb records from (token, logprob) pairs, in one call that
+    runs no Python code per token."""
+    return tuple(map(tuple.__new__, repeat(TokenLogProb), pairs))
 
 
 class SentenceScorer:
@@ -199,11 +201,6 @@ def _unit_floats(digests: bytes) -> list[float]:
     once.
     """
     return [v * 2.0**-64 for v in _leading_u64s(len(digests) // _DIGEST_SIZE).unpack(digests)]
-
-
-def _unit_float(digest: bytes) -> float:
-    """A SHA-256 digest mapped into [0, 1) by the rule of :func:`_unit_floats`."""
-    return _unit_floats(digest)[0]
 
 
 def load_bonus_table(path) -> dict[tuple[str, str], float]:
@@ -286,10 +283,6 @@ class OfflineScorer(SentenceScorer):
     def identity(self) -> str:
         return self._identity
 
-    def base_value(self, sentence: str) -> float:
-        key = f"base\x1f{self.seed}\x1f{sentence}".encode("utf-8")
-        return -(4.0 + 4.0 * _unit_float(hashlib.sha256(key).digest()))
-
     def bonus_value(self, sentence: str) -> float:
         return sum(
             bonus
@@ -299,24 +292,27 @@ class OfflineScorer(SentenceScorer):
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
-        total = self.base_value(sentence)
-        if self.bonus_table:
-            # an empty table adds the integer 0, which leaves the base as is
-            total += self.bonus_value(sentence)
         # whitespace-only input still needs one token to carry the total
         words = sentence.split() or [sentence]
-        # every token hashes "tok", seed, sentence, index and word joined by
-        # \x1f; SHA-256 streams, so the shared prefix is hashed once
+        # the base hashes "base", seed and sentence joined by \x1f; every
+        # token hashes "tok", seed, sentence, index and word. SHA-256
+        # streams, so the tokens' shared prefix is hashed once, and all the
+        # digests are decoded in one call.
+        digests = [hashlib.sha256(f"base\x1f{self.seed}\x1f{sentence}".encode("utf-8")).digest()]
         prefix = hashlib.sha256(f"tok\x1f{self.seed}\x1f{sentence}\x1f".encode("utf-8"))
-        digests = []
         for i, word in enumerate(words):
             token_hash = prefix.copy()
             token_hash.update(f"{i}\x1f{word}".encode("utf-8"))
             digests.append(token_hash.digest())
-        weights = [1.0 + u for u in _unit_floats(b"".join(digests))]
+        base, *units = _unit_floats(b"".join(digests))
+        total = -(4.0 + 4.0 * base)
+        if self.bonus_table:
+            # an empty table adds the integer 0, which leaves the base as is
+            total += self.bonus_value(sentence)
+        weights = [1.0 + u for u in units]
         weight_sum = math.fsum(weights)
         values = [total * w / weight_sum for w in weights]
-        tokens = tuple(map(_token_from_pair, zip(words, values)))
+        tokens = _tokens_from_pairs(zip(words, values))
         return _score_from_fields(
             (sentence, math.fsum(values), len(tokens), self._identity, tokens)
         )
@@ -338,7 +334,7 @@ def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
         raise ValueError(f"missing field ({err!r})") from err
     if type(words) is not list or type(logprobs) is not list or len(words) != len(logprobs):
         raise ValueError("'tokens' and 'token_logprobs' must be lists of one length")
-    tokens = []
+    pairs = []
     present = []
     for word, lp in zip(words, logprobs):
         if lp is not None:
@@ -346,10 +342,10 @@ def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
                 raise ValueError(f"logprob {lp!r} for token {word!r} is not a number <= 0")
             lp = float(lp)
             present.append(lp)
-        tokens.append(_token_from_pair((str(word), lp)))
+        pairs.append((str(word), lp))
     if not present:
         raise ValueError("no usable logprobs")
-    return tuple(tokens), math.fsum(present), len(present), str(body.get("model", ""))
+    return _tokens_from_pairs(pairs), math.fsum(present), len(present), str(body.get("model", ""))
 
 
 # Serializes a request body as requests does for ``json=``.

@@ -10,6 +10,11 @@ a(n) label.`` with a plain separator between all but the last pair of
 objects and a final conjunction (no Oxford comma) before the last one.
 Object labels are inserted verbatim, lowercased, with no pluralization or
 determiners; multi-word labels pass through unmodified.
+
+A room's candidate sentences differ only in their tail (article and room
+label), so :func:`render_room_queries` normalizes and joins the object
+phrase once and renders one tail per room label. :func:`render_room_query`
+and :func:`render_proxy_query` are its one-label case.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ def _join_objects(labels: list[str]) -> str:
     return ", ".join(labels[:-1]) + " and " + labels[-1]
 
 
-def render_room_query(
-    objects: Iterable[str], room_label: str, template: QueryTemplate | None = None
-) -> str:
-    """Render the candidate sentence for one room label.
+def render_room_queries(
+    objects: Iterable[str],
+    room_labels: Iterable[str],
+    template: QueryTemplate | None = None,
+) -> list[str]:
+    """Render one candidate sentence per room label, in room-label order.
 
-    ``objects`` must already be ordered ascending by entropy; the sentence
+    ``objects`` must already be ordered ascending by entropy; every sentence
     preserves the given order exactly. Raises ``ValueError`` on an empty
     object list.
     """
@@ -78,13 +85,23 @@ def render_room_query(
     labels = [normalize_label(o) for o in objects]
     if not labels:
         raise ValueError("query needs at least one object label")
-    room = normalize_label(room_label)
-    article = _article_for(room, template.article_mode)
-    return f"A room containing {_join_objects(labels)} is called {article} {room}."
+    head = f"A room containing {_join_objects(labels)} is called"
+    mode = template.article_mode
+    return [
+        f"{head} {_article_for(room, mode)} {room}."
+        for room in map(normalize_label, room_labels)
+    ]
+
+
+def render_room_query(
+    objects: Iterable[str], room_label: str, template: QueryTemplate | None = None
+) -> str:
+    """Render the candidate sentence for one room label (see :func:`render_room_queries`)."""
+    return render_room_queries(objects, [room_label], template)[0]
 
 
 def render_proxy_query(
     object_label: str, room_label: str, template: QueryTemplate | None = None
 ) -> str:
     """Single-object sentence used when building proxy co-occurrence rows."""
-    return render_room_query([object_label], room_label, template)
+    return render_room_queries([object_label], [room_label], template)[0]

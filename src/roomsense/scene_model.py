@@ -1,9 +1,16 @@
 """Core domain types for room/object scene graphs.
 
 Everything downstream (ingestion, co-occurrence statistics, inference,
-evaluation) operates on these types. They are plain frozen dataclasses with
-no I/O; construction normalizes label strings so comparisons stay stable
-across data sources that mix capitalization.
+evaluation) operates on these types, and none of them does I/O. The
+records a parse builds once per box, room and object (:class:`BoundingBox`,
+:class:`ObjectNode`, :class:`RoomNode`) are named tuples: immutable,
+compared as the tuples of their fields, and cheap to build, so a
+graph of tens of thousands of objects parses without a per-field attribute
+store. A stage that changes a node builds a new one with ``_replace``.
+:class:`LabelSpace` and :class:`SceneGraph` are frozen dataclasses, since
+they cache derived data. The parsers normalize every label string
+(:func:`normalize_label`), so comparisons stay stable across data sources
+that mix capitalization.
 
 Room membership is stored once, on the object side: a room's objects are
 the objects whose ``assigned_room`` names it, in graph object order. Rooms
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 ROOM_SPACE_NAME = "room"
 
@@ -71,8 +79,7 @@ def observed_space(name: str, objects) -> LabelSpace:
     return LabelSpace(name=name, labels=tuple(sorted(labels)))
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Axis-aligned box in meters, stored as min/max corners."""
 
     min_corner: tuple[float, float, float]
@@ -93,8 +100,7 @@ class BoundingBox:
         return all(lo <= hi for lo, hi in zip(self.min_corner, self.max_corner))
 
 
-@dataclass(frozen=True)
-class ObjectNode:
+class ObjectNode(NamedTuple):
     """An object instance with one label per declared label space."""
 
     id: str
@@ -103,8 +109,7 @@ class ObjectNode:
     assigned_room: str
 
 
-@dataclass(frozen=True)
-class RoomNode:
+class RoomNode(NamedTuple):
     """A room with its ground-truth label; its objects name it in ``assigned_room``."""
 
     id: str

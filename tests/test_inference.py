@@ -398,9 +398,16 @@ class TestPredictionFiles:
         (lambda line: line.replace('[["bathroom", ', '[["garage", '),
          "candidate room labels ['garage', 'bedroom', 'kitchen'] differ from the first "
          "prediction's ['bathroom', 'bedroom', 'kitchen']"),
+        (lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "kitchen"'),
+         "predicted label 'kitchen' is not the best candidate 'bedroom'"),
+        (lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "bar"'),
+         "predicted label 'bar' is not the best candidate 'bedroom'"),
+        (lambda line: re.sub(r'"candidates": \[.*?\]\]', '"candidates": []', line),
+         "key 'candidates' lists no candidate"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
             "kind", "nan-total", "infinite-total", "huge-int-total", "repeated-prediction",
-            "failure-repeats-prediction", "room-labels"])
+            "failure-repeats-prediction", "room-labels", "stored-label-not-best",
+            "stored-label-not-a-candidate", "no-candidates"])
     def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"

@@ -29,7 +29,6 @@ from roomsense.lm_scoring import (
     SentenceScorer,
     TokenLogProb,
     TransportError,
-    _unit_float,
     _unit_floats,
     load_bonus_table,
     make_scorer,
@@ -388,6 +387,12 @@ class TestSentenceScore:
 
 
 _digest_lists = st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=64)
+
+
+def _unit_float(digest: bytes) -> float:
+    """One SHA-256 digest mapped into [0, 1): its first 8 bytes as a
+    big-endian integer over 2**64, the reference :func:`_unit_floats` meets."""
+    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 class TestUnitFloats:

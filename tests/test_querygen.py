@@ -5,6 +5,7 @@ from roomsense.querygen import (
     ARTICLE_LITERAL,
     QueryTemplate,
     render_proxy_query,
+    render_room_queries,
     render_room_query,
 )
 
@@ -13,6 +14,17 @@ LITERAL = QueryTemplate(article_mode=ARTICLE_LITERAL)
 
 label = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz"), min_size=1, max_size=8
+)
+
+# room labels: vowel-initial, the article exceptions, multi-word, and ones
+# that only normalizing makes match a clean label
+room_label = st.one_of(
+    label,
+    st.lists(label, min_size=2, max_size=3).map(" ".join),
+    st.sampled_from([
+        "utility room", "utility closet", "Utility  Room", " UTILITY closet ", "office",
+        "entryway", "Upper Hall", "bathroom", "living\troom", "x",
+    ]),
 )
 
 
@@ -122,3 +134,29 @@ class TestContract:
         assert " and " not in head
         assert conjunction == (" and " if n >= 2 else "")
         assert last == objects[-1]
+
+
+class TestRenderRoomQueries:
+    @given(
+        objects=st.lists(
+            st.one_of(label, st.sampled_from(["Washing  Machine", " TV ", "and"])),
+            min_size=1, max_size=6,
+        ),
+        room_labels=st.lists(room_label, max_size=8),
+        template=st.sampled_from([GRAMMATICAL, LITERAL]),
+    )
+    def test_equals_one_label_at_a_time(self, objects, room_labels, template):
+        assert render_room_queries(objects, room_labels, template) == [
+            render_room_query(objects, r, template) for r in room_labels
+        ]
+
+    def test_one_sentence_per_label_in_label_order(self):
+        assert render_room_queries(["Toilet", "sink"], ["Utility  Room", "office", "bathroom"]) == [
+            "A room containing toilet and sink is called a utility room.",
+            "A room containing toilet and sink is called an office.",
+            "A room containing toilet and sink is called a bathroom.",
+        ]
+
+    def test_empty_object_list_rejected(self):
+        with pytest.raises(ValueError):
+            render_room_queries([], ["bathroom", "kitchen"])

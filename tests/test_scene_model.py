@@ -7,6 +7,7 @@ from roomsense.ingest import parse_scene_file
 from roomsense.scene_model import (
     BoundingBox,
     LabelSpace,
+    ObjectNode,
     RoomNode,
     SceneGraph,
     normalize_label,
@@ -62,12 +63,65 @@ class TestBoundingBox:
         assert not b.contains_point((1.0001, 0.5, 0.5))
 
 
+class TestNodeRecords:
+    """Boxes, rooms and objects are named tuples, as lm_scoring's records are."""
+
+    BBOX = BoundingBox(min_corner=(0.0, 0.0, 0.0), max_corner=(1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("record, fields", [
+        (BoundingBox, ("min_corner", "max_corner")),
+        (ObjectNode, ("id", "label_per_space", "bbox", "assigned_room")),
+        (RoomNode, ("id", "gt_label", "bbox")),
+    ])
+    def test_fields_in_declaration_order(self, record, fields):
+        assert record._fields == fields
+
+    def test_keyword_construction_equals_positional(self):
+        bbox = self.BBOX
+        assert bbox == BoundingBox((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        assert (bbox.min_corner, bbox.max_corner) == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        room = RoomNode(id="r0", gt_label="bathroom", bbox=bbox)
+        assert room == RoomNode("r0", "bathroom", bbox)
+        assert (room.id, room.gt_label, room.bbox) == ("r0", "bathroom", bbox)
+        obj = ObjectNode(id="o0", label_per_space={"things": "toilet"}, bbox=bbox,
+                         assigned_room="r0")
+        assert obj == ObjectNode("o0", {"things": "toilet"}, bbox, "r0")
+        assert (obj.id, obj.label_per_space, obj.bbox, obj.assigned_room) == (
+            "o0", {"things": "toilet"}, bbox, "r0")
+
+    def test_replace_leaves_the_original_as_it_was(self):
+        bbox = self.BBOX
+        room = RoomNode("r0", "bathroom", bbox)
+        obj = ObjectNode("o0", {"things": "toilet"}, bbox, "r0")
+        relabelled = room._replace(gt_label="kitchen")
+        moved = obj._replace(assigned_room="r1")
+        grown = bbox._replace(max_corner=(2.0, 2.0, 3.0))
+        assert room == RoomNode("r0", "bathroom", bbox)
+        assert obj == ObjectNode("o0", {"things": "toilet"}, bbox, "r0")
+        assert bbox == BoundingBox((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        assert relabelled == RoomNode("r0", "kitchen", bbox) and type(relabelled) is RoomNode
+        assert moved == ObjectNode("o0", {"things": "toilet"}, bbox, "r1")
+        assert type(moved) is ObjectNode
+        assert grown.center == (1.0, 1.0, 1.5) and type(grown) is BoundingBox
+
+    @pytest.mark.parametrize("record, field", [
+        (BBOX, "min_corner"),
+        (RoomNode("r0", "bathroom", BBOX), "gt_label"),
+        (ObjectNode("o0", {"things": "toilet"}, BBOX, "r0"), "assigned_room"),
+    ], ids=["bbox", "room", "object"])
+    def test_attribute_assignment_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
 class TestValidate:
     def test_well_formed_fixture_is_clean(self, two_room_graph):
         assert validate(two_room_graph) == []
 
     def test_missing_room_reference(self, two_room_graph):
-        bad_obj = dataclasses.replace(two_room_graph.objects[0], assigned_room="ghost")
+        bad_obj = two_room_graph.objects[0]._replace(assigned_room="ghost")
         graph = dataclasses.replace(
             two_room_graph, objects=(bad_obj,) + two_room_graph.objects[1:]
         )
@@ -90,19 +144,19 @@ class TestValidate:
         assert len(violations) == 2
 
     def test_inverted_bbox(self, two_room_graph):
-        bad = dataclasses.replace(
-            two_room_graph.rooms[0], bbox=BoundingBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+        bad = two_room_graph.rooms[0]._replace(
+            bbox=BoundingBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
         )
         graph = dataclasses.replace(two_room_graph, rooms=(bad,) + two_room_graph.rooms[1:])
         assert any("min exceeds max" in v for v in validate(graph))
 
     def test_label_outside_space(self, two_room_graph):
-        bad = dataclasses.replace(two_room_graph.rooms[0], gt_label="observatory")
+        bad = two_room_graph.rooms[0]._replace(gt_label="observatory")
         graph = dataclasses.replace(two_room_graph, rooms=(bad,) + two_room_graph.rooms[1:])
         assert any("observatory" in v for v in validate(graph))
 
     def test_object_labelled_outside_the_declared_spaces(self, two_room_graph):
-        stray = dataclasses.replace(two_room_graph.objects[0], label_per_space={"other": "toilet"})
+        stray = two_room_graph.objects[0]._replace(label_per_space={"other": "toilet"})
         graph = dataclasses.replace(two_room_graph, objects=(stray,) + two_room_graph.objects[1:])
         assert validate(graph) == [
             f"object {stray.id!r}: references undeclared label space 'other'",
