@@ -402,23 +402,20 @@ class TestUnitFloats:
     def test_bulk_decode_matches_one_digest_at_a_time(self, digests):
         bulk = _unit_floats(b"".join(digests))
         assert [v.hex() for v in bulk] == [_unit_float(d).hex() for d in digests]
-        reference = [int.from_bytes(d[:8], "big") / 2**64 for d in digests]
-        assert [v.hex() for v in bulk] == [v.hex() for v in reference]
 
     @pytest.mark.parametrize("lead", [b"\x00" * 8, b"\x00" * 7 + b"\x01", b"\xff" * 8,
                                       b"\x80" + b"\x00" * 7, b"\xff" * 7 + b"\xfe"])
     def test_edge_values_match_the_reference(self, lead):
         digest = lead + bytes(24)
-        assert _unit_float(digest).hex() == (int.from_bytes(lead, "big") / 2**64).hex()
+        expected = (int.from_bytes(lead, "big") / 2**64).hex()
+        assert _unit_floats(digest)[0].hex() == expected
+        assert [v.hex() for v in _unit_floats(bytes(32) + digest)] == [(0.0).hex(), expected]
 
 
 def _reference_score(seed, bonus_table, sentence):
     """Per-token loop as the offline scorer is specified: (total, token logprobs)."""
-    def unit(digest):
-        return int.from_bytes(digest[:8], "big") / 2**64
-
     base_key = f"base\x1f{seed}\x1f{sentence}".encode("utf-8")
-    total = -(4.0 + 4.0 * unit(hashlib.sha256(base_key).digest()))
+    total = -(4.0 + 4.0 * _unit_float(hashlib.sha256(base_key).digest()))
     def found(label):
         return re.search(rf"(?<!\w){re.escape(label)}(?!\w)", sentence) is not None
 
@@ -429,7 +426,7 @@ def _reference_score(seed, bonus_table, sentence):
     weights = []
     for i, word in enumerate(words):
         key = f"tok\x1f{seed}\x1f{sentence}\x1f{i}\x1f{word}".encode("utf-8")
-        weights.append(1.0 + unit(hashlib.sha256(key).digest()))
+        weights.append(1.0 + _unit_float(hashlib.sha256(key).digest()))
     weight_sum = math.fsum(weights)
     values = [total * w / weight_sum for w in weights]
     return math.fsum(values), values
