@@ -43,7 +43,7 @@ from .lm_scoring import (
     TokenLogProb,
     TransportError,
 )
-from .querygen import QueryTemplate, render_proxy_query, render_room_queries, render_room_query
+from .querygen import QueryTemplate, render_proxy_query, render_room_queries
 from .scene_model import (
     BoundingBox,
     LabelSpace,
@@ -92,7 +92,6 @@ __all__ = [
     "reassign_objects_by_bbox",
     "render_proxy_query",
     "render_room_queries",
-    "render_room_query",
     "resolve_label_space_conflicts",
     "run_pipeline",
     "select_informative",

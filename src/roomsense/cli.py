@@ -113,20 +113,12 @@ def build_manifest(command: str, flags: dict, inputs, outputs, backend: str | No
         "template_version": template_version,
     }
     manifest_id = hashlib.sha256(
-        json.dumps(stable, sort_keys=True).encode("utf-8")
+        json.dumps(stable, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()[:16]
     manifest = dict(stable)
     manifest["manifest_id"] = manifest_id
     manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     return manifest, manifest_id
-
-
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 @contextmanager
@@ -139,16 +131,13 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
     succeeds. The manifest records ``args.command`` and every flag but the
     input paths ``eval`` takes as positionals, which it records as inputs.
     """
-    flags = {
-        k: _jsonable(v) for k, v in vars(args).items()
-        if k not in ("func", "command", "predictions")
-    }
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "predictions")}
     manifest, manifest_id = build_manifest(
         args.command, flags, inputs, [out], backend, template_version
     )
     yield manifest_id
     side = Path(str(out) + ".manifest.json")
-    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _resolve_object_space(graph, choice: str) -> str:

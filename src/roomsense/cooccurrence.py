@@ -273,8 +273,9 @@ def read_table(path) -> CooccurrenceTable:
     """Read a table written by :func:`write_table`.
 
     The ``# alpha:`` line must hold ``-`` or a finite number of at least 0,
-    and a header row naming each room label once, none empty, must follow
-    the metadata. Every row must hold finite numbers, a label no other row
+    a ``# provenance:`` line must hold ``ground_truth`` or ``proxy``, and a
+    header row naming each room label once, none empty, must follow the
+    metadata. Every row must hold finite numbers, a label no other row
     holds, probabilities summing to 1 within 1e-9 and the entropy of those
     probabilities within 1e-9; any other input raises ``ValueError`` naming
     ``path:line``.
@@ -296,8 +297,14 @@ def read_table(path) -> CooccurrenceTable:
         meta[key] = value
         if key == "alpha":
             alpha = _read_alpha(value, f"{path}:{i + 1}")
+        elif key == "provenance" and value not in (GROUND_TRUTH, PROXY):
+            raise ValueError(
+                f"{path}:{i + 1}: provenance {value!r} is not {GROUND_TRUTH!r} or {PROXY!r}"
+            )
     if body_start == len(lines):
         raise ValueError(f"{path}:{body_start + 1}: no table header after the metadata")
+    if "provenance" not in meta:
+        raise ValueError(f"{path}:{body_start + 1}: no provenance line in the metadata")
     header = lines[body_start].split("\t")
     if header[0] != "label" or header[-1] != "entropy":
         raise ValueError(f"{path}:{body_start + 1}: malformed table header")
@@ -343,7 +350,7 @@ def read_table(path) -> CooccurrenceTable:
         room_labels=room_labels,
         rows=rows,
         entropy=entropies,
-        provenance=meta.get("provenance", GROUND_TRUTH),
+        provenance=meta["provenance"],
         smoothing_alpha=alpha,
         scorer_identity="" if meta.get("scorer", "-") == "-" else meta["scorer"],
         template_version="" if meta.get("template", "-") == "-" else meta["template"],

@@ -7,7 +7,8 @@ evaluated rooms gets no accuracy value at all (reported as undefined,
 never 0 or 1, which would mislead for rare labels). Baselines are
 recomputed from the evaluated subset rather than hardcoded, so subset and
 synthetic runs stay meaningful: random is uniform over the room space,
-majority is the most frequent ground-truth label's share.
+majority is the most frequent ground-truth label's share. A
+:class:`ConditionTable` stores only accuracies, and derives its grid's axes.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def evaluate(run: GraphClassification) -> EvalReport:
     for p in run.predictions:
         if p.gt_label not in index:
             raise EvaluationError(f"ground-truth label {p.gt_label!r} not in room space")
-        if p.predicted_label not in index:
-            raise EvaluationError(f"predicted label {p.predicted_label!r} not in room space")
         matrix[index[p.gt_label]][index[p.predicted_label]] += 1
 
     correct = [row[i] for i, row in enumerate(matrix)]
@@ -85,11 +84,17 @@ def evaluate(run: GraphClassification) -> EvalReport:
 
 @dataclass(frozen=True)
 class ConditionTable:
-    """Accuracy per (co-occurrence provenance, object space) condition."""
+    """Accuracy per (provenance, object space) condition; rows and columns derive from its keys."""
 
-    provenances: tuple[str, ...]  # rows
-    object_spaces: tuple[str, ...]  # columns
     accuracy: dict[tuple[str, str], float]  # (provenance, object_space) -> value
+
+    @property
+    def provenances(self) -> tuple[str, ...]:  # rows, in first-seen order
+        return tuple(dict.fromkeys(p for p, _ in self.accuracy))
+
+    @property
+    def object_spaces(self) -> tuple[str, ...]:  # columns, in first-seen order
+        return tuple(dict.fromkeys(s for _, s in self.accuracy))
 
 
 def compare_conditions(reports, names=None) -> ConditionTable:
@@ -102,8 +107,6 @@ def compare_conditions(reports, names=None) -> ConditionTable:
     if not reports:
         raise EvaluationError("need at least one report to compare")
     accuracy: dict[tuple[str, str], float] = {}
-    provenances: list[str] = []
-    spaces: list[str] = []
     for i, report in enumerate(reports):
         key = (report.condition.provenance, report.condition.object_space)
         if key in accuracy:
@@ -112,15 +115,7 @@ def compare_conditions(reports, names=None) -> ConditionTable:
             where = f": {names[list(accuracy).index(key)]} and {names[i]}" if names else ""
             raise EvaluationError(f"duplicate condition {key!r}{where}")
         accuracy[key] = report.overall_accuracy
-        if key[0] not in provenances:
-            provenances.append(key[0])
-        if key[1] not in spaces:
-            spaces.append(key[1])
-    return ConditionTable(
-        provenances=tuple(provenances),
-        object_spaces=tuple(spaces),
-        accuracy=accuracy,
-    )
+    return ConditionTable(accuracy)
 
 
 def format_condition_table(table: ConditionTable) -> str:

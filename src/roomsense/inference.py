@@ -4,6 +4,7 @@ For one room: take the k lowest-entropy object labels present, render one
 candidate sentence per room label, score them all, and predict the room
 label whose sentence scored highest (ties go to the lexicographically
 smaller label; real backends never tie, coarse mock scorers can).
+:class:`RoomPrediction` derives that label from its candidates.
 
 Rooms are independent: each prediction depends only on its own room, the
 immutable table, and the scorer, so results do not depend on execution
@@ -64,8 +65,12 @@ class RoomPrediction:
     room_id: str
     selected_objects: tuple[str, ...]
     candidates: tuple[Candidate, ...]
-    predicted_label: str
     gt_label: str
+
+    @property
+    def predicted_label(self) -> str:
+        """The best candidate's room label: :func:`argmax_label` of them."""
+        return argmax_label(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,6 @@ class GraphClassification:
     predictions: tuple[RoomPrediction, ...]
     failures: tuple[RoomFailure, ...]
     condition: TrialCondition
-
-
-def _condition(
-    table: CooccurrenceTable, scorer: SentenceScorer, k: int, template: QueryTemplate
-) -> TrialCondition:
-    return TrialCondition(
-        object_space=table.object_space,
-        provenance=table.provenance,
-        k=k,
-        template_version=template.version,
-        backend=scorer.identity,
-    )
 
 
 def argmax_label(candidates) -> str:
@@ -137,20 +130,21 @@ def classify_graph(
         if failed:
             reasons[room.id] = f"scoring failed for room {room.id!r}: {failed[0]}"
             continue
-        candidates = list(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
+        candidates = tuple(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
         predictions.append(
             RoomPrediction(
                 room_id=room.id,
                 selected_objects=tuple(selected),
-                candidates=tuple(candidates),
-                predicted_label=argmax_label(candidates),
+                candidates=candidates,
                 gt_label=room.gt_label,
             )
         )
     return GraphClassification(
         predictions=tuple(predictions),
         failures=tuple(RoomFailure(room_id=i, reason=r) for i, r in sorted(reasons.items())),
-        condition=_condition(table, scorer, k, template),
+        condition=TrialCondition(
+            table.object_space, table.provenance, k, template.version, scorer.identity
+        ),
     )
 
 
@@ -234,7 +228,6 @@ def _prediction(record: dict) -> RoomPrediction:
         room_id=_field(record, "room_id", str),
         selected_objects=tuple(selected),
         candidates=tuple(candidates),
-        predicted_label=predicted,
         gt_label=_field(record, "gt_label", str),
     )
 

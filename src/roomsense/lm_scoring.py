@@ -157,30 +157,39 @@ def score_totals(
     repeats share one result. A transport failure does not abort the
     others: its slots hold the error instead. ``scorer.max_inflight``
     workers pull distinct sentences from one shared iterator, so up to that
-    many calls are in flight until the last one is taken. Only totals are
-    kept, never whole :class:`SentenceScore` records.
+    many calls are in flight until the last one is taken. Any other
+    exception, in a worker or in the waiting thread (an interrupt), stops
+    every worker after the sentence it is on, and propagates. Only totals
+    are kept, never whole :class:`SentenceScore` records.
     """
     slot_of: dict[str, int] = {}
     slots = [slot_of.setdefault(s, len(slot_of)) for s in sentences]
     distinct = list(slot_of)
     totals: list = [None] * len(distinct)
-    # an enumerate over a list hands out each item once, even across threads
+    # an enumerate over a list hands out each item once, even across threads,
+    # and hands out nothing more once the list is cleared
     pending = enumerate(distinct)
 
     def drain() -> None:
-        for i, sentence in pending:
-            try:
-                totals[i] = scorer.score(sentence).total_logprob
-            except TransportError as err:
-                totals[i] = err
+        try:
+            for i, sentence in pending:
+                try:
+                    totals[i] = scorer.score(sentence).total_logprob
+                except TransportError as err:
+                    totals[i] = err
+        finally:
+            distinct.clear()
 
     workers = min(scorer.max_inflight, len(distinct))
     if workers <= 1:
         drain()
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(drain) for _ in range(workers)]:
-                future.result()
+            try:
+                for future in [pool.submit(drain) for _ in range(workers)]:
+                    future.result()
+            finally:
+                distinct.clear()
     return [totals[i] for i in slots]
 
 
@@ -325,7 +334,8 @@ def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
     whose first choice carries the logprobs. Anything else is a
     ``ValueError`` that names the fault: a missing field, token and logprob
     fields that are not lists of one length, a logprob that is neither null
-    nor a finite JSON number <= 0, or no logprob at all.
+    nor a finite JSON number <= 0, no logprob at all, or logprobs whose sum
+    is beyond float range.
     """
     try:
         source = body["choices"][0]["logprobs"] if "choices" in body else body
@@ -345,7 +355,11 @@ def _parse_response(body) -> tuple[tuple[TokenLogProb, ...], float, int, str]:
         pairs.append((str(word), lp))
     if not present:
         raise ValueError("no usable logprobs")
-    return _tokens_from_pairs(pairs), math.fsum(present), len(present), str(body.get("model", ""))
+    try:
+        total = math.fsum(present)
+    except OverflowError:
+        raise ValueError("logprobs sum beyond float range") from None
+    return _tokens_from_pairs(pairs), total, len(present), str(body.get("model", ""))
 
 
 # Serializes a request body as requests does for ``json=``.

@@ -13,8 +13,8 @@ determiners; multi-word labels pass through unmodified.
 
 A room's candidate sentences differ only in their tail (article and room
 label), so :func:`render_room_queries` normalizes and joins the object
-phrase once and renders one tail per room label. :func:`render_room_query`
-and :func:`render_proxy_query` are its one-label case.
+phrase once and renders one tail per room label. :func:`render_proxy_query`
+is its one-object, one-label case.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ def render_room_queries(
         f"{head} {_article_for(room, mode)} {room}."
         for room in map(normalize_label, room_labels)
     ]
-
-
-def render_room_query(
-    objects: Iterable[str], room_label: str, template: QueryTemplate | None = None
-) -> str:
-    """Render the candidate sentence for one room label (see :func:`render_room_queries`)."""
-    return render_room_queries(objects, [room_label], template)[0]
 
 
 def render_proxy_query(

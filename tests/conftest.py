@@ -1,9 +1,11 @@
-"""Shared fixtures: small hand-built graphs and scene-file builders."""
+"""Shared fixtures: small hand-built graphs, scene-file builders and a
+one-label query renderer."""
 
 from __future__ import annotations
 
 import pytest
 
+from roomsense.querygen import render_room_queries
 from roomsense.scene_model import (
     BoundingBox,
     LabelSpace,
@@ -28,6 +30,11 @@ OBJECT_LABELS_12 = (
     "table",
     "toilet",
 )
+
+
+def render_room_query(objects, room_label: str, template=None) -> str:
+    """The candidate sentence for one room label (see ``render_room_queries``)."""
+    return render_room_queries(objects, [room_label], template)[0]
 
 
 def label_space(name: str, labels) -> LabelSpace:

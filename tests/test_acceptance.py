@@ -30,10 +30,17 @@ from roomsense.ingest import (
     write_scene_file,
 )
 from roomsense.lm_scoring import OfflineScorer
-from roomsense.querygen import QueryTemplate, render_room_query
+from roomsense.querygen import QueryTemplate
 from roomsense.scene_model import validate
 
-from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, object_by_id, scene_file_text
+from conftest import (
+    OBJECT_LABELS_12,
+    ROOM_LABELS_3,
+    build_graph,
+    object_by_id,
+    render_room_query,
+    scene_file_text,
+)
 from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, room_with
 from test_evaluation import hand_built_predictions, prediction, run_of
 from test_inference import BATH_BONUSES, classify_room, synthetic_graph

@@ -502,6 +502,50 @@ class TestReadTableMetadata:
             f"{path}:{lineno}: alpha {alpha!r} is not '-' or a finite number of at least 0"
         )
 
+    @staticmethod
+    def _with_provenance(path, two_room_graph, provenance):
+        """A written table whose ``# provenance:`` line holds ``provenance``,
+        or that has none if it is None; returns that line's number, or the
+        header's."""
+        write_table(count_ground_truth(two_room_graph, "things"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("# provenance:"))
+        if provenance is None:
+            del lines[index]
+            index = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        else:
+            lines[index] = f"# provenance: {provenance}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return index + 1
+
+    @pytest.mark.parametrize("provenance", ["proxie", "", "Proxy", "gt"])
+    def test_unknown_provenance_names_file_and_line(self, tmp_path, two_room_graph, provenance):
+        path = tmp_path / "cooc.tsv"
+        lineno = self._with_provenance(path, two_room_graph, provenance)
+        with pytest.raises(ValueError) as caught:
+            read_table(path)
+        assert str(caught.value) == (
+            f"{path}:{lineno}: provenance {provenance!r} is not 'ground_truth' or 'proxy'"
+        )
+
+    def test_missing_provenance_names_the_header_line(self, tmp_path, two_room_graph):
+        path = tmp_path / "cooc.tsv"
+        lineno = self._with_provenance(path, two_room_graph, None)
+        with pytest.raises(ValueError) as caught:
+            read_table(path)
+        assert str(caught.value) == f"{path}:{lineno}: no provenance line in the metadata"
+
+    def test_cli_missing_provenance_is_a_data_error(self, tmp_path, two_room_graph, capsys):
+        graph = tmp_path / "graph.txt"
+        write_scene_file(two_room_graph, graph)
+        path = tmp_path / "cooc.tsv"
+        lineno = self._with_provenance(path, two_room_graph, None)
+        out = tmp_path / "preds.jsonl"
+        code = main(["infer", "--graph", str(graph), "--cooc", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"data error: {path}:{lineno}: no provenance line" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_header_names_the_line_after_the_metadata(self, tmp_path, two_room_graph):
         path = tmp_path / "cooc.tsv"
         write_table(count_ground_truth(two_room_graph, "things"), path)

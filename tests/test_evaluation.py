@@ -34,7 +34,6 @@ def prediction(room_id, gt, predicted, labels):
         room_id=room_id,
         selected_objects=("thing",),
         candidates=candidates,
-        predicted_label=predicted,
         gt_label=gt,
     )
 

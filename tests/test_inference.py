@@ -19,10 +19,10 @@ from roomsense.inference import (
     write_predictions,
 )
 from roomsense.lm_scoring import OfflineScorer
-from roomsense.querygen import QueryTemplate, render_room_query
+from roomsense.querygen import QueryTemplate
 from roomsense.scene_model import LabelSpace, RoomNode, SceneGraph
 
-from conftest import ROOM_LABELS_3, build_graph, box
+from conftest import ROOM_LABELS_3, build_graph, box, render_room_query
 from test_cooccurrence import ShiftedScorer, TotalScorer
 
 BATH_BONUSES = {
@@ -325,7 +325,6 @@ class TestPredictionFiles:
                     room_id="a",
                     selected_objects=("toilet",),
                     candidates=(Candidate("bathroom", "s", -1.5),),
-                    predicted_label="bathroom",
                     gt_label="bathroom",
                 ),
             ),

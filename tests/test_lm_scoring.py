@@ -531,6 +531,38 @@ class TestScoreBatch:
         # one call per distinct sentence, not per occurrence
         assert scorer.calls == {s: 1 for s in sentences}
 
+    def test_worker_error_stops_every_worker(self):
+        class Failing(SentenceScorer):
+            max_inflight = 4
+            identity = "failing"
+
+            def __init__(self):
+                self.calls = []
+
+            def score(self, sentence):
+                self.calls.append(sentence)
+                if sentence == "sentence 10":
+                    raise RuntimeError("scorer bug")
+                time.sleep(0.005)
+                return SentenceScore(sentence, -1.0, 1, self.identity)
+
+        scorer = Failing()
+        with pytest.raises(RuntimeError, match="scorer bug"):
+            score_totals(scorer, [f"sentence {i}" for i in range(200)])
+        # the failing sentence is the 11th; each of the other 3 workers ends
+        # with the sentence it is on
+        assert len(scorer.calls) <= 11 + 4
+
+    def test_interrupt_stops_every_worker(self):
+        # a child interpreter takes the SIGINT, so pytest never sees it
+        done = subprocess.run(
+            [sys.executable, "-c", _INTERRUPTED_POOL,
+             str(Path(lm_scoring.__file__).resolve().parents[1])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert 0 < int(done.stdout) < 200
+
     def test_repeats_are_scored_once(self):
         class Recording(SentenceScorer):
             identity = "recording"
@@ -987,13 +1019,14 @@ class TestRemoteScorer:
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, " -2 "]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, False]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, -10**400]},
+            {"model": "m", "tokens": ["a", "b", "c"], "token_logprobs": [None, -1e308, -1e308]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, None]},
             {"model": "m", "tokens": ["a", "b"]},
             {"model": "m", "choices": [1]},
             [1, 2],
         ],
         ids=["oops", "positive", "nan", "numeric-string", "padded-string", "false",
-             "huge-int", "no-usable", "missing-field", "bad-choice", "list"],
+             "huge-int", "sum-overflows", "no-usable", "missing-field", "bad-choice", "list"],
     )
     def test_malformed_body_is_not_retried(self, mock_endpoint, body):
         _Handler.behaviors = [lambda p: (200, body), _echo_logprobs]
@@ -1116,6 +1149,36 @@ class TestRemoteScorer:
             thread.join()
         assert len(connections) == 2 and connections[1] is not connections[0]
 
+
+_INTERRUPTED_POOL = """
+import os
+import signal
+import sys
+import threading
+import time
+
+sys.path.insert(0, sys.argv[1])
+from roomsense.lm_scoring import SentenceScore, SentenceScorer, score_totals
+
+calls = []
+
+
+class Slow(SentenceScorer):
+    max_inflight = 4
+    identity = "slow"
+
+    def score(self, sentence):
+        calls.append(sentence)
+        time.sleep(0.05)
+        return SentenceScore(sentence, -1.0, 1, self.identity)
+
+
+threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
+try:
+    score_totals(Slow(), [f"sentence {i}" for i in range(200)])
+except KeyboardInterrupt:
+    print(len(calls))
+"""
 
 _INJECTED_SESSION = """
 import sys

@@ -6,8 +6,9 @@ from roomsense.querygen import (
     QueryTemplate,
     render_proxy_query,
     render_room_queries,
-    render_room_query,
 )
+
+from conftest import render_room_query
 
 GRAMMATICAL = QueryTemplate()
 LITERAL = QueryTemplate(article_mode=ARTICLE_LITERAL)
