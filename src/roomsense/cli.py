@@ -9,7 +9,8 @@ byte-identical data outputs; the run manifest sidecar (which carries a
 timestamp) is the one exception, and every data file references its
 manifest by the timestamp-free digest.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend failure.
+Exit codes: 0 success, 1 usage error or an OS error on a path, 2 data
+error, 3 backend failure.
 """
 
 from __future__ import annotations
@@ -98,7 +99,11 @@ def _write_text(path, text: str) -> None:
 
 
 def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def build_manifest(command: str, flags: dict, inputs, outputs, backend: str | None,
@@ -377,7 +382,7 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing input, a directory given as --out, ...
         print(f"roomsense: {err}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as err:

@@ -19,9 +19,10 @@ Entropies are in nats. Built tables are immutable.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .lm_scoring import SentenceScorer, TransportError, score_totals
 from .querygen import QueryTemplate, render_room_queries
 from .scene_model import ROOM_SPACE_NAME, LabelSpace, RoomNode, SceneGraph
@@ -236,24 +237,25 @@ _MAGIC = "# roomsense-cooccurrence v1"
 
 
 def write_table(table: CooccurrenceTable, path, manifest_id: str | None = None) -> None:
-    lines = [_MAGIC]
-    lines.append(f"# provenance: {table.provenance}")
-    lines.append(f"# object_space: {table.object_space}")
-    lines.append(f"# room_space: {table.room_space}")
+    """Write ``table`` in the cache file format, each line as it is built."""
     alpha = "-" if table.smoothing_alpha is None else repr(table.smoothing_alpha)
-    lines.append(f"# alpha: {alpha}")
-    lines.append(f"# scorer: {table.scorer_identity or '-'}")
-    lines.append(f"# template: {table.template_version or '-'}")
-    if manifest_id:
-        lines.append(f"# manifest: {manifest_id}")
-    lines.append("\t".join(["label", *table.room_labels, "entropy"]))
-    for label in table.rows:
-        cells = [label]
-        cells.extend(repr(x) for x in table.rows[label])
-        cells.append(repr(table.entropy[label]))
-        lines.append("\t".join(cells))
     with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+        write = handle.write
+        write(f"{_MAGIC}\n")
+        write(f"# provenance: {table.provenance}\n")
+        write(f"# object_space: {table.object_space}\n")
+        write(f"# room_space: {table.room_space}\n")
+        write(f"# alpha: {alpha}\n")
+        write(f"# scorer: {table.scorer_identity or '-'}\n")
+        write(f"# template: {table.template_version or '-'}\n")
+        if manifest_id:
+            write(f"# manifest: {manifest_id}\n")
+        write("\t".join(["label", *table.room_labels, "entropy"]) + "\n")
+        for label, row in table.rows.items():
+            cells = [label]
+            cells.extend(map(repr, row))
+            cells.append(repr(table.entropy[label]))
+            write("\t".join(cells) + "\n")
 
 
 def _read_alpha(text: str, where: str) -> float | None:
@@ -280,69 +282,68 @@ def read_table(path) -> CooccurrenceTable:
     probabilities within 1e-9; any other input raises ``ValueError`` naming
     ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}:1: not a roomsense co-occurrence file")
+    with closing(read_lines(path)) as stream:
+        lines = enumerate(stream, 1)
+        if next(lines, (1, None))[1] != _MAGIC:
+            raise ValueError(f"{path}:1: not a roomsense co-occurrence file")
 
-    meta: dict[str, str] = {}
-    alpha = None
-    body_start = len(lines)
-    for i, line in enumerate(lines[1:], 1):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        key, _, value = line[1:].partition(":")
-        key, value = key.strip(), value.strip()
-        meta[key] = value
-        if key == "alpha":
-            alpha = _read_alpha(value, f"{path}:{i + 1}")
-        elif key == "provenance" and value not in (GROUND_TRUTH, PROXY):
+        meta: dict[str, str] = {}
+        alpha = None
+        lineno = 1
+        for lineno, line in lines:
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].partition(":")
+            key, value = key.strip(), value.strip()
+            meta[key] = value
+            if key == "alpha":
+                alpha = _read_alpha(value, f"{path}:{lineno}")
+            elif key == "provenance" and value not in (GROUND_TRUTH, PROXY):
+                raise ValueError(
+                    f"{path}:{lineno}: provenance {value!r} is not {GROUND_TRUTH!r} or {PROXY!r}"
+                )
+        else:
+            raise ValueError(f"{path}:{lineno + 1}: no table header after the metadata")
+        if "provenance" not in meta:
+            raise ValueError(f"{path}:{lineno}: no provenance line in the metadata")
+        header = line.split("\t")
+        if header[0] != "label" or header[-1] != "entropy":
+            raise ValueError(f"{path}:{lineno}: malformed table header")
+        room_labels = tuple(header[1:-1])
+        if "" in room_labels or len(set(room_labels)) != len(room_labels):
             raise ValueError(
-                f"{path}:{i + 1}: provenance {value!r} is not {GROUND_TRUTH!r} or {PROXY!r}"
+                f"{path}:{lineno}: header repeats a room label or holds an empty one"
             )
-    if body_start == len(lines):
-        raise ValueError(f"{path}:{body_start + 1}: no table header after the metadata")
-    if "provenance" not in meta:
-        raise ValueError(f"{path}:{body_start + 1}: no provenance line in the metadata")
-    header = lines[body_start].split("\t")
-    if header[0] != "label" or header[-1] != "entropy":
-        raise ValueError(f"{path}:{body_start + 1}: malformed table header")
-    room_labels = tuple(header[1:-1])
-    if "" in room_labels or len(set(room_labels)) != len(room_labels):
-        raise ValueError(
-            f"{path}:{body_start + 1}: header repeats a room label or holds an empty one"
-        )
 
-    rows: dict[str, tuple[float, ...]] = {}
-    entropies: dict[str, float] = {}
-    for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        label = cells[0]
-        where = f"{path}:{lineno}: row {label!r}"
-        if len(cells) != len(room_labels) + 2:
-            raise ValueError(f"{where} has wrong column count")
-        if label in rows:
-            raise ValueError(f"{where} repeats an earlier row's label")
-        try:
-            values = [float(x) for x in cells[1:]]
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{where} holds a non-finite number")
-        row, stored = tuple(values[:-1]), values[-1]
-        try:
-            recomputed = entropy(row)
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-        if abs(recomputed - stored) > _TOLERANCE:
-            raise ValueError(
-                f"{where} stores entropy {stored!r}; its probabilities give {recomputed!r}"
-            )
-        rows[label] = row
-        entropies[label] = stored
+        rows: dict[str, tuple[float, ...]] = {}
+        entropies: dict[str, float] = {}
+        for lineno, line in lines:
+            if not line:
+                continue
+            cells = line.split("\t")
+            label = cells[0]
+            where = f"{path}:{lineno}: row {label!r}"
+            if len(cells) != len(room_labels) + 2:
+                raise ValueError(f"{where} has wrong column count")
+            if label in rows:
+                raise ValueError(f"{where} repeats an earlier row's label")
+            try:
+                values = [float(x) for x in cells[1:]]
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where} holds a non-finite number")
+            row, stored = tuple(values[:-1]), values[-1]
+            try:
+                recomputed = entropy(row)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if abs(recomputed - stored) > _TOLERANCE:
+                raise ValueError(
+                    f"{where} stores entropy {stored!r}; its probabilities give {recomputed!r}"
+                )
+            rows[label] = row
+            entropies[label] = stored
 
     return CooccurrenceTable(
         object_space=meta.get("object_space", ""),

@@ -84,12 +84,12 @@ def evaluate(run: GraphClassification) -> EvalReport:
 
 @dataclass(frozen=True)
 class ConditionTable:
-    """Accuracy per (provenance, object space) condition; rows and columns derive from its keys."""
+    """Accuracy per (row label, object space) cell; rows and columns derive from its keys."""
 
-    accuracy: dict[tuple[str, str], float]  # (provenance, object_space) -> value
+    accuracy: dict[tuple[str, str], float]  # (row label, object_space) -> value
 
     @property
-    def provenances(self) -> tuple[str, ...]:  # rows, in first-seen order
+    def provenances(self) -> tuple[str, ...]:  # row labels, in first-seen order
         return tuple(dict.fromkeys(p for p, _ in self.accuracy))
 
     @property
@@ -100,15 +100,26 @@ class ConditionTable:
 def compare_conditions(reports, names=None) -> ConditionTable:
     """Arrange per-condition accuracies into a provenance x space grid.
 
-    Two reports of one condition are an :class:`EvaluationError`; given
-    ``names``, one per report, its message names both reports.
+    A row is labelled by its provenance and by every other field of the
+    condition that varies across the reports, as ``format_report`` names
+    it: runs at k=1 and k=3 make the rows ``ground_truth k=1`` and
+    ``ground_truth k=3``. Two reports of one condition are an
+    :class:`EvaluationError`; given ``names``, one per report, its message
+    names both reports.
     """
     reports = list(reports)
     if not reports:
         raise EvaluationError("need at least one report to compare")
+    varying = [
+        (tag, name)
+        for tag, name in (("k", "k"), ("template", "template_version"), ("backend", "backend"))
+        if len({getattr(r.condition, name) for r in reports}) > 1
+    ]
     accuracy: dict[tuple[str, str], float] = {}
     for i, report in enumerate(reports):
-        key = (report.condition.provenance, report.condition.object_space)
+        c = report.condition
+        row = " ".join([c.provenance, *(f"{tag}={getattr(c, name)}" for tag, name in varying)])
+        key = (row, c.object_space)
         if key in accuracy:
             # the keys before this report are distinct, so a key's position
             # in accuracy is the index of the report that holds it

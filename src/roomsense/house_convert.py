@@ -19,8 +19,10 @@ category mapping TSV to emit nyuClass labels instead.
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from pathlib import Path
 
+from .atomic import read_lines
 from .ingest import ParseError
 from .scene_model import (
     ROOM_SPACE_NAME,
@@ -118,31 +120,32 @@ def load_category_map(path) -> dict[int, str]:
     A short row or a non-integer index is a :class:`ParseError` naming its
     ``path:line``.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty category mapping file")
-    header = lines[0].split("\t")
-    try:
-        index_col = header.index("index")
-        label_col = header.index("nyuClass")
-    except ValueError as err:
-        raise ParseError(f"{path}: need 'index' and 'nyuClass' columns") from err
-    mapping: dict[int, str] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) <= max(index_col, label_col):
-            raise ParseError(f"{path}:{lineno}: short row")
-        label = cells[label_col].strip()
-        if label:
-            try:
-                index = int(cells[index_col])
-            except ValueError as err:
-                raise ParseError(
-                    f"{path}:{lineno}: category index {cells[index_col]!r} is not an integer"
-                ) from err
-            mapping[index] = normalize_label(label)
+    with closing(read_lines(path)) as lines:
+        header = next(lines, None)
+        if header is None:
+            raise ParseError(f"{path}: empty category mapping file")
+        header = header.split("\t")
+        try:
+            index_col = header.index("index")
+            label_col = header.index("nyuClass")
+        except ValueError as err:
+            raise ParseError(f"{path}: need 'index' and 'nyuClass' columns") from err
+        mapping: dict[int, str] = {}
+        for lineno, line in enumerate(lines, 2):
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            if len(cells) <= max(index_col, label_col):
+                raise ParseError(f"{path}:{lineno}: short row")
+            label = cells[label_col].strip()
+            if label:
+                try:
+                    index = int(cells[index_col])
+                except ValueError as err:
+                    raise ParseError(
+                        f"{path}:{lineno}: category index {cells[index_col]!r} is not an integer"
+                    ) from err
+                mapping[index] = normalize_label(label)
     return mapping
 
 
@@ -170,7 +173,6 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     current at their record: the file stem until an ``H`` line names one.
     An object takes the id its region was given at the region's ``R`` line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     house_name = Path(path).stem
 
     categories: dict[int, tuple[str, str]] = {}  # index -> (fine, coarse)
@@ -179,7 +181,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     room_ids: dict[int, str] = {}  # region index -> room id
     object_ids: set[int] = set()
 
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         tokens = raw.split()
         if not tokens:
             continue

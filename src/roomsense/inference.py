@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .cooccurrence import CooccurrenceTable, select_informative
 from .lm_scoring import SentenceScorer, TransportError, _is_finite_number, score_totals
 from .querygen import QueryTemplate, render_room_queries
@@ -242,28 +241,26 @@ def read_predictions(path) -> GraphClassification:
     whose candidate room labels differ from the first prediction's is a
     ``ValueError`` naming its ``path:line``.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty predictions file")
     predictions: list[RoomPrediction] = []
     failures: list[RoomFailure] = []
     room_ids: set[str] = set()
-    lineno = 1
-    try:
-        header = _json_object(lines[0])
-        if header.get("kind") != "header" or header.get("format") != _FORMAT:
-            raise ValueError(f"not a {_FORMAT} file")
-        condition = TrialCondition(
-            object_space=_field(header, "object_space", str),
-            provenance=_field(header, "provenance", str),
-            k=_field(header, "k", int),
-            template_version=_field(header, "template_version", str),
-            backend=_field(header, "backend", str),
-        )
-        for lineno, line in enumerate(lines[1:], 2):
-            if not line.strip():
-                continue
+    condition = None
+    for lineno, line in enumerate(read_lines(path), 1):
+        if condition is not None and not line.strip():
+            continue
+        try:
             record = _json_object(line)
+            if condition is None:
+                if record.get("kind") != "header" or record.get("format") != _FORMAT:
+                    raise ValueError(f"not a {_FORMAT} file")
+                condition = TrialCondition(
+                    object_space=_field(record, "object_space", str),
+                    provenance=_field(record, "provenance", str),
+                    k=_field(record, "k", int),
+                    template_version=_field(record, "template_version", str),
+                    backend=_field(record, "backend", str),
+                )
+                continue
             kind = _field(record, "kind", str)
             if kind == "prediction":
                 entry = _prediction(record)
@@ -287,8 +284,10 @@ def read_predictions(path) -> GraphClassification:
             if entry.room_id in room_ids:
                 raise ValueError(f"room id {entry.room_id!r} repeats an earlier record's")
             room_ids.add(entry.room_id)
-    except ValueError as err:
-        raise ValueError(f"{path}:{lineno}: {err}") from err
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
+    if condition is None:
+        raise ValueError(f"{path}: empty predictions file")
     return GraphClassification(
         predictions=tuple(predictions), failures=tuple(failures), condition=condition
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .scene_model import (
     ROOM_SPACE_NAME,
     BoundingBox,
@@ -76,7 +76,7 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
         path = Path(path)
     fixes: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -127,10 +127,10 @@ def parse_scene_file(path) -> SceneGraph:
     must be declared in the header. A missing header is only legal for an
     entirely empty file. Malformed records and duplicate ids raise
     :class:`ParseError`, whose message starts with the record's
-    ``path:line``.
+    ``path:line``. An object's ``assigned_room`` is its room's ``id`` string
+    itself once that room has been read, so a room id is held once however
+    many objects name it.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-
     space_names: list[str] = []
     room_labels: tuple[str, ...] = ()
     header_seen = False
@@ -138,7 +138,7 @@ def parse_scene_file(path) -> SceneGraph:
     objects: dict[str, ObjectNode] = {}
 
     # the location of a record is formatted only when it is reported
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if line.lstrip()[:1] in ("", "#"):
             continue
         fields = line.split("\t")
@@ -199,13 +199,14 @@ def parse_scene_file(path) -> SceneGraph:
             obj_id = fields[1]
             if obj_id in objects:
                 raise ParseError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
+            room = rooms.get(fields[2])
             objects[obj_id] = ObjectNode(
                 id=obj_id,
                 label_per_space=dict(
                     zip(space_names, map(normalize_label, fields[3:label_end]))
                 ),
                 bbox=_bbox(fields[label_end:], path, lineno),
-                assigned_room=fields[2],
+                assigned_room=fields[2] if room is None else room.id,
             )
         else:
             raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
@@ -224,28 +225,32 @@ def parse_scene_file(path) -> SceneGraph:
 
 
 def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) -> None:
-    """Serialize a graph back to the scene file format (lossless floats)."""
-    lines = []
-    if manifest_id:
-        lines.append(f"# manifest: {manifest_id}")
+    """Serialize a graph back to the scene file format (lossless floats).
+
+    Each line is written as it is built.
+    """
     room_space = graph.room_space
-    if room_space is None and not graph.object_space_names:
-        # an empty graph round-trips as an (effectively) empty file
-        with atomic_write(path) as handle:
-            handle.write("\n".join(lines) + "\n" if lines else "")
-        return
-    spaces = ",".join(graph.object_space_names)
-    rooms = ",".join(room_space.labels if room_space else ())
-    lines.append(f"{_MAGIC}\t{_VERSION}\tspaces={spaces}\trooms={rooms}")
-    for room in graph.rooms:
-        coords = [*room.bbox.min_corner, *room.bbox.max_corner]
-        lines.append("\t".join(["room", room.id, room.gt_label, *map(repr, coords)]))
-    for obj in graph.objects:
-        coords = [*obj.bbox.min_corner, *obj.bbox.max_corner]
-        labels = [obj.label_per_space[name] for name in graph.object_space_names]
-        lines.append("\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)]))
+    names = graph.object_space_names
     with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+        write = handle.write
+        if manifest_id:
+            write(f"# manifest: {manifest_id}\n")
+        if room_space is None and not names:
+            # an empty graph round-trips as an (effectively) empty file
+            return
+        spaces = ",".join(names)
+        rooms = ",".join(room_space.labels if room_space else ())
+        write(f"{_MAGIC}\t{_VERSION}\tspaces={spaces}\trooms={rooms}\n")
+        for room in graph.rooms:
+            coords = [*room.bbox.min_corner, *room.bbox.max_corner]
+            write("\t".join(["room", room.id, room.gt_label, *map(repr, coords)]) + "\n")
+        for obj in graph.objects:
+            coords = [*obj.bbox.min_corner, *obj.bbox.max_corner]
+            labels = [obj.label_per_space[name] for name in names]
+            write(
+                "\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)])
+                + "\n"
+            )
 
 
 def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
+from .atomic import read_lines
 from .scene_model import normalize_label
 
 logger = logging.getLogger(__name__)
@@ -222,7 +223,7 @@ def load_bonus_table(path) -> dict[tuple[str, str], float]:
     ``path:line``.
     """
     table: dict[tuple[str, str], float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -577,7 +578,8 @@ class CachingScorer(SentenceScorer):
     its first miss, keeps it until it is collected, and flushes every
     record as it is written, so an interrupted run resumes where it stopped.
     A torn last line left by such a run is ended before the first new
-    record, so only the torn record is lost.
+    record, so only the torn record is lost. Entries of one backend
+    identity share one backend string, on load and on append.
     """
 
     def __init__(self, inner: SentenceScorer, path):
@@ -585,6 +587,8 @@ class CachingScorer(SentenceScorer):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._memory: dict[tuple[str, str], tuple[float, int]] = {}
+        # each backend identity's one string, shared by the keys of _memory
+        self._backends: dict[str, str] = {}
         self._handle = None
         if self.path.exists():
             self._load()
@@ -598,18 +602,21 @@ class CachingScorer(SentenceScorer):
         return self.inner.max_inflight
 
     def _load(self) -> None:
-        for lineno, raw in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
+        # a line that is not UTF-8 reads as U+FFFD, which is not JSON, so it
+        # is skipped as a malformed record
+        for lineno, raw in enumerate(read_lines(self.path, undecodable="\ufffd"), 1):
             line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-                key = (record["backend"], record["sentence"])
+                backend, sentence = record["backend"], record["sentence"]
                 total, count = record["total_logprob"], record["token_count"]
                 # bool is an int subclass
                 if not _is_finite_number(total) or type(count) is not int or count < 0:
                     raise ValueError("cached values are not numbers")
-                self._memory[key] = (total, count)
+                backend = self._backends.setdefault(backend, backend)
+                self._memory[(backend, sentence)] = (total, count)
             except (ValueError, KeyError, TypeError):
                 # a torn trailing record from an interrupted run is expected;
                 # skip it, or any record whose values are not numbers, and
@@ -626,7 +633,8 @@ class CachingScorer(SentenceScorer):
         }
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            self._memory[(score.backend, score.sentence)] = (
+            backend = self._backends.setdefault(score.backend, score.backend)
+            self._memory[(backend, score.sentence)] = (
                 score.total_logprob,
                 score.token_count,
             )

@@ -454,18 +454,56 @@ class TestExitCodes:
     ):
         graph = tmp_path / "clean.txt"
         cooc = tmp_path / "cooc.tsv"
+        first = tmp_path / "first.jsonl"
+        again = tmp_path / "again.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", first, "--k", "3")
+        run("infer", "--graph", graph, "--cooc", cooc, "--out", again, "--k", "3")
+        capsys.readouterr()
+        assert run("eval", first, again, "--out-dir", tmp_path / "reports") == 2
+        err = capsys.readouterr().err
+        assert "data error: duplicate condition ('ground_truth', " in err
+        assert f"{first} and {again}" in err
+        assert not (tmp_path / "reports").exists()
+
+    def test_runs_that_differ_in_k_make_one_row_each(self, tmp_path, scene, capsys):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
         k1 = tmp_path / "k1.jsonl"
         k3 = tmp_path / "k3.jsonl"
         run("ingest", "--scene", scene, "--out", graph)
         run("cooc", "--graph", graph, "--out", cooc)
         run("infer", "--graph", graph, "--cooc", cooc, "--out", k1, "--k", "1")
         run("infer", "--graph", graph, "--cooc", cooc, "--out", k3, "--k", "3")
+        assert run("eval", k1, k3, "--out-dir", tmp_path / "reports") == 0
+        grid = (tmp_path / "reports" / "conditions.txt").read_text().splitlines()
+        assert [row.split()[:2] for row in grid[1:3]] == [
+            ["ground_truth", "k=1"], ["ground_truth", "k=3"],
+        ]
+
+    @pytest.mark.parametrize("case", ["out-is-a-directory", "cache-dir-is-a-file"])
+    def test_os_error_on_a_path_is_one_line_and_exit_1(self, tmp_path, scene, capsys, case):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
         capsys.readouterr()
-        assert run("eval", k1, k3, "--out-dir", tmp_path / "reports") == 2
+        if case == "out-is-a-directory":
+            named = tmp_path / "taken"
+            named.mkdir()
+            argv = ["cooc", "--graph", graph, "--out", named]
+        else:
+            named = tmp_path / "cache"
+            named.write_text("not a directory\n")
+            argv = ["infer", "--graph", graph, "--cooc", cooc,
+                    "--out", tmp_path / "p.jsonl", "--cache-dir", named]
+        assert run(*argv) == 1
         err = capsys.readouterr().err
-        assert "data error: duplicate condition ('ground_truth', " in err
-        assert f"{k1} and {k3}" in err
-        assert not (tmp_path / "reports").exists()
+        assert err.count("\n") == 1
+        assert err.startswith("roomsense: ")
+        assert str(named) in err
+        assert "Traceback" not in err
 
     def test_table_space_must_match_graph(self, tmp_path, scene):
         fine_graph = tmp_path / "fine.txt"

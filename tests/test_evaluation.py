@@ -174,8 +174,8 @@ class TestEvaluate:
 
 
 class TestCompareConditions:
-    def report_for(self, space, provenance, accuracy):
-        condition = TrialCondition(space, provenance, 3, "v1-grammatical", "offline:x")
+    def report_for(self, space, provenance, accuracy, k=3, backend="offline:x"):
+        condition = TrialCondition(space, provenance, k, "v1-grammatical", backend)
         n = max(int(round(accuracy * 100)), 1)
         preds = [
             prediction(f"r{i}", "attic", "attic" if i < n else "basement",
@@ -198,6 +198,21 @@ class TestCompareConditions:
         assert table.accuracy[("proxy", "mpcat40")] == pytest.approx(0.27)
         text = format_condition_table(table)
         assert "nyuclass" in text and "ground_truth" in text
+
+    def test_fields_that_vary_join_the_row_label(self):
+        reports = [
+            self.report_for("nyuclass", "ground_truth", 0.5, k=1),
+            self.report_for("nyuclass", "ground_truth", 0.6, k=3),
+            self.report_for("nyuclass", "proxy", 0.4, k=1, backend="remote:gpt-j"),
+        ]
+        table = compare_conditions(reports)
+        assert table.provenances == (
+            "ground_truth k=1 backend=offline:x",
+            "ground_truth k=3 backend=offline:x",
+            "proxy k=1 backend=remote:gpt-j",
+        )
+        assert table.object_spaces == ("nyuclass",)
+        assert "ground_truth k=3 backend=offline:x" in format_condition_table(table)
 
     def test_single_report(self):
         table = compare_conditions([self.report_for("nyuclass", "ground_truth", 0.5)])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,14 @@ from roomsense.ingest import (
     run_pipeline,
     write_scene_file,
 )
-from roomsense.scene_model import ObjectNode, SceneGraph, validate
+from roomsense.scene_model import (
+    BoundingBox,
+    LabelSpace,
+    ObjectNode,
+    RoomNode,
+    SceneGraph,
+    validate,
+)
 
 from conftest import object_by_id, scene_file_text
 
@@ -517,3 +525,64 @@ class TestDerivedObjectSpaces:
         only = smaller.objects[0].label_per_space
         for name in smaller.object_space_names:
             assert smaller.object_space(name).labels == (only[name],)
+
+
+def generated_graph(rooms: int = 500, objects_per_room: int = 20) -> SceneGraph:
+    """A graph of ``rooms`` x ``objects_per_room`` objects with full-precision coordinates."""
+    labels = ("chair", "table", "lamp", "bed", "sink", "toilet", "stove", "sofa")
+    room_nodes, object_nodes = [], []
+    for i in range(rooms):
+        x = 10.0 * i + 1 / 3
+        room = RoomNode(f"house{i // 25}/R{i}", "bedroom",
+                        BoundingBox((x, 0.1, 0.0), (x + 9.7, 9.3, 3.1)))
+        room_nodes.append(room)
+        for j in range(objects_per_room):
+            label = labels[(i + j) % len(labels)]
+            lo = (x + 0.37 * j, 1.1 + 0.01 * j, 0.0)
+            object_nodes.append(ObjectNode(
+                f"house{i // 25}/O{i * objects_per_room + j}",
+                {"mpcat40": label, "nyuclass": label},
+                BoundingBox(lo, (lo[0] + 0.29, lo[1] + 0.53, 0.71)),
+                room.id,
+            ))
+    return SceneGraph(
+        rooms=tuple(room_nodes),
+        objects=tuple(object_nodes),
+        room_space=LabelSpace("room", ("bedroom",)),
+        object_space_names=("mpcat40", "nyuclass"),
+    )
+
+
+def traced(call):
+    """``call()``'s result, and the memory it retained and peaked at, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+class TestMemoryBoundedByOneLine:
+    """A scene file is written and parsed one line at a time, so neither
+    step holds a copy of the file."""
+
+    def test_writing_peaks_well_under_one_file_size(self, tmp_path):
+        graph = generated_graph()
+        path = tmp_path / "big.txt"
+        _, _, peak = traced(lambda: write_scene_file(graph, path, manifest_id="m"))
+        assert peak < path.stat().st_size / 10
+
+    def test_parsing_peaks_close_to_what_it_retains(self, tmp_path):
+        path = tmp_path / "big.txt"
+        write_scene_file(generated_graph(), path)
+        graph, retained, peak = traced(lambda: parse_scene_file(path))
+        assert len(graph.objects) == 10_000
+        assert peak - retained < path.stat().st_size / 2
+
+    def test_objects_hold_their_room_id_string(self, raw_graph):
+        rooms = raw_graph.room_by_id()
+        homed = [obj for obj in raw_graph.objects if obj.assigned_room in rooms]
+        assert homed
+        assert all(obj.assigned_room is rooms[obj.assigned_room].id for obj in homed)

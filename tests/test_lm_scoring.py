@@ -724,6 +724,35 @@ class TestCachingScorer:
         )
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
+    def test_record_that_is_not_utf8_is_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(
+            (_cache_line("first") + "\n").encode()
+            + _cache_line("garbled @").encode().replace(b"@", b"\xff") + b"\n"
+            + (_cache_line("third") + "\n").encode()
+        )
+
+        class Exploding(SentenceScorer):
+            identity = OfflineScorer(seed=1).identity
+
+            def score(self, sentence):
+                raise AssertionError("cache miss hit the backend")
+
+        with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
+            reloaded = CachingScorer(Exploding(), path)
+        assert f"skipping malformed cache record {path}:2" in caplog.text
+        assert score_totals(reloaded, ["first", "third"]) == [-3.5, -3.5]
+
+    def test_reloaded_entries_share_one_backend_string(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        sentences = [f"sentence {i}" for i in range(5)]
+        score_totals(CachingScorer(OfflineScorer(seed=1), path), sentences)
+        reloaded = CachingScorer(OfflineScorer(seed=1), path)
+        reloaded.score("one more")
+        backends = [backend for backend, _ in reloaded._memory]
+        assert len(backends) == 6
+        assert len({id(backend) for backend in backends}) == 1
+
     def test_misses_open_the_cache_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "nested" / "cache.jsonl"
         opened = []
