@@ -148,8 +148,6 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
 def _resolve_object_space(graph, choice: str) -> str:
     """Map fine/coarse onto the graph's declared spaces (coarse first)."""
     names = graph.object_space_names
-    if not names:
-        raise DataError("graph declares no object label spaces")
     return names[0] if choice == "coarse" else names[-1]
 
 
@@ -203,12 +201,10 @@ def cmd_ingest(args) -> int:
     processed = []
     for scene in args.scene:
         raw = ingest.parse_scene_file(scene)
-        space = _resolve_object_space(raw, args.object_space) if raw.object_space_names else None
-        if space is None:
-            processed.append(raw)
-            continue
-        processed.append(ingest.run_pipeline(raw, config, space))
-    graph = ingest.merge_graphs(processed) if len(processed) != 1 else processed[0]
+        processed.append(
+            ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
+        )
+    graph = ingest.merge_graphs(processed)
 
     violations = validate(graph)
     if violations:
@@ -242,11 +238,8 @@ def cmd_cooc(args) -> int:
         backend = None
     else:
         scorer = _make_scorer(args)
-        room_space = graph.room_space
-        if room_space is None:
-            raise DataError("graph declares no room label space")
         table = build_proxy_table(
-            scorer, graph.object_space(space_name), room_space, template=template
+            scorer, graph.object_space(space_name), graph.room_space, template=template
         )
         backend = scorer.identity
     with _manifested(args, args.out, [args.graph], backend, template.version) as manifest_id:

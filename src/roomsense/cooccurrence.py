@@ -98,9 +98,7 @@ def count_ground_truth(
         raise ValueError("smoothing alpha must be >= 0")
     space = graph.object_space(object_space)
     room_space = graph.room_space
-    if room_space is None:
-        raise KeyError(f"no label space named {ROOM_SPACE_NAME!r} in graph")
-    room_labels = tuple(room_space.labels)
+    room_labels = room_space.labels
 
     counts: dict[str, dict[str, int]] = {label: {} for label in space.labels}
     rooms_by_id = graph.room_by_id()

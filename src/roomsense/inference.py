@@ -107,7 +107,7 @@ def classify_graph(
     room-label order, that failed to score.
     """
     template = template or QueryTemplate()
-    room_labels = graph.room_space.labels if graph.room_space is not None else ()
+    room_labels = graph.room_space.labels
     plans = []
     reasons: dict[str, str] = {}
     for room in sorted(graph.rooms, key=lambda r: r.id):
@@ -115,8 +115,6 @@ def classify_graph(
         if not selected:
             # Ingest filtering removes label-less rooms; defend anyway.
             reasons[room.id] = f"room {room.id!r} has no usable object labels"
-        elif not room_labels:
-            reasons[room.id] = "graph declares no room label space"
         else:
             sentences = render_room_queries(selected, room_labels, template)
             plans.append((room, selected, sentences))

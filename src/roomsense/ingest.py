@@ -15,9 +15,11 @@ Scene input files are UTF-8, line-delimited, tab-separated records
     object<TAB><id><TAB><room id><TAB><label per space...><TAB>minx<TAB>...<TAB>maxz
 
 The header declares the object label spaces (coarse space first by
-convention) and the full room-label list. Blank lines and lines starting
-with '#' are ignored. The room space is fixed by the header; an object
-space's labels are those its objects carry (:class:`SceneGraph`).
+convention) and the full room-label list; a file without a header, or
+whose header lists no object space or no room label, is refused. Blank
+lines and lines starting with '#' are ignored. The room space is fixed by
+the header; an object space's labels are those its objects carry
+(:class:`SceneGraph`).
 """
 
 from __future__ import annotations
@@ -123,13 +125,14 @@ def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
 def parse_scene_file(path) -> SceneGraph:
     """Parse a scene file into a raw, unfiltered graph.
 
-    Labels are normalized but nothing is removed or reassigned. Room labels
-    must be declared in the header. A missing header is only legal for an
-    entirely empty file. Malformed records and duplicate ids raise
-    :class:`ParseError`, whose message starts with the record's
-    ``path:line``. An object's ``assigned_room`` is its room's ``id`` string
-    itself once that room has been read, so a room id is held once however
-    many objects name it.
+    Labels are normalized but nothing is removed or reassigned. The header
+    comes first and declares at least one object space and one room label,
+    and every room's label must be declared in it; otherwise
+    :class:`SchemaError` names the ``path`` (no header) or ``path:line``.
+    Malformed records and duplicate ids raise :class:`ParseError`, whose
+    message starts with the record's ``path:line``. An object's
+    ``assigned_room`` is its room's ``id`` string itself once that room has
+    been read, so a room id is held once however many objects name it.
     """
     space_names: list[str] = []
     room_labels: tuple[str, ...] = ()
@@ -170,6 +173,8 @@ def parse_scene_file(path) -> SceneGraph:
                     if r.strip()
                 )
             )
+            if not room_labels:
+                raise SchemaError(f"{where}: header declares no room labels")
             label_end = 3 + len(space_names)
             header_seen = True
             continue
@@ -212,9 +217,7 @@ def parse_scene_file(path) -> SceneGraph:
             raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
 
     if not header_seen:
-        if rooms or objects:
-            raise SchemaError(f"{path}: records without a header")
-        return SceneGraph()
+        raise SchemaError(f"{path}: no '{_MAGIC}' header")
 
     return SceneGraph(
         rooms=tuple(rooms.values()),
@@ -229,17 +232,13 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
 
     Each line is written as it is built.
     """
-    room_space = graph.room_space
     names = graph.object_space_names
     with atomic_write(path) as handle:
         write = handle.write
         if manifest_id:
             write(f"# manifest: {manifest_id}\n")
-        if room_space is None and not names:
-            # an empty graph round-trips as an (effectively) empty file
-            return
         spaces = ",".join(names)
-        rooms = ",".join(room_space.labels if room_space else ())
+        rooms = ",".join(graph.room_space.labels)
         write(f"{_MAGIC}\t{_VERSION}\tspaces={spaces}\trooms={rooms}\n")
         for room in graph.rooms:
             coords = [*room.bbox.min_corner, *room.bbox.max_corner]
@@ -386,12 +385,10 @@ def filter_graph(
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
     occupied = {obj.assigned_room for obj in kept_objects}
     rooms = tuple(room for room in kept_rooms if room.id in occupied)
-    room_space = graph.room_space
-    if room_space is not None:
-        room_space = LabelSpace(
-            name=room_space.name,
-            labels=tuple(l for l in room_space.labels if l not in dropped_room_labels),
-        )
+    room_space = LabelSpace(
+        name=graph.room_space.name,
+        labels=tuple(l for l in graph.room_space.labels if l not in dropped_room_labels),
+    )
     return replace(graph, rooms=rooms, objects=kept_objects, room_space=room_space)
 
 
@@ -407,16 +404,13 @@ def run_pipeline(
     return filter_graph(graph, config, object_space)
 
 
-def merge_graphs(graphs) -> SceneGraph:
+def merge_graphs(graphs: list[SceneGraph]) -> SceneGraph:
     """Concatenate per-building graphs sharing the same label spaces.
 
-    Object-space names and room spaces must agree exactly; empty graphs
-    are skipped. Duplicate node ids across inputs are a data error (the
+    Needs at least one graph. Object-space names and room spaces must agree
+    exactly. Duplicate node ids across inputs are a data error (the
     converter prefixes ids with the building name).
     """
-    graphs = [g for g in graphs if g != SceneGraph()]
-    if not graphs:
-        return SceneGraph()
     first = graphs[0]
     for g in graphs[1:]:
         if g.object_space_names != first.object_space_names:
@@ -445,10 +439,7 @@ def merge_graphs(graphs) -> SceneGraph:
 
 def room_label_histogram(graph: SceneGraph) -> dict[str, int]:
     """Room count per ground-truth label, in room-space label order."""
-    counts: dict[str, int] = {}
-    room_space = graph.room_space
-    if room_space is not None:
-        counts = {label: 0 for label in room_space.labels}
+    counts = dict.fromkeys(graph.room_space.labels, 0)
     for room in graph.rooms:
         counts[room.gt_label] = counts.get(room.gt_label, 0) + 1
     return counts

@@ -578,17 +578,15 @@ class CachingScorer(SentenceScorer):
     its first miss, keeps it until it is collected, and flushes every
     record as it is written, so an interrupted run resumes where it stopped.
     A torn last line left by such a run is ended before the first new
-    record, so only the torn record is lost. Entries of one backend
-    identity share one backend string, on load and on append.
+    record, so only the torn record is lost. Only records whose backend is
+    this scorer's identity can hit, so only they are indexed, by sentence.
     """
 
     def __init__(self, inner: SentenceScorer, path):
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._memory: dict[tuple[str, str], tuple[float, int]] = {}
-        # each backend identity's one string, shared by the keys of _memory
-        self._backends: dict[str, str] = {}
+        self._memory: dict[str, tuple[float, int]] = {}
         self._handle = None
         if self.path.exists():
             self._load()
@@ -604,6 +602,7 @@ class CachingScorer(SentenceScorer):
     def _load(self) -> None:
         # a line that is not UTF-8 reads as U+FFFD, which is not JSON, so it
         # is skipped as a malformed record
+        identity = self.inner.identity
         for lineno, raw in enumerate(read_lines(self.path, undecodable="\ufffd"), 1):
             line = raw.strip()
             if not line:
@@ -615,12 +614,14 @@ class CachingScorer(SentenceScorer):
                 # bool is an int subclass
                 if not _is_finite_number(total) or type(count) is not int or count < 0:
                     raise ValueError("cached values are not numbers")
-                backend = self._backends.setdefault(backend, backend)
-                self._memory[(backend, sentence)] = (total, count)
+                if type(backend) is not str or type(sentence) is not str:
+                    raise TypeError("cached keys are not strings")
+                if backend == identity:
+                    self._memory[sentence] = (total, count)
             except (ValueError, KeyError, TypeError):
                 # a torn trailing record from an interrupted run is expected;
-                # skip it, or any record whose values are not numbers, and
-                # let the sentence be re-scored
+                # skip it, or any record whose values are not numbers or
+                # whose keys are not strings, and let the sentence be re-scored
                 logger.warning("skipping malformed cache record %s:%d", self.path, lineno)
 
     def _append(self, score: SentenceScore) -> None:
@@ -633,11 +634,8 @@ class CachingScorer(SentenceScorer):
         }
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            backend = self._backends.setdefault(score.backend, score.backend)
-            self._memory[(backend, score.sentence)] = (
-                score.total_logprob,
-                score.token_count,
-            )
+            if score.backend == self.inner.identity:
+                self._memory[score.sentence] = (score.total_logprob, score.token_count)
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("a+b")
@@ -652,7 +650,7 @@ class CachingScorer(SentenceScorer):
             self._handle.flush()
 
     def _hit(self, sentence: str) -> SentenceScore | None:
-        cached = self._memory.get((self.inner.identity, sentence))
+        cached = self._memory.get(sentence)
         if cached is None:
             return None
         total, count = cached

@@ -117,20 +117,21 @@ class RoomNode(NamedTuple):
     bbox: BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SceneGraph:
     """Rooms and objects, the room label space and the object spaces' names.
 
     ``room_space`` is the :class:`LabelSpace` named ``"room"``, declared by
-    the data source. ``object_space_names`` lists the object spaces in
-    declaration order (coarse space first by convention); each object
-    carries one label per name. Object-space labels are not stored:
-    :attr:`object_spaces` derives them from the objects.
+    the data source; every graph has one, so fields are keyword-only.
+    ``object_space_names`` lists the object spaces in declaration order
+    (coarse space first by convention); each object carries one label per
+    name. Object-space labels are not stored: :attr:`object_spaces` derives
+    them from the objects.
     """
 
     rooms: tuple[RoomNode, ...] = ()
     objects: tuple[ObjectNode, ...] = ()
-    room_space: LabelSpace | None = None
+    room_space: LabelSpace
     object_space_names: tuple[str, ...] = ()
 
     @cached_property
@@ -160,65 +161,43 @@ class SceneGraph:
 
 
 def validate(graph: SceneGraph) -> list[str]:
-    """Check every structural invariant; return one description per violation.
+    """Check the invariants a stage can break; return one description per violation.
 
-    Read-only and idempotent. An empty result means the graph is
-    well-formed: labels normalized, every object labelled in exactly the
-    declared object spaces, ids unique, boxes ordered, every object
-    assigned to an existing room, and every room named by at least one
-    object. Violations are data, not exceptions.
+    Read-only and idempotent. An empty result means the room space has at
+    least two labels, every room's label is in it, boxes are ordered, every
+    object is labelled in exactly the declared object spaces and assigned
+    to an existing room, and every room is named by at least one object.
+    Violations are data, not exceptions. Labels, ids and space names are
+    not checked again: :func:`roomsense.ingest.parse_scene_file` normalizes
+    and deduplicates labels and refuses a repeated id or space name, and
+    :func:`roomsense.ingest.merge_graphs` refuses an id repeated across
+    graphs.
     """
     violations: list[str] = []
 
     room_space = graph.room_space
-    seen_space_names = set()
-    spaces = graph.object_spaces if room_space is None else (room_space, *graph.object_spaces)
-    for space in spaces:
-        if space.name in seen_space_names:
-            violations.append(f"label space {space.name!r}: duplicate space name")
-        seen_space_names.add(space.name)
-        seen = set()
-        for label in space.labels:
-            if label != normalize_label(label):
-                violations.append(
-                    f"label space {space.name!r}: label {label!r} is not normalized"
-                )
-            if label in seen:
-                violations.append(
-                    f"label space {space.name!r}: duplicate label {label!r}"
-                )
-            seen.add(label)
-
-    if room_space is not None and len(room_space.labels) < 2:
+    if len(room_space.labels) < 2:
         violations.append(
             f"label space {room_space.name!r}: needs >= 2 labels, has {len(room_space.labels)}"
         )
-    if room_space is None and graph.rooms:
-        violations.append("graph: rooms present but no 'room' label space declared")
 
-    rooms_by_id: dict[str, RoomNode] = {}
+    room_ids = set()
     for room in graph.rooms:
-        if room.id in rooms_by_id:
-            violations.append(f"room {room.id!r}: duplicate room id")
-        rooms_by_id[room.id] = room
+        room_ids.add(room.id)
         if not room.bbox.is_well_formed():
             violations.append(f"room {room.id!r}: bbox min exceeds max")
         if room.id not in graph._room_members:
             violations.append(f"room {room.id!r}: contains no objects")
-        if room_space is not None and room.gt_label not in room_space:
+        if room.gt_label not in room_space:
             violations.append(
                 f"room {room.id!r}: label {room.gt_label!r} not in room label space"
             )
 
     declared = set(graph.object_space_names)
-    object_ids: set[str] = set()
     for obj in graph.objects:
-        if obj.id in object_ids:
-            violations.append(f"object {obj.id!r}: duplicate object id")
-        object_ids.add(obj.id)
         if not obj.bbox.is_well_formed():
             violations.append(f"object {obj.id!r}: bbox min exceeds max")
-        if obj.assigned_room not in rooms_by_id:
+        if obj.assigned_room not in room_ids:
             violations.append(
                 f"object {obj.id!r}: assigned room {obj.assigned_room!r} does not exist"
             )

@@ -398,6 +398,37 @@ class TestExitCodes:
         bad.write_text("room\tr0\tbathroom\t0\t0\t0\t1\t1\t1\n")
         assert run("ingest", "--scene", bad, "--out", tmp_path / "out.txt") == 2
 
+    def test_empty_scene_file_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "out.txt"
+        assert run("ingest", "--scene", empty, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {empty}: no 'scenegraph' header"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cooc", "--mode", "gt"],
+        ["cooc", "--mode", "proxy"],
+        ["infer"],
+    ], ids=["cooc-gt", "cooc-proxy", "infer"])
+    def test_header_without_room_labels_is_data_error(self, tmp_path, scene, capsys, argv):
+        table = tmp_path / "cooc.tsv"
+        run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
+        run("cooc", "--graph", tmp_path / "clean.txt", "--out", table)
+        no_rooms = tmp_path / "no-rooms.txt"
+        no_rooms.write_text("scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=\n")
+        capsys.readouterr()
+        command, *flags = argv
+        inputs = ["--graph", no_rooms] + (["--cooc", table] if command == "infer" else [])
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", out, *flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {no_rooms}:1: header declares no room labels"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("bonus", ["abc", "nan", "inf"])
     def test_bad_bonus_file_is_data_error(self, tmp_path, scene, capsys, bonus):
         graph = tmp_path / "clean.txt"

@@ -106,9 +106,18 @@ class TestParse:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
-        path.write_text("")
-        graph = parse_scene_file(path)
-        assert graph.rooms == () and graph.objects == ()
+        for text in ("", "# only a comment\n\n"):
+            path.write_text(text)
+            with pytest.raises(SchemaError) as caught:
+                parse_scene_file(path)
+            assert str(caught.value) == f"{path}: no 'scenegraph' header"
+
+    def test_header_without_room_labels_names_line_one(self, tmp_path):
+        path = tmp_path / "no-rooms.txt"
+        path.write_text("scenegraph\tv1\tspaces=mpcat40\trooms= , \n")
+        with pytest.raises(SchemaError) as caught:
+            parse_scene_file(path)
+        assert str(caught.value) == f"{path}:1: header declares no room labels"
 
     def test_records_without_header(self, tmp_path):
         path = tmp_path / "headerless.txt"
@@ -454,12 +463,16 @@ class TestRoundTripAndMerge:
         write_scene_file(raw_graph, path)
         assert parse_scene_file(path) == raw_graph
 
-    def test_empty_graph_round_trip(self, tmp_path):
-        from roomsense.scene_model import SceneGraph
-
-        path = tmp_path / "empty.txt"
-        write_scene_file(SceneGraph(), path)
-        assert parse_scene_file(path) == SceneGraph()
+    def test_header_only_round_trip(self, tmp_path):
+        graph = SceneGraph(
+            room_space=LabelSpace(name="room", labels=("bathroom", "kitchen")),
+            object_space_names=("mpcat40", "nyuclass"),
+        )
+        path = tmp_path / "header-only.txt"
+        write_scene_file(graph, path)
+        parsed = parse_scene_file(path)
+        assert parsed == graph
+        assert parsed.rooms == () and parsed.objects == ()
 
     def test_merge_two_buildings(self, scene_path, tmp_path):
         graph_a = parse_scene_file(

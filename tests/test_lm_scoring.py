@@ -743,15 +743,40 @@ class TestCachingScorer:
         assert f"skipping malformed cache record {path}:2" in caplog.text
         assert score_totals(reloaded, ["first", "third"]) == [-3.5, -3.5]
 
-    def test_reloaded_entries_share_one_backend_string(self, tmp_path):
+    def test_reload_indexes_only_the_scorers_own_identity(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        sentences = [f"sentence {i}" for i in range(5)]
-        score_totals(CachingScorer(OfflineScorer(seed=1), path), sentences)
+        score_totals(CachingScorer(OfflineScorer(seed=1), path), ["mine", "shared"])
+        score_totals(CachingScorer(OfflineScorer(seed=2), path), ["theirs", "shared"])
+        assert len(path.read_text().splitlines()) == 4
         reloaded = CachingScorer(OfflineScorer(seed=1), path)
         reloaded.score("one more")
-        backends = [backend for backend, _ in reloaded._memory]
-        assert len(backends) == 6
-        assert len({id(backend) for backend in backends}) == 1
+        own = OfflineScorer(seed=1).score("shared")
+        assert set(reloaded._memory) == {"mine", "shared", "one more"}
+        assert reloaded._memory["shared"] == (own.total_logprob, own.token_count)
+
+    def test_a_score_under_another_backend_is_not_indexed(self, tmp_path):
+        class Relabelling(SentenceScorer):
+            identity = "remote:http://endpoint"
+
+            def score(self, sentence):
+                return SentenceScore(sentence, -1.0, 1, "remote:served-model")
+
+        cached = CachingScorer(Relabelling(), tmp_path / "cache.jsonl")
+        cached.score("a sentence")
+        assert cached._memory == {}
+
+    @pytest.mark.parametrize("line", [
+        _cache_line("bad record", total='"oops"'),
+        _cache_line("bad record").replace('"bad record"', '["bad record"]'),
+        _cache_line("bad record").replace('"offline:', '["offline:').replace('none"', 'none"]'),
+    ], ids=["total", "sentence", "backend"])
+    def test_malformed_record_of_another_identity_is_reported(self, tmp_path, caplog, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line.replace(":seed=1:", ":seed=2:") + "\n")
+        with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
+            cached = CachingScorer(OfflineScorer(seed=1), path)
+        assert f"skipping malformed cache record {path}:1" in caplog.text
+        assert cached._memory == {}
 
     def test_misses_open_the_cache_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "nested" / "cache.jsonl"
