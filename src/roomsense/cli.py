@@ -237,10 +237,10 @@ def cmd_cooc(args) -> int:
         )
         backend = None
     else:
+        spaces = graph.object_space(space_name), graph.room_space
+        del graph  # a proxy table reads only the two spaces: score without the graph
         scorer = _make_scorer(args)
-        table = build_proxy_table(
-            scorer, graph.object_space(space_name), graph.room_space, template=template
-        )
+        table = build_proxy_table(scorer, *spaces, template=template)
         backend = scorer.identity
     with _manifested(args, args.out, [args.graph], backend, template.version) as manifest_id:
         write_table(table, args.out, manifest_id=manifest_id)
@@ -248,7 +248,12 @@ def cmd_cooc(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
+def _select_rooms(args):
+    """The ``--cooc`` table, ``--graph``'s room labels and its room selections.
+
+    The graph is parsed, checked against the table and dropped here, so it
+    is gone before any sentence is rendered or scored.
+    """
     graph = ingest.parse_scene_file(args.graph)
     table = read_table(args.cooc)
     names = graph.object_space_names
@@ -256,9 +261,16 @@ def cmd_infer(args) -> int:
         raise DataError(
             f"table object space {table.object_space!r} not in graph spaces {list(names)}"
         )
+    return table, graph.room_space.labels, inference.select_rooms(graph, table, args.k)
+
+
+def cmd_infer(args) -> int:
+    table, room_labels, (selections, reasons) = _select_rooms(args)
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
-    result = inference.classify_graph(graph, table, scorer, k=args.k, template=template)
+    result = inference.classify_selections(
+        selections, reasons, room_labels, table, scorer, args.k, template
+    )
     with _manifested(
         args, args.out, [args.graph, args.cooc], scorer.identity, template.version
     ) as manifest_id:

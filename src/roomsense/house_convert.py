@@ -171,11 +171,13 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     A malformed record, or a repeated ``R``, ``C`` or ``O`` index, is a
     :class:`ParseError` naming its ``path:line``. Ids take the house name
     current at their record: the file stem until an ``H`` line names one.
-    An object takes the id its region was given at the region's ``R`` line.
+    An object takes the id its region was given at the region's ``R`` line,
+    and the one label map its category was given at the category's ``C`` line.
     """
     house_name = Path(path).stem
+    fine_space = FINE_SPACE_MAPPED if category_map is not None else FINE_SPACE_RAW
 
-    categories: dict[int, tuple[str, str]] = {}  # index -> (fine, coarse)
+    categories: dict[int, dict[str, str]] = {}  # index -> label per space
     rooms: list[RoomNode] = []
     raw_objects: list[tuple[str, int, int, BoundingBox]] = []
     room_ids: dict[int, str] = {}  # region index -> room id
@@ -223,7 +225,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 coarse = _clean_name(tokens[5])
                 if category_map is not None:
                     fine = category_map.get(mapping_index, fine)
-                categories[index] = (fine, coarse)
+                categories[index] = {COARSE_SPACE: coarse, fine_space: fine}
             elif kind == "O":
                 if len(tokens) < 16:
                     raise ValueError(f"need 16+ tokens, got {len(tokens)}")
@@ -244,17 +246,16 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
         except (IndexError, ValueError) as err:
             raise ParseError(f"{path}:{lineno}: malformed {kind!r} record: {err}") from err
 
-    fine_space = FINE_SPACE_MAPPED if category_map is not None else FINE_SPACE_RAW
+    unlabeled = {COARSE_SPACE: "unlabeled", fine_space: "unlabeled"}
     objects: list[ObjectNode] = []
     for obj_id, region_index, category_index, bbox in raw_objects:
         if region_index < 0 or region_index not in room_ids:
             logger.warning("skipping %s: no region assignment", obj_id)
             continue
-        fine, coarse = categories.get(category_index, ("unlabeled", "unlabeled"))
         objects.append(
             ObjectNode(
                 id=obj_id,
-                label_per_space={COARSE_SPACE: coarse, fine_space: fine},
+                label_per_space=categories.get(category_index, unlabeled),
                 bbox=bbox,
                 assigned_room=room_ids[region_index],
             )

@@ -8,11 +8,14 @@ smaller label; real backends never tie, coarse mock scorers can).
 
 Rooms are independent: each prediction depends only on its own room, the
 immutable table, and the scorer, so results do not depend on execution
-order. Each distinct sentence is scored once per :func:`classify_graph`
-call, so rooms that render the same sentence share its total, or its
-failure. A room whose scorer calls fail (after the backend's own retries)
-is marked failed and reported, never silently skipped: silent exclusion
-would inflate accuracy invisibly.
+order. :func:`classify_graph` runs in two steps: :func:`select_rooms`
+reads the graph, and :func:`classify_selections` renders and scores from
+what it returned, so a caller can let the graph go in between. Each
+distinct sentence is scored once per classification, so rooms that render
+the same sentence share its total, or its failure. A room whose scorer
+calls fail (after the backend's own retries) is marked failed and
+reported, never silently skipped: silent exclusion would inflate accuracy
+invisibly.
 
 :class:`Candidate` is a named tuple: immutable, compared and hashed as its
 ``(room label, sentence, total)`` triple, and cheap to build once per room
@@ -91,47 +94,69 @@ def argmax_label(candidates) -> str:
     return best.room_label
 
 
-def classify_graph(
-    graph: SceneGraph,
-    table: CooccurrenceTable,
-    scorer: SentenceScorer,
-    k: int = 3,
-    template: QueryTemplate | None = None,
-) -> GraphClassification:
-    """Classify every room; output ordered by room id.
+class RoomSelection(NamedTuple):
+    """A room to classify: its id, ground-truth label and query objects."""
 
-    Per-room failures are collected, not raised, so one flaky room cannot
-    take down a long run. Every room's sentences are rendered first and
-    scored through :func:`score_totals`; predictions are then assembled
-    room by room. A room fails with the first of its sentences, in
-    room-label order, that failed to score.
+    room_id: str
+    gt_label: str
+    objects: tuple[str, ...]
+
+
+def select_rooms(
+    graph: SceneGraph, table: CooccurrenceTable, k: int
+) -> tuple[list[RoomSelection], dict[str, str]]:
+    """Each room's query objects (:func:`select_informative`), ordered by room id.
+
+    A room with no usable object label is not selected; the second value
+    maps its id to the reason it fails. The result holds nothing of the
+    graph but strings, so the graph can go before any room is scored.
     """
-    template = template or QueryTemplate()
-    room_labels = graph.room_space.labels
-    plans = []
+    selections = []
     reasons: dict[str, str] = {}
     for room in sorted(graph.rooms, key=lambda r: r.id):
         selected = select_informative(room, graph, table, k)
-        if not selected:
+        if selected:
+            selections.append(RoomSelection(room.id, room.gt_label, tuple(selected)))
+        else:
             # Ingest filtering removes label-less rooms; defend anyway.
             reasons[room.id] = f"room {room.id!r} has no usable object labels"
-        else:
-            sentences = render_room_queries(selected, room_labels, template)
-            plans.append((room, selected, sentences))
-    totals = iter(score_totals(scorer, (s for *_, sentences in plans for s in sentences)))
+    return selections, reasons
+
+
+def classify_selections(
+    selections: list[RoomSelection],
+    reasons: dict[str, str],
+    room_labels: tuple[str, ...],
+    table: CooccurrenceTable,
+    scorer: SentenceScorer,
+    k: int,
+    template: QueryTemplate | None = None,
+) -> GraphClassification:
+    """Render, score and assemble the rooms :func:`select_rooms` selected.
+
+    Every room's sentences, one per room label, are rendered first and
+    scored through :func:`score_totals`; predictions are then assembled
+    room by room. A room fails with the first of its sentences, in
+    room-label order, that failed to score; ``reasons`` are the failures
+    of selection.
+    """
+    template = template or QueryTemplate()
+    reasons = dict(reasons)
+    rendered = [render_room_queries(room.objects, room_labels, template) for room in selections]
+    totals = iter(score_totals(scorer, (s for sentences in rendered for s in sentences)))
 
     predictions = []
-    for room, selected, sentences in plans:
+    for room, sentences in zip(selections, rendered):
         room_totals = [next(totals) for _ in sentences]
         failed = [t for t in room_totals if isinstance(t, TransportError)]
         if failed:
-            reasons[room.id] = f"scoring failed for room {room.id!r}: {failed[0]}"
+            reasons[room.room_id] = f"scoring failed for room {room.room_id!r}: {failed[0]}"
             continue
         candidates = tuple(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
         predictions.append(
             RoomPrediction(
-                room_id=room.id,
-                selected_objects=tuple(selected),
+                room_id=room.room_id,
+                selected_objects=room.objects,
                 candidates=candidates,
                 gt_label=room.gt_label,
             )
@@ -142,6 +167,25 @@ def classify_graph(
         condition=TrialCondition(
             table.object_space, table.provenance, k, template.version, scorer.identity
         ),
+    )
+
+
+def classify_graph(
+    graph: SceneGraph,
+    table: CooccurrenceTable,
+    scorer: SentenceScorer,
+    k: int = 3,
+    template: QueryTemplate | None = None,
+) -> GraphClassification:
+    """Classify every room; output ordered by room id.
+
+    :func:`select_rooms`, then :func:`classify_selections`. Per-room
+    failures are collected, not raised, so one flaky room cannot take down
+    a long run.
+    """
+    selections, reasons = select_rooms(graph, table, k)
+    return classify_selections(
+        selections, reasons, graph.room_space.labels, table, scorer, k, template
     )
 
 
@@ -201,12 +245,14 @@ def _field(record: dict, key: str, kind: type):
     return value
 
 
-def _prediction(record: dict) -> RoomPrediction:
+def _prediction(record: dict, room_labels: list[str] | None) -> RoomPrediction:
+    """The prediction ``record`` holds; its candidates must name ``room_labels``
+    in order, when given, and then share those strings."""
     selected = _field(record, "selected_objects", list)
     if any(type(label) is not str for label in selected):
         raise ValueError("key 'selected_objects' must list strings")
-    candidates = []
-    for c in _field(record, "candidates", list):
+    triples = _field(record, "candidates", list)
+    for c in triples:
         if not (type(c) is list and len(c) == 3 and type(c[0]) is str
                 and type(c[1]) is str):
             raise ValueError(
@@ -214,9 +260,18 @@ def _prediction(record: dict) -> RoomPrediction:
             )
         if not _is_finite_number(c[2]):
             raise ValueError(f"candidate total {c[2]!r} is not a finite number")
-        candidates.append(_candidate_from_triple(c))
-    if not candidates:
+    if not triples:
         raise ValueError("key 'candidates' lists no candidate")
+    if room_labels is not None:
+        labels = [c[0] for c in triples]
+        if labels != room_labels:
+            raise ValueError(
+                f"candidate room labels {labels} differ from the first "
+                f"prediction's {room_labels}"
+            )
+        for c, label in zip(triples, room_labels):
+            c[0] = label
+    candidates = tuple(map(_candidate_from_triple, triples))
     predicted = _field(record, "predicted_label", str)
     best = argmax_label(candidates)
     if predicted != best:
@@ -224,7 +279,7 @@ def _prediction(record: dict) -> RoomPrediction:
     return RoomPrediction(
         room_id=_field(record, "room_id", str),
         selected_objects=tuple(selected),
-        candidates=tuple(candidates),
+        candidates=candidates,
         gt_label=_field(record, "gt_label", str),
     )
 
@@ -237,9 +292,11 @@ def read_predictions(path) -> GraphClassification:
     no candidate or whose predicted label is not :func:`argmax_label` of
     its candidates, a room id that an earlier record holds, or a prediction
     whose candidate room labels differ from the first prediction's is a
-    ``ValueError`` naming its ``path:line``.
+    ``ValueError`` naming its ``path:line``. Every prediction's candidates
+    share the first prediction's room label strings.
     """
     predictions: list[RoomPrediction] = []
+    room_labels: list[str] | None = None
     failures: list[RoomFailure] = []
     room_ids: set[str] = set()
     condition = None
@@ -261,15 +318,9 @@ def read_predictions(path) -> GraphClassification:
                 continue
             kind = _field(record, "kind", str)
             if kind == "prediction":
-                entry = _prediction(record)
-                if predictions:
-                    labels = [c.room_label for c in entry.candidates]
-                    first = [c.room_label for c in predictions[0].candidates]
-                    if labels != first:
-                        raise ValueError(
-                            f"candidate room labels {labels} differ from the first "
-                            f"prediction's {first}"
-                        )
+                entry = _prediction(record, room_labels)
+                if room_labels is None:
+                    room_labels = [c.room_label for c in entry.candidates]
                 predictions.append(entry)
             elif kind == "failure":
                 entry = RoomFailure(

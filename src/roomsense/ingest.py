@@ -16,10 +16,10 @@ Scene input files are UTF-8, line-delimited, tab-separated records
 
 The header declares the object label spaces (coarse space first by
 convention) and the full room-label list; a file without a header, or
-whose header lists no object space or no room label, is refused. Blank
-lines and lines starting with '#' are ignored. The room space is fixed by
-the header; an object space's labels are those its objects carry
-(:class:`SceneGraph`).
+whose header lists no object space or fewer than two room labels, is
+refused. Blank lines and lines starting with '#' are ignored. The room
+space is fixed by the header; an object space's labels are those its
+objects carry (:class:`SceneGraph`).
 """
 
 from __future__ import annotations
@@ -126,19 +126,22 @@ def parse_scene_file(path) -> SceneGraph:
     """Parse a scene file into a raw, unfiltered graph.
 
     Labels are normalized but nothing is removed or reassigned. The header
-    comes first and declares at least one object space and one room label,
+    comes first and declares at least one object space and two room labels,
     and every room's label must be declared in it; otherwise
     :class:`SchemaError` names the ``path`` (no header) or ``path:line``.
     Malformed records and duplicate ids raise :class:`ParseError`, whose
     message starts with the record's ``path:line``. An object's
     ``assigned_room`` is its room's ``id`` string itself once that room has
-    been read, so a room id is held once however many objects name it.
+    been read, so a room id is held once however many objects name it; in
+    the same way, objects whose label fields are the same share one label
+    map.
     """
     space_names: list[str] = []
     room_labels: tuple[str, ...] = ()
     header_seen = False
     rooms: dict[str, RoomNode] = {}
     objects: dict[str, ObjectNode] = {}
+    label_maps: dict[tuple[str, ...], dict[str, str]] = {}
 
     # the location of a record is formatted only when it is reported
     for lineno, line in enumerate(read_lines(path), 1):
@@ -175,6 +178,11 @@ def parse_scene_file(path) -> SceneGraph:
             )
             if not room_labels:
                 raise SchemaError(f"{where}: header declares no room labels")
+            if len(room_labels) < 2:
+                raise SchemaError(
+                    f"{where}: header declares one room label, {room_labels[0]!r}; "
+                    "a room needs at least 2 to choose from"
+                )
             label_end = 3 + len(space_names)
             header_seen = True
             continue
@@ -205,11 +213,15 @@ def parse_scene_file(path) -> SceneGraph:
             if obj_id in objects:
                 raise ParseError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
             room = rooms.get(fields[2])
+            label_fields = tuple(fields[3:label_end])
+            labels = label_maps.get(label_fields)
+            if labels is None:
+                labels = label_maps[label_fields] = dict(
+                    zip(space_names, map(normalize_label, label_fields))
+                )
             objects[obj_id] = ObjectNode(
                 id=obj_id,
-                label_per_space=dict(
-                    zip(space_names, map(normalize_label, fields[3:label_end]))
-                ),
+                label_per_space=labels,
                 bbox=_bbox(fields[label_end:], path, lineno),
                 assigned_room=fields[2] if room is None else room.id,
             )
@@ -276,25 +288,37 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
     return replace(graph, objects=tuple(moved))
 
 
+def _relabel(graph: SceneGraph, relabel) -> SceneGraph:
+    """``graph`` with each object's label map passed through ``relabel``.
+
+    ``relabel`` returns a new map, or ``None`` to keep the one it is given;
+    it runs once per distinct map. An object whose map is kept is kept as
+    it is, and objects whose maps change alike share one new map.
+    """
+    new_maps: dict[tuple, dict[str, str] | None] = {}
+    objects = []
+    for obj in graph.objects:
+        key = tuple(obj.label_per_space.items())
+        if key not in new_maps:
+            new_maps[key] = relabel(obj.label_per_space)
+        labels = new_maps[key]
+        objects.append(obj if labels is None else obj._replace(label_per_space=labels))
+    return replace(graph, objects=tuple(objects))
+
+
 def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph:
     """Replace misspelled object labels.
 
-    An object none of whose labels has a fix is kept as it is.
+    An object none of whose labels a fix changes is kept as it is.
     """
     if not fixes:
         return graph
-    objects = tuple(
-        obj
-        if fixes.keys().isdisjoint(obj.label_per_space.values())
-        else obj._replace(
-            label_per_space={
-                space: fixes.get(label, label)
-                for space, label in obj.label_per_space.items()
-            },
-        )
-        for obj in graph.objects
-    )
-    return replace(graph, objects=objects)
+
+    def relabel(labels: dict[str, str]) -> dict[str, str] | None:
+        fixed = {space: fixes.get(label, label) for space, label in labels.items()}
+        return None if fixed == labels else fixed
+
+    return _relabel(graph, relabel)
 
 
 def resolve_label_space_conflicts(
@@ -307,6 +331,7 @@ def resolve_label_space_conflicts(
     For each secondary-space label seen with more than one primary-space
     label, every carrier is rewritten to the first non-rejected primary
     label in encounter order (all-rejected mappings keep the first seen).
+    An object whose primary label does not change is kept as it is.
     """
     mapping: dict[str, list[str]] = {}
     for obj in graph.objects:
@@ -327,21 +352,14 @@ def resolve_label_space_conflicts(
 
     if not chosen:
         return graph
-    objects = tuple(
-        obj._replace(
-            label_per_space={
-                **obj.label_per_space,
-                primary_space: chosen.get(
-                    obj.label_per_space.get(secondary_space, ""),
-                    obj.label_per_space[primary_space],
-                ),
-            },
-        )
-        if secondary_space in obj.label_per_space and primary_space in obj.label_per_space
-        else obj
-        for obj in graph.objects
-    )
-    return replace(graph, objects=objects)
+
+    def relabel(labels: dict[str, str]) -> dict[str, str] | None:
+        primary = chosen.get(labels.get(secondary_space))
+        if primary is None or labels.get(primary_space, primary) == primary:
+            return None
+        return {**labels, primary_space: primary}
+
+    return _relabel(graph, relabel)
 
 
 def filter_graph(

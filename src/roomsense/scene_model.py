@@ -101,7 +101,12 @@ class BoundingBox(NamedTuple):
 
 
 class ObjectNode(NamedTuple):
-    """An object instance with one label per declared label space."""
+    """An object instance with one label per declared label space.
+
+    Label maps are shared and read-only: the parsers give one map to every
+    object with the same labels, and a stage that relabels an object gives
+    it a new map, never changing one in place.
+    """
 
     id: str
     label_per_space: dict[str, str]

@@ -138,8 +138,8 @@ _PREDICTIONS_HEADER = json.dumps({
 
 # every reader of a text file, with a valid first line and an invalid second one
 READERS = [
-    pytest.param(ingest.parse_scene_file, "scenegraph\tv1\tspaces=a\trooms=bathroom", "bogus",
-                 id="scene"),
+    pytest.param(ingest.parse_scene_file, "scenegraph\tv1\tspaces=a\trooms=bathroom,kitchen",
+                 "bogus", id="scene"),
     pytest.param(ingest.load_spelling_fixes, "chiar\tchair", "one field", id="spelling"),
     pytest.param(house_convert.parse_house_file, "H house", "R x", id="house"),
     pytest.param(house_convert.load_category_map, "index\tnyuClass", "x\tchair",

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import roomsense
-from roomsense import lm_scoring
+from roomsense import ingest, lm_scoring
 from roomsense.cli import main
 from roomsense.inference import read_predictions
 from roomsense.ingest import parse_scene_file
@@ -367,6 +368,21 @@ class TestClosedStdout:
         assert b"every room failed" in done.stderr
 
 
+def _run_on_bad_graph(tmp_path, scene, capsys, argv, bad_graph) -> list[str]:
+    """Run ``argv`` with ``--graph bad_graph`` (and a good ``--cooc`` table for
+    ``infer``); assert exit 2 and no output, and return the lines of stderr."""
+    table = tmp_path / "cooc.tsv"
+    run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
+    run("cooc", "--graph", tmp_path / "clean.txt", "--out", table)
+    capsys.readouterr()
+    command, *flags = argv
+    inputs = ["--graph", bad_graph] + (["--cooc", table] if command == "infer" else [])
+    out = tmp_path / "out"
+    assert run(command, *inputs, "--out", out, *flags) == 2
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("ingest", "--scene", tmp_path / "nope.txt",
@@ -414,20 +430,28 @@ class TestExitCodes:
         ["infer"],
     ], ids=["cooc-gt", "cooc-proxy", "infer"])
     def test_header_without_room_labels_is_data_error(self, tmp_path, scene, capsys, argv):
-        table = tmp_path / "cooc.tsv"
-        run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
-        run("cooc", "--graph", tmp_path / "clean.txt", "--out", table)
-        no_rooms = tmp_path / "no-rooms.txt"
-        no_rooms.write_text("scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=\n")
-        capsys.readouterr()
-        command, *flags = argv
-        inputs = ["--graph", no_rooms] + (["--cooc", table] if command == "infer" else [])
-        out = tmp_path / "out"
-        assert run(command, *inputs, "--out", out, *flags) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"roomsense: data error: {no_rooms}:1: header declares no room labels"
+        bad = tmp_path / "no-rooms.txt"
+        bad.write_text("scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=\n")
+        assert _run_on_bad_graph(tmp_path, scene, capsys, argv, bad) == [
+            f"roomsense: data error: {bad}:1: header declares no room labels"
         ]
-        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cooc", "--mode", "gt"],
+        ["cooc", "--mode", "proxy"],
+        ["infer"],
+    ], ids=["cooc-gt", "cooc-proxy", "infer"])
+    def test_header_with_one_room_label_is_data_error(self, tmp_path, scene, capsys, argv):
+        bad = tmp_path / "one-room.txt"
+        bad.write_text(scene_file_text(
+            [("r0", "bathroom", (0, 0, 0), (4, 4, 3))],
+            [("o0", "r0", ("toilet", "toilet"), (1, 1, 0), (2, 2, 1))],
+            room_labels=("bathroom",),
+        ))
+        assert _run_on_bad_graph(tmp_path, scene, capsys, argv, bad) == [
+            f"roomsense: data error: {bad}:1: header declares one room label, 'bathroom'; "
+            "a room needs at least 2 to choose from"
+        ]
 
     @pytest.mark.parametrize("bonus", ["abc", "nan", "inf"])
     def test_bad_bonus_file_is_data_error(self, tmp_path, scene, capsys, bonus):
@@ -562,6 +586,42 @@ class TestExitCodes:
             "--endpoint", "http://127.0.0.1:9/none", "--max-attempts", "1",
         )
         assert rc == 3
+
+
+class TestGraphReleasedBeforeScoring:
+    """``cooc --mode proxy`` and ``infer`` drop the parsed graph before they
+    score, so a stage holds the graph or its sentences, not both."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cooc", "--mode", "proxy"],
+        ["infer", "--cooc", "cooc.tsv"],
+    ], ids=["cooc-proxy", "infer"])
+    def test_no_graph_is_alive_while_scoring(self, tmp_path, scene, monkeypatch, argv):
+        clean = tmp_path / "clean.txt"
+        run("ingest", "--scene", scene, "--out", clean)
+        run("cooc", "--graph", clean, "--out", tmp_path / "cooc.tsv")
+        monkeypatch.chdir(tmp_path)
+        graphs = []
+        parse = ingest.parse_scene_file
+
+        def parse_and_watch(path):
+            graph = parse(path)
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        alive_while_scoring = []
+        score = OfflineScorer.score
+
+        def watched_score(self, sentence):
+            alive_while_scoring.append(any(ref() is not None for ref in graphs))
+            return score(self, sentence)
+
+        monkeypatch.setattr(ingest, "parse_scene_file", parse_and_watch)
+        monkeypatch.setattr(OfflineScorer, "score", watched_score)
+        command, *flags = argv
+        assert run(command, "--graph", clean, "--out", tmp_path / "out", *flags) == 0
+        assert len(graphs) == 1
+        assert alive_while_scoring and not any(alive_while_scoring)
 
 
 class TestFailingEndpointCost:

@@ -110,6 +110,18 @@ class TestParseHouse:
         obj = object_by_id(graph)["testhouse/O1"]
         assert obj.label_per_space["nyuclass"] == "counter"
 
+    def test_objects_of_one_category_share_one_label_map(self, tmp_path):
+        path = tmp_path / "testhouse.house"
+        path.write_text(HOUSE_TEXT + "".join(
+            f"O {i} 0 {category} 1.5 1.5 0.5 1 0 0 0 1 0 0.2 0.2 0.2 0 0 0 0 0 0 0 0\n"
+            for i, category in ((4, 0), (5, 9), (6, 9))
+        ))
+        by_id = object_by_id(parse_house_file(path))
+        assert by_id["testhouse/O4"].label_per_space is by_id["testhouse/O0"].label_per_space
+        unlabeled = by_id["testhouse/O5"].label_per_space
+        assert unlabeled == {"mpcat40": "unlabeled", "rawcategory": "unlabeled"}
+        assert by_id["testhouse/O6"].label_per_space is unlabeled
+
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "broken.house"
         path.write_text("R 0 0 0 0 a 1.0\n")

@@ -12,10 +12,13 @@ from roomsense.inference import (
     GraphClassification,
     RoomFailure,
     RoomPrediction,
+    RoomSelection,
     TrialCondition,
     argmax_label,
     classify_graph,
+    classify_selections,
     read_predictions,
+    select_rooms,
     write_predictions,
 )
 from roomsense.lm_scoring import OfflineScorer
@@ -240,6 +243,23 @@ class TestClassifyGraph:
         assert len(result.predictions) == 3
         assert len(calls) == 1
 
+    def test_selection_then_scoring_is_classify_graph(self, bath_graph, bath_table):
+        empty = RoomNode(id="r-empty", gt_label="kitchen", bbox=box())
+        graph = dataclasses.replace(bath_graph, rooms=bath_graph.rooms + (empty,))
+        selections, reasons = select_rooms(graph, bath_table, 2)
+        assert selections == [
+            RoomSelection("r-bath", "bathroom", ("shower", "sink")),
+            RoomSelection("r-bed", "bedroom", ("bed", "pillow")),
+            RoomSelection("r-kitchen", "kitchen", ("refrigerator", "stove")),
+        ]
+        assert reasons == {"r-empty": "room 'r-empty' has no usable object labels"}
+        scorer = OfflineScorer(seed=5, bonus_table=BATH_BONUSES)
+        result = classify_selections(
+            selections, reasons, graph.room_space.labels, bath_table, scorer, 2
+        )
+        assert result == classify_graph(graph, bath_table, scorer, k=2)
+        assert reasons == {"r-empty": "room 'r-empty' has no usable object labels"}
+
     def test_condition_recorded(self, bath_graph, bath_table):
         scorer = OfflineScorer(seed=7)
         result = classify_graph(bath_graph, bath_table, scorer, k=2)
@@ -316,6 +336,17 @@ class TestPredictionFiles:
         write_predictions(result, path, manifest_id="m1")
         loaded = read_predictions(path)
         assert loaded == result
+
+    def test_read_back_candidates_share_room_label_strings(
+        self, bath_graph, bath_table, tmp_path
+    ):
+        path = tmp_path / "predictions.jsonl"
+        write_predictions(classify_graph(bath_graph, bath_table, OfflineScorer(), k=3), path)
+        first, *rest = read_predictions(path).predictions
+        assert rest
+        for prediction in rest:
+            assert all(a.room_label is b.room_label
+                       for a, b in zip(prediction.candidates, first.candidates))
 
     def test_round_trip_with_failures(self, tmp_path):
         condition = TrialCondition("things", "proxy", 3, "v1-grammatical", "offline:x")

@@ -119,6 +119,31 @@ class TestParse:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:1: header declares no room labels"
 
+    @pytest.mark.parametrize("rooms", ["bathroom", "Bathroom,bathroom"])
+    def test_header_with_one_room_label_names_its_line(self, tmp_path, rooms):
+        path = tmp_path / "one-room.txt"
+        path.write_text(f"# a comment\nscenegraph\tv1\tspaces=mpcat40\trooms={rooms}\n")
+        with pytest.raises(SchemaError) as caught:
+            parse_scene_file(path)
+        assert str(caught.value) == (
+            f"{path}:2: header declares one room label, 'bathroom'; "
+            "a room needs at least 2 to choose from"
+        )
+
+    def test_equal_label_fields_share_one_map(self, raw_graph, tmp_path):
+        maps = {}
+        for obj in raw_graph.objects:
+            key = tuple(obj.label_per_space.items())
+            assert obj.label_per_space is maps.setdefault(key, obj.label_per_space)
+        assert len(maps) < len(raw_graph.objects)
+        unshared = dataclasses.replace(raw_graph, objects=tuple(
+            obj._replace(label_per_space=dict(obj.label_per_space)) for obj in raw_graph.objects
+        ))
+        assert unshared == raw_graph
+        path = tmp_path / "echo.txt"
+        write_scene_file(unshared, path)
+        assert parse_scene_file(path) == raw_graph
+
     def test_records_without_header(self, tmp_path):
         path = tmp_path / "headerless.txt"
         path.write_text("room\tr0\tbathroom\t0\t0\t0\t1\t1\t1\n")
@@ -353,6 +378,25 @@ class TestConflictResolution:
         graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
         assert object_by_id(graph)["o-sofa"].label_per_space["mpcat40"] == "sofa"
 
+    def test_only_relabelled_objects_are_rebuilt(self, raw_graph):
+        graph = resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass")
+        rebuilt = [after.id for before, after in zip(raw_graph.objects, graph.objects)
+                   if after is not before]
+        assert rebuilt == ["o-stairs1"]
+
+    def test_objects_relabelled_alike_share_one_map(self, scene_path):
+        objects = [
+            (f"o-{i}", "r-living", labels, (1, 1, 0), (2, 2, 1))
+            for i, labels in enumerate([("stairs", "stairs"), ("miscellaneous", "stairs"),
+                                        ("Miscellaneous", "stairs")])
+        ]
+        raw = parse_scene_file(scene_path(FIXTURE_ROOMS[:1], objects, room_labels=ROOMS_HEADER))
+        assert raw.objects[1].label_per_space is not raw.objects[2].label_per_space
+        graph = resolve_label_space_conflicts(raw, "mpcat40", "nyuclass")
+        assert graph.objects[0] is raw.objects[0]
+        assert graph.objects[1].label_per_space == {"mpcat40": "stairs", "nyuclass": "stairs"}
+        assert graph.objects[2].label_per_space is graph.objects[1].label_per_space
+
 
 class TestFiltering:
     def prepared(self, raw_graph):
@@ -561,7 +605,7 @@ def generated_graph(rooms: int = 500, objects_per_room: int = 20) -> SceneGraph:
     return SceneGraph(
         rooms=tuple(room_nodes),
         objects=tuple(object_nodes),
-        room_space=LabelSpace("room", ("bedroom",)),
+        room_space=LabelSpace("room", ("bedroom", "kitchen")),
         object_space_names=("mpcat40", "nyuclass"),
     )
 
