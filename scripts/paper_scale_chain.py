@@ -11,6 +11,8 @@ runs ``convert``, ``ingest``, ``cooc`` (ground truth and proxy), ``infer``
 Prints one JSON line: the peak resident set size (``ru_maxrss``), the CPU
 seconds, and one SHA-256 over every data file the chain wrote, so runs of
 two checkouts can be compared. Exits 1 if a stage does not exit 0.
+``paper_scale_chain.sha256`` next to this script records the digest of
+the current data files; CI fails when a run prints another.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from .scene_model import (
     RoomNode,
     SceneGraph,
     normalize_label,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "resolve_label_space_conflicts",
     "run_pipeline",
     "select_informative",
-    "validate",
     "write_predictions",
     "write_scene_file",
     "write_table",

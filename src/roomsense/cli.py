@@ -37,7 +37,6 @@ from .cooccurrence import (
 from .ingest import DataError, IngestConfig
 from .lm_scoring import TransportError, make_scorer
 from .querygen import QueryTemplate
-from .scene_model import validate
 
 logger = logging.getLogger(__name__)
 
@@ -205,17 +204,13 @@ def cmd_ingest(args) -> int:
             ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
         )
     graph = ingest.merge_graphs(processed)
-
-    violations = validate(graph)
-    if violations:
-        for violation in violations:
-            print(f"invariant violation: {violation}", file=sys.stderr)
-        raise DataError(f"preprocessed graph fails validation ({len(violations)} violations)")
+    if not graph.rooms:
+        raise DataError("preprocessing leaves no room: every room is filtered out or empty")
 
     with _manifested(args, args.out, args.scene) as manifest_id:
         ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
 
-    total = max(len(graph.rooms), 1)
+    total = len(graph.rooms)
     _say(
         f"rooms: {len(graph.rooms)}",
         f"objects: {len(graph.objects)}",
@@ -229,6 +224,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_cooc(args) -> int:
     graph = ingest.parse_scene_file(args.graph)
+    if not graph.objects:
+        raise DataError(f"--graph {args.graph}: the graph holds no object to count")
     space_name = _resolve_object_space(graph, args.object_space)
     template = QueryTemplate(article_mode=args.article)
     if args.mode == "gt":
@@ -266,6 +263,8 @@ def _select_rooms(args):
 
 def cmd_infer(args) -> int:
     table, room_labels, (selections, reasons) = _select_rooms(args)
+    if not selections:
+        raise DataError(f"--graph {args.graph}: no room holds an object to query")
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
     result = inference.classify_selections(

@@ -262,6 +262,11 @@ def _prediction(record: dict, room_labels: list[str] | None) -> RoomPrediction:
             raise ValueError(f"candidate total {c[2]!r} is not a finite number")
     if not triples:
         raise ValueError("key 'candidates' lists no candidate")
+    if len(triples) < 2:
+        raise ValueError(
+            f"key 'candidates' lists one candidate, {triples[0][0]!r}; "
+            "a room needs at least 2 to choose from"
+        )
     if room_labels is not None:
         labels = [c[0] for c in triples]
         if labels != room_labels:
@@ -289,10 +294,10 @@ def read_predictions(path) -> GraphClassification:
 
     A line that is not a JSON object, a record with a missing or mistyped
     key, a candidate total that is not a finite number, a prediction with
-    no candidate or whose predicted label is not :func:`argmax_label` of
-    its candidates, a room id that an earlier record holds, or a prediction
-    whose candidate room labels differ from the first prediction's is a
-    ``ValueError`` naming its ``path:line``. Every prediction's candidates
+    fewer than two candidates or whose predicted label is not
+    :func:`argmax_label` of its candidates, a room id that an earlier record
+    holds, or a prediction whose candidate room labels differ from the first
+    prediction's is a ``ValueError`` naming its ``path:line``. Every prediction's candidates
     share the first prediction's room label strings.
     """
     predictions: list[RoomPrediction] = []

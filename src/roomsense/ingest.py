@@ -119,6 +119,9 @@ def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
         values = tuple(map(float, fields))
     except ValueError as err:
         raise ParseError(f"{path}:{lineno}: bad number in {fields!r}") from err
+    # written out, not as all(...): this runs once per record of a file
+    if not (values[0] <= values[3] and values[1] <= values[4] and values[2] <= values[5]):
+        raise ParseError(f"{path}:{lineno}: bbox corners not ordered min <= max in {fields!r}")
     return BoundingBox(min_corner=values[0:3], max_corner=values[3:6])
 
 
@@ -129,12 +132,13 @@ def parse_scene_file(path) -> SceneGraph:
     comes first and declares at least one object space and two room labels,
     and every room's label must be declared in it; otherwise
     :class:`SchemaError` names the ``path`` (no header) or ``path:line``.
-    Malformed records and duplicate ids raise :class:`ParseError`, whose
-    message starts with the record's ``path:line``. An object's
-    ``assigned_room`` is its room's ``id`` string itself once that room has
-    been read, so a room id is held once however many objects name it; in
-    the same way, objects whose label fields are the same share one label
-    map.
+    Malformed records, boxes whose min corner is not at most their max
+    corner on every axis (a NaN coordinate included) and duplicate ids
+    raise :class:`ParseError`, whose message starts with the record's
+    ``path:line``. An object's ``assigned_room`` is its room's ``id``
+    string itself once that room has been read, so a room id is held once
+    however many objects name it; in the same way, objects whose label
+    fields are the same share one label map.
     """
     space_names: list[str] = []
     room_labels: tuple[str, ...] = ()
@@ -372,13 +376,20 @@ def filter_graph(
     ``DEFAULT_REJECTED_OBJECT_LABELS``, except that in runs over a finer
     space the coarse category "object" is retained: the fine space keeps
     semantically rich labels under it. Other object spaces are carried
-    unfiltered. The dropped room labels leave the room space.
+    unfiltered. The dropped room labels leave the room space; if fewer than
+    two are left, :class:`SchemaError` names them.
     """
     if object_space not in graph.object_space_names:
         raise SchemaError(f"object space {object_space!r} not declared in graph")
     primary_space = graph.object_space_names[0]
 
     dropped_room_labels = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
+    room_labels = tuple(l for l in graph.room_space.labels if l not in dropped_room_labels)
+    if len(room_labels) < 2:
+        raise SchemaError(
+            f"filtering leaves rooms={','.join(room_labels)}; "
+            "a room needs at least 2 labels to choose from"
+        )
     kept_rooms = tuple(
         room for room in graph.rooms if room.gt_label not in dropped_room_labels
     )
@@ -403,10 +414,7 @@ def filter_graph(
     kept_objects = tuple(obj for obj in graph.objects if keep(obj))
     occupied = {obj.assigned_room for obj in kept_objects}
     rooms = tuple(room for room in kept_rooms if room.id in occupied)
-    room_space = LabelSpace(
-        name=graph.room_space.name,
-        labels=tuple(l for l in graph.room_space.labels if l not in dropped_room_labels),
-    )
+    room_space = LabelSpace(name=graph.room_space.name, labels=room_labels)
     return replace(graph, rooms=rooms, objects=kept_objects, room_space=room_space)
 
 

@@ -7,8 +7,8 @@ records a parse builds once per box, room and object (:class:`BoundingBox`,
 compared as the tuples of their fields, and cheap to build, so a
 graph of tens of thousands of objects parses without a per-field attribute
 store. A stage that changes a node builds a new one with ``_replace``.
-:class:`LabelSpace` and :class:`SceneGraph` are frozen dataclasses, since
-they cache derived data. The parsers normalize every label string
+:class:`LabelSpace` and :class:`SceneGraph` are frozen dataclasses, and
+a graph caches derived data. The parsers normalize every label string
 (:func:`normalize_label`), so comparisons stay stable across data sources
 that mix capitalization.
 
@@ -21,10 +21,10 @@ names, and an object space's labels are the labels its objects carry.
 
 A :class:`SceneGraph` is immutable after construction and safe to share
 across threads. Pipeline stages that "modify" a graph build a new one.
-Derived data (a graph's objects by room and its object spaces, a space's
-label set) is built once per instance, on first use; it is not a dataclass
-field, so equality, hashing, ``repr`` and ``asdict`` see only the declared
-data, and a graph built from another derives its own.
+Derived data (a graph's objects by room and its object spaces) is built
+once per instance, on first use; it is not a dataclass field, so
+equality, hashing, ``repr`` and ``asdict`` see only the declared data, and
+a graph built from another derives its own.
 """
 
 from __future__ import annotations
@@ -62,19 +62,9 @@ class LabelSpace:
     name: str
     labels: tuple[str, ...]
 
-    @cached_property
-    def _label_set(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._label_set
-
 
 def observed_space(name: str, objects) -> LabelSpace:
-    """The object space ``name`` with exactly the labels its objects carry, sorted.
-
-    An object with no label in ``name`` adds none; :func:`validate` reports it.
-    """
+    """The object space ``name`` with exactly the labels its objects carry, sorted."""
     labels = {obj.label_per_space[name] for obj in objects if name in obj.label_per_space}
     return LabelSpace(name=name, labels=tuple(sorted(labels)))
 
@@ -95,9 +85,6 @@ class BoundingBox(NamedTuple):
             lo <= p <= hi
             for lo, p, hi in zip(self.min_corner, point, self.max_corner)
         )
-
-    def is_well_formed(self) -> bool:
-        return all(lo <= hi for lo, hi in zip(self.min_corner, self.max_corner))
 
 
 class ObjectNode(NamedTuple):
@@ -164,55 +151,3 @@ class SceneGraph:
         """The objects whose ``assigned_room`` is ``room.id``, in object order."""
         return list(self._room_members.get(room.id, ()))
 
-
-def validate(graph: SceneGraph) -> list[str]:
-    """Check the invariants a stage can break; return one description per violation.
-
-    Read-only and idempotent. An empty result means the room space has at
-    least two labels, every room's label is in it, boxes are ordered, every
-    object is labelled in exactly the declared object spaces and assigned
-    to an existing room, and every room is named by at least one object.
-    Violations are data, not exceptions. Labels, ids and space names are
-    not checked again: :func:`roomsense.ingest.parse_scene_file` normalizes
-    and deduplicates labels and refuses a repeated id or space name, and
-    :func:`roomsense.ingest.merge_graphs` refuses an id repeated across
-    graphs.
-    """
-    violations: list[str] = []
-
-    room_space = graph.room_space
-    if len(room_space.labels) < 2:
-        violations.append(
-            f"label space {room_space.name!r}: needs >= 2 labels, has {len(room_space.labels)}"
-        )
-
-    room_ids = set()
-    for room in graph.rooms:
-        room_ids.add(room.id)
-        if not room.bbox.is_well_formed():
-            violations.append(f"room {room.id!r}: bbox min exceeds max")
-        if room.id not in graph._room_members:
-            violations.append(f"room {room.id!r}: contains no objects")
-        if room.gt_label not in room_space:
-            violations.append(
-                f"room {room.id!r}: label {room.gt_label!r} not in room label space"
-            )
-
-    declared = set(graph.object_space_names)
-    for obj in graph.objects:
-        if not obj.bbox.is_well_formed():
-            violations.append(f"object {obj.id!r}: bbox min exceeds max")
-        if obj.assigned_room not in room_ids:
-            violations.append(
-                f"object {obj.id!r}: assigned room {obj.assigned_room!r} does not exist"
-            )
-        for space_name in obj.label_per_space:
-            if space_name not in declared:
-                violations.append(
-                    f"object {obj.id!r}: references undeclared label space {space_name!r}"
-                )
-        for space_name in graph.object_space_names:
-            if space_name not in obj.label_per_space:
-                violations.append(f"object {obj.id!r}: no label in space {space_name!r}")
-
-    return violations

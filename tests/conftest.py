@@ -1,5 +1,5 @@
-"""Shared fixtures: small hand-built graphs, scene-file builders and a
-one-label query renderer."""
+"""Shared fixtures: small hand-built graphs, scene-file builders, a
+one-label query renderer and the scene-graph invariant oracle."""
 
 from __future__ import annotations
 
@@ -35,6 +35,57 @@ OBJECT_LABELS_12 = (
 def render_room_query(objects, room_label: str, template=None) -> str:
     """The candidate sentence for one room label (see ``render_room_queries``)."""
     return render_room_queries(objects, [room_label], template)[0]
+
+
+def validate(graph: SceneGraph) -> list[str]:
+    """Check a graph's invariants; return one description per violation.
+
+    The oracle for what the parser, ``filter_graph`` and ``merge_graphs``
+    enforce where each rule can break. Read-only and idempotent. An empty
+    result means the room space has at least two labels, every room's label
+    is in it, boxes are ordered, every object is labelled in exactly the
+    declared object spaces and assigned to an existing room, and every room
+    is named by at least one object.
+    """
+    violations: list[str] = []
+
+    room_space = graph.room_space
+    if len(room_space.labels) < 2:
+        violations.append(
+            f"label space {room_space.name!r}: needs >= 2 labels, has {len(room_space.labels)}"
+        )
+
+    room_ids = set()
+    occupied = {obj.assigned_room for obj in graph.objects}
+    for room in graph.rooms:
+        room_ids.add(room.id)
+        if not all(lo <= hi for lo, hi in zip(*room.bbox)):
+            violations.append(f"room {room.id!r}: bbox min exceeds max")
+        if room.id not in occupied:
+            violations.append(f"room {room.id!r}: contains no objects")
+        if room.gt_label not in room_space.labels:
+            violations.append(
+                f"room {room.id!r}: label {room.gt_label!r} not in room label space"
+            )
+
+    declared = set(graph.object_space_names)
+    for obj in graph.objects:
+        if not all(lo <= hi for lo, hi in zip(*obj.bbox)):
+            violations.append(f"object {obj.id!r}: bbox min exceeds max")
+        if obj.assigned_room not in room_ids:
+            violations.append(
+                f"object {obj.id!r}: assigned room {obj.assigned_room!r} does not exist"
+            )
+        for space_name in obj.label_per_space:
+            if space_name not in declared:
+                violations.append(
+                    f"object {obj.id!r}: references undeclared label space {space_name!r}"
+                )
+        for space_name in graph.object_space_names:
+            if space_name not in obj.label_per_space:
+                violations.append(f"object {obj.id!r}: no label in space {space_name!r}")
+
+    return violations
 
 
 def label_space(name: str, labels) -> LabelSpace:

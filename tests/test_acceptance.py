@@ -31,7 +31,6 @@ from roomsense.ingest import (
 )
 from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate
-from roomsense.scene_model import validate
 
 from conftest import (
     OBJECT_LABELS_12,
@@ -40,6 +39,7 @@ from conftest import (
     object_by_id,
     render_room_query,
     scene_file_text,
+    validate,
 )
 from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, room_with
 from test_evaluation import hand_built_predictions, prediction, run_of

@@ -453,6 +453,71 @@ class TestExitCodes:
             "a room needs at least 2 to choose from"
         ]
 
+    @pytest.mark.parametrize("command", ["ingest", "cooc"])
+    def test_inverted_box_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "inverted.txt"
+        bad.write_text(scene_file_text(
+            [("r0", "bathroom", (0, 0, 0), (4, -4, 3))],
+            [("o0", "r0", ("toilet", "toilet"), (1, 1, 0), (2, 2, 1))],
+        ))
+        out = tmp_path / "out"
+        flag = {"ingest": "--scene", "cooc": "--graph"}[command]
+        assert run(command, flag, bad, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {bad}:2: bbox corners not ordered min <= max in "
+            "['0', '0', '0', '4', '-4', '3']"
+        ]
+        assert not out.exists()
+
+    def test_one_room_label_left_after_filtering_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "yard.txt"
+        bad.write_text(scene_file_text(
+            [("r0", "bedroom", (0, 0, 0), (4, 4, 3))],
+            [("o0", "r0", ("bed", "bed"), (1, 1, 0), (2, 2, 1))],
+            room_labels=("yard", "bedroom"),
+        ))
+        out = tmp_path / "out.txt"
+        assert run("ingest", "--scene", bad, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "roomsense: data error: filtering leaves rooms=bedroom; "
+            "a room needs at least 2 labels to choose from"
+        ]
+        assert not out.exists()
+
+    def test_ingest_that_leaves_no_room_is_data_error(self, tmp_path, capsys):
+        walls = tmp_path / "walls.txt"
+        walls.write_text(scene_file_text(
+            [("r0", "bathroom", (0, 0, 0), (4, 4, 3))],
+            [("o0", "r0", ("wall", "wall"), (1, 1, 0), (2, 2, 1))],
+        ))
+        out = tmp_path / "out.txt"
+        assert run("ingest", "--scene", walls, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "roomsense: data error: preprocessing leaves no room: "
+            "every room is filtered out or empty"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rooms", [[], [("r0", "bathroom", (0, 0, 0), (4, 4, 3))]],
+                             ids=["header-only", "rooms-only"])
+    @pytest.mark.parametrize("argv", [["cooc", "--mode", "gt"], ["cooc", "--mode", "proxy"]],
+                             ids=["cooc-gt", "cooc-proxy"])
+    def test_cooc_on_a_graph_without_objects_is_data_error(
+        self, tmp_path, scene, capsys, argv, rooms
+    ):
+        bad = tmp_path / "no-objects.txt"
+        bad.write_text(scene_file_text(rooms, []))
+        assert _run_on_bad_graph(tmp_path, scene, capsys, argv, bad) == [
+            f"roomsense: data error: --graph {bad}: the graph holds no object to count"
+        ]
+
+    def test_infer_that_selects_no_room_is_data_error(self, tmp_path, scene, capsys):
+        bad = tmp_path / "no-objects.txt"
+        bad.write_text(scene_file_text([("r0", "bathroom", (0, 0, 0), (4, 4, 3))], []))
+        assert _run_on_bad_graph(tmp_path, scene, capsys, ["infer"], bad) == [
+            f"roomsense: data error: --graph {bad}: no room holds an object to query"
+        ]
+
     @pytest.mark.parametrize("bonus", ["abc", "nan", "inf"])
     def test_bad_bonus_file_is_data_error(self, tmp_path, scene, capsys, bonus):
         graph = tmp_path / "clean.txt"

@@ -355,7 +355,9 @@ class TestPredictionFiles:
                 RoomPrediction(
                     room_id="a",
                     selected_objects=("toilet",),
-                    candidates=(Candidate("bathroom", "s", -1.5),),
+                    candidates=(
+                        Candidate("bathroom", "s", -1.5), Candidate("kitchen", "t", -2.5),
+                    ),
                     gt_label="bathroom",
                 ),
             ),
@@ -434,10 +436,13 @@ class TestPredictionFiles:
          "predicted label 'bar' is not the best candidate 'bedroom'"),
         (lambda line: re.sub(r'"candidates": \[.*?\]\]', '"candidates": []', line),
          "key 'candidates' lists no candidate"),
+        (lambda line: re.sub(r'("candidates": \[\[.*?\]).*?\]\]', r"\1]", line),
+         "key 'candidates' lists one candidate, 'bathroom'; "
+         "a room needs at least 2 to choose from"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
             "kind", "nan-total", "infinite-total", "huge-int-total", "repeated-prediction",
             "failure-repeats-prediction", "room-labels", "stored-label-not-best",
-            "stored-label-not-a-candidate", "no-candidates"])
+            "stored-label-not-a-candidate", "no-candidates", "one-candidate"])
     def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"

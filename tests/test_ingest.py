@@ -2,7 +2,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roomsense.ingest import (
     DEFAULT_OUTDOOR_ROOM_LABELS,
@@ -28,10 +28,9 @@ from roomsense.scene_model import (
     ObjectNode,
     RoomNode,
     SceneGraph,
-    validate,
 )
 
-from conftest import object_by_id, scene_file_text
+from conftest import object_by_id, scene_file_text, validate
 
 ROOMS_HEADER = ("bathroom", "bedroom", "kitchen", "living room", "porch", "none")
 
@@ -180,6 +179,20 @@ class TestParse:
         with pytest.raises(ParseError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:4: bad number in {fields}"
+
+    @pytest.mark.parametrize("record, fields", [
+        ("room\tr0\tbathroom\t0\t0\t0\t1\t-1\t1", "['0', '0', '0', '1', '-1', '1']"),
+        ("room\tr0\tbathroom\t0\tnan\t0\t1\t1\t1", "['0', 'nan', '0', '1', '1', '1']"),
+        ("object\to0\tr0\tsink\tsink\t0\t0\t2\t1\t1\t1", "['0', '0', '2', '1', '1', '1']"),
+    ], ids=["room-inverted", "room-nan", "object-inverted"])
+    def test_box_out_of_order_names_its_line(self, tmp_path, record, fields):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen\n" + record + "\n"
+        )
+        with pytest.raises(ParseError) as caught:
+            parse_scene_file(path)
+        assert str(caught.value) == f"{path}:2: bbox corners not ordered min <= max in {fields}"
 
     def test_undeclared_room_label(self, scene_path):
         path = scene_path(
@@ -438,6 +451,22 @@ class TestFiltering:
         with pytest.raises(SchemaError):
             filter_graph(raw_graph, no_fix_config(), "imaginary")
 
+    @pytest.mark.parametrize("header, left", [
+        (("yard", "bedroom"), "bedroom"),
+        (("porch", "none"), ""),
+    ], ids=["one-left", "none-left"])
+    def test_fewer_than_two_room_labels_left_names_them(self, scene_path, header, left):
+        raw = parse_scene_file(scene_path(
+            [("r0", header[1], (0, 0, 0), (4, 4, 3))],
+            [("o0", "r0", ("bed", "bed"), (1, 1, 0), (2, 2, 1))],
+            room_labels=header,
+        ))
+        with pytest.raises(SchemaError) as caught:
+            filter_graph(raw, no_fix_config(), "nyuclass")
+        assert str(caught.value) == (
+            f"filtering leaves rooms={left}; a room needs at least 2 labels to choose from"
+        )
+
 
 class TestFullPipeline:
     def test_expected_post_state(self, raw_graph):
@@ -499,6 +528,63 @@ class TestFullPipeline:
         for room in graph.rooms:
             assert graph.objects_in_room(room)
             assert room.gt_label not in banned
+
+
+INDOOR_ROOM_LABELS = ("bathroom", "bedroom", "kitchen")
+COARSE_LABELS = ("toilet", "bed", "appliances", "object", "wall", "ceiling")
+FINE_LABELS = ("toilet", "bed", "stove", "ping-pong table", "floor", "miscellaneous")
+
+
+@st.composite
+def raw_buildings(draw):
+    """A header that declares ``yard`` and ``none``, and two buildings' scene
+    texts under it, ids prefixed ``a/`` and ``b/``. Objects carry rejected
+    labels, coarse ``object`` and dangling room ids; boxes are well formed."""
+    indoor = draw(st.lists(st.sampled_from(INDOOR_ROOM_LABELS), unique=True, max_size=3))
+    header = ("yard", "none", *indoor)
+    coordinate = st.floats(-5, 45, allow_nan=False, width=32)
+    extent = st.floats(0, 6, width=32)
+    texts = []
+    for prefix in ("a/", "b/"):
+        rooms = [
+            (f"{prefix}r{i}", draw(st.sampled_from(header)), (10 * i, 0, 0), (10 * i + 9, 9, 3))
+            for i in range(draw(st.integers(0, 4)))
+        ]
+        room_ids = [room[0] for room in rooms] + [f"{prefix}ghost"]
+        objects = []
+        for j in range(draw(st.integers(0, 8))):
+            lo = draw(st.tuples(coordinate, coordinate, coordinate))
+            hi = tuple(c + draw(extent) for c in lo)
+            labels = (draw(st.sampled_from(COARSE_LABELS)), draw(st.sampled_from(FINE_LABELS)))
+            objects.append((f"{prefix}o{j}", draw(st.sampled_from(room_ids)), labels, lo, hi))
+        texts.append(scene_file_text(rooms, objects, room_labels=header))
+    return indoor, texts
+
+
+class TestPipelineMeetsTheInvariants:
+    """The parser, ``filter_graph`` and ``merge_graphs`` enforce every
+    invariant of a preprocessed graph, so no post-pass re-checks it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_buildings())
+    def test_oracle_finds_nothing_or_too_few_room_labels_are_refused(
+        self, tmp_path_factory, buildings
+    ):
+        indoor, texts = buildings
+        work = tmp_path_factory.mktemp("buildings")
+        paths = []
+        for name, text in zip("ab", texts):
+            paths.append(work / f"{name}.txt")
+            paths[-1].write_text(text)
+        config = IngestConfig()
+        for space in ("mpcat40", "nyuclass"):
+            raws = [parse_scene_file(path) for path in paths]
+            if len(indoor) < 2:
+                with pytest.raises(SchemaError, match="a room needs at least 2 labels"):
+                    run_pipeline(raws[0], config, space)
+                continue
+            merged = merge_graphs([run_pipeline(raw, config, space) for raw in raws])
+            assert validate(merged) == []
 
 
 class TestRoundTripAndMerge:
