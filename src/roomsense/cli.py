@@ -200,9 +200,12 @@ def cmd_ingest(args) -> int:
     processed = []
     for scene in args.scene:
         raw = ingest.parse_scene_file(scene)
-        processed.append(
-            ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
-        )
+        try:
+            processed.append(
+                ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
+            )
+        except DataError as err:  # the pipeline's errors name no file
+            raise type(err)(f"{scene}: {err}") from err
     graph = ingest.merge_graphs(processed)
     if not graph.rooms:
         raise DataError("preprocessing leaves no room: every room is filtered out or empty")

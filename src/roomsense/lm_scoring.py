@@ -65,6 +65,9 @@ _TIMEOUT_S = 60.0
 # Seconds slept before the first retry; each later retry sleeps twice the last.
 _BACKOFF_BASE_S = 0.5
 
+# The one way the scoring layer waits; tests replace it with a simulated clock.
+_sleep = time.sleep
+
 
 class _RetriedStatus(Exception):
     """A response whose status is in :data:`_RETRIED`."""
@@ -562,7 +565,7 @@ class RemoteScorer(SentenceScorer):
                     "retrying score (%d/%d) after %.1fs: %s",
                     attempt + 1, self.max_attempts, delay, last,
                 )
-                time.sleep(delay)
+                _sleep(delay)
         raise TransportError(
             f"backend failed after {self.max_attempts} attempts: {last}", sentence
         )

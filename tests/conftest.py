@@ -1,10 +1,12 @@
 """Shared fixtures: small hand-built graphs, scene-file builders, a
-one-label query renderer and the scene-graph invariant oracle."""
+one-label query renderer, the scene-graph invariant oracle and a simulated
+clock for the scoring layer."""
 
 from __future__ import annotations
 
 import pytest
 
+from roomsense import lm_scoring
 from roomsense.querygen import render_room_queries
 from roomsense.scene_model import (
     BoundingBox,
@@ -170,3 +172,25 @@ def scene_path(tmp_path):
         return path
 
     return _write
+
+
+class SimulatedClock:
+    """Stands in for ``lm_scoring._sleep``. Time passes only when the scoring
+    layer sleeps or a test charges it, so no test waits in real time.
+    ``now`` is exact at one scoring worker; with more, only ``sleeps`` is."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch) -> SimulatedClock:
+    """The scoring layer's sleeps, recorded on a simulated clock."""
+    simulated = SimulatedClock()
+    monkeypatch.setattr(lm_scoring, "_sleep", simulated.sleep)
+    return simulated

@@ -19,7 +19,7 @@ from roomsense.querygen import render_proxy_query
 from conftest import scene_file_text
 from test_house_convert import HOUSE_TEXT
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
-from test_lm_scoring import _Handler, mock_endpoint  # noqa: F401 (fixture)
+from test_lm_scoring import _Handler, _offline_oracle, mock_endpoint  # noqa: F401 (fixture)
 
 
 @pytest.fixture
@@ -469,7 +469,7 @@ class TestExitCodes:
         ]
         assert not out.exists()
 
-    def test_one_room_label_left_after_filtering_is_data_error(self, tmp_path, capsys):
+    def test_one_room_label_left_after_filtering_is_data_error(self, tmp_path, scene, capsys):
         bad = tmp_path / "yard.txt"
         bad.write_text(scene_file_text(
             [("r0", "bedroom", (0, 0, 0), (4, 4, 3))],
@@ -477,9 +477,9 @@ class TestExitCodes:
             room_labels=("yard", "bedroom"),
         ))
         out = tmp_path / "out.txt"
-        assert run("ingest", "--scene", bad, "--out", out) == 2
+        assert run("ingest", "--scene", scene, "--scene", bad, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "roomsense: data error: filtering leaves rooms=bedroom; "
+            f"roomsense: data error: {bad}: filtering leaves rooms=bedroom; "
             "a room needs at least 2 labels to choose from"
         ]
         assert not out.exists()
@@ -697,8 +697,7 @@ class TestFailingEndpointCost:
     REMOTE = ("--backend", "remote", "--max-attempts", "2")
 
     @pytest.fixture
-    def graph(self, tmp_path, scene, monkeypatch):
-        monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+    def graph(self, tmp_path, scene, clock):
         _Handler.behaviors = [lambda payload: (503, {"error": "unavailable"})]
         graph = tmp_path / "clean.txt"
         run("ingest", "--scene", scene, "--out", graph)
@@ -729,13 +728,53 @@ class TestFailingEndpointCost:
         assert _Handler.calls == len(sentences) * 2
 
 
-# Runs in a fresh interpreter, because pytest has already imported http.client.
+class TestRemoteMatchesOffline:
+    """Against an endpoint that answers with the offline scorer's logprobs, a
+    remote ``cooc --mode proxy`` and ``infer`` write the offline run's lines:
+    only the lines that name the scorer or the manifest differ."""
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--model", "m", "--cache-dir", "cache"], id="model-cached"),
+        pytest.param([], id="no-model-uncached"),
+    ])
+    def test_remote_writes_the_offline_lines(
+        self, tmp_path, scene, mock_endpoint, monkeypatch, flags
+    ):
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        _Handler.behaviors = [_offline_oracle]
+        run("ingest", "--scene", scene, "--out", "clean.txt")
+        run("cooc", "--graph", "clean.txt", "--out", "gt.tsv")
+        remote = ["--backend", "remote", "--endpoint", mock_endpoint, *flags]
+        for name, backend in (("offline", []), ("remote", remote)):
+            assert run("cooc", "--graph", "clean.txt", "--out", f"{name}.tsv",
+                       "--mode", "proxy", *backend) == 0
+            assert run("infer", "--graph", "clean.txt", "--cooc", "gt.tsv",
+                       "--out", f"{name}.jsonl", *backend) == 0
+        assert _Handler.calls > 0
+
+        def table_lines(path):
+            return [line for line in Path(path).read_text().splitlines()
+                    if not line.startswith(("# scorer:", "# manifest:"))]
+
+        assert table_lines("remote.tsv") == table_lines("offline.tsv")
+        remote_lines = Path("remote.jsonl").read_text().splitlines()
+        offline_lines = Path("offline.jsonl").read_text().splitlines()
+        assert len(remote_lines) > 1 and remote_lines[1:] == offline_lines[1:]
+
+
+# Runs in a fresh interpreter, because pytest has already imported http.client
+# and every roomsense module.
 _IMPORT_BOUNDARY = """
 import sys
 from pathlib import Path
 
 import roomsense
+
+assert not [m for m in sys.modules if m.startswith("roomsense.")], "import roomsense"
+
 from roomsense.cli import main
+from roomsense.lm_scoring import RemoteScorer
 
 d = Path(sys.argv[1])
 commands = [
@@ -751,7 +790,7 @@ assert not http_clients & set(sys.modules), "import roomsense"
 for argv in commands:
     assert main([str(a) for a in argv]) == 0, argv[0]
     assert not http_clients & set(sys.modules), argv[0]
-roomsense.RemoteScorer(endpoint="http://127.0.0.1:9/")
+RemoteScorer(endpoint="http://127.0.0.1:9/")
 assert "http.client" in sys.modules, "RemoteScorer"
 assert "requests" not in sys.modules, "RemoteScorer"
 """

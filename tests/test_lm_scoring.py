@@ -848,9 +848,8 @@ class TestCachingScorer:
 
 
 @pytest.fixture(autouse=True)
-def no_backoff(monkeypatch):
-    """Retries in these tests follow each other without sleeping."""
-    monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+def no_backoff(clock):
+    """Retries in these tests sleep on the simulated clock, not in real time."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -895,6 +894,20 @@ def _echo_logprobs(payload):
         "model": "test-lm",
         "tokens": words,
         "token_logprobs": [None] + [-1.0] * (len(words) - 1),
+    }
+
+
+_ORACLE = OfflineScorer(seed=0)
+
+
+def _offline_oracle(payload):
+    """Answers with the offline scorer's token logprobs, every one of them, so
+    a remote total sums to the offline total exactly."""
+    tokens = _ORACLE.score(payload["prompt"]).tokens
+    return 200, {
+        "model": "offline-oracle",
+        "tokens": [t.token for t in tokens],
+        "token_logprobs": [t.logprob for t in tokens],
     }
 
 
@@ -1132,8 +1145,7 @@ class TestRemoteScorer:
         with pytest.raises(TransportError, match="failed after 1 attempts"):
             scorer.score("x y")
 
-    def test_a_reply_that_is_not_http_is_retried(self, monkeypatch):
-        monkeypatch.setattr(lm_scoring, "_BACKOFF_BASE_S", 0.0)
+    def test_a_reply_that_is_not_http_is_retried(self, clock):
         connections = []
 
         class Handler(socketserver.StreamRequestHandler):
@@ -1162,6 +1174,7 @@ class TestRemoteScorer:
             server.server_close()
             thread.join()
         assert len(connections) == 2
+        assert clock.sleeps == [0.5]
 
     def test_a_connection_closed_while_idle_is_sent_again(self):
         connections = []
@@ -1204,6 +1217,53 @@ class TestRemoteScorer:
         assert len(connections) == 2 and connections[1] is not connections[0]
 
 
+class TestFailingEndpointTime:
+    """What a failing endpoint costs per distinct sentence today, in POSTs
+    and in simulated seconds, at one POST in flight and the default
+    ``max_attempts`` of 5. A paper-scale proxy ``cooc`` scores 32,085
+    distinct sentences (1,395 object rows x 23 room labels), 4 in flight."""
+
+    SENTENCES = ["a toilet", "a stove", "a toilet", "a bed"]  # three distinct
+
+    def _all_fail(self, scorer) -> None:
+        results = score_totals(scorer, self.SENTENCES)
+        assert all(isinstance(r, TransportError) for r in results)
+
+    def test_dead_endpoint(self, mock_endpoint, clock):
+        """503 on every POST: 5 POSTs and 0.5 + 1 + 2 + 4 = 7.5 s per
+        sentence, so 32,085 x 7.5 s / 4 = 16.7 h before the stage exits 3."""
+        _Handler.behaviors = [lambda p: (503, {"error": "unavailable"})]
+        self._all_fail(RemoteScorer(endpoint=mock_endpoint, max_inflight=1))
+        assert _Handler.calls == 5 * 3
+        assert clock.sleeps == [0.5, 1.0, 2.0, 4.0] * 3
+        assert clock.now == 7.5 * 3
+
+    def test_hung_endpoint(self, clock):
+        """Every POST times out: 5 POSTs and 5 x 60 s + 7.5 s = 307.5 s per
+        sentence, so 32,085 x 307.5 s / 4 = 685 h before the stage exits 3."""
+        posts = []
+
+        class Hung:
+            def post(self, url, *, json, headers, timeout):
+                posts.append(json["prompt"])
+                clock.now += timeout
+                raise TimeoutError("timed out")
+
+        self._all_fail(
+            RemoteScorer(endpoint="http://127.0.0.1:9/", max_inflight=1, session=Hung())
+        )
+        assert len(posts) == 5 * 3
+        assert clock.now == 307.5 * 3
+
+    def test_unauthorised_endpoint(self, mock_endpoint, clock):
+        """401 on every POST: 1 POST per sentence and no sleep, so 32,085
+        POSTs before the stage exits 3."""
+        _Handler.behaviors = [lambda p: (401, {"error": "unauthorised"})]
+        self._all_fail(RemoteScorer(endpoint=mock_endpoint, max_inflight=1))
+        assert _Handler.calls == 3
+        assert clock.sleeps == []
+
+
 _INTERRUPTED_POOL = """
 import os
 import signal
@@ -1238,7 +1298,7 @@ _INJECTED_SESSION = """
 import sys
 
 sys.path.insert(0, sys.argv[1])
-from roomsense import RemoteScorer
+from roomsense.lm_scoring import RemoteScorer
 
 
 class Response:
