@@ -23,7 +23,7 @@ from contextlib import closing
 from pathlib import Path
 
 from .atomic import read_lines
-from .ingest import ParseError
+from .ingest import DROPPED_ROOM_LABELS, ParseError
 from .scene_model import (
     ROOM_SPACE_NAME,
     BoundingBox,
@@ -74,35 +74,11 @@ REGION_LETTER_LABELS = {
     "-": "none",
 }
 
+# The room space of every converted scene: the region table's labels that
+# preprocessing keeps, sorted, then the ones it drops.
 ROOM_LABEL_LIST = (
-    "bar",
-    "bathroom",
-    "bedroom",
-    "classroom",
-    "closet",
-    "conference auditorium",
-    "dining room",
-    "family room",
-    "game room",
-    "garage",
-    "gym",
-    "hallway",
-    "kitchen",
-    "laundry room",
-    "library",
-    "living room",
-    "lobby",
-    "lounge",
-    "office",
-    "spa",
-    "staircase",
-    "television room",
-    "utility room",
-    # pre-filter labels; the ingest pipeline removes these rooms
-    "yard",
-    "balcony",
-    "porch",
-    "none",
+    *sorted(set(REGION_LETTER_LABELS.values()).difference(DROPPED_ROOM_LABELS)),
+    *DROPPED_ROOM_LABELS,
 )
 
 
@@ -210,7 +186,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 rooms.append(
                     RoomNode(
                         id=room_ids[index],
-                        gt_label=normalize_label(label),
+                        gt_label=label,
                         bbox=BoundingBox(min_corner=bounds[0:3], max_corner=bounds[3:6]),
                     )
                 )

@@ -39,8 +39,8 @@ from .scene_model import (
     normalize_label,
 )
 
-DEFAULT_OUTDOOR_ROOM_LABELS = frozenset({"yard", "balcony", "porch"})
-DEFAULT_REMOVED_ROOM_LABELS = frozenset({"none"})
+# Room labels preprocessing drops: the outdoor ones, then "none".
+DROPPED_ROOM_LABELS = ("yard", "balcony", "porch", "none")
 DEFAULT_REJECTED_OBJECT_LABELS = frozenset(
     {"ceiling", "wall", "floor", "miscellaneous", "object", "unlabeled"}
 )
@@ -100,18 +100,15 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
 
 @dataclass
 class IngestConfig:
-    """Settings of the preprocessing pipeline; fix labels are normalized.
+    """Settings of the preprocessing pipeline.
 
-    The labels the pipeline filters out are the fixed ``DEFAULT_*`` sets.
+    ``spelling_fixes`` maps normalized labels, as :func:`load_spelling_fixes`
+    returns them. The labels the pipeline filters out are the fixed
+    :data:`DROPPED_ROOM_LABELS` and :data:`DEFAULT_REJECTED_OBJECT_LABELS`.
     """
 
     spelling_fixes: dict[str, str] = field(default_factory=load_spelling_fixes)
     keep_object_category_for_secondary_space: bool = True
-
-    def __post_init__(self):
-        self.spelling_fixes = {
-            normalize_label(k): normalize_label(v) for k, v in self.spelling_fixes.items()
-        }
 
 
 def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
@@ -383,15 +380,14 @@ def filter_graph(
         raise SchemaError(f"object space {object_space!r} not declared in graph")
     primary_space = graph.object_space_names[0]
 
-    dropped_room_labels = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
-    room_labels = tuple(l for l in graph.room_space.labels if l not in dropped_room_labels)
+    room_labels = tuple(l for l in graph.room_space.labels if l not in DROPPED_ROOM_LABELS)
     if len(room_labels) < 2:
         raise SchemaError(
             f"filtering leaves rooms={','.join(room_labels)}; "
             "a room needs at least 2 labels to choose from"
         )
     kept_rooms = tuple(
-        room for room in graph.rooms if room.gt_label not in dropped_room_labels
+        room for room in graph.rooms if room.gt_label not in DROPPED_ROOM_LABELS
     )
     kept_room_ids = {room.id for room in kept_rooms}
 

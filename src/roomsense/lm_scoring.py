@@ -132,8 +132,7 @@ class SentenceScorer:
     """Interface contract shared by every backend.
 
     ``max_inflight`` is how many :meth:`score` calls :func:`score_totals`
-    may run at once; a backend that computes locally keeps 1, so its
-    sentences are scored in the calling thread.
+    may run at once; a backend that computes locally keeps 1.
     """
 
     max_inflight = 1
@@ -168,6 +167,8 @@ def score_totals(
     """
     slot_of: dict[str, int] = {}
     slots = [slot_of.setdefault(s, len(slot_of)) for s in sentences]
+    if not slots:
+        return []
     distinct = list(slot_of)
     totals: list = [None] * len(distinct)
     # an enumerate over a list hands out each item once, even across threads,
@@ -185,15 +186,12 @@ def score_totals(
             distinct.clear()
 
     workers = min(scorer.max_inflight, len(distinct))
-    if workers <= 1:
-        drain()
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            try:
-                for future in [pool.submit(drain) for _ in range(workers)]:
-                    future.result()
-            finally:
-                distinct.clear()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for future in [pool.submit(drain) for _ in range(workers)]:
+                future.result()
+        finally:
+            distinct.clear()
     return [totals[i] for i in slots]
 
 
@@ -397,17 +395,18 @@ class _Session:
 
     It has the one method the scorer calls on a session, with the signature
     of ``requests.Session.post``; a POST goes to its ``url``'s path on that
-    origin. A POST takes an idle connection or opens a new one, and gives it
-    back once the response is read whole; at most ``max_idle`` idle
-    connections are kept. A POST that fails with a connection error on a
-    reused connection before any response arrives (the server closed it
-    while it sat idle) is sent once more on a fresh connection, as urllib3
-    does. An ``http.client.HTTPException`` is raised as a
-    ``ConnectionError``, so a caller needs to catch only ``OSError``.
-    Proxies, ``.netrc`` and redirects are not handled.
+    origin. A POST takes an idle connection, opening a new one only when
+    none is idle, and gives it back once the response is read whole, so no
+    more connections are kept than POSTs were ever in flight at once. A
+    POST that fails with a connection error on a reused connection before
+    any response arrives (the server closed it while it sat idle) is sent
+    once more on a fresh connection, as urllib3 does. An
+    ``http.client.HTTPException`` is raised as a ``ConnectionError``, so a
+    caller needs to catch only ``OSError``. Proxies, ``.netrc`` and
+    redirects are not handled.
     """
 
-    def __init__(self, url: str, max_idle: int):
+    def __init__(self, url: str):
         import http.client
         import ssl
 
@@ -422,7 +421,6 @@ class _Session:
         else:
             raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL")
         self._http_error = http.client.HTTPException
-        self._max_idle = max_idle
         self._lock = threading.Lock()
         self._idle: list = []
         weakref.finalize(self, _close_all, self._idle)
@@ -450,12 +448,11 @@ class _Session:
             if isinstance(err, self._http_error):
                 raise ConnectionError(f"{type(err).__name__}: {err}") from err
             raise
-        with self._lock:
-            keep = not response.will_close and len(self._idle) < self._max_idle
-            if keep:
-                self._idle.append(connection)
-        if not keep:
+        if response.will_close:
             connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
         return _Response(response.status, content)
 
     def close(self) -> None:
@@ -485,8 +482,9 @@ class RemoteScorer(SentenceScorer):
     returning an object with ``status_code`` and ``json()``, such as a
     ``requests.Session``; it is used as given, and the scorer retries any
     ``OSError`` it raises. Without one the scorer builds its own, a
-    standard-library session that keeps at most ``max_inflight`` connections
-    open. It ignores ``HTTP(S)_PROXY`` and ``.netrc``, and verifies https
+    standard-library session that keeps no more connections open than POSTs
+    were in flight at once: under :func:`score_totals`, ``max_inflight``.
+    It ignores ``HTTP(S)_PROXY`` and ``.netrc``, and verifies https
     against the system's CA store. ``http.client`` is imported only then,
     and nowhere else in the package: offline runs and injected sessions
     never load it, and no :meth:`score` call pays for the import.
@@ -518,7 +516,7 @@ class RemoteScorer(SentenceScorer):
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         if session is None:
-            session = _Session(self.endpoint, max_idle=max_inflight)
+            session = _Session(self.endpoint)
         self._session = session
 
     @property

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import roomsense
 from roomsense import ingest, lm_scoring
@@ -728,6 +730,12 @@ class TestFailingEndpointCost:
         assert _Handler.calls == len(sentences) * 2
 
 
+def _table_lines(path) -> list[str]:
+    """A table's lines but for the two that name its scorer and manifest."""
+    return [line for line in Path(path).read_text().splitlines()
+            if not line.startswith(("# scorer:", "# manifest:"))]
+
+
 class TestRemoteMatchesOffline:
     """Against an endpoint that answers with the offline scorer's logprobs, a
     remote ``cooc --mode proxy`` and ``infer`` write the offline run's lines:
@@ -752,15 +760,132 @@ class TestRemoteMatchesOffline:
             assert run("infer", "--graph", "clean.txt", "--cooc", "gt.tsv",
                        "--out", f"{name}.jsonl", *backend) == 0
         assert _Handler.calls > 0
-
-        def table_lines(path):
-            return [line for line in Path(path).read_text().splitlines()
-                    if not line.startswith(("# scorer:", "# manifest:"))]
-
-        assert table_lines("remote.tsv") == table_lines("offline.tsv")
+        assert _table_lines("remote.tsv") == _table_lines("offline.tsv")
         remote_lines = Path("remote.jsonl").read_text().splitlines()
         offline_lines = Path("offline.jsonl").read_text().splitlines()
         assert len(remote_lines) > 1 and remote_lines[1:] == offline_lines[1:]
+
+
+# One endpoint answer per outcome of a POST, and the text that a failure
+# record gives for it.
+_OUTCOMES = {
+    "ok": (_offline_oracle, None),
+    "429": (lambda p: (429, {"error": "slow down"}), "HTTP 429"),
+    "429 Retry-After": (lambda p: (429, {"error": "slow down"}, {"Retry-After": "7"}),
+                        "HTTP 429"),
+    "503": (lambda p: (503, {"error": "unavailable"}), "HTTP 503"),
+    "408": (lambda p: (408, {"error": "request timeout"}), "HTTP 408"),
+    "hang up": (lambda p: (None, None), "RemoteDisconnected"),
+    # declares more bytes than it sends, then closes the connection
+    "cut short": (lambda p: (200, {}, {"Content-Length": "1000000"}), "IncompleteRead"),
+    "text logprob": (lambda p: (200, {"tokens": ["a"], "token_logprobs": ["-1.5"]}),
+                     "malformed response"),
+    "401": (lambda p: (401, {"error": "unauthorised"}), "HTTP 401"),
+}
+
+
+class TestFaultSchedules:
+    """Whatever each POST meets, remote ``cooc --mode proxy`` and ``infer``
+    end in a defined outcome, and a rerun on a healthy endpoint completes
+    the offline run's lines from the cache, posting only what it lacks.
+
+    Hypothesis draws one outcome per POST index of each stage. Past the
+    drawn ones the endpoint either recovers or keeps giving the last drawn
+    outcome."""
+
+    @pytest.mark.parametrize("model_flags", [
+        pytest.param(["--model", "m"], id="model"),
+        pytest.param([], id="no-model",
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP bug (a)")),
+    ])
+    def test_every_schedule_ends_in_a_defined_outcome(
+        self, tmp_path, scene, mock_endpoint, clock, monkeypatch, model_flags
+    ):
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        clean, gt = tmp_path / "clean.txt", tmp_path / "gt.tsv"
+        run("ingest", "--scene", scene, "--out", clean)
+        run("cooc", "--graph", clean, "--out", gt)
+        run("cooc", "--graph", clean, "--out", tmp_path / "offline.tsv", "--mode", "proxy")
+        run("infer", "--graph", clean, "--cooc", gt, "--out", tmp_path / "offline.jsonl")
+        offline_table = _table_lines(tmp_path / "offline.tsv")
+        offline_rooms = {
+            json.loads(line)["room_id"]: line
+            for line in (tmp_path / "offline.jsonl").read_text().splitlines()[1:]
+        }
+        posted = []
+
+        def healthy(payload):
+            posted.append(payload["prompt"])
+            return _offline_oracle(payload)
+
+        remote = ["--backend", "remote", "--endpoint", mock_endpoint, "--max-inflight", "1",
+                  *model_flags, "--cache-dir", "cache"]
+        runs = itertools.count()
+
+        def stages():
+            """Remote ``cooc --mode proxy`` and ``infer`` in a fresh directory,
+            each from the first POST of the schedule; their exit codes."""
+            work = tmp_path / f"run-{next(runs)}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            _Handler.calls = 0
+            cooc_rc = run("cooc", "--graph", clean, "--out", "proxy.tsv", "--mode", "proxy",
+                          *remote)
+            _Handler.calls = 0
+            return cooc_rc, run("infer", "--graph", clean, "--cooc", gt, "--out", "p.jsonl",
+                                *remote)
+
+        # the sentences the two stages need
+        _Handler.behaviors = [healthy]
+        assert stages() == (0, 0)
+        needed = set(posted)
+
+        @settings(max_examples=19, deadline=None, derandomize=True)
+        @example(["ok"], True)
+        @given(st.lists(st.sampled_from(list(_OUTCOMES)), min_size=1, max_size=60),
+               st.booleans())
+        def schedule(outcomes, recovers):
+            _Handler.behaviors = [_OUTCOMES[name][0] for name in outcomes]
+            if recovers:
+                _Handler.behaviors.append(_offline_oracle)
+            faults = {_OUTCOMES[name][1] for name in outcomes} - {None}
+            cooc_rc, infer_rc = stages()
+
+            assert cooc_rc in (0, 3)
+            if cooc_rc == 0:
+                assert _table_lines("proxy.tsv") == offline_table
+            else:
+                assert not Path("proxy.tsv").exists()
+
+            # one line per room: the offline one, or a failure naming a fault
+            lines = Path("p.jsonl").read_text().splitlines()[1:]
+            records = [json.loads(line) for line in lines]
+            assert sorted(r["room_id"] for r in records) == sorted(offline_rooms)
+            predicted = 0
+            for line, record in zip(lines, records):
+                if record["kind"] == "prediction":
+                    assert line == offline_rooms[record["room_id"]]
+                    predicted += 1
+                else:
+                    assert any(fault in record["reason"] for fault in faults), record
+            assert infer_rc == (0 if predicted else 3)
+
+            cache = Path("cache", "scores.jsonl")
+            cached = {
+                json.loads(line)["sentence"]
+                for line in (cache.read_text().splitlines() if cache.exists() else ())
+            }
+            _Handler.behaviors = [healthy]
+            posted.clear()
+            assert run("cooc", "--graph", clean, "--out", "proxy.tsv", "--mode", "proxy",
+                       *remote) == 0
+            assert run("infer", "--graph", clean, "--cooc", gt, "--out", "p.jsonl",
+                       *remote) == 0
+            assert _table_lines("proxy.tsv") == offline_table
+            assert Path("p.jsonl").read_text().splitlines()[1:] == list(offline_rooms.values())
+            assert sorted(posted) == sorted(needed - cached)
+
+        schedule()
 
 
 # Runs in a fresh interpreter, because pytest has already imported http.client

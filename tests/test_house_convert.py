@@ -11,7 +11,14 @@ from roomsense.house_convert import (
     load_category_map,
     parse_house_file,
 )
-from roomsense.ingest import IngestConfig, ParseError, parse_scene_file, run_pipeline
+from roomsense.ingest import (
+    DROPPED_ROOM_LABELS,
+    IngestConfig,
+    ParseError,
+    parse_scene_file,
+    run_pipeline,
+)
+from roomsense.scene_model import normalize_label
 
 from conftest import object_by_id
 
@@ -100,8 +107,11 @@ class TestParseHouse:
     def test_room_space_is_full_declared_list(self, house_path):
         graph = parse_house_file(house_path)
         assert graph.room_space.labels == ROOM_LABEL_LIST
-        # 23 usable labels once outdoor/none are filtered
-        assert len([l for l in ROOM_LABEL_LIST if l not in ("yard", "balcony", "porch", "none")]) == 23
+        # the region table's 23 kept labels, sorted, then the 4 that ingest drops
+        kept = ROOM_LABEL_LIST[:-len(DROPPED_ROOM_LABELS)]
+        assert len(kept) == 23 and list(kept) == sorted(kept)
+        assert ROOM_LABEL_LIST[len(kept):] == DROPPED_ROOM_LABELS
+        assert set(ROOM_LABEL_LIST) == set(REGION_LETTER_LABELS.values())
 
     def test_category_map_renames_fine_space(self, house_path, tmp_path):
         map_path = tmp_path / "mapping.tsv"
@@ -172,6 +182,8 @@ class TestParseHouse:
     def test_every_letter_maps_to_declared_label(self):
         for label in REGION_LETTER_LABELS.values():
             assert label in ROOM_LABEL_LIST
+            # parse_house_file takes the table's labels as they are
+            assert normalize_label(label) == label
 
 
 class TestConvertEndToEnd:

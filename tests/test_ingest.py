@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roomsense.ingest import (
-    DEFAULT_OUTDOOR_ROOM_LABELS,
     DEFAULT_REJECTED_OBJECT_LABELS,
-    DEFAULT_REMOVED_ROOM_LABELS,
+    DROPPED_ROOM_LABELS,
     IngestConfig,
     ParseError,
     SchemaError,
@@ -524,10 +523,10 @@ class TestFullPipeline:
 
     def test_no_empty_or_outdoor_rooms_after_filter(self, raw_graph):
         graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")
-        banned = DEFAULT_OUTDOOR_ROOM_LABELS | DEFAULT_REMOVED_ROOM_LABELS
+        assert not set(graph.room_space.labels) & set(DROPPED_ROOM_LABELS)
         for room in graph.rooms:
             assert graph.objects_in_room(room)
-            assert room.gt_label not in banned
+            assert room.gt_label not in DROPPED_ROOM_LABELS
 
 
 INDOOR_ROOM_LABELS = ("bathroom", "bedroom", "kitchen")

@@ -853,7 +853,12 @@ def no_backoff(clock):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    behaviors = []  # list of callables(payload) -> (status, body dict)
+    """Answers POST number ``calls`` with ``behaviors[calls]``, or with the
+    last behavior once they run out. A behavior maps the request payload to
+    ``(status, body dict)`` or ``(status, body dict, extra headers)``; a
+    status of None closes the connection without a response."""
+
+    behaviors = []
     calls = 0
 
     def do_POST(self):
@@ -861,11 +866,15 @@ class _Handler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length))
         behavior = _Handler.behaviors[min(_Handler.calls, len(_Handler.behaviors) - 1)]
         _Handler.calls += 1
-        status, body = behavior(payload)
+        status, body, *extra = behavior(payload)
+        if status is None:
+            return
         data = json.dumps(body).encode()
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
+        headers.update(*extra)
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
