@@ -144,6 +144,15 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
     _write_text(side, json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
+@contextmanager
+def _naming(where):
+    """Prefix ``where`` to a data error raised in the body, whose callee names no file."""
+    try:
+        yield
+    except (DataError, evaluation.EvaluationError, ValueError) as err:
+        raise DataError(f"{where}: {err}") from err
+
+
 def _resolve_object_space(graph, choice: str) -> str:
     """Map fine/coarse onto the graph's declared spaces (coarse first)."""
     names = graph.object_space_names
@@ -200,13 +209,16 @@ def cmd_ingest(args) -> int:
     processed = []
     for scene in args.scene:
         raw = ingest.parse_scene_file(scene)
-        try:
+        with _naming(scene):
             processed.append(
                 ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
             )
-        except DataError as err:  # the pipeline's errors name no file
-            raise type(err)(f"{scene}: {err}") from err
-    graph = ingest.merge_graphs(processed)
+    try:
+        graph = ingest.merge_graphs(processed)
+    except DataError:  # name the first scene that cannot join the ones before it
+        for end, scene in enumerate(args.scene[1:], 2):
+            with _naming(scene):
+                ingest.merge_graphs(processed[:end])
     if not graph.rooms:
         raise DataError("preprocessing leaves no room: every room is filtered out or empty")
 
@@ -232,9 +244,10 @@ def cmd_cooc(args) -> int:
     space_name = _resolve_object_space(graph, args.object_space)
     template = QueryTemplate(article_mode=args.article)
     if args.mode == "gt":
-        table = count_ground_truth(
-            graph, space_name, alpha=args.alpha, presence=args.presence
-        )
+        with _naming(f"--graph {args.graph}"):
+            table = count_ground_truth(
+                graph, space_name, alpha=args.alpha, presence=args.presence
+            )
         backend = None
     else:
         spaces = graph.object_space(space_name), graph.room_space
@@ -257,11 +270,14 @@ def _select_rooms(args):
     graph = ingest.parse_scene_file(args.graph)
     table = read_table(args.cooc)
     names = graph.object_space_names
-    if table.object_space not in names:
-        raise DataError(
-            f"table object space {table.object_space!r} not in graph spaces {list(names)}"
-        )
-    return table, graph.room_space.labels, inference.select_rooms(graph, table, args.k)
+    with _naming(f"--cooc {args.cooc}"):
+        if table.object_space not in names:
+            raise DataError(
+                f"table object space {table.object_space!r} "
+                f"not in --graph {args.graph} spaces {list(names)}"
+            )
+        selections = inference.select_rooms(graph, table, args.k)
+    return table, graph.room_space.labels, selections
 
 
 def cmd_infer(args) -> int:
@@ -294,10 +310,8 @@ def cmd_eval(args) -> int:
     reports = []
     for path in args.predictions:
         run = inference.read_predictions(path)
-        try:
+        with _naming(path):
             reports.append(evaluation.evaluate(run))
-        except evaluation.EvaluationError as err:
-            raise evaluation.EvaluationError(f"{path}: {err}") from err
     table = (
         evaluation.compare_conditions(reports, names=args.predictions)
         if len(reports) > 1 else None
@@ -395,7 +409,7 @@ def main(argv=None) -> int:
     except TransportError as err:
         print(f"roomsense: backend failure: {err}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, evaluation.EvaluationError, ValueError, KeyError) as err:
+    except (DataError, evaluation.EvaluationError, ValueError) as err:
         print(f"roomsense: data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

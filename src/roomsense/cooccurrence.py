@@ -52,8 +52,6 @@ def entropy(p) -> float:
 def softmax_from_logs(log_values) -> tuple[float, ...]:
     """Softmax of log-space scores with max-shift stabilization."""
     logs = [float(x) for x in log_values]
-    if not logs:
-        raise ValueError("cannot normalize an empty score list")
     peak = max(logs)
     exps = [math.exp(x - peak) for x in logs]
     norm = math.fsum(exps)
@@ -100,38 +98,32 @@ def count_ground_truth(
     room_space = graph.room_space
     room_labels = room_space.labels
 
-    counts: dict[str, dict[str, int]] = {label: {} for label in space.labels}
-    rooms_by_id = graph.room_by_id()
+    # every room's label is declared, so it has a column
+    room_column = {room.id: room_labels.index(room.gt_label) for room in graph.rooms}
+    counts = {label: [0] * len(room_labels) for label in space.labels}
     seen_in_room: set[tuple[str, str]] = set()
     for obj in graph.objects:
-        label = obj.label_per_space.get(object_space)
-        if label is None:
-            continue
-        room = rooms_by_id.get(obj.assigned_room)
-        if room is None:
+        label = obj.label_per_space[object_space]
+        column = room_column.get(obj.assigned_room)
+        if column is None:
             continue
         if presence:
-            key = (label, room.id)
+            key = (label, obj.assigned_room)
             if key in seen_in_room:
                 continue
             seen_in_room.add(key)
-        cell = counts[label]
-        cell[room.gt_label] = cell.get(room.gt_label, 0) + 1
+        counts[label][column] += 1
 
     rows: dict[str, tuple[float, ...]] = {}
     entropies: dict[str, float] = {}
     denominator_extra = alpha * len(room_labels)
-    for label in space.labels:
-        cell = counts[label]
-        total = sum(cell.values())
+    for label, cell in counts.items():
+        total = sum(cell)
         if total + denominator_extra == 0:
             raise ValueError(
                 f"object label {label!r} has no observations and alpha is 0"
             )
-        row = tuple(
-            (cell.get(room_label, 0) + alpha) / (total + denominator_extra)
-            for room_label in room_labels
-        )
+        row = tuple((count + alpha) / (total + denominator_extra) for count in cell)
         rows[label] = row
         entropies[label] = entropy(row)
 
@@ -210,14 +202,10 @@ def select_informative(
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    present: set[str] = set()
-    for obj in graph.objects_in_room(room):
-        label = obj.label_per_space.get(table.object_space)
-        if label is not None:
-            present.add(label)
+    present = {obj.label_per_space[table.object_space] for obj in graph.objects_in_room(room)}
     for label in present:
         if label not in table.rows:
-            raise KeyError(
+            raise ValueError(
                 f"object label {label!r} in room {room.id!r} missing from table"
             )
     ranked = sorted(present, key=lambda label: (table.entropy[label], label))

@@ -108,8 +108,6 @@ def compare_conditions(reports, names=None) -> ConditionTable:
     names both reports.
     """
     reports = list(reports)
-    if not reports:
-        raise EvaluationError("need at least one report to compare")
     varying = [
         (tag, name)
         for tag, name in (("k", "k"), ("template", "template_version"), ("backend", "backend"))

@@ -118,7 +118,8 @@ def select_rooms(
         if selected:
             selections.append(RoomSelection(room.id, room.gt_label, tuple(selected)))
         else:
-            # Ingest filtering removes label-less rooms; defend anyway.
+            # no object names the room: ingest drops such a room, but a graph
+            # that skipped ingest can hold one
             reasons[room.id] = f"room {room.id!r} has no usable object labels"
     return selections, reasons
 

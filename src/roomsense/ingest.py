@@ -336,10 +336,8 @@ def resolve_label_space_conflicts(
     """
     mapping: dict[str, list[str]] = {}
     for obj in graph.objects:
-        sec = obj.label_per_space.get(secondary_space)
-        pri = obj.label_per_space.get(primary_space)
-        if sec is None or pri is None:
-            continue
+        sec = obj.label_per_space[secondary_space]
+        pri = obj.label_per_space[primary_space]
         seen = mapping.setdefault(sec, [])
         if pri not in seen:
             seen.append(pri)
@@ -355,8 +353,8 @@ def resolve_label_space_conflicts(
         return graph
 
     def relabel(labels: dict[str, str]) -> dict[str, str] | None:
-        primary = chosen.get(labels.get(secondary_space))
-        if primary is None or labels.get(primary_space, primary) == primary:
+        primary = chosen.get(labels[secondary_space])
+        if primary is None or labels[primary_space] == primary:
             return None
         return {**labels, primary_space: primary}
 
@@ -398,12 +396,12 @@ def filter_graph(
     def keep(obj: ObjectNode) -> bool:
         if obj.assigned_room not in kept_room_ids:
             return False
-        coarse = obj.label_per_space.get(primary_space)
+        coarse = obj.label_per_space[primary_space]
         if coarse in DEFAULT_REJECTED_OBJECT_LABELS and not (
             keep_exception and coarse == RETAINED_COARSE_LABEL
         ):
             return False
-        return obj.label_per_space.get(object_space) not in DEFAULT_REJECTED_OBJECT_LABELS
+        return obj.label_per_space[object_space] not in DEFAULT_REJECTED_OBJECT_LABELS
 
     # a kept object's room is kept; a kept room that no kept object names is
     # dropped as empty
@@ -463,5 +461,5 @@ def room_label_histogram(graph: SceneGraph) -> dict[str, int]:
     """Room count per ground-truth label, in room-space label order."""
     counts = dict.fromkeys(graph.room_space.labels, 0)
     for room in graph.rooms:
-        counts[room.gt_label] = counts.get(room.gt_label, 0) + 1
+        counts[room.gt_label] += 1
     return counts

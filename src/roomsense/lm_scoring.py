@@ -504,7 +504,7 @@ class RemoteScorer(SentenceScorer):
             raise ValueError(
                 f"remote scorer needs an endpoint ({ENDPOINT_ENV} or argument)"
             )
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.model = model if model is not None else os.environ.get(MODEL_ENV, "")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -513,8 +513,8 @@ class RemoteScorer(SentenceScorer):
         self.max_inflight = max_inflight
         self.max_attempts = max_attempts
         self._headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        if api_key:  # kept only in the headers, so no record or message holds it
+            self._headers["Authorization"] = f"Bearer {api_key}"
         if session is None:
             session = _Session(self.endpoint)
         self._session = session

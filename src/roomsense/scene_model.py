@@ -55,8 +55,8 @@ class LabelSpace:
 
     ``labels`` keeps declaration order (it defines column order in
     co-occurrence tables). A space records only what is in it: the labels
-    that preprocessing filters out are the ``DEFAULT_*`` sets in
-    :mod:`roomsense.ingest`.
+    that preprocessing filters out are ``DROPPED_ROOM_LABELS`` and
+    ``DEFAULT_REJECTED_OBJECT_LABELS`` in :mod:`roomsense.ingest`.
     """
 
     name: str
@@ -65,7 +65,7 @@ class LabelSpace:
 
 def observed_space(name: str, objects) -> LabelSpace:
     """The object space ``name`` with exactly the labels its objects carry, sorted."""
-    labels = {obj.label_per_space[name] for obj in objects if name in obj.label_per_space}
+    labels = {obj.label_per_space[name] for obj in objects}
     return LabelSpace(name=name, labels=tuple(sorted(labels)))
 
 

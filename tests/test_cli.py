@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import roomsense
 from roomsense import ingest, lm_scoring
 from roomsense.cli import main
+from roomsense.cooccurrence import read_table
 from roomsense.inference import read_predictions
 from roomsense.ingest import parse_scene_file
 from roomsense.lm_scoring import OfflineScorer, TransportError
@@ -396,12 +397,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["infer", "--k", "0"],
         ["infer", "--k", "-2"],
+        ["infer", "--k", "three"],
         ["infer", "--max-inflight", "0"],
         ["infer", "--backend", "remote", "--endpoint", "http://127.0.0.1:9/",
          "--max-attempts", "0"],
         ["cooc", "--alpha", "-1"],
         ["cooc", "--alpha", "nan"],
-    ], ids=["k-zero", "k-negative", "max-inflight", "max-attempts", "alpha", "alpha-nan"])
+        ["cooc", "--alpha", "one"],
+    ], ids=["k-zero", "k-negative", "k-text", "max-inflight", "max-attempts", "alpha",
+            "alpha-nan", "alpha-text"])
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, scene, capsys, argv):
         command, *flags = argv
         inputs = {"infer": ["--graph", scene, "--cooc", scene],
@@ -627,7 +631,7 @@ class TestExitCodes:
         assert str(named) in err
         assert "Traceback" not in err
 
-    def test_table_space_must_match_graph(self, tmp_path, scene):
+    def test_table_space_must_match_graph(self, tmp_path, scene, capsys):
         fine_graph = tmp_path / "fine.txt"
         run("ingest", "--scene", scene, "--out", fine_graph)
         cooc = tmp_path / "cooc.tsv"
@@ -641,8 +645,83 @@ class TestExitCodes:
                 room_labels=ROOMS_HEADER,
             )
         )
-        assert run("infer", "--graph", lone, "--cooc", cooc,
-                   "--out", tmp_path / "p.jsonl") == 2
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        assert run("infer", "--graph", lone, "--cooc", cooc, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: --cooc {cooc}: table object space 'nyuclass' "
+            f"not in --graph {lone} spaces ['somethingelse']"
+        ]
+        assert not out.exists()
+
+    def test_graph_label_missing_from_the_table_names_the_table(self, tmp_path, scene, capsys):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        lines = cooc.read_text().splitlines(keepends=True)
+        cooc.write_text("".join(line for line in lines if not line.startswith("toilet\t")))
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        assert run("infer", "--graph", graph, "--cooc", cooc, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: --cooc {cooc}: "
+            "object label 'toilet' in room 'r-bath' missing from table"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["room-lists", "object-id"])
+    def test_merge_refusal_names_the_scene_that_cannot_join(self, tmp_path, scene, capsys, case):
+        other = tmp_path / "other.txt"
+        room = [("b/r0", "kitchen", (0, 0, 0), (4, 4, 3))]
+        if case == "room-lists":
+            other.write_text(scene_file_text(
+                room, [("b/o0", "b/r0", ("stove", "stove"), (1, 1, 0), (2, 2, 1))],
+                room_labels=("bathroom", "kitchen"),
+            ))
+            message = "cannot merge graphs with different room label lists"
+        else:
+            other.write_text(scene_file_text(
+                room, [("o-sofa", "b/r0", ("stove", "stove"), (1, 1, 0), (2, 2, 1))],
+                room_labels=ROOMS_HEADER,
+            ))
+            message = "duplicate object id 'o-sofa' across merged graphs"
+        out = tmp_path / "out.txt"
+        assert run("ingest", "--scene", scene, "--scene", scene, "--scene", other,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {scene}: duplicate room id 'r-living' across merged graphs"
+        ]
+        assert run("ingest", "--scene", scene, "--scene", other, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {other}: {message}"
+        ]
+        assert not out.exists()
+
+    # an object that names no room in its file: ingest would drop it
+    ROOMLESS = scene_file_text(
+        [("r0", "bathroom", (0, 0, 0), (4, 4, 3))],
+        [("o0", "r0", ("toilet", "toilet"), (1, 1, 0), (2, 2, 1)),
+         ("o1", "r-gone", ("lamp", "lamp"), (1, 1, 0), (2, 2, 1))],
+    )
+
+    def test_cooc_gt_counts_no_object_that_names_no_room(self, tmp_path):
+        graph = tmp_path / "roomless.txt"
+        graph.write_text(self.ROOMLESS)
+        out = tmp_path / "gt.tsv"
+        assert run("cooc", "--graph", graph, "--out", out) == 0
+        table = read_table(out)
+        assert table.rows["lamp"] == (1 / 6,) * 6
+        assert table.rows["toilet"][0] == 2 / 7
+
+    def test_label_with_no_count_at_alpha_zero_names_the_graph(self, tmp_path, scene, capsys):
+        bad = tmp_path / "roomless.txt"
+        bad.write_text(self.ROOMLESS)
+        argv = ["cooc", "--mode", "gt", "--alpha", "0"]
+        assert _run_on_bad_graph(tmp_path, scene, capsys, argv, bad) == [
+            f"roomsense: data error: --graph {bad}: "
+            "object label 'lamp' has no observations and alpha is 0"
+        ]
 
     def test_unreachable_backend_is_backend_failure(self, tmp_path, scene):
         graph = tmp_path / "clean.txt"
@@ -764,6 +843,45 @@ class TestRemoteMatchesOffline:
         remote_lines = Path("remote.jsonl").read_text().splitlines()
         offline_lines = Path("offline.jsonl").read_text().splitlines()
         assert len(remote_lines) > 1 and remote_lines[1:] == offline_lines[1:]
+
+
+class TestApiKey:
+    """``ROOMSENSE_LM_API_KEY`` reaches the endpoint as a bearer token on every
+    POST, and no file or message of the run holds it."""
+
+    KEY = "sk-test-0123456789abcdef"
+
+    def _proxy_cooc(self, tmp_path, scene, endpoint) -> int:
+        run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
+        return run("cooc", "--graph", tmp_path / "clean.txt", "--out", tmp_path / "proxy.tsv",
+                   "--mode", "proxy", "--backend", "remote", "--endpoint", endpoint,
+                   "--cache-dir", tmp_path / "cache", "--max-attempts", "1")
+
+    @pytest.mark.parametrize("status", [200, 401])
+    def test_key_is_sent_on_every_post_and_written_nowhere(
+        self, tmp_path, scene, mock_endpoint, monkeypatch, capsys, caplog, status
+    ):
+        monkeypatch.setenv(lm_scoring.API_KEY_ENV, self.KEY)
+        _Handler.behaviors = [
+            _offline_oracle if status == 200 else lambda p: (401, {"error": "unauthorised"})
+        ]
+        assert self._proxy_cooc(tmp_path, scene, mock_endpoint) == (0 if status == 200 else 3)
+        assert _Handler.calls > 0
+        assert _Handler.authorizations == [f"Bearer {self.KEY}"] * _Handler.calls
+        written = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert (tmp_path / "proxy.tsv.manifest.json" in written) == (status == 200)
+        assert not any(self.KEY in path.read_text() for path in written)
+        out, err = capsys.readouterr()
+        assert self.KEY not in out + err + caplog.text
+
+    def test_no_key_sends_no_authorization_header(
+        self, tmp_path, scene, mock_endpoint, monkeypatch
+    ):
+        monkeypatch.delenv(lm_scoring.API_KEY_ENV, raising=False)
+        _Handler.behaviors = [_offline_oracle]
+        assert self._proxy_cooc(tmp_path, scene, mock_endpoint) == 0
+        assert _Handler.calls > 0
+        assert _Handler.authorizations == [None] * _Handler.calls
 
 
 # One endpoint answer per outcome of a POST, and the text that a failure

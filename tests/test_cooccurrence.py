@@ -331,7 +331,7 @@ class TestSelectInformative:
     def test_missing_label_is_contract_error(self):
         room, graph = room_with(["bed"])
         table = make_table({"chair": 0.5})
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="object label 'bed' in room 'r0' missing from table"):
             select_informative(room, graph, table, 1)
 
     def test_permutation_and_duplication_invariance(self):
@@ -428,6 +428,8 @@ _CORRUPTIONS = {
     "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), "row"),
     "header-repeated-room": (lambda cells: [*cells[:2], cells[1], *cells[3:]], "header"),
     "header-empty-room": (lambda cells: [cells[0], "", *cells[2:]], "header"),
+    "header-without-entropy": (lambda cells: cells[:-1], "header"),
+    "row-missing-a-column": (lambda cells: cells[:-1], "row"),
 }
 
 
@@ -454,6 +456,16 @@ class TestReadTableRejectsCorruptRows:
         with pytest.raises(ValueError) as caught:
             read_table(path)
         assert str(caught.value).startswith(f"{path}:{lineno}: ")
+
+    def test_blank_rows_are_skipped(self, tmp_path, two_room_graph):
+        table = count_ground_truth(two_room_graph, "things")
+        path = tmp_path / "cooc.tsv"
+        write_table(table, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("label\t"))
+        lines[header + 2:header + 2] = ["", ""]
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        assert read_table(path) == table
 
     def test_entropy_within_tolerance_is_accepted(self, tmp_path, two_room_graph):
         table = count_ground_truth(two_room_graph, "things")

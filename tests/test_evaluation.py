@@ -272,6 +272,10 @@ class TestReportOutput:
         assert payload["failed_rooms"] == ["px"]
         assert payload["condition"]["object_space"] == "nyuclass"
 
+    def test_text_report_lists_failed_rooms(self):
+        report = evaluate(run_of(hand_built_predictions(), failed=["px", "py"]))
+        assert "rooms failed: 2 ['px', 'py']" in format_report(report).splitlines()
+
     def test_text_report_mentions_everything(self):
         report = evaluate(run_of(hand_built_predictions()))
         text = format_report(report)

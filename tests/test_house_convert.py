@@ -132,6 +132,29 @@ class TestParseHouse:
         assert unlabeled == {"mpcat40": "unlabeled", "rawcategory": "unlabeled"}
         assert by_id["testhouse/O6"].label_per_space is unlabeled
 
+    def test_dash_and_empty_names_are_unlabeled_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "testhouse.house"
+        path.write_text(
+            HOUSE_TEXT + "\n   \n"
+            "C 3 13 - 40 # 0 0 0 0 0\n"
+            "O 4 0 3 1.5 1.5 0.5 1 0 0 0 1 0 0.2 0.2 0.2 0 0 0 0 0 0 0 0\n"
+        )
+        obj = object_by_id(parse_house_file(path))["testhouse/O4"]
+        assert obj.label_per_space == {"mpcat40": "unlabeled", "rawcategory": "unlabeled"}
+
+    @pytest.mark.parametrize("record, message", [
+        ("R 3 0 0 0 a 1.0", "need 15+ tokens, got 7"),
+        ("C 3 13 lamp 20", "need 6+ tokens, got 5"),
+        ("O 4 0 0 1.5 1.5 0.5", "need 16+ tokens, got 7"),
+    ], ids=["region", "category", "object"])
+    def test_short_record_names_the_line(self, tmp_path, record, message):
+        path = tmp_path / "short.house"
+        path.write_text(HOUSE_TEXT + record + "\n")
+        with pytest.raises(ParseError) as caught:
+            parse_house_file(path)
+        lineno = len(HOUSE_TEXT.splitlines()) + 1
+        assert str(caught.value) == f"{path}:{lineno}: malformed {record[0]!r} record: {message}"
+
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "broken.house"
         path.write_text("R 0 0 0 0 a 1.0\n")
@@ -228,6 +251,28 @@ class TestConvertEndToEnd:
         reparsed = parse_scene_file(out)
         assert reparsed.object_space("nyuclass")
         assert [s.name for s in reparsed.object_spaces] == ["mpcat40", "nyuclass"]
+
+    def test_category_map_skips_blank_rows_and_rows_without_a_class(self, house_path, tmp_path):
+        path = tmp_path / "mapping.tsv"
+        lines = CATEGORY_MAP.replace("kitchen counter\tcounter", "kitchen counter\t").splitlines()
+        lines.insert(1, "")
+        path.write_text("\n".join(lines) + "\n\n")
+        mapping = load_category_map(path)
+        assert mapping == {10: "toilet", 12: "refridgerator"}
+        graph = parse_house_file(house_path, category_map=mapping)
+        # a category the map gives no class keeps its raw name
+        assert object_by_id(graph)["testhouse/O1"].label_per_space["nyuclass"] == "kitchen counter"
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("", "", "empty category mapping file"),
+        (CATEGORY_MAP + "13\tlamp\n", ":5", "short row"),
+    ], ids=["empty", "short-row"])
+    def test_malformed_category_map_names_file_and_line(self, tmp_path, text, where, message):
+        path = tmp_path / "mapping.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as caught:
+            load_category_map(path)
+        assert str(caught.value) == f"{path}{where}: {message}"
 
     def test_category_index_that_is_not_an_integer(self, tmp_path):
         path = tmp_path / "mapping.tsv"

@@ -398,6 +398,22 @@ class TestPredictionFiles:
             blobs.add(path.read_bytes())
         assert len(blobs) == 1
 
+    def test_blank_lines_after_the_header_are_skipped(self, bath_graph, bath_table, tmp_path):
+        result = classify_graph(bath_graph, bath_table, OfflineScorer(seed=4), k=3)
+        path = tmp_path / "predictions.jsonl"
+        write_predictions(result, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["", "  "]
+        path.write_text("\n".join(lines) + "\n\n")
+        assert read_predictions(path) == result
+
+    def test_empty_file_names_it(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError) as caught:
+            read_predictions(path)
+        assert str(caught.value) == f"{path}: empty predictions file"
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"kind": "header", "format": "other"}\n')

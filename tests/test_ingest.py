@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from roomsense.ingest import (
     DEFAULT_REJECTED_OBJECT_LABELS,
     DROPPED_ROOM_LABELS,
+    DataError,
     IngestConfig,
     ParseError,
     SchemaError,
@@ -127,6 +128,32 @@ class TestParse:
             f"{path}:2: header declares one room label, 'bathroom'; "
             "a room needs at least 2 to choose from"
         )
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("scenegraph\tv2\tspaces=mpcat40\trooms=bathroom,kitchen", 1,
+         "malformed header (need version + spaces + rooms)"),
+        ("scenegraph\tv1\tspaces=mpcat40", 1,
+         "malformed header (need version + spaces + rooms)"),
+        ("scenegraph\tv1\trooms=bathroom,kitchen\tspaces=mpcat40", 1,
+         "header needs 'spaces=' and 'rooms=' fields"),
+        ("scenegraph\tv1\tspaces= ,\trooms=bathroom,kitchen", 1,
+         "header declares no object label spaces"),
+        ("scenegraph\tv1\tspaces=mpcat40,Room\trooms=bathroom,kitchen", 1,
+         "'room' is reserved for the room space"),
+        ("scenegraph\tv1\tspaces=mpcat40,MPCAT40\trooms=bathroom,kitchen", 1,
+         "duplicate label-space name"),
+        ("scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen\n"
+         "room\tr0\tbathroom\t0\t0\t0\t4\t4\t3\n"
+         "object\to0\tr0\ttoilet\t1\t1\t0\t2\t2\t1", 3,
+         "object record needs 11 fields, got 10"),
+    ], ids=["version", "field-count", "field-order", "no-space", "reserved-space",
+            "repeated-space", "object-field-count"])
+    def test_malformed_header_or_record_names_its_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text + "\n")
+        with pytest.raises(DataError) as caught:
+            parse_scene_file(path)
+        assert str(caught.value) == f"{path}:{lineno}: {message}"
 
     def test_equal_label_fields_share_one_map(self, raw_graph, tmp_path):
         maps = {}

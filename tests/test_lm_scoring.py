@@ -743,6 +743,21 @@ class TestCachingScorer:
         assert f"skipping malformed cache record {path}:2" in caplog.text
         assert score_totals(reloaded, ["first", "third"]) == [-3.5, -3.5]
 
+    def test_blank_lines_are_skipped_without_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n" + _cache_line("first") + "\n \t\n" + _cache_line("second") + "\n")
+
+        class Exploding(SentenceScorer):
+            identity = OfflineScorer(seed=1).identity
+
+            def score(self, sentence):
+                raise AssertionError("cache miss hit the backend")
+
+        with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
+            reloaded = CachingScorer(Exploding(), path)
+        assert caplog.records == []
+        assert score_totals(reloaded, ["first", "second"]) == [-3.5, -3.5]
+
     def test_reload_indexes_only_the_scorers_own_identity(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         score_totals(CachingScorer(OfflineScorer(seed=1), path), ["mine", "shared"])
@@ -856,16 +871,19 @@ class _Handler(BaseHTTPRequestHandler):
     """Answers POST number ``calls`` with ``behaviors[calls]``, or with the
     last behavior once they run out. A behavior maps the request payload to
     ``(status, body dict)`` or ``(status, body dict, extra headers)``; a
-    status of None closes the connection without a response."""
+    status of None closes the connection without a response. Each POST's
+    ``Authorization`` header, or None, is kept in ``authorizations``."""
 
     behaviors = []
     calls = 0
+    authorizations = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         behavior = _Handler.behaviors[min(_Handler.calls, len(_Handler.behaviors) - 1)]
         _Handler.calls += 1
+        _Handler.authorizations.append(self.headers["Authorization"])
         status, body, *extra = behavior(payload)
         if status is None:
             return
@@ -891,6 +909,7 @@ def mock_endpoint():
     )
     thread.start()
     _Handler.calls = 0
+    _Handler.authorizations = []
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
     server.shutdown()
     server.server_close()
@@ -1098,11 +1117,13 @@ class TestRemoteScorer:
             {"model": "m", "tokens": ["a", "b", "c"], "token_logprobs": [None, -1e308, -1e308]},
             {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, None]},
             {"model": "m", "tokens": ["a", "b"]},
+            {"model": "m", "tokens": ["a", "b"], "token_logprobs": [-1.0]},
             {"model": "m", "choices": [1]},
             [1, 2],
         ],
         ids=["oops", "positive", "nan", "numeric-string", "padded-string", "false",
-             "huge-int", "sum-overflows", "no-usable", "missing-field", "bad-choice", "list"],
+             "huge-int", "sum-overflows", "no-usable", "missing-field", "length-mismatch",
+             "bad-choice", "list"],
     )
     def test_malformed_body_is_not_retried(self, mock_endpoint, body):
         _Handler.behaviors = [lambda p: (200, body), _echo_logprobs]
