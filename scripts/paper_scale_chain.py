@@ -9,8 +9,10 @@ seed 5) to a temporary directory, about the size of Matterport3D, then
 runs ``convert``, ``ingest``, ``cooc`` (ground truth and proxy), ``infer``
 (on both tables) and ``eval`` in this process with the offline backend.
 Prints one JSON line: the peak resident set size (``ru_maxrss``), the CPU
-seconds, and one SHA-256 over every data file the chain wrote, so runs of
-two checkouts can be compared. Exits 1 if a stage does not exit 0.
+seconds in all and per stage (``stage_cpu_s``: convert, ingest, cooc,
+infer, eval, each summed over its runs), and one SHA-256 over every data
+file the chain wrote, so runs of two checkouts can be compared. Exits 1
+if a stage does not exit 0.
 ``paper_scale_chain.sha256`` next to this script records the digest of
 the current data files; CI fails when a run prints another.
 """
@@ -38,9 +40,12 @@ BUILDINGS = 90
 SEED = 5
 
 
-def _stage(*argv: str) -> None:
+def _stage(stage_cpu: dict[str, float], *argv: str) -> None:
+    """Run one CLI stage quietly and add its CPU seconds to ``stage_cpu[argv[0]]``."""
+    start = time.process_time()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(list(argv))
+    stage_cpu[argv[0]] = stage_cpu.get(argv[0], 0.0) + time.process_time() - start
     if code != 0:
         raise SystemExit(f"paper_scale_chain: {argv[0]} exited {code}")
 
@@ -62,16 +67,19 @@ def main() -> None:
         stems = [p.stem for p in fixture.write_buildings(SEED, "houses", BUILDINGS)]
         os.mkdir("out")
         os.chdir("out")
+        stage_cpu: dict[str, float] = {}
         cpu = time.process_time()
         for stem in stems:
-            _stage("convert", "--house", f"../houses/{stem}.house", "--out", f"{stem}.scene.txt")
-        _stage("ingest", *(a for s in stems for a in ("--scene", f"{s}.scene.txt")),
+            _stage(stage_cpu, "convert", "--house", f"../houses/{stem}.house",
+                   "--out", f"{stem}.scene.txt")
+        _stage(stage_cpu, "ingest", *(a for s in stems for a in ("--scene", f"{s}.scene.txt")),
                "--out", "clean.txt")
         for mode in ("gt", "proxy"):
-            _stage("cooc", "--graph", "clean.txt", "--out", f"{mode}.tsv", "--mode", mode)
-            _stage("infer", "--graph", "clean.txt", "--cooc", f"{mode}.tsv",
+            _stage(stage_cpu, "cooc", "--graph", "clean.txt", "--out", f"{mode}.tsv",
+                   "--mode", mode)
+            _stage(stage_cpu, "infer", "--graph", "clean.txt", "--cooc", f"{mode}.tsv",
                    "--out", f"{mode}.jsonl")
-        _stage("eval", "gt.jsonl", "proxy.jsonl", "--out-dir", "reports")
+        _stage(stage_cpu, "eval", "gt.jsonl", "proxy.jsonl", "--out-dir", "reports")
         cpu = time.process_time() - cpu
         digest = _data_digest(Path.cwd())
         os.chdir(ROOT)
@@ -79,6 +87,7 @@ def main() -> None:
         "buildings": BUILDINGS,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "cpu_s": round(cpu, 2),
+        "stage_cpu_s": {stage: round(s, 2) for stage, s in stage_cpu.items()},
         "data_sha256": digest,
     }))
 

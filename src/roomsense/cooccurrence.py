@@ -261,12 +261,12 @@ def read_table(path) -> CooccurrenceTable:
     """Read a table written by :func:`write_table`.
 
     The ``# alpha:`` line must hold ``-`` or a finite number of at least 0,
-    a ``# provenance:`` line must hold ``ground_truth`` or ``proxy``, and a
-    header row naming each room label once, none empty, must follow the
-    metadata. Every row must hold finite numbers, a label no other row
-    holds, probabilities summing to 1 within 1e-9 and the entropy of those
-    probabilities within 1e-9; any other input raises ``ValueError`` naming
-    ``path:line``.
+    a ``# provenance:`` line must hold ``ground_truth`` or ``proxy``, an
+    ``# object_space:`` line must be present, and a header row naming each
+    room label once, none empty, must follow the metadata. Every row must
+    hold finite numbers, a label no other row holds, probabilities summing
+    to 1 within 1e-9 and the entropy of those probabilities within 1e-9;
+    any other input raises ``ValueError`` naming ``path:line``.
     """
     with closing(read_lines(path)) as stream:
         lines = enumerate(stream, 1)
@@ -290,8 +290,9 @@ def read_table(path) -> CooccurrenceTable:
                 )
         else:
             raise ValueError(f"{path}:{lineno + 1}: no table header after the metadata")
-        if "provenance" not in meta:
-            raise ValueError(f"{path}:{lineno}: no provenance line in the metadata")
+        for key in ("provenance", "object_space"):
+            if key not in meta:
+                raise ValueError(f"{path}:{lineno}: no {key} line in the metadata")
         header = line.split("\t")
         if header[0] != "label" or header[-1] != "entropy":
             raise ValueError(f"{path}:{lineno}: malformed table header")
@@ -332,7 +333,7 @@ def read_table(path) -> CooccurrenceTable:
             entropies[label] = stored
 
     return CooccurrenceTable(
-        object_space=meta.get("object_space", ""),
+        object_space=meta["object_space"],
         room_space=meta.get("room_space", ROOM_SPACE_NAME),
         room_labels=room_labels,
         rows=rows,

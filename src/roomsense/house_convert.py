@@ -31,7 +31,10 @@ from .scene_model import (
     ObjectNode,
     RoomNode,
     SceneGraph,
+    _ordered_box,
     normalize_label,
+    object_from_fields,
+    room_from_fields,
 )
 
 logger = logging.getLogger(__name__)
@@ -126,7 +129,8 @@ def load_category_map(path) -> dict[int, str]:
 
 
 def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
-    """The axis-aligned hull of an ``O`` record's box: center, two axes, radii."""
+    """The axis-aligned hull of an ``O`` record's box (center, two axes,
+    radii); ``ValueError`` if a corner is NaN."""
     cx, cy, cz, x0, y0, z0, x1, y1, z1, r0, r1, r2 = box
     x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
     r0, r1, r2 = abs(r0), abs(r1), abs(r2)
@@ -135,18 +139,17 @@ def _aabb_of_oriented_box(box: tuple[float, ...]) -> BoundingBox:
     hx = r0 * abs(x0) + r1 * abs(x1) + r2 * abs(x2)
     hy = r0 * abs(y0) + r1 * abs(y1) + r2 * abs(y2)
     hz = r0 * abs(z0) + r1 * abs(z1) + r2 * abs(z2)
-    return BoundingBox(
-        min_corner=(cx - hx, cy - hy, cz - hz),
-        max_corner=(cx + hx, cy + hy, cz + hz),
-    )
+    return _ordered_box(cx - hx, cy - hy, cz - hz, cx + hx, cy + hy, cz + hz)
 
 
 def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneGraph:
     """Parse one ``.house`` file into a raw (pre-filter) scene graph.
 
     A malformed record, or a repeated ``R``, ``C`` or ``O`` index, is a
-    :class:`ParseError` naming its ``path:line``. Ids take the house name
-    current at their record: the file stem until an ``H`` line names one.
+    :class:`ParseError` naming its ``path:line``, and so are the boxes the
+    scene parser refuses: a region box not ordered min <= max on every axis
+    and an object hull with a NaN corner. Ids take the house name current
+    at their record: the file stem until an ``H`` line names one.
     An object takes the id its region was given at the region's ``R`` line,
     and the one label map its category was given at the category's ``C`` line.
     """
@@ -181,15 +184,9 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                         "%s:%d: unknown region code %r, using 'none'", path, lineno, letter
                     )
                     label = "none"
-                bounds = tuple(map(float, tokens[9:15]))
+                bbox = _ordered_box(*map(float, tokens[9:15]))
                 room_ids[index] = f"{house_name}/R{index}"
-                rooms.append(
-                    RoomNode(
-                        id=room_ids[index],
-                        gt_label=label,
-                        bbox=BoundingBox(min_corner=bounds[0:3], max_corner=bounds[3:6]),
-                    )
-                )
+                rooms.append(room_from_fields((room_ids[index], label, bbox)))
             elif kind == "C":
                 if len(tokens) < 6:
                     raise ValueError(f"need 6+ tokens, got {len(tokens)}")
@@ -228,14 +225,9 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
         if region_index < 0 or region_index not in room_ids:
             logger.warning("skipping %s: no region assignment", obj_id)
             continue
-        objects.append(
-            ObjectNode(
-                id=obj_id,
-                label_per_space=categories.get(category_index, unlabeled),
-                bbox=bbox,
-                assigned_room=room_ids[region_index],
-            )
-        )
+        objects.append(object_from_fields(
+            (obj_id, categories.get(category_index, unlabeled), bbox, room_ids[region_index])
+        ))
 
     return SceneGraph(
         rooms=tuple(rooms),

@@ -36,7 +36,10 @@ from .scene_model import (
     ObjectNode,
     RoomNode,
     SceneGraph,
+    _ordered_box,
     normalize_label,
+    object_from_fields,
+    room_from_fields,
 )
 
 # Room labels preprocessing drops: the outdoor ones, then "none".
@@ -113,13 +116,13 @@ class IngestConfig:
 
 def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
     try:
-        values = tuple(map(float, fields))
+        x0, y0, z0, x1, y1, z1 = map(float, fields)
     except ValueError as err:
         raise ParseError(f"{path}:{lineno}: bad number in {fields!r}") from err
-    # written out, not as all(...): this runs once per record of a file
-    if not (values[0] <= values[3] and values[1] <= values[4] and values[2] <= values[5]):
-        raise ParseError(f"{path}:{lineno}: bbox corners not ordered min <= max in {fields!r}")
-    return BoundingBox(min_corner=values[0:3], max_corner=values[3:6])
+    try:
+        return _ordered_box(x0, y0, z0, x1, y1, z1)
+    except ValueError as err:
+        raise ParseError(f"{path}:{lineno}: {err} in {fields!r}") from None
 
 
 def parse_scene_file(path) -> SceneGraph:
@@ -201,9 +204,7 @@ def parse_scene_file(path) -> SceneGraph:
                 raise SchemaError(
                     f"{path}:{lineno}: room label {label!r} not declared in header"
                 )
-            rooms[room_id] = RoomNode(
-                id=room_id, gt_label=label, bbox=_bbox(fields[3:9], path, lineno)
-            )
+            rooms[room_id] = room_from_fields((room_id, label, _bbox(fields[3:9], path, lineno)))
         elif kind == "object":
             if len(fields) != label_end + 6:
                 raise ParseError(
@@ -220,11 +221,9 @@ def parse_scene_file(path) -> SceneGraph:
                 labels = label_maps[label_fields] = dict(
                     zip(space_names, map(normalize_label, label_fields))
                 )
-            objects[obj_id] = ObjectNode(
-                id=obj_id,
-                label_per_space=labels,
-                bbox=_bbox(fields[label_end:], path, lineno),
-                assigned_room=fields[2] if room is None else room.id,
+            bbox = _bbox(fields[label_end:], path, lineno)
+            objects[obj_id] = object_from_fields(
+                (obj_id, labels, bbox, fields[2] if room is None else room.id)
             )
         else:
             raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
@@ -253,14 +252,12 @@ def write_scene_file(graph: SceneGraph, path, manifest_id: str | None = None) ->
         spaces = ",".join(names)
         rooms = ",".join(graph.room_space.labels)
         write(f"{_MAGIC}\t{_VERSION}\tspaces={spaces}\trooms={rooms}\n")
-        for room in graph.rooms:
-            coords = [*room.bbox.min_corner, *room.bbox.max_corner]
-            write("\t".join(["room", room.id, room.gt_label, *map(repr, coords)]) + "\n")
-        for obj in graph.objects:
-            coords = [*obj.bbox.min_corner, *obj.bbox.max_corner]
-            labels = [obj.label_per_space[name] for name in names]
+        for room_id, label, (lo, hi) in graph.rooms:
+            write("\t".join(["room", room_id, label, *map(repr, lo), *map(repr, hi)]) + "\n")
+        for obj_id, label_map, (lo, hi), room_id in graph.objects:
+            labels = map(label_map.__getitem__, names)
             write(
-                "\t".join(["object", obj.id, obj.assigned_room, *labels, *map(repr, coords)])
+                "\t".join(["object", obj_id, room_id, *labels, *map(repr, lo), *map(repr, hi)])
                 + "\n"
             )
 

@@ -6,7 +6,10 @@ records a parse builds once per box, room and object (:class:`BoundingBox`,
 :class:`ObjectNode`, :class:`RoomNode`) are named tuples: immutable,
 compared as the tuples of their fields, and cheap to build, so a
 graph of tens of thousands of objects parses without a per-field attribute
-store. A stage that changes a node builds a new one with ``_replace``.
+store. The parsers build them positionally, boxes through the one
+ordered-corner check and nodes with :data:`object_from_fields` and
+:data:`room_from_fields`; a stage that changes a node still builds a new
+one with ``_replace``.
 :class:`LabelSpace` and :class:`SceneGraph` are frozen dataclasses, and
 a graph caches derived data. The parsers normalize every label string
 (:func:`normalize_label`), so comparisons stay stable across data sources
@@ -30,7 +33,7 @@ a graph built from another derives its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 ROOM_SPACE_NAME = "room"
@@ -77,14 +80,14 @@ class BoundingBox(NamedTuple):
 
     @property
     def center(self) -> tuple[float, float, float]:
-        return tuple((lo + hi) / 2.0 for lo, hi in zip(self.min_corner, self.max_corner))
+        (x0, y0, z0), (x1, y1, z1) = self
+        return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0)
 
     def contains_point(self, point) -> bool:
         """Inclusive componentwise containment test."""
-        return all(
-            lo <= p <= hi
-            for lo, p, hi in zip(self.min_corner, point, self.max_corner)
-        )
+        (x0, y0, z0), (x1, y1, z1) = self
+        x, y, z = point
+        return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
 class ObjectNode(NamedTuple):
@@ -107,6 +110,22 @@ class RoomNode(NamedTuple):
     id: str
     gt_label: str
     bbox: BoundingBox
+
+
+# Each builds a record from one tuple of all its fields, in declaration
+# order, without running any Python code: the keyword constructors and
+# ``_make`` do. The parsers build every box and node with them.
+_box_from_corners = partial(tuple.__new__, BoundingBox)
+object_from_fields = partial(tuple.__new__, ObjectNode)
+room_from_fields = partial(tuple.__new__, RoomNode)
+
+
+def _ordered_box(x0, y0, z0, x1, y1, z1) -> BoundingBox:
+    """The box with these corners; ``ValueError`` unless min <= max on every
+    axis, which a NaN coordinate breaks. Both parsers enforce this rule."""
+    if x0 <= x1 and y0 <= y1 and z0 <= z1:
+        return _box_from_corners(((x0, y0, z0), (x1, y1, z1)))
+    raise ValueError("bbox corners not ordered min <= max")
 
 
 @dataclass(frozen=True, kw_only=True)

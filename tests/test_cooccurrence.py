@@ -558,6 +558,23 @@ class TestReadTableMetadata:
         assert f"data error: {path}:{lineno}: no provenance line" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cli_missing_object_space_is_a_data_error(self, tmp_path, two_room_graph, capsys):
+        graph = tmp_path / "graph.txt"
+        write_scene_file(two_room_graph, graph)
+        path = tmp_path / "cooc.tsv"
+        write_table(count_ground_truth(two_room_graph, "things"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [line for line in lines if not line.startswith("# object_space:")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lineno = next(i for i, line in enumerate(lines, 1) if not line.startswith("#"))
+        out = tmp_path / "preds.jsonl"
+        code = main(["infer", "--graph", str(graph), "--cooc", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {path}:{lineno}: no object_space line in the metadata"
+        ]
+        assert not out.exists()
+
     def test_missing_header_names_the_line_after_the_metadata(self, tmp_path, two_room_graph):
         path = tmp_path / "cooc.tsv"
         write_table(count_ground_truth(two_room_graph, "things"), path)

@@ -240,6 +240,29 @@ class TestConvertEndToEnd:
         assert main(["convert", "--house", str(house), "--out", str(scene)]) == 0
         assert main(["ingest", "--scene", str(scene), "--out", str(clean)]) == 0
 
+    @pytest.mark.parametrize("lineno, record", [
+        (4, "R 0 0 0 0 a 2.0 2.0 1.5 0 0 0 4 -4 3 3.0 0 0 0 0"),
+        (5, "R 1 0 0 0 k 6.0 6.0 1.5 4 0 nan 10 10 3 3.0 0 0 0 0"),
+        (10, "O 0 0 0 nan 1.0 0.5 1 0 0 0 1 0 0.5 0.4 0.5 0 0 0 0 0 0 0 0"),
+        (12, "O 2 1 2 8.0 8.0 1.0 1 0 0 0 1 0 0.5 nan 1.0 0 0 0 0 0 0 0 0"),
+    ], ids=["region-inverted", "region-nan", "object-nan-center", "object-nan-radius"])
+    def test_box_the_scene_parser_refuses_names_the_house_line(
+        self, tmp_path, capsys, lineno, record
+    ):
+        # ingest would refuse these boxes at a scene-file line; convert
+        # refuses them at the .house line they come from
+        house = tmp_path / "h0.house"
+        lines = HOUSE_TEXT.splitlines()
+        lines[lineno - 1] = record
+        house.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "h0.scene.txt"
+        assert main(["convert", "--house", str(house), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {house}:{lineno}: malformed {record[0]!r} record: "
+            "bbox corners not ordered min <= max"
+        ]
+        assert not out.exists()
+
     def test_category_map_flag(self, house_path, tmp_path):
         map_path = tmp_path / "mapping.tsv"
         map_path.write_text(CATEGORY_MAP)

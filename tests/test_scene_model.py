@@ -1,7 +1,8 @@
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from roomsense.ingest import parse_scene_file
 from roomsense.scene_model import (
@@ -47,6 +48,29 @@ class TestLabelSpace:
         assert space.labels == ("bathroom", "bed room")
 
 
+def center_oracle(bbox: BoundingBox) -> tuple:
+    """``BoundingBox.center`` in its generator form, before it unpacked by position."""
+    return tuple((lo + hi) / 2.0 for lo, hi in zip(bbox.min_corner, bbox.max_corner))
+
+
+def contains_point_oracle(bbox: BoundingBox, point) -> bool:
+    """``BoundingBox.contains_point`` in its ``all(...)`` form."""
+    return all(
+        lo <= p <= hi
+        for lo, p, hi in zip(bbox.min_corner, point, bbox.max_corner)
+    )
+
+
+# Any float, and often one of the values where rounding, signs and
+# comparisons differ, so corners and points coincide often enough to test
+# the inclusive bounds.
+_edge_float = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+)
+_triple = st.tuples(_edge_float, _edge_float, _edge_float)
+
+
 class TestBoundingBox:
     def test_center(self):
         assert box((0, 0, 0), (2, 4, 6)).center == (1.0, 2.0, 3.0)
@@ -55,6 +79,18 @@ class TestBoundingBox:
         b = box((0, 0, 0), (1, 1, 1))
         assert b.contains_point((0.0, 0.5, 1.0))
         assert not b.contains_point((1.0001, 0.5, 0.5))
+
+    @given(_triple, _triple, st.lists(_triple, max_size=4))
+    # where halving each corner before the sum would differ: the sum
+    # overflows, or half the smallest subnormal rounds to 0
+    @example((1.7976931348623157e308,) * 3, (1.7976931348623157e308,) * 3, [])
+    @example((5e-324,) * 3, (5e-324,) * 3, [])
+    def test_center_and_containment_match_the_generator_forms(self, lo, hi, points):
+        # by repr, so -0.0, subnormals, infinities and NaN must match too
+        bbox = BoundingBox(lo, hi)
+        assert repr(bbox.center) == repr(center_oracle(bbox))
+        for point in [bbox.center, lo, hi, *points]:
+            assert repr(bbox.contains_point(point)) == repr(contains_point_oracle(bbox, point))
 
 
 class TestNodeRecords:
