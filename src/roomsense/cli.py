@@ -34,7 +34,7 @@ from .cooccurrence import (
     read_table,
     write_table,
 )
-from .ingest import DataError, IngestConfig
+from .ingest import IngestConfig
 from .lm_scoring import TransportError, make_scorer
 from .querygen import QueryTemplate
 
@@ -146,11 +146,11 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
 
 @contextmanager
 def _naming(where):
-    """Prefix ``where`` to a data error raised in the body, whose callee names no file."""
+    """Prefix ``where`` to a ValueError raised in the body, whose callee names no file."""
     try:
         yield
-    except (DataError, evaluation.EvaluationError, ValueError) as err:
-        raise DataError(f"{where}: {err}") from err
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
 
 
 def _resolve_object_space(graph, choice: str) -> str:
@@ -215,12 +215,12 @@ def cmd_ingest(args) -> int:
             )
     try:
         graph = ingest.merge_graphs(processed)
-    except DataError:  # name the first scene that cannot join the ones before it
+    except ValueError:  # name the first scene that cannot join the ones before it
         for end, scene in enumerate(args.scene[1:], 2):
             with _naming(scene):
                 ingest.merge_graphs(processed[:end])
     if not graph.rooms:
-        raise DataError("preprocessing leaves no room: every room is filtered out or empty")
+        raise ValueError("preprocessing leaves no room: every room is filtered out or empty")
 
     with _manifested(args, args.out, args.scene) as manifest_id:
         ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
@@ -240,7 +240,7 @@ def cmd_ingest(args) -> int:
 def cmd_cooc(args) -> int:
     graph = ingest.parse_scene_file(args.graph)
     if not graph.objects:
-        raise DataError(f"--graph {args.graph}: the graph holds no object to count")
+        raise ValueError(f"--graph {args.graph}: the graph holds no object to count")
     space_name = _resolve_object_space(graph, args.object_space)
     template = QueryTemplate(article_mode=args.article)
     if args.mode == "gt":
@@ -248,6 +248,8 @@ def cmd_cooc(args) -> int:
             table = count_ground_truth(
                 graph, space_name, alpha=args.alpha, presence=args.presence
             )
+            if not table.rows:
+                raise ValueError("no object sits in a room of the graph")
         backend = None
     else:
         spaces = graph.object_space(space_name), graph.room_space
@@ -272,7 +274,7 @@ def _select_rooms(args):
     names = graph.object_space_names
     with _naming(f"--cooc {args.cooc}"):
         if table.object_space not in names:
-            raise DataError(
+            raise ValueError(
                 f"table object space {table.object_space!r} "
                 f"not in --graph {args.graph} spaces {list(names)}"
             )
@@ -283,7 +285,7 @@ def _select_rooms(args):
 def cmd_infer(args) -> int:
     table, room_labels, (selections, reasons) = _select_rooms(args)
     if not selections:
-        raise DataError(f"--graph {args.graph}: no room holds an object to query")
+        raise ValueError(f"--graph {args.graph}: no room holds an object to query")
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
     result = inference.classify_selections(
@@ -409,7 +411,7 @@ def main(argv=None) -> int:
     except TransportError as err:
         print(f"roomsense: backend failure: {err}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, evaluation.EvaluationError, ValueError) as err:
+    except ValueError as err:
         print(f"roomsense: data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

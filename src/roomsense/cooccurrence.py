@@ -19,6 +19,7 @@ Entropies are in nats. Built tables are immutable.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -90,23 +91,24 @@ def count_ground_truth(
     Counting tallies one per object instance by default; with
     ``presence=True`` a label counts at most once per room. Laplace
     smoothing adds ``alpha`` to every (object label, room label) cell, so
-    rows stay strictly positive for alpha > 0.
+    rows stay strictly positive for alpha > 0. Only objects that sit in a
+    room of the graph are counted, and the table has one row per counted
+    label, in sorted order.
     """
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
-    space = graph.object_space(object_space)
     room_space = graph.room_space
     room_labels = room_space.labels
 
     # every room's label is declared, so it has a column
     room_column = {room.id: room_labels.index(room.gt_label) for room in graph.rooms}
-    counts = {label: [0] * len(room_labels) for label in space.labels}
+    counts: dict[str, list[int]] = defaultdict(lambda: [0] * len(room_labels))
     seen_in_room: set[tuple[str, str]] = set()
     for obj in graph.objects:
-        label = obj.label_per_space[object_space]
         column = room_column.get(obj.assigned_room)
         if column is None:
             continue
+        label = obj.label_per_space[object_space]
         if presence:
             key = (label, obj.assigned_room)
             if key in seen_in_room:
@@ -117,12 +119,9 @@ def count_ground_truth(
     rows: dict[str, tuple[float, ...]] = {}
     entropies: dict[str, float] = {}
     denominator_extra = alpha * len(room_labels)
-    for label, cell in counts.items():
-        total = sum(cell)
-        if total + denominator_extra == 0:
-            raise ValueError(
-                f"object label {label!r} has no observations and alpha is 0"
-            )
+    for label in sorted(counts):
+        cell = counts[label]
+        total = sum(cell)  # at least 1: the label was counted
         row = tuple((count + alpha) / (total + denominator_extra) for count in cell)
         rows[label] = row
         entropies[label] = entropy(row)

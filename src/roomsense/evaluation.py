@@ -20,10 +20,6 @@ from .atomic import atomic_write
 from .inference import GraphClassification, TrialCondition
 
 
-class EvaluationError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class LabelStats:
     correct: int
@@ -54,14 +50,14 @@ def evaluate(run: GraphClassification) -> EvalReport:
     The room labels are the first prediction's candidate labels, in order.
     """
     if not run.predictions:
-        raise EvaluationError("no successful predictions to evaluate")
+        raise ValueError("no successful predictions to evaluate")
     labels = tuple(c.room_label for c in run.predictions[0].candidates)
     index = {label: i for i, label in enumerate(labels)}
 
     matrix = [[0] * len(labels) for _ in labels]
     for p in run.predictions:
         if p.gt_label not in index:
-            raise EvaluationError(f"ground-truth label {p.gt_label!r} not in room space")
+            raise ValueError(f"ground-truth label {p.gt_label!r} not in room space")
         matrix[index[p.gt_label]][index[p.predicted_label]] += 1
 
     correct = [row[i] for i, row in enumerate(matrix)]
@@ -103,8 +99,8 @@ def compare_conditions(reports, names=None) -> ConditionTable:
     A row is labelled by its provenance and by every other field of the
     condition that varies across the reports, as ``format_report`` names
     it: runs at k=1 and k=3 make the rows ``ground_truth k=1`` and
-    ``ground_truth k=3``. Two reports of one condition are an
-    :class:`EvaluationError`; given ``names``, one per report, its message
+    ``ground_truth k=3``. Two reports of one condition are a
+    :class:`ValueError`; given ``names``, one per report, its message
     names both reports.
     """
     reports = list(reports)
@@ -122,7 +118,7 @@ def compare_conditions(reports, names=None) -> ConditionTable:
             # the keys before this report are distinct, so a key's position
             # in accuracy is the index of the report that holds it
             where = f": {names[list(accuracy).index(key)]} and {names[i]}" if names else ""
-            raise EvaluationError(f"duplicate condition {key!r}{where}")
+            raise ValueError(f"duplicate condition {key!r}{where}")
         accuracy[key] = report.overall_accuracy
     return ConditionTable(accuracy)
 

@@ -23,7 +23,7 @@ from contextlib import closing
 from pathlib import Path
 
 from .atomic import read_lines
-from .ingest import DROPPED_ROOM_LABELS, ParseError
+from .ingest import DROPPED_ROOM_LABELS
 from .scene_model import (
     ROOM_SPACE_NAME,
     BoundingBox,
@@ -96,32 +96,32 @@ def _clean_name(token: str) -> str:
 def load_category_map(path) -> dict[int, str]:
     """Read the official category mapping TSV: category index -> nyuClass label.
 
-    A short row or a non-integer index is a :class:`ParseError` naming its
+    A short row or a non-integer index is a :class:`ValueError` naming its
     ``path:line``.
     """
     with closing(read_lines(path)) as lines:
         header = next(lines, None)
         if header is None:
-            raise ParseError(f"{path}: empty category mapping file")
+            raise ValueError(f"{path}: empty category mapping file")
         header = header.split("\t")
         try:
             index_col = header.index("index")
             label_col = header.index("nyuClass")
         except ValueError as err:
-            raise ParseError(f"{path}: need 'index' and 'nyuClass' columns") from err
+            raise ValueError(f"{path}: need 'index' and 'nyuClass' columns") from err
         mapping: dict[int, str] = {}
         for lineno, line in enumerate(lines, 2):
             if not line.strip():
                 continue
             cells = line.split("\t")
             if len(cells) <= max(index_col, label_col):
-                raise ParseError(f"{path}:{lineno}: short row")
+                raise ValueError(f"{path}:{lineno}: short row")
             label = cells[label_col].strip()
             if label:
                 try:
                     index = int(cells[index_col])
                 except ValueError as err:
-                    raise ParseError(
+                    raise ValueError(
                         f"{path}:{lineno}: category index {cells[index_col]!r} is not an integer"
                     ) from err
                 mapping[index] = normalize_label(label)
@@ -146,7 +146,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     """Parse one ``.house`` file into a raw (pre-filter) scene graph.
 
     A malformed record, or a repeated ``R``, ``C`` or ``O`` index, is a
-    :class:`ParseError` naming its ``path:line``, and so are the boxes the
+    :class:`ValueError` naming its ``path:line``, and so are the boxes the
     scene parser refuses: a region box not ordered min <= max on every axis
     and an object hull with a NaN corner. Ids take the house name current
     at their record: the file stem until an ``H`` line names one.
@@ -217,7 +217,7 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                     )
                 )
         except (IndexError, ValueError) as err:
-            raise ParseError(f"{path}:{lineno}: malformed {kind!r} record: {err}") from err
+            raise ValueError(f"{path}:{lineno}: malformed {kind!r} record: {err}") from err
 
     unlabeled = {COARSE_SPACE: "unlabeled", fine_space: "unlabeled"}
     objects: list[ObjectNode] = []

@@ -54,25 +54,13 @@ _MAGIC = "scenegraph"
 _VERSION = "v1"
 
 
-class DataError(Exception):
-    """Input data does not conform to the documented schema or contract."""
-
-
-class ParseError(DataError):
-    pass
-
-
-class SchemaError(DataError):
-    pass
-
-
 def load_spelling_fixes(path=None) -> dict[str, str]:
     """Read a two-column text map of old label -> new label.
 
     With no path, reads the table shipped with the package. Each label has
     one correction and no correction is corrected again, so a re-run changes
     nothing: a label listed again with another correction, or a chain such
-    as ``a -> b``, ``b -> c``, is a :class:`ParseError` naming the later
+    as ``a -> b``, ``b -> c``, is a :class:`ValueError` naming the later
     row's ``path:line``. Exact repeats and identity rows are allowed.
     """
     if path is None:
@@ -87,14 +75,14 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
             continue
         fields = line.split("\t")
         if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields")
+            raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
         old, new = map(normalize_label, fields)
         if fixes.setdefault(old, new) != new:
-            raise ParseError(f"{path}:{lineno}: {old!r} already corrected to {fixes[old]!r}")
+            raise ValueError(f"{path}:{lineno}: {old!r} already corrected to {fixes[old]!r}")
         first_line.setdefault(old, lineno)
     for old, new in fixes.items():
         if fixes.get(new, new) != new:
-            raise ParseError(
+            raise ValueError(
                 f"{path}:{max(first_line[old], first_line[new])}: chained correction "
                 f"{old!r} -> {new!r} -> {fixes[new]!r}"
             )
@@ -118,11 +106,11 @@ def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
     try:
         x0, y0, z0, x1, y1, z1 = map(float, fields)
     except ValueError as err:
-        raise ParseError(f"{path}:{lineno}: bad number in {fields!r}") from err
+        raise ValueError(f"{path}:{lineno}: bad number in {fields!r}") from err
     try:
         return _ordered_box(x0, y0, z0, x1, y1, z1)
     except ValueError as err:
-        raise ParseError(f"{path}:{lineno}: {err} in {fields!r}") from None
+        raise ValueError(f"{path}:{lineno}: {err} in {fields!r}") from None
 
 
 def parse_scene_file(path) -> SceneGraph:
@@ -130,15 +118,15 @@ def parse_scene_file(path) -> SceneGraph:
 
     Labels are normalized but nothing is removed or reassigned. The header
     comes first and declares at least one object space and two room labels,
-    and every room's label must be declared in it; otherwise
-    :class:`SchemaError` names the ``path`` (no header) or ``path:line``.
+    and every room's label must be declared in it; otherwise a
+    :class:`ValueError` names the ``path`` (no header) or ``path:line``.
     Malformed records, boxes whose min corner is not at most their max
     corner on every axis (a NaN coordinate included) and duplicate ids
-    raise :class:`ParseError`, whose message starts with the record's
-    ``path:line``. An object's ``assigned_room`` is its room's ``id``
-    string itself once that room has been read, so a room id is held once
-    however many objects name it; in the same way, objects whose label
-    fields are the same share one label map.
+    raise one too, whose message starts with the record's ``path:line``.
+    An object's ``assigned_room`` is its room's ``id`` string itself once
+    that room has been read, so a room id is held once however many
+    objects name it; in the same way, objects whose label fields are the
+    same share one label map.
     """
     space_names: list[str] = []
     room_labels: tuple[str, ...] = ()
@@ -157,22 +145,22 @@ def parse_scene_file(path) -> SceneGraph:
         if not header_seen:
             where = f"{path}:{lineno}"
             if kind != _MAGIC:
-                raise SchemaError(f"{where}: expected '{_MAGIC}' header before records")
+                raise ValueError(f"{where}: expected '{_MAGIC}' header before records")
             if len(fields) != 4 or fields[1] != _VERSION:
-                raise SchemaError(f"{where}: malformed header (need version + spaces + rooms)")
+                raise ValueError(f"{where}: malformed header (need version + spaces + rooms)")
             if not fields[2].startswith("spaces=") or not fields[3].startswith("rooms="):
-                raise SchemaError(f"{where}: header needs 'spaces=' and 'rooms=' fields")
+                raise ValueError(f"{where}: header needs 'spaces=' and 'rooms=' fields")
             space_names = [
                 normalize_label(s)
                 for s in fields[2][len("spaces="):].split(",")
                 if s.strip()
             ]
             if not space_names:
-                raise SchemaError(f"{where}: header declares no object label spaces")
+                raise ValueError(f"{where}: header declares no object label spaces")
             if ROOM_SPACE_NAME in space_names:
-                raise SchemaError(f"{where}: '{ROOM_SPACE_NAME}' is reserved for the room space")
+                raise ValueError(f"{where}: '{ROOM_SPACE_NAME}' is reserved for the room space")
             if len(set(space_names)) != len(space_names):
-                raise SchemaError(f"{where}: duplicate label-space name")
+                raise ValueError(f"{where}: duplicate label-space name")
             room_labels = tuple(
                 dict.fromkeys(
                     normalize_label(r)
@@ -181,9 +169,9 @@ def parse_scene_file(path) -> SceneGraph:
                 )
             )
             if not room_labels:
-                raise SchemaError(f"{where}: header declares no room labels")
+                raise ValueError(f"{where}: header declares no room labels")
             if len(room_labels) < 2:
-                raise SchemaError(
+                raise ValueError(
                     f"{where}: header declares one room label, {room_labels[0]!r}; "
                     "a room needs at least 2 to choose from"
                 )
@@ -193,27 +181,27 @@ def parse_scene_file(path) -> SceneGraph:
 
         if kind == "room":
             if len(fields) != 9:
-                raise ParseError(
+                raise ValueError(
                     f"{path}:{lineno}: room record needs 9 fields, got {len(fields)}"
                 )
             room_id = fields[1]
             if room_id in rooms:
-                raise ParseError(f"{path}:{lineno}: duplicate room id {room_id!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate room id {room_id!r}")
             label = normalize_label(fields[2])
             if label not in room_labels:
-                raise SchemaError(
+                raise ValueError(
                     f"{path}:{lineno}: room label {label!r} not declared in header"
                 )
             rooms[room_id] = room_from_fields((room_id, label, _bbox(fields[3:9], path, lineno)))
         elif kind == "object":
             if len(fields) != label_end + 6:
-                raise ParseError(
+                raise ValueError(
                     f"{path}:{lineno}: object record needs {label_end + 6} fields, "
                     f"got {len(fields)}"
                 )
             obj_id = fields[1]
             if obj_id in objects:
-                raise ParseError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
             room = rooms.get(fields[2])
             label_fields = tuple(fields[3:label_end])
             labels = label_maps.get(label_fields)
@@ -226,10 +214,10 @@ def parse_scene_file(path) -> SceneGraph:
                 (obj_id, labels, bbox, fields[2] if room is None else room.id)
             )
         else:
-            raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
 
     if not header_seen:
-        raise SchemaError(f"{path}: no '{_MAGIC}' header")
+        raise ValueError(f"{path}: no '{_MAGIC}' header")
 
     return SceneGraph(
         rooms=tuple(rooms.values()),
@@ -369,15 +357,15 @@ def filter_graph(
     space the coarse category "object" is retained: the fine space keeps
     semantically rich labels under it. Other object spaces are carried
     unfiltered. The dropped room labels leave the room space; if fewer than
-    two are left, :class:`SchemaError` names them.
+    two are left, a :class:`ValueError` names them.
     """
     if object_space not in graph.object_space_names:
-        raise SchemaError(f"object space {object_space!r} not declared in graph")
+        raise ValueError(f"object space {object_space!r} not declared in graph")
     primary_space = graph.object_space_names[0]
 
     room_labels = tuple(l for l in graph.room_space.labels if l not in DROPPED_ROOM_LABELS)
     if len(room_labels) < 2:
-        raise SchemaError(
+        raise ValueError(
             f"filtering leaves rooms={','.join(room_labels)}; "
             "a room needs at least 2 labels to choose from"
         )
@@ -431,9 +419,9 @@ def merge_graphs(graphs: list[SceneGraph]) -> SceneGraph:
     first = graphs[0]
     for g in graphs[1:]:
         if g.object_space_names != first.object_space_names:
-            raise SchemaError("cannot merge graphs with different label spaces")
+            raise ValueError("cannot merge graphs with different label spaces")
         if g.room_space != first.room_space:
-            raise SchemaError("cannot merge graphs with different room label lists")
+            raise ValueError("cannot merge graphs with different room label lists")
 
     rooms: list[RoomNode] = []
     objects: list[ObjectNode] = []
@@ -442,12 +430,12 @@ def merge_graphs(graphs: list[SceneGraph]) -> SceneGraph:
     for g in graphs:
         for room in g.rooms:
             if room.id in seen_rooms:
-                raise DataError(f"duplicate room id {room.id!r} across merged graphs")
+                raise ValueError(f"duplicate room id {room.id!r} across merged graphs")
             seen_rooms.add(room.id)
             rooms.append(room)
         for obj in g.objects:
             if obj.id in seen_objects:
-                raise DataError(f"duplicate object id {obj.id!r} across merged graphs")
+                raise ValueError(f"duplicate object id {obj.id!r} across merged graphs")
             seen_objects.add(obj.id)
             objects.append(obj)
 

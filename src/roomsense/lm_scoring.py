@@ -131,18 +131,13 @@ def _tokens_from_pairs(pairs) -> tuple[TokenLogProb, ...]:
 class SentenceScorer:
     """Interface contract shared by every backend.
 
-    ``max_inflight`` is how many :meth:`score` calls :func:`score_totals`
-    may run at once; a backend that computes locally keeps 1.
+    A backend names itself by its ``identity`` string, and ``score(sentence)``
+    returns the sentence's :class:`SentenceScore`. ``max_inflight`` is how
+    many ``score`` calls :func:`score_totals` may run at once; a backend that
+    computes locally keeps 1.
     """
 
     max_inflight = 1
-
-    @property
-    def identity(self) -> str:
-        raise NotImplementedError
-
-    def score(self, sentence: str) -> SentenceScore:
-        raise NotImplementedError
 
 
 def _require_sentence(sentence: str) -> None:

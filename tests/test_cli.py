@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import weakref
@@ -387,6 +389,21 @@ def _run_on_bad_graph(tmp_path, scene, capsys, argv, bad_graph) -> list[str]:
 
 
 class TestExitCodes:
+    def test_bad_input_has_one_exception_type(self):
+        # every refusal of bad input is a ValueError, which exits 2: the
+        # package defines no exception type but the backend's two
+        defined = set()
+        for module in pkgutil.iter_modules(roomsense.__path__, "roomsense."):
+            if module.name == "roomsense.__main__":  # runs the command
+                continue
+            namespace = vars(importlib.import_module(module.name))
+            defined.update(
+                name for name, value in namespace.items()
+                if isinstance(value, type) and issubclass(value, BaseException)
+                and value.__module__ == module.name
+            )
+        assert defined == {"TransportError", "_RetriedStatus"}
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("ingest", "--scene", tmp_path / "nope.txt",
                    "--out", tmp_path / "out.txt") == 1
@@ -711,16 +728,26 @@ class TestExitCodes:
         out = tmp_path / "gt.tsv"
         assert run("cooc", "--graph", graph, "--out", out) == 0
         table = read_table(out)
-        assert table.rows["lamp"] == (1 / 6,) * 6
+        assert "lamp" not in table.rows
         assert table.rows["toilet"][0] == 2 / 7
 
-    def test_label_with_no_count_at_alpha_zero_names_the_graph(self, tmp_path, scene, capsys):
+    def test_label_with_no_count_at_alpha_zero_is_left_out(self, tmp_path):
+        graph = tmp_path / "roomless.txt"
+        graph.write_text(self.ROOMLESS)
+        out = tmp_path / "gt.tsv"
+        assert run("cooc", "--graph", graph, "--out", out, "--alpha", "0") == 0
+        table = read_table(out)
+        assert list(table.rows) == ["toilet"]
+        assert table.rows["toilet"] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_graph_with_no_object_in_a_room_names_the_graph(self, tmp_path, scene, capsys):
         bad = tmp_path / "roomless.txt"
-        bad.write_text(self.ROOMLESS)
-        argv = ["cooc", "--mode", "gt", "--alpha", "0"]
-        assert _run_on_bad_graph(tmp_path, scene, capsys, argv, bad) == [
-            f"roomsense: data error: --graph {bad}: "
-            "object label 'lamp' has no observations and alpha is 0"
+        bad.write_text(scene_file_text(
+            [("r0", "bathroom", (0, 0, 0), (4, 4, 3))],
+            [("o1", "r-gone", ("lamp", "lamp"), (1, 1, 0), (2, 2, 1))],
+        ))
+        assert _run_on_bad_graph(tmp_path, scene, capsys, ["cooc", "--mode", "gt"], bad) == [
+            f"roomsense: data error: --graph {bad}: no object sits in a room of the graph"
         ]
 
     def test_unreachable_backend_is_backend_failure(self, tmp_path, scene):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from roomsense.evaluation import (
-    EvaluationError,
     breakdown_rows,
     compare_conditions,
     emit_label_breakdown,
@@ -164,12 +163,12 @@ class TestEvaluate:
         assert report.evaluated == 5
 
     def test_all_failed_is_error(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError):
             evaluate(run_of([], failed=["p1"]))
 
     def test_unknown_gt_label_is_error(self):
         preds = [prediction("r0", "observatory", "attic", LABELS_ABC)]
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError):
             evaluate(run_of(preds))
 
 
@@ -221,14 +220,14 @@ class TestCompareConditions:
     def test_duplicate_condition_rejected(self):
         a = self.report_for("nyuclass", "ground_truth", 0.5)
         b = self.report_for("nyuclass", "ground_truth", 0.6)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError):
             compare_conditions([a, b])
 
     def test_duplicate_condition_names_both_reports(self):
         a = self.report_for("nyuclass", "ground_truth", 0.5)
         b = self.report_for("mpcat40", "proxy", 0.4)
         c = self.report_for("nyuclass", "ground_truth", 0.6)
-        with pytest.raises(EvaluationError, match=r"'nyuclass'\): a\.jsonl and c\.jsonl$"):
+        with pytest.raises(ValueError, match=r"'nyuclass'\): a\.jsonl and c\.jsonl$"):
             compare_conditions([a, b, c], names=["a.jsonl", "b.jsonl", "c.jsonl"])
 
 

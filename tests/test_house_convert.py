@@ -14,7 +14,6 @@ from roomsense.house_convert import (
 from roomsense.ingest import (
     DROPPED_ROOM_LABELS,
     IngestConfig,
-    ParseError,
     parse_scene_file,
     run_pipeline,
 )
@@ -150,7 +149,7 @@ class TestParseHouse:
     def test_short_record_names_the_line(self, tmp_path, record, message):
         path = tmp_path / "short.house"
         path.write_text(HOUSE_TEXT + record + "\n")
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_house_file(path)
         lineno = len(HOUSE_TEXT.splitlines()) + 1
         assert str(caught.value) == f"{path}:{lineno}: malformed {record[0]!r} record: {message}"
@@ -158,7 +157,7 @@ class TestParseHouse:
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "broken.house"
         path.write_text("R 0 0 0 0 a 1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError):
             parse_house_file(path)
 
     def test_bad_number_in_object_record(self, tmp_path):
@@ -167,7 +166,7 @@ class TestParseHouse:
         # O 1: the second axis's y component is not a number
         lines[10] = lines[10].replace(" -0.707107 0.707107 ", " -0.707107 0.7o7107 ")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_house_file(path)
         assert str(caught.value) == (
             f"{path}:11: malformed 'O' record: could not convert string to float: '0.7o7107'"
@@ -185,7 +184,7 @@ class TestParseHouse:
         path.write_text("\n".join(lines) + "\n")
         kind, index = record.split()[:2]
         name = {"R": "region", "C": "category", "O": "object"}[kind]
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_house_file(path)
         assert str(caught.value) == (
             f"{path}:{lineno}: malformed {kind!r} record: duplicate {name} index {index}"
@@ -293,14 +292,14 @@ class TestConvertEndToEnd:
     def test_malformed_category_map_names_file_and_line(self, tmp_path, text, where, message):
         path = tmp_path / "mapping.tsv"
         path.write_text(text)
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             load_category_map(path)
         assert str(caught.value) == f"{path}{where}: {message}"
 
     def test_category_index_that_is_not_an_integer(self, tmp_path):
         path = tmp_path / "mapping.tsv"
         path.write_text(CATEGORY_MAP + "x\tlamp\tlamp\n")
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             load_category_map(path)
         assert str(caught.value) == f"{path}:5: category index 'x' is not an integer"
 
@@ -318,5 +317,5 @@ class TestConvertEndToEnd:
     def test_missing_map_columns(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\n1\t2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError):
             load_category_map(path)

@@ -7,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 from roomsense.ingest import (
     DEFAULT_REJECTED_OBJECT_LABELS,
     DROPPED_ROOM_LABELS,
-    DataError,
     IngestConfig,
-    ParseError,
-    SchemaError,
     apply_spelling_fixes,
     filter_graph,
     load_spelling_fixes,
@@ -95,26 +92,26 @@ class TestParse:
     def test_duplicate_object_id_names_it(self, scene_path):
         objects = [FIXTURE_OBJECTS[0], FIXTURE_OBJECTS[0]]
         path = scene_path(FIXTURE_ROOMS[:2], objects, room_labels=ROOMS_HEADER)
-        with pytest.raises(ParseError, match="o-toilet"):
+        with pytest.raises(ValueError, match="o-toilet"):
             parse_scene_file(path)
 
     def test_duplicate_room_id(self, scene_path):
         path = scene_path([FIXTURE_ROOMS[0], FIXTURE_ROOMS[0]], [], room_labels=ROOMS_HEADER)
-        with pytest.raises(ParseError, match="r-living"):
+        with pytest.raises(ValueError, match="r-living"):
             parse_scene_file(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         for text in ("", "# only a comment\n\n"):
             path.write_text(text)
-            with pytest.raises(SchemaError) as caught:
+            with pytest.raises(ValueError) as caught:
                 parse_scene_file(path)
             assert str(caught.value) == f"{path}: no 'scenegraph' header"
 
     def test_header_without_room_labels_names_line_one(self, tmp_path):
         path = tmp_path / "no-rooms.txt"
         path.write_text("scenegraph\tv1\tspaces=mpcat40\trooms= , \n")
-        with pytest.raises(SchemaError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:1: header declares no room labels"
 
@@ -122,7 +119,7 @@ class TestParse:
     def test_header_with_one_room_label_names_its_line(self, tmp_path, rooms):
         path = tmp_path / "one-room.txt"
         path.write_text(f"# a comment\nscenegraph\tv1\tspaces=mpcat40\trooms={rooms}\n")
-        with pytest.raises(SchemaError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == (
             f"{path}:2: header declares one room label, 'bathroom'; "
@@ -151,7 +148,7 @@ class TestParse:
     def test_malformed_header_or_record_names_its_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "bad.txt"
         path.write_text(text + "\n")
-        with pytest.raises(DataError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:{lineno}: {message}"
 
@@ -172,7 +169,7 @@ class TestParse:
     def test_records_without_header(self, tmp_path):
         path = tmp_path / "headerless.txt"
         path.write_text("room\tr0\tbathroom\t0\t0\t0\t1\t1\t1\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError):
             parse_scene_file(path)
 
     def test_malformed_record_names_line(self, tmp_path, fixture_path):
@@ -180,14 +177,14 @@ class TestParse:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         lineno = len(text.splitlines())
-        with pytest.raises(ParseError, match=f":{lineno}"):
+        with pytest.raises(ValueError, match=f":{lineno}"):
             parse_scene_file(path)
 
     def test_bad_number(self, scene_path):
         path = scene_path(
             [("r0", "bathroom", (0, 0, 0), (1, 1, "oops"))], [], room_labels=ROOMS_HEADER
         )
-        with pytest.raises(ParseError, match="bad number"):
+        with pytest.raises(ValueError, match="bad number"):
             parse_scene_file(path)
 
     @pytest.mark.parametrize("record, fields", [
@@ -202,7 +199,7 @@ class TestParse:
             "scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen\n"
             "# a comment and a blank line count as lines\n\n" + record + "\n"
         )
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:4: bad number in {fields}"
 
@@ -216,7 +213,7 @@ class TestParse:
         path.write_text(
             "scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen\n" + record + "\n"
         )
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_scene_file(path)
         assert str(caught.value) == f"{path}:2: bbox corners not ordered min <= max in {fields}"
 
@@ -224,13 +221,13 @@ class TestParse:
         path = scene_path(
             [("r0", "observatory", (0, 0, 0), (1, 1, 1))], [], room_labels=ROOMS_HEADER
         )
-        with pytest.raises(SchemaError, match="observatory"):
+        with pytest.raises(ValueError, match="observatory"):
             parse_scene_file(path)
 
     def test_unknown_record_kind(self, tmp_path, fixture_path):
         path = tmp_path / "bad.txt"
         path.write_text(fixture_path.read_text() + "portal\tp0\n")
-        with pytest.raises(ParseError, match="portal"):
+        with pytest.raises(ValueError, match="portal"):
             parse_scene_file(path)
 
     def test_labels_normalized_and_spaces_observed(self, raw_graph):
@@ -388,7 +385,7 @@ class TestSpellingFixes:
     def test_second_correction_names_its_line(self, tmp_path):
         path = tmp_path / "fixes.tsv"
         path.write_text("frige\tfridge\n# other\nfrige\trefrigerator\n")
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             load_spelling_fixes(path)
         assert str(caught.value) == f"{path}:3: 'frige' already corrected to 'fridge'"
 
@@ -399,7 +396,7 @@ class TestSpellingFixes:
     def test_chained_corrections_name_the_later_line(self, tmp_path, rows):
         path = tmp_path / "fixes.tsv"
         path.write_text("# header\n" + rows)
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(ValueError) as caught:
             load_spelling_fixes(path)
         assert str(caught.value) == (
             f"{path}:3: chained correction 'frige' -> 'fridge' -> 'refrigerator'"
@@ -474,7 +471,7 @@ class TestFiltering:
         assert graph.room_space.labels == ("bathroom", "bedroom", "kitchen", "living room")
 
     def test_unknown_space_rejected(self, raw_graph):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError):
             filter_graph(raw_graph, no_fix_config(), "imaginary")
 
     @pytest.mark.parametrize("header, left", [
@@ -487,7 +484,7 @@ class TestFiltering:
             [("o0", "r0", ("bed", "bed"), (1, 1, 0), (2, 2, 1))],
             room_labels=header,
         ))
-        with pytest.raises(SchemaError) as caught:
+        with pytest.raises(ValueError) as caught:
             filter_graph(raw, no_fix_config(), "nyuclass")
         assert str(caught.value) == (
             f"filtering leaves rooms={left}; a room needs at least 2 labels to choose from"
@@ -606,7 +603,7 @@ class TestPipelineMeetsTheInvariants:
         for space in ("mpcat40", "nyuclass"):
             raws = [parse_scene_file(path) for path in paths]
             if len(indoor) < 2:
-                with pytest.raises(SchemaError, match="a room needs at least 2 labels"):
+                with pytest.raises(ValueError, match="a room needs at least 2 labels"):
                     run_pipeline(raws[0], config, space)
                 continue
             merged = merge_graphs([run_pipeline(raw, config, space) for raw in raws])
@@ -700,7 +697,7 @@ class TestRoundTripAndMerge:
         other = parse_scene_file(
             scene_path(FIXTURE_ROOMS[:1], [], spaces=("different",), room_labels=ROOMS_HEADER)
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError):
             merge_graphs([raw_graph, other])
 
     def test_histogram(self, raw_graph):
