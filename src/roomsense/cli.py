@@ -213,12 +213,7 @@ def cmd_ingest(args) -> int:
             processed.append(
                 ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
             )
-    try:
-        graph = ingest.merge_graphs(processed)
-    except ValueError:  # name the first scene that cannot join the ones before it
-        for end, scene in enumerate(args.scene[1:], 2):
-            with _naming(scene):
-                ingest.merge_graphs(processed[:end])
+    graph = ingest.merge_graphs(processed, names=args.scene)
     if not graph.rooms:
         raise ValueError("preprocessing leaves no room: every room is filtered out or empty")
 

@@ -137,16 +137,6 @@ def count_ground_truth(
     )
 
 
-def _proxy_row(totals) -> tuple[float, ...]:
-    """Softmax over one row's totals; raises the row's first failure."""
-    logs: list[float] = []
-    for total in totals:
-        if isinstance(total, TransportError):
-            raise total
-        logs.append(total)
-    return softmax_from_logs(logs)
-
-
 def build_proxy_table(
     scorer: SentenceScorer,
     object_space: LabelSpace,
@@ -156,24 +146,19 @@ def build_proxy_table(
 ) -> CooccurrenceTable:
     """Proxy table over the full object-space x room-space cross product.
 
-    Every sentence of the table is rendered first and scored through
-    :func:`score_totals`, ``scorer.max_inflight`` at a time; rows are then
+    Every row's sentences, one per room label, are rendered first and
+    scored as one group through :func:`score_totals`; rows are then
     assembled in object label order. A scorer failure raises the first
     :class:`TransportError` in (object label, room label) order.
     """
     template = template or QueryTemplate()
     room_labels = tuple(room_space.labels)
-    sentences = [
-        sentence
-        for label in object_space.labels
-        for sentence in render_room_queries([label], room_labels, template)
-    ]
-    totals = score_totals(scorer, sentences)
-    width = len(room_labels)
-    rows = {
-        label: _proxy_row(totals[i * width:(i + 1) * width])
-        for i, label in enumerate(object_space.labels)
-    }
+    groups = [render_room_queries([label], room_labels, template) for label in object_space.labels]
+    rows = {}
+    for label, totals in zip(object_space.labels, score_totals(scorer, groups)):
+        if isinstance(totals, TransportError):
+            raise totals
+        rows[label] = softmax_from_logs(totals)
     return CooccurrenceTable(
         object_space=object_space.name,
         room_space=room_space.name,

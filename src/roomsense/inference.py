@@ -136,22 +136,19 @@ def classify_selections(
     """Render, score and assemble the rooms :func:`select_rooms` selected.
 
     Every room's sentences, one per room label, are rendered first and
-    scored through :func:`score_totals`; predictions are then assembled
-    room by room. A room fails with the first of its sentences, in
-    room-label order, that failed to score; ``reasons`` are the failures
+    scored as one group through :func:`score_totals`; predictions are then
+    assembled room by room. A room fails with the first of its sentences,
+    in room-label order, that failed to score; ``reasons`` are the failures
     of selection.
     """
     template = template or QueryTemplate()
     reasons = dict(reasons)
     rendered = [render_room_queries(room.objects, room_labels, template) for room in selections]
-    totals = iter(score_totals(scorer, (s for sentences in rendered for s in sentences)))
 
     predictions = []
-    for room, sentences in zip(selections, rendered):
-        room_totals = [next(totals) for _ in sentences]
-        failed = [t for t in room_totals if isinstance(t, TransportError)]
-        if failed:
-            reasons[room.room_id] = f"scoring failed for room {room.room_id!r}: {failed[0]}"
+    for room, sentences, room_totals in zip(selections, rendered, score_totals(scorer, rendered)):
+        if isinstance(room_totals, TransportError):
+            reasons[room.room_id] = f"scoring failed for room {room.room_id!r}: {room_totals}"
             continue
         candidates = tuple(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
         predictions.append(

@@ -409,33 +409,35 @@ def run_pipeline(
     return filter_graph(graph, config, object_space)
 
 
-def merge_graphs(graphs: list[SceneGraph]) -> SceneGraph:
+def merge_graphs(graphs: list[SceneGraph], names=None) -> SceneGraph:
     """Concatenate per-building graphs sharing the same label spaces.
 
-    Needs at least one graph. Object-space names and room spaces must agree
-    exactly. Duplicate node ids across inputs are a data error (the
-    converter prefixes ids with the building name).
+    Needs at least one graph. Each graph joins in turn: its object-space
+    names and room space must equal the first graph's exactly, and none of
+    its node ids may repeat one already joined (the converter prefixes ids
+    with the building name). The first graph that cannot join is a
+    :class:`ValueError`; given ``names``, one per graph, its message starts
+    with that graph's name.
     """
     first = graphs[0]
-    for g in graphs[1:]:
-        if g.object_space_names != first.object_space_names:
-            raise ValueError("cannot merge graphs with different label spaces")
-        if g.room_space != first.room_space:
-            raise ValueError("cannot merge graphs with different room label lists")
-
     rooms: list[RoomNode] = []
     objects: list[ObjectNode] = []
     seen_rooms: set[str] = set()
     seen_objects: set[str] = set()
-    for g in graphs:
+    for i, g in enumerate(graphs):
+        where = f"{names[i]}: " if names else ""
+        if g.object_space_names != first.object_space_names:
+            raise ValueError(f"{where}cannot merge graphs with different label spaces")
+        if g.room_space != first.room_space:
+            raise ValueError(f"{where}cannot merge graphs with different room label lists")
         for room in g.rooms:
             if room.id in seen_rooms:
-                raise ValueError(f"duplicate room id {room.id!r} across merged graphs")
+                raise ValueError(f"{where}duplicate room id {room.id!r} across merged graphs")
             seen_rooms.add(room.id)
             rooms.append(room)
         for obj in g.objects:
             if obj.id in seen_objects:
-                raise ValueError(f"duplicate object id {obj.id!r} across merged graphs")
+                raise ValueError(f"{where}duplicate object id {obj.id!r} across merged graphs")
             seen_objects.add(obj.id)
             objects.append(obj)
 

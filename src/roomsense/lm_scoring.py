@@ -146,24 +146,25 @@ def _require_sentence(sentence: str) -> None:
 
 
 def score_totals(
-    scorer: SentenceScorer, sentences: Iterable[str]
-) -> list[float | TransportError]:
-    """Score every sentence; return the total log probabilities in order.
+    scorer: SentenceScorer, groups: Iterable[Iterable[str]]
+) -> list[list[float] | TransportError]:
+    """Score groups of sentences; return each group's totals, in order.
 
-    Each distinct sentence is scored once and its total, or its
-    :class:`TransportError`, fills every slot the sentence occupies, so
-    repeats share one result. A transport failure does not abort the
-    others: its slots hold the error instead. ``scorer.max_inflight``
-    workers pull distinct sentences from one shared iterator, so up to that
-    many calls are in flight until the last one is taken. Any other
-    exception, in a worker or in the waiting thread (an interrupt), stops
-    every worker after the sentence it is on, and propagates. Only totals
-    are kept, never whole :class:`SentenceScore` records.
+    A group's entry is the list of its sentences' total log probabilities,
+    or the :class:`TransportError` of its first sentence that failed; a
+    failed group does not abort the others. Each distinct sentence is
+    scored once, in order of first occurrence across the groups.
+    ``scorer.max_inflight`` workers pull distinct sentences from one shared
+    iterator, so up to that many calls are in flight until the last one is
+    taken. Any other exception, in a worker or in the waiting thread (an
+    interrupt), stops every worker after the sentence it is on, and
+    propagates. Only totals are kept, never whole :class:`SentenceScore`
+    records.
     """
     slot_of: dict[str, int] = {}
-    slots = [slot_of.setdefault(s, len(slot_of)) for s in sentences]
-    if not slots:
-        return []
+    slots = [[slot_of.setdefault(s, len(slot_of)) for s in group] for group in groups]
+    if not slot_of:
+        return [[] for _ in slots]
     distinct = list(slot_of)
     totals: list = [None] * len(distinct)
     # an enumerate over a list hands out each item once, even across threads,
@@ -187,7 +188,9 @@ def score_totals(
                 future.result()
         finally:
             distinct.clear()
-    return [totals[i] for i in slots]
+    # each group's first failure, or its totals if none failed
+    rows = ([totals[i] for i in group] for group in slots)
+    return [next((t for t in row if isinstance(t, TransportError)), row) for row in rows]
 
 
 _DIGEST_SIZE = hashlib.sha256().digest_size

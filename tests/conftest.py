@@ -1,12 +1,14 @@
 """Shared fixtures: small hand-built graphs, scene-file builders, a
-one-label query renderer, the scene-graph invariant oracle and a simulated
-clock for the scoring layer."""
+one-label query renderer, a one-result-per-sentence view of
+``score_totals``, the scene-graph invariant oracle and a simulated clock
+for the scoring layer."""
 
 from __future__ import annotations
 
 import pytest
 
 from roomsense import lm_scoring
+from roomsense.lm_scoring import TransportError, score_totals
 from roomsense.querygen import render_room_queries
 from roomsense.scene_model import (
     BoundingBox,
@@ -37,6 +39,13 @@ OBJECT_LABELS_12 = (
 def render_room_query(objects, room_label: str, template=None) -> str:
     """The candidate sentence for one room label (see ``render_room_queries``)."""
     return render_room_queries(objects, [room_label], template)[0]
+
+
+def score_each(scorer, sentences) -> list:
+    """``score_totals`` with each sentence as its own group: one total, or
+    one ``TransportError``, per sentence, in order."""
+    results = score_totals(scorer, ([s] for s in sentences))
+    return [r if isinstance(r, TransportError) else r[0] for r in results]
 
 
 def validate(graph: SceneGraph) -> list[str]:

@@ -197,6 +197,44 @@ class TestPipelineComposition:
         digest = hashlib.sha256(Path("scene.txt").read_bytes()).hexdigest()
         assert digest == "7f9daa72810ceaa1e34e7f756e11d3dcd873c4591e2c4342fca74c1fd92538e2"
 
+    # One fixed run of each command that writes data, by relative paths: each
+    # data file and the manifest id it is stamped with. The id hashes every
+    # flag of the command, defaults included (cli._manifested), so adding,
+    # removing or renaming a flag changes every data file.
+    MANIFEST_IDS = {
+        "h0.scene.txt": "57b6e15ea1c32c0f",
+        "clean.txt": "acd4d20de0eb0194",
+        "gt.tsv": "7e3478c964c54895",
+        "proxy.tsv": "8c641d588fec3ff0",
+        "preds.jsonl": "9d6386b20b90093d",
+        "reports/preds.report.json": "bcb91a319d46e03d",
+    }
+
+    def test_manifest_ids_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("h0.house").write_text(HOUSE_TEXT)
+        Path("scene.txt").write_text(
+            scene_file_text(FIXTURE_ROOMS, FIXTURE_OBJECTS, room_labels=ROOMS_HEADER)
+        )
+        for argv in [
+            ("convert", "--house", "h0.house", "--out", "h0.scene.txt"),
+            ("ingest", "--scene", "scene.txt", "--out", "clean.txt"),
+            ("cooc", "--graph", "clean.txt", "--out", "gt.tsv"),
+            ("cooc", "--graph", "clean.txt", "--out", "proxy.tsv", "--mode", "proxy"),
+            ("infer", "--graph", "clean.txt", "--cooc", "gt.tsv", "--out", "preds.jsonl"),
+            ("eval", "preds.jsonl", "--out-dir", "reports"),
+        ]:
+            assert run(*argv) == 0
+        ids = {
+            out: json.loads(Path(f"{out}.manifest.json").read_text())["manifest_id"]
+            for out in self.MANIFEST_IDS
+        }
+        assert ids == self.MANIFEST_IDS, (
+            "a manifest id moved, so every data file's bytes move with it: a change "
+            "that means to do so re-records bench/digests.json and "
+            "scripts/paper_scale_chain.sha256, and then these ids"
+        )
+
     def test_two_converted_buildings_through_whole_chain(self, tmp_path):
         scenes = []
         for name in ("houseone", "housetwo"):
@@ -708,6 +746,15 @@ class TestExitCodes:
                    "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"roomsense: data error: {scene}: duplicate room id 'r-living' across merged graphs"
+        ]
+        # three files: the second repeats the first's room ids, so it is named
+        # even where the third holds a fault of another kind
+        copy = tmp_path / "copy.txt"
+        copy.write_text(scene.read_text())
+        assert run("ingest", "--scene", scene, "--scene", copy, "--scene", other,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {copy}: duplicate room id 'r-living' across merged graphs"
         ]
         assert run("ingest", "--scene", scene, "--scene", other, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [

@@ -50,7 +50,7 @@ class TotalScorer(SentenceScorer):
         if not sentence:
             raise ValueError("empty sentence")
         if sentence in self.fail_on:
-            raise TransportError("scripted failure", sentence)
+            raise TransportError(f"scripted failure: {sentence}", sentence)
         return SentenceScore(sentence, self.totals[sentence], 1, self.identity)
 
 
@@ -280,6 +280,23 @@ class TestBuildProxyTable:
         # warm rebuild hits the cache only and still agrees
         warm = CachingScorer(_threaded(OfflineScorer(seed=2), 8), cache_path)
         assert build_proxy_table(warm, object_space, room_space) == plain
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_first_failed_row_raises_its_first_failure_in_room_label_order(self, workers):
+        objects = ("bed", "toilet")
+        totals = {render_proxy_query(o, r): -1.0 for o in objects for r in ROOM_LABELS_3}
+        failing = [
+            render_proxy_query("bed", "bedroom"),
+            render_proxy_query("bed", "kitchen"),
+            render_proxy_query("toilet", "bathroom"),
+        ]
+        scorer = _threaded(TotalScorer(totals, fail_on=failing), workers)
+        with pytest.raises(TransportError) as excinfo:
+            build_proxy_table(
+                scorer, label_space("things", objects), label_space("room", ROOM_LABELS_3)
+            )
+        assert excinfo.value.sentence == failing[0]
+        assert str(excinfo.value) == f"scripted failure: {failing[0]}"
 
 
 def make_table(entropies, room_labels=ROOM_LABELS_3):

@@ -220,6 +220,38 @@ class TestClassifyGraph:
         assert [f.room_id for f in result.failures] == ["r-bed"]
         assert [p.room_id for p in result.predictions] == ["r-bath", "r-kitchen"]
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_room_fails_with_its_first_failed_sentence(self, bath_table, workers):
+        sentences = [render_room_query(["toilet"], r) for r in ROOM_LABELS_3]
+        scorer = TotalScorer(dict.fromkeys(sentences, -1.0), fail_on=sentences[1:])
+        scorer.max_inflight = workers
+        result = classify_selections(
+            [RoomSelection("r0", "bathroom", ("toilet",))], {}, ROOM_LABELS_3,
+            bath_table, scorer, 1,
+        )
+        assert result.predictions == ()
+        assert result.failures == (
+            RoomFailure("r0", f"scoring failed for room 'r0': scripted failure: {sentences[1]}"),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_sentence_shared_by_two_rooms_fails_both(self, bath_table, workers):
+        sentences = [render_room_query([o], r) for o in ("bed", "toilet") for r in ROOM_LABELS_3]
+        shared = render_room_query(["toilet"], "kitchen")
+        scorer = TotalScorer(dict.fromkeys(sentences, -1.0), fail_on={shared})
+        scorer.max_inflight = workers
+        selections = [
+            RoomSelection("r0", "bathroom", ("toilet",)),
+            RoomSelection("r1", "bedroom", ("bed",)),
+            RoomSelection("r2", "kitchen", ("toilet",)),
+        ]
+        result = classify_selections(selections, {}, ROOM_LABELS_3, bath_table, scorer, 1)
+        assert [p.room_id for p in result.predictions] == ["r1"]
+        assert result.failures == tuple(
+            RoomFailure(room, f"scoring failed for room {room!r}: scripted failure: {shared}")
+            for room in ("r0", "r2")
+        )
+
     def test_object_index_built_once_per_graph(self, monkeypatch):
         graph = build_graph(
             {

@@ -32,10 +32,9 @@ from roomsense.lm_scoring import (
     _unit_floats,
     load_bonus_table,
     make_scorer,
-    score_totals,
 )
 
-from conftest import build_graph
+from conftest import build_graph, score_each
 from test_inference import BATH_BONUSES
 
 
@@ -486,20 +485,20 @@ class TestPerplexity:
 
 
 class TestScoreBatch:
-    """:func:`score_totals` over a batch of sentences."""
+    """:func:`score_totals` over a batch of sentences, each its own group."""
 
     def test_matches_sequential_calls(self):
         scorer = OfflineScorer(seed=5)
         sentences = ["alpha beta", "gamma", "delta epsilon zeta"]
-        totals = score_totals(scorer, sentences)
+        totals = score_each(scorer, sentences)
         assert totals == [scorer.score(s).total_logprob for s in sentences]
 
     def test_empty_batch(self):
-        assert score_totals(OfflineScorer(), []) == []
+        assert score_each(OfflineScorer(), []) == []
 
     def test_partial_failure_marks_slot(self):
         scorer = FixtureScorer({"good": [("good", -1.0)]})
-        results = score_totals(scorer, ["good", "bad", "good"])
+        results = score_each(scorer, ["good", "bad", "good"])
         assert results[0] == -1.0
         assert isinstance(results[1], TransportError)
         assert results[1].sentence == "bad"
@@ -524,7 +523,7 @@ class TestScoreBatch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            totals = score_totals(scorer, sentences)
+            totals = score_each(scorer, sentences)
         finally:
             sys.setswitchinterval(interval)
         assert totals == [-float(len(s)) for s in sentences]
@@ -548,7 +547,7 @@ class TestScoreBatch:
 
         scorer = Failing()
         with pytest.raises(RuntimeError, match="scorer bug"):
-            score_totals(scorer, [f"sentence {i}" for i in range(200)])
+            score_each(scorer, [f"sentence {i}" for i in range(200)])
         # the failing sentence is the 11th; each of the other 3 workers ends
         # with the sentence it is on
         assert len(scorer.calls) <= 11 + 4
@@ -575,14 +574,14 @@ class TestScoreBatch:
                 return SentenceScore(sentence, -float(len(sentence)), 1, self.identity)
 
         scorer = Recording()
-        assert score_totals(scorer, ["a", "b", "a"]) == [-1.0, -1.0, -1.0]
+        assert score_each(scorer, ["a", "b", "a"]) == [-1.0, -1.0, -1.0]
         assert scorer.calls == ["a", "b"]
-        assert score_totals(scorer, ["ccc", "a", "ccc"]) == [-3.0, -1.0, -3.0]
+        assert score_each(scorer, ["ccc", "a", "ccc"]) == [-3.0, -1.0, -3.0]
 
     def test_errors_other_than_transport_propagate(self):
         scorer = FixtureScorer({"fine": [("fine", -1.0)]})
         with pytest.raises(ValueError):
-            score_totals(scorer, ["fine", "", "unscripted"])
+            score_each(scorer, ["fine", "", "unscripted"])
 
 
 def _cache_line(sentence, total="-3.5", count="2"):
@@ -627,7 +626,7 @@ class TestCachingScorer:
     def test_append_only_records(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cached = CachingScorer(OfflineScorer(seed=1), path)
-        score_totals(cached, ["one", "two"])
+        score_each(cached, ["one", "two"])
         cached.score("one")
         records = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(records) == 2
@@ -638,7 +637,7 @@ class TestCachingScorer:
         path = tmp_path / "cache.jsonl"
         cached = CachingScorer(OfflineScorer(seed=2), path)
         cached.score("warm")
-        results = score_totals(cached, ["warm", "cold"])
+        results = score_each(cached, ["warm", "cold"])
         plain = OfflineScorer(seed=2)
         assert results == [
             plain.score("warm").total_logprob,
@@ -687,7 +686,7 @@ class TestCachingScorer:
         with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
             cached = CachingScorer(OfflineScorer(seed=1), path)
         assert f"skipping malformed cache record {path}:1" in caplog.text
-        assert score_totals(cached, ["bad record"]) == score_totals(
+        assert score_each(cached, ["bad record"]) == score_each(
             OfflineScorer(seed=1), ["bad record"]
         )
         assert len(path.read_text().splitlines()) == 2
@@ -719,7 +718,7 @@ class TestCachingScorer:
                 raise AssertionError("cache miss hit the backend")
 
         reloaded = CachingScorer(Exploding(), path)
-        assert score_totals(reloaded, ["intact", "fresh"]) == score_totals(
+        assert score_each(reloaded, ["intact", "fresh"]) == score_each(
             OfflineScorer(seed=1), ["intact", "fresh"]
         )
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
@@ -741,7 +740,7 @@ class TestCachingScorer:
         with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
             reloaded = CachingScorer(Exploding(), path)
         assert f"skipping malformed cache record {path}:2" in caplog.text
-        assert score_totals(reloaded, ["first", "third"]) == [-3.5, -3.5]
+        assert score_each(reloaded, ["first", "third"]) == [-3.5, -3.5]
 
     def test_blank_lines_are_skipped_without_a_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -756,12 +755,12 @@ class TestCachingScorer:
         with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
             reloaded = CachingScorer(Exploding(), path)
         assert caplog.records == []
-        assert score_totals(reloaded, ["first", "second"]) == [-3.5, -3.5]
+        assert score_each(reloaded, ["first", "second"]) == [-3.5, -3.5]
 
     def test_reload_indexes_only_the_scorers_own_identity(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        score_totals(CachingScorer(OfflineScorer(seed=1), path), ["mine", "shared"])
-        score_totals(CachingScorer(OfflineScorer(seed=2), path), ["theirs", "shared"])
+        score_each(CachingScorer(OfflineScorer(seed=1), path), ["mine", "shared"])
+        score_each(CachingScorer(OfflineScorer(seed=2), path), ["theirs", "shared"])
         assert len(path.read_text().splitlines()) == 4
         reloaded = CachingScorer(OfflineScorer(seed=1), path)
         reloaded.score("one more")
@@ -805,7 +804,7 @@ class TestCachingScorer:
 
         monkeypatch.setattr(Path, "open", counting_open)
         cached = CachingScorer(OfflineScorer(seed=1), path)
-        score_totals(cached, [f"sentence {i}" for i in range(20)])
+        score_each(cached, [f"sentence {i}" for i in range(20)])
         assert len(opened) == 1
         assert len(path.read_text(encoding="utf-8").splitlines()) == 20
 
@@ -822,7 +821,7 @@ class TestCachingScorer:
         path = tmp_path / "cache.jsonl"
         sentences = [f"sentence {i}" for i in range(30)]
         writer = CachingScorer(OfflineScorer(seed=4), path)
-        expected = score_totals(writer, sentences)
+        expected = score_each(writer, sentences)
 
         class Exploding(SentenceScorer):
             identity = writer.identity
@@ -831,7 +830,7 @@ class TestCachingScorer:
                 raise AssertionError("cache miss hit the backend")
 
         # the writer is still alive and holds its append handle
-        assert score_totals(CachingScorer(Exploding(), path), sentences) == expected
+        assert score_each(CachingScorer(Exploding(), path), sentences) == expected
 
     def test_handle_closed_when_scorer_is_collected(self, tmp_path):
         cached = CachingScorer(OfflineScorer(seed=1), tmp_path / "cache.jsonl")
@@ -852,7 +851,7 @@ class TestCachingScorer:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            totals = score_totals(CachingScorer(Threaded(seed=5), path), sentences)
+            totals = score_each(CachingScorer(Threaded(seed=5), path), sentences)
         finally:
             sys.setswitchinterval(interval)
         records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -1012,7 +1011,7 @@ class TestRemoteScorer:
             max_attempts=1,
             max_inflight=2,
         )
-        results = score_totals(scorer, ["ok one", "bad two", "ok three four"])
+        results = score_each(scorer, ["ok one", "bad two", "ok three four"])
         assert results[0] == pytest.approx(-1.0)
         assert isinstance(results[1], TransportError)
         assert results[1].sentence == "bad two"
@@ -1040,7 +1039,7 @@ class TestRemoteScorer:
             model="test-lm",
             max_inflight=2,
         )
-        results = score_totals(scorer, [f"sentence {i} x" for i in range(10)])
+        results = score_each(scorer, [f"sentence {i} x" for i in range(10)])
         assert all(isinstance(r, float) for r in results)
         assert counting_endpoint.peak <= 2
 
@@ -1153,7 +1152,7 @@ class TestRemoteScorer:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = score_totals(scorer, [f"sentence {i} x" for i in range(64)])
+            results = score_each(scorer, [f"sentence {i} x" for i in range(64)])
         finally:
             sys.setswitchinterval(interval)
             scorer._session.close()
@@ -1256,7 +1255,7 @@ class TestFailingEndpointTime:
     SENTENCES = ["a toilet", "a stove", "a toilet", "a bed"]  # three distinct
 
     def _all_fail(self, scorer) -> None:
-        results = score_totals(scorer, self.SENTENCES)
+        results = score_each(scorer, self.SENTENCES)
         assert all(isinstance(r, TransportError) for r in results)
 
     def test_dead_endpoint(self, mock_endpoint, clock):
@@ -1319,7 +1318,7 @@ class Slow(SentenceScorer):
 
 threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
 try:
-    score_totals(Slow(), [f"sentence {i}" for i in range(200)])
+    score_totals(Slow(), [[f"sentence {i}"] for i in range(200)])
 except KeyboardInterrupt:
     print(len(calls))
 """
