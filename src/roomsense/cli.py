@@ -34,7 +34,6 @@ from .cooccurrence import (
     read_table,
     write_table,
 )
-from .ingest import IngestConfig
 from .lm_scoring import TransportError, make_scorer
 from .querygen import QueryTemplate
 
@@ -202,17 +201,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = IngestConfig(
-        spelling_fixes=ingest.load_spelling_fixes(args.spelling_fixes),
-        keep_object_category_for_secondary_space=args.keep_object_category,
-    )
+    fixes = ingest.load_spelling_fixes(args.spelling_fixes)
     processed = []
     for scene in args.scene:
         raw = ingest.parse_scene_file(scene)
+        space = _resolve_object_space(raw, args.object_space)
         with _naming(scene):
-            processed.append(
-                ingest.run_pipeline(raw, config, _resolve_object_space(raw, args.object_space))
-            )
+            processed.append(ingest.run_pipeline(raw, space, fixes, args.keep_object_category))
     graph = ingest.merge_graphs(processed, names=args.scene)
     if not graph.rooms:
         raise ValueError("preprocessing leaves no room: every room is filtered out or empty")
@@ -278,14 +273,12 @@ def _select_rooms(args):
 
 
 def cmd_infer(args) -> int:
-    table, room_labels, (selections, reasons) = _select_rooms(args)
-    if not selections:
+    table, room_labels, selections = _select_rooms(args)
+    if not any(room.objects for room in selections):
         raise ValueError(f"--graph {args.graph}: no room holds an object to query")
     scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
-    result = inference.classify_selections(
-        selections, reasons, room_labels, table, scorer, args.k, template
-    )
+    result = inference.classify_selections(selections, room_labels, table, scorer, args.k, template)
     with _manifested(
         args, args.out, [args.graph, args.cooc], scorer.identity, template.version
     ) as manifest_id:

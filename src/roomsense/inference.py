@@ -9,13 +9,13 @@ smaller label; real backends never tie, coarse mock scorers can).
 Rooms are independent: each prediction depends only on its own room, the
 immutable table, and the scorer, so results do not depend on execution
 order. :func:`classify_graph` runs in two steps: :func:`select_rooms`
-reads the graph, and :func:`classify_selections` renders and scores from
-what it returned, so a caller can let the graph go in between. Each
-distinct sentence is scored once per classification, so rooms that render
-the same sentence share its total, or its failure. A room whose scorer
-calls fail (after the backend's own retries) is marked failed and
-reported, never silently skipped: silent exclusion would inflate accuracy
-invisibly.
+reads the graph into one selection per room, and :func:`classify_selections`
+decides each room's outcome from that list, so a caller can let the graph
+go in between. Each distinct sentence is scored once per classification,
+so rooms that render the same sentence share its total, or its failure. A
+room with no usable object label, or whose scorer calls fail (after the
+backend's own retries), is marked failed and reported, never silently
+skipped: silent exclusion would inflate accuracy invisibly.
 
 :class:`Candidate` is a named tuple: immutable, compared and hashed as its
 ``(room label, sentence, total)`` triple, and cheap to build once per room
@@ -102,66 +102,56 @@ class RoomSelection(NamedTuple):
     objects: tuple[str, ...]
 
 
-def select_rooms(
-    graph: SceneGraph, table: CooccurrenceTable, k: int
-) -> tuple[list[RoomSelection], dict[str, str]]:
-    """Each room's query objects (:func:`select_informative`), ordered by room id.
+def select_rooms(graph: SceneGraph, table: CooccurrenceTable, k: int) -> list[RoomSelection]:
+    """One selection per room, ordered by room id: its :func:`select_informative` objects.
 
-    A room with no usable object label is not selected; the second value
-    maps its id to the reason it fails. The result holds nothing of the
-    graph but strings, so the graph can go before any room is scored.
+    A room with no usable object label is selected with no objects. The
+    result holds nothing of the graph but strings, so the graph can go
+    before any room is scored.
     """
-    selections = []
-    reasons: dict[str, str] = {}
-    for room in sorted(graph.rooms, key=lambda r: r.id):
-        selected = select_informative(room, graph, table, k)
-        if selected:
-            selections.append(RoomSelection(room.id, room.gt_label, tuple(selected)))
-        else:
-            # no object names the room: ingest drops such a room, but a graph
-            # that skipped ingest can hold one
-            reasons[room.id] = f"room {room.id!r} has no usable object labels"
-    return selections, reasons
+    return [
+        RoomSelection(room.id, room.gt_label, tuple(select_informative(room, graph, table, k)))
+        for room in sorted(graph.rooms, key=lambda r: r.id)
+    ]
 
 
 def classify_selections(
     selections: list[RoomSelection],
-    reasons: dict[str, str],
     room_labels: tuple[str, ...],
     table: CooccurrenceTable,
     scorer: SentenceScorer,
     k: int,
     template: QueryTemplate | None = None,
 ) -> GraphClassification:
-    """Render, score and assemble the rooms :func:`select_rooms` selected.
+    """Render, score and decide the outcome of each room :func:`select_rooms` selected.
 
     Every room's sentences, one per room label, are rendered first and
-    scored as one group through :func:`score_totals`; predictions are then
-    assembled room by room. A room fails with the first of its sentences,
-    in room-label order, that failed to score; ``reasons`` are the failures
-    of selection.
+    scored as one group through :func:`score_totals`. Then each room, in
+    the order given, is a prediction or a failure. A room with no objects
+    renders no sentence and fails: ingest drops such a room, but a graph
+    that skipped ingest can hold one. A room also fails with the first of
+    its sentences, in room-label order, that failed to score.
     """
     template = template or QueryTemplate()
-    reasons = dict(reasons)
-    rendered = [render_room_queries(room.objects, room_labels, template) for room in selections]
+    rendered = [
+        render_room_queries(room.objects, room_labels, template) if room.objects else []
+        for room in selections
+    ]
 
-    predictions = []
-    for room, sentences, room_totals in zip(selections, rendered, score_totals(scorer, rendered)):
-        if isinstance(room_totals, TransportError):
-            reasons[room.room_id] = f"scoring failed for room {room.room_id!r}: {room_totals}"
+    predictions, failures = [], []
+    for room, sentences, totals in zip(selections, rendered, score_totals(scorer, rendered)):
+        if not sentences:
+            reason = f"room {room.room_id!r} has no usable object labels"
+        elif isinstance(totals, TransportError):
+            reason = f"scoring failed for room {room.room_id!r}: {totals}"
+        else:
+            candidates = tuple(map(_candidate_from_triple, zip(room_labels, sentences, totals)))
+            predictions.append(RoomPrediction(room.room_id, room.objects, candidates, room.gt_label))
             continue
-        candidates = tuple(map(_candidate_from_triple, zip(room_labels, sentences, room_totals)))
-        predictions.append(
-            RoomPrediction(
-                room_id=room.room_id,
-                selected_objects=room.objects,
-                candidates=candidates,
-                gt_label=room.gt_label,
-            )
-        )
+        failures.append(RoomFailure(room.room_id, reason))
     return GraphClassification(
         predictions=tuple(predictions),
-        failures=tuple(RoomFailure(room_id=i, reason=r) for i, r in sorted(reasons.items())),
+        failures=tuple(failures),
         condition=TrialCondition(
             table.object_space, table.provenance, k, template.version, scorer.identity
         ),
@@ -181,9 +171,8 @@ def classify_graph(
     failures are collected, not raised, so one flaky room cannot take down
     a long run.
     """
-    selections, reasons = select_rooms(graph, table, k)
     return classify_selections(
-        selections, reasons, graph.room_space.labels, table, scorer, k, template
+        select_rooms(graph, table, k), graph.room_space.labels, table, scorer, k, template
     )
 
 

@@ -24,7 +24,7 @@ objects carry (:class:`SceneGraph`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -87,19 +87,6 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
                 f"{old!r} -> {new!r} -> {fixes[new]!r}"
             )
     return fixes
-
-
-@dataclass
-class IngestConfig:
-    """Settings of the preprocessing pipeline.
-
-    ``spelling_fixes`` maps normalized labels, as :func:`load_spelling_fixes`
-    returns them. The labels the pipeline filters out are the fixed
-    :data:`DROPPED_ROOM_LABELS` and :data:`DEFAULT_REJECTED_OBJECT_LABELS`.
-    """
-
-    spelling_fixes: dict[str, str] = field(default_factory=load_spelling_fixes)
-    keep_object_category_for_secondary_space: bool = True
 
 
 def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
@@ -347,17 +334,18 @@ def resolve_label_space_conflicts(
 
 
 def filter_graph(
-    graph: SceneGraph, config: IngestConfig, object_space: str
+    graph: SceneGraph, object_space: str, keep_object_category: bool = True
 ) -> SceneGraph:
     """Drop outdoor/none rooms, rejected objects, and newly empty rooms.
 
-    An object is rejected when its label in the graph's first (coarse)
-    object space or in ``object_space`` is in
-    ``DEFAULT_REJECTED_OBJECT_LABELS``, except that in runs over a finer
-    space the coarse category "object" is retained: the fine space keeps
-    semantically rich labels under it. Other object spaces are carried
-    unfiltered. The dropped room labels leave the room space; if fewer than
-    two are left, a :class:`ValueError` names them.
+    The filtered labels are fixed. A room goes when its label is one of
+    :data:`DROPPED_ROOM_LABELS`. An object is rejected when its label in the
+    graph's first (coarse) object space or in ``object_space`` is in
+    :data:`DEFAULT_REJECTED_OBJECT_LABELS`; with ``keep_object_category``,
+    runs over a finer space retain the coarse category "object", since the
+    fine space keeps semantically rich labels under it. Other object spaces
+    are carried unfiltered. The dropped room labels leave the room space;
+    if fewer than two are left, a :class:`ValueError` names them.
     """
     if object_space not in graph.object_space_names:
         raise ValueError(f"object space {object_space!r} not declared in graph")
@@ -374,9 +362,7 @@ def filter_graph(
     )
     kept_room_ids = {room.id for room in kept_rooms}
 
-    keep_exception = (
-        config.keep_object_category_for_secondary_space and object_space != primary_space
-    )
+    keep_exception = keep_object_category and object_space != primary_space
 
     def keep(obj: ObjectNode) -> bool:
         if obj.assigned_room not in kept_room_ids:
@@ -398,15 +384,22 @@ def filter_graph(
 
 
 def run_pipeline(
-    graph: SceneGraph, config: IngestConfig, object_space: str
+    graph: SceneGraph,
+    object_space: str,
+    spelling_fixes: dict[str, str],
+    keep_object_category: bool = True,
 ) -> SceneGraph:
-    """Apply the full preprocessing pipeline in its fixed order."""
+    """Apply the full preprocessing pipeline in its fixed order.
+
+    ``spelling_fixes`` is as :func:`load_spelling_fixes` returns it; the last
+    step, :func:`filter_graph`, drops the fixed labels its docstring names.
+    """
     graph = reassign_objects_by_bbox(graph)
-    graph = apply_spelling_fixes(graph, config.spelling_fixes)
+    graph = apply_spelling_fixes(graph, spelling_fixes)
     names = graph.object_space_names
     for secondary in names[1:]:
         graph = resolve_label_space_conflicts(graph, names[0], secondary)
-    return filter_graph(graph, config, object_space)
+    return filter_graph(graph, object_space, keep_object_category)
 
 
 def merge_graphs(graphs: list[SceneGraph], names=None) -> SceneGraph:

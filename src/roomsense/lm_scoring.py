@@ -672,26 +672,14 @@ class CachingScorer(SentenceScorer):
 
 
 def make_scorer(
-    backend: str,
-    seed: int = 0,
-    bonus_file=None,
-    cache_path=None,
-    max_inflight: int = 4,
-    endpoint: str | None = None,
-    model: str | None = None,
-    max_attempts: int = 5,
+    backend: str, seed: int = 0, bonus_file=None, cache_path=None, **remote
 ) -> SentenceScorer:
-    """Construct a scorer from CLI-level settings."""
+    """Construct a scorer from CLI-level settings; ``remote`` goes to :class:`RemoteScorer`."""
     if backend == "offline":
         table = load_bonus_table(bonus_file) if bonus_file else None
         scorer: SentenceScorer = OfflineScorer(seed=seed, bonus_table=table)
     elif backend == "remote":
-        scorer = RemoteScorer(
-            endpoint=endpoint,
-            model=model,
-            max_inflight=max_inflight,
-            max_attempts=max_attempts,
-        )
+        scorer = RemoteScorer(**remote)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if cache_path is not None:

@@ -24,7 +24,7 @@ from roomsense.cooccurrence import (
 from roomsense.evaluation import evaluate
 from roomsense.inference import classify_graph, write_predictions
 from roomsense.ingest import (
-    IngestConfig,
+    load_spelling_fixes,
     parse_scene_file,
     run_pipeline,
     write_scene_file,
@@ -325,8 +325,8 @@ class TestIngestion:
             scene_file_text(FIXTURE_ROOMS, FIXTURE_OBJECTS, room_labels=ROOMS_HEADER)
         )
         raw = parse_scene_file(scene)
-        config = IngestConfig()
-        graph = run_pipeline(raw, config, "nyuclass")
+        fixes = load_spelling_fixes()
+        graph = run_pipeline(raw, "nyuclass", fixes)
         assert validate(graph) == []
         by_id = object_by_id(graph)
 
@@ -343,13 +343,13 @@ class TestIngestion:
         # surfaces gone in both spaces; coarse-"object" retained in fine run
         assert "o-wall" not in by_id and "o-ceiling" not in by_id
         assert "o-pingpong" in by_id
-        coarse = run_pipeline(raw, config, "mpcat40")
+        coarse = run_pipeline(raw, "mpcat40", fixes)
         assert "o-pingpong" not in object_by_id(coarse)
 
         # full pipeline is a fixed point on its own output
         first = tmp_path / "clean1.txt"
         write_scene_file(graph, first)
-        again = run_pipeline(parse_scene_file(first), config, "nyuclass")
+        again = run_pipeline(parse_scene_file(first), "nyuclass", fixes)
         second = tmp_path / "clean2.txt"
         write_scene_file(again, second)
         assert first.read_bytes() == second.read_bytes()
@@ -426,11 +426,11 @@ class TestFullReproductionRunbook:
             RemoteScorer(max_inflight=8), tmp_path / "scores.jsonl"
         )
 
-        config = IngestConfig()
+        fixes = load_spelling_fixes()
         results = {}
         for space_choice in ("nyuclass", "mpcat40"):
             graphs = [
-                run_pipeline(parse_scene_file(p), config, space_choice) for p in scenes
+                run_pipeline(parse_scene_file(p), space_choice, fixes) for p in scenes
             ]
             graph = merge_graphs(graphs)
             assert len(graph.rooms) == 1878

@@ -40,6 +40,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# The three-region building of CI's packaging-smoke job: a bathroom with a
+# toilet, a kitchen with a misspelled refrigerator, and a yard with no object.
+H0_HOUSE = "\n".join([
+    "ASCII 1.0",
+    "H h0 - 0 0 0 0 0 4 3 3 0 1 0 0 0 0 0 0 0 0 10 10 3 0 0 0 0 0",
+    "R 0 0 0 0 a 2.0 2.0 1.5 0 0 0 4 4 3 3.0 0 0 0 0",
+    "R 1 0 0 0 k 6.0 6.0 1.5 4 0 0 10 10 3 3.0 0 0 0 0",
+    "R 2 0 0 0 x 22 22 1.5 20 20 0 25 25 3 3.0 0 0 0 0",
+    "C 0 10 toilet 18 toilet 0 0 0 0 0",
+    "C 1 11 refridgerator 37 appliances 0 0 0 0 0",
+    "O 0 0 0 1.0 1.0 0.5 1 0 0 0 1 0 0.5 0.4 0.5 0 0 0 0 0 0 0 0",
+    "O 1 1 1 8.0 8.0 1.0 1 0 0 0 1 0 0.5 0.5 1.0 0 0 0 0 0 0 0 0",
+]) + "\n"
+
+
 class TestPipelineComposition:
     def test_ingest_cooc_infer_eval(self, tmp_path, scene, capsys):
         graph = tmp_path / "clean.txt"
@@ -255,6 +270,25 @@ class TestPipelineComposition:
         assert any(i.startswith("houseone/") for i in ids)
         assert any(i.startswith("housetwo/") for i in ids)
 
+    def test_graph_that_skipped_ingest_reports_its_empty_room(self, tmp_path, capsys):
+        # unfiltered, the converted yard h0/R2 holds no object: infer reports
+        # it as failed and predicts the other two rooms
+        house = tmp_path / "h0.house"
+        house.write_text(H0_HOUSE)
+        scene, cooc, preds = tmp_path / "h0.scene.txt", tmp_path / "gt.tsv", tmp_path / "p.jsonl"
+        assert run("convert", "--house", house, "--out", scene) == 0
+        assert run("cooc", "--graph", scene, "--out", cooc) == 0
+        capsys.readouterr()
+        assert run("infer", "--graph", scene, "--cooc", cooc, "--out", preds) == 0
+        assert capsys.readouterr().out == "predicted 2 rooms, 1 failed\n"
+        records = [json.loads(line) for line in preds.read_text().splitlines()]
+        assert [r for r in records if r["kind"] == "failure"] == [{
+            "kind": "failure",
+            "room_id": "h0/R2",
+            "reason": "room 'h0/R2' has no usable object labels",
+        }]
+        assert {r["room_id"] for r in records if r["kind"] == "prediction"} == {"h0/R0", "h0/R1"}
+
     def test_all_rooms_failed_predictions_file(self, tmp_path, capsys):
         from roomsense.inference import (
             GraphClassification, RoomFailure, TrialCondition, write_predictions,
@@ -305,6 +339,30 @@ class TestObjectSpaceConditions:
                    "--object-space", "coarse") == 0
         assert "objects: 2" in capsys.readouterr().out
         assert "\th/o1\th/r0\tobjects\tobject\t" in graph.read_text()
+
+    @pytest.mark.parametrize("flag, kept", [
+        ((), True),
+        (("--no-keep-object-category",), False),
+    ], ids=["default", "no-keep"])
+    def test_keep_object_category_flag_reaches_ingest(self, tmp_path, scene, flag, kept):
+        # o-pingpong's coarse label is "object" and its fine one is rich
+        graph = tmp_path / "clean.txt"
+        assert run("ingest", "--scene", scene, "--out", graph, "--object-space", "fine",
+                   *flag) == 0
+        ids = {obj.id for obj in parse_scene_file(graph).objects}
+        assert ("o-pingpong" in ids) is kept
+        assert "o-sofa" in ids
+
+    def test_spelling_fixes_file_replaces_the_packaged_table(self, tmp_path, scene):
+        fixes = tmp_path / "t.txt"
+        fixes.write_text("sofa\tcouch\n")
+        graph = tmp_path / "clean.txt"
+        assert run("ingest", "--scene", scene, "--out", graph, "--spelling-fixes", fixes) == 0
+        labels = {obj.id: obj.label_per_space for obj in parse_scene_file(graph).objects}
+        # the file's own correction is applied, in every space
+        assert labels["o-sofa"] == {"mpcat40": "couch", "nyuclass": "couch"}
+        # the packaged table's correction is not
+        assert labels["o-fridge"]["nyuclass"] == "refridgerator"
 
     def test_duplicate_conditions_rejected(self, tmp_path, scene):
         graph = tmp_path / "clean.txt"

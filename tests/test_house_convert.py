@@ -13,7 +13,7 @@ from roomsense.house_convert import (
 )
 from roomsense.ingest import (
     DROPPED_ROOM_LABELS,
-    IngestConfig,
+    load_spelling_fixes,
     parse_scene_file,
     run_pipeline,
 )
@@ -214,7 +214,7 @@ class TestConvertEndToEnd:
         assert main(["convert", "--house", str(house_path), "--out", str(out)]) == 0
         raw = parse_scene_file(out)
         assert len(raw.rooms) == 3
-        graph = run_pipeline(raw, IngestConfig(), "rawcategory")
+        graph = run_pipeline(raw, "rawcategory", load_spelling_fixes())
         # outdoor yard removed; misspelled fridge fixed by the default table
         assert {r.gt_label for r in graph.rooms} == {"bathroom", "kitchen"}
         labels = {o.label_per_space["rawcategory"] for o in graph.objects}

@@ -226,8 +226,7 @@ class TestClassifyGraph:
         scorer = TotalScorer(dict.fromkeys(sentences, -1.0), fail_on=sentences[1:])
         scorer.max_inflight = workers
         result = classify_selections(
-            [RoomSelection("r0", "bathroom", ("toilet",))], {}, ROOM_LABELS_3,
-            bath_table, scorer, 1,
+            [RoomSelection("r0", "bathroom", ("toilet",))], ROOM_LABELS_3, bath_table, scorer, 1
         )
         assert result.predictions == ()
         assert result.failures == (
@@ -245,11 +244,45 @@ class TestClassifyGraph:
             RoomSelection("r1", "bedroom", ("bed",)),
             RoomSelection("r2", "kitchen", ("toilet",)),
         ]
-        result = classify_selections(selections, {}, ROOM_LABELS_3, bath_table, scorer, 1)
+        result = classify_selections(selections, ROOM_LABELS_3, bath_table, scorer, 1)
         assert [p.room_id for p in result.predictions] == ["r1"]
         assert result.failures == tuple(
             RoomFailure(room, f"scoring failed for room {room!r}: scripted failure: {shared}")
             for room in ("r0", "r2")
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_empty_and_failed_rooms_fail_in_room_id_order(self, workers):
+        # rooms with no object (r-a, r-c, r-f) interleave by id with rooms
+        # whose scoring fails (r-b, r-e); the graph lists them in reverse
+        graph = build_graph({
+            "r-a": ("kitchen", []),
+            "r-b": ("bedroom", ["bed"]),
+            "r-c": ("bathroom", []),
+            "r-d": ("bathroom", ["toilet"]),
+            "r-e": ("kitchen", ["stove"]),
+            "r-f": ("bedroom", []),
+        })
+        graph = dataclasses.replace(graph, rooms=graph.rooms[::-1])
+        table = count_ground_truth(graph, "things", alpha=1.0)
+        objects = ("bed", "toilet", "stove")
+        totals = {render_room_query([o], r): -1.0 for o in objects for r in ROOM_LABELS_3}
+        scorer = TotalScorer(totals, fail_on={s for s in totals if "toilet" not in s})
+        scorer.max_inflight = workers
+        result = classify_graph(graph, table, scorer, k=1)
+        assert [p.room_id for p in result.predictions] == ["r-d"]
+
+        def failed(room, obj):
+            sentence = render_room_query([obj], ROOM_LABELS_3[0])
+            reason = f"scoring failed for room {room!r}: scripted failure: {sentence}"
+            return RoomFailure(room, reason)
+
+        assert result.failures == (
+            RoomFailure("r-a", "room 'r-a' has no usable object labels"),
+            failed("r-b", "bed"),
+            RoomFailure("r-c", "room 'r-c' has no usable object labels"),
+            failed("r-e", "stove"),
+            RoomFailure("r-f", "room 'r-f' has no usable object labels"),
         )
 
     def test_object_index_built_once_per_graph(self, monkeypatch):
@@ -278,19 +311,19 @@ class TestClassifyGraph:
     def test_selection_then_scoring_is_classify_graph(self, bath_graph, bath_table):
         empty = RoomNode(id="r-empty", gt_label="kitchen", bbox=box())
         graph = dataclasses.replace(bath_graph, rooms=bath_graph.rooms + (empty,))
-        selections, reasons = select_rooms(graph, bath_table, 2)
+        selections = select_rooms(graph, bath_table, 2)
         assert selections == [
             RoomSelection("r-bath", "bathroom", ("shower", "sink")),
             RoomSelection("r-bed", "bedroom", ("bed", "pillow")),
+            RoomSelection("r-empty", "kitchen", ()),
             RoomSelection("r-kitchen", "kitchen", ("refrigerator", "stove")),
         ]
-        assert reasons == {"r-empty": "room 'r-empty' has no usable object labels"}
         scorer = OfflineScorer(seed=5, bonus_table=BATH_BONUSES)
-        result = classify_selections(
-            selections, reasons, graph.room_space.labels, bath_table, scorer, 2
-        )
+        result = classify_selections(selections, graph.room_space.labels, bath_table, scorer, 2)
         assert result == classify_graph(graph, bath_table, scorer, k=2)
-        assert reasons == {"r-empty": "room 'r-empty' has no usable object labels"}
+        assert result.failures == (
+            RoomFailure("r-empty", "room 'r-empty' has no usable object labels"),
+        )
 
     def test_condition_recorded(self, bath_graph, bath_table):
         scorer = OfflineScorer(seed=7)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from roomsense.ingest import (
     DEFAULT_REJECTED_OBJECT_LABELS,
     DROPPED_ROOM_LABELS,
-    IngestConfig,
     apply_spelling_fixes,
     filter_graph,
     load_spelling_fixes,
@@ -75,10 +74,6 @@ def fixture_path(scene_path):
 @pytest.fixture
 def raw_graph(fixture_path):
     return parse_scene_file(fixture_path)
-
-
-def no_fix_config(**overrides):
-    return IngestConfig(spelling_fixes={}, **overrides)
 
 
 class TestParse:
@@ -440,39 +435,38 @@ class TestFiltering:
         return resolve_label_space_conflicts(graph, "mpcat40", "nyuclass")
 
     def test_outdoor_and_none_rooms_removed(self, raw_graph):
-        graph = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
+        graph = filter_graph(self.prepared(raw_graph), "nyuclass")
         ids = {r.id for r in graph.rooms}
         assert "r-porch" not in ids and "r-none" not in ids
 
     def test_surface_labels_removed_in_both_spaces(self, raw_graph):
         for space in ("nyuclass", "mpcat40"):
-            graph = filter_graph(self.prepared(raw_graph), no_fix_config(), space)
+            graph = filter_graph(self.prepared(raw_graph), space)
             ids = {o.id for o in graph.objects}
             assert "o-ceiling" not in ids and "o-wall" not in ids
 
     def test_object_category_retained_in_fine_space_only(self, raw_graph):
-        fine = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
+        fine = filter_graph(self.prepared(raw_graph), "nyuclass")
         assert "o-pingpong" in {o.id for o in fine.objects}
         assert "ping-pong table" in fine.object_space("nyuclass").labels
-        coarse = filter_graph(self.prepared(raw_graph), no_fix_config(), "mpcat40")
+        coarse = filter_graph(self.prepared(raw_graph), "mpcat40")
         assert "o-pingpong" not in {o.id for o in coarse.objects}
 
     def test_retention_flag_off_drops_object_category(self, raw_graph):
-        config = no_fix_config(keep_object_category_for_secondary_space=False)
-        fine = filter_graph(self.prepared(raw_graph), config, "nyuclass")
+        fine = filter_graph(self.prepared(raw_graph), "nyuclass", keep_object_category=False)
         assert "o-pingpong" not in {o.id for o in fine.objects}
 
     def test_emptied_rooms_removed(self, raw_graph):
-        graph = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
+        graph = filter_graph(self.prepared(raw_graph), "nyuclass")
         assert "r-empty" not in {r.id for r in graph.rooms}
 
     def test_room_space_pruned(self, raw_graph):
-        graph = filter_graph(self.prepared(raw_graph), no_fix_config(), "nyuclass")
+        graph = filter_graph(self.prepared(raw_graph), "nyuclass")
         assert graph.room_space.labels == ("bathroom", "bedroom", "kitchen", "living room")
 
     def test_unknown_space_rejected(self, raw_graph):
         with pytest.raises(ValueError):
-            filter_graph(raw_graph, no_fix_config(), "imaginary")
+            filter_graph(raw_graph, "imaginary")
 
     @pytest.mark.parametrize("header, left", [
         (("yard", "bedroom"), "bedroom"),
@@ -485,7 +479,7 @@ class TestFiltering:
             room_labels=header,
         ))
         with pytest.raises(ValueError) as caught:
-            filter_graph(raw, no_fix_config(), "nyuclass")
+            filter_graph(raw, "nyuclass")
         assert str(caught.value) == (
             f"filtering leaves rooms={left}; a room needs at least 2 labels to choose from"
         )
@@ -493,7 +487,7 @@ class TestFiltering:
 
 class TestFullPipeline:
     def test_expected_post_state(self, raw_graph):
-        graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")
+        graph = run_pipeline(raw_graph, "nyuclass", load_spelling_fixes())
         assert validate(graph) == []
         assert {r.id for r in graph.rooms} == {
             "r-bath", "r-living", "r-kitchen", "r-ovl-a", "r-ovl-b"
@@ -512,23 +506,22 @@ class TestFullPipeline:
         )
 
     def test_counts_never_increase_along_stages(self, raw_graph):
-        config = IngestConfig()
         stages = [raw_graph]
         stages.append(reassign_objects_by_bbox(stages[-1]))
-        stages.append(apply_spelling_fixes(stages[-1], config.spelling_fixes))
+        stages.append(apply_spelling_fixes(stages[-1], load_spelling_fixes()))
         stages.append(resolve_label_space_conflicts(stages[-1], "mpcat40", "nyuclass"))
-        stages.append(filter_graph(stages[-1], config, "nyuclass"))
+        stages.append(filter_graph(stages[-1], "nyuclass"))
         for before, after in zip(stages, stages[1:]):
             assert len(after.objects) <= len(before.objects)
             assert len(after.rooms) <= len(before.rooms)
 
     def test_pipeline_is_fixed_point(self, raw_graph, tmp_path):
-        config = IngestConfig()
-        once = run_pipeline(raw_graph, config, "nyuclass")
+        fixes = load_spelling_fixes()
+        once = run_pipeline(raw_graph, "nyuclass", fixes)
         out1 = tmp_path / "once.txt"
         write_scene_file(once, out1)
         reparsed = parse_scene_file(out1)
-        twice = run_pipeline(reparsed, config, "nyuclass")
+        twice = run_pipeline(reparsed, "nyuclass", fixes)
         out2 = tmp_path / "twice.txt"
         write_scene_file(twice, out2)
         assert out1.read_bytes() == out2.read_bytes()
@@ -538,7 +531,7 @@ class TestFullPipeline:
     @pytest.mark.parametrize("run", ["fine", "coarse"])
     def test_filtered_spaces_hold_no_rejected_label(self, raw_graph, run):
         object_space = {"fine": "nyuclass", "coarse": "mpcat40"}[run]
-        graph = run_pipeline(raw_graph, IngestConfig(), object_space)
+        graph = run_pipeline(raw_graph, object_space, load_spelling_fixes())
         active = set(graph.object_space(object_space).labels)
         assert not active & DEFAULT_REJECTED_OBJECT_LABELS
         coarse = set(graph.object_space("mpcat40").labels)
@@ -546,7 +539,7 @@ class TestFullPipeline:
         assert coarse & DEFAULT_REJECTED_OBJECT_LABELS == allowed
 
     def test_no_empty_or_outdoor_rooms_after_filter(self, raw_graph):
-        graph = run_pipeline(raw_graph, IngestConfig(), "nyuclass")
+        graph = run_pipeline(raw_graph, "nyuclass", load_spelling_fixes())
         assert not set(graph.room_space.labels) & set(DROPPED_ROOM_LABELS)
         for room in graph.rooms:
             assert graph.objects_in_room(room)
@@ -599,14 +592,14 @@ class TestPipelineMeetsTheInvariants:
         for name, text in zip("ab", texts):
             paths.append(work / f"{name}.txt")
             paths[-1].write_text(text)
-        config = IngestConfig()
+        fixes = load_spelling_fixes()
         for space in ("mpcat40", "nyuclass"):
             raws = [parse_scene_file(path) for path in paths]
             if len(indoor) < 2:
                 with pytest.raises(ValueError, match="a room needs at least 2 labels"):
-                    run_pipeline(raws[0], config, space)
+                    run_pipeline(raws[0], space, fixes)
                 continue
-            merged = merge_graphs([run_pipeline(raw, config, space) for raw in raws])
+            merged = merge_graphs([run_pipeline(raw, space, fixes) for raw in raws])
             assert validate(merged) == []
 
 
@@ -710,7 +703,7 @@ class TestRoundTripAndMerge:
 class TestDerivedObjectSpaces:
     @pytest.mark.parametrize("stage", ["reassign", "spelling", "conflicts", "filter", "merge"])
     def test_each_space_is_the_label_set_of_the_objects(self, raw_graph, tmp_path, stage):
-        config = IngestConfig()
+        fixes = load_spelling_fixes()
         other = tmp_path / "b2.txt"
         other.write_text(scene_file_text(
             [("b2/r-1", "kitchen", (0, 0, 0), (5, 5, 3))],
@@ -719,9 +712,9 @@ class TestDerivedObjectSpaces:
         ))
         run = {
             "reassign": lambda: reassign_objects_by_bbox(raw_graph),
-            "spelling": lambda: apply_spelling_fixes(raw_graph, config.spelling_fixes),
+            "spelling": lambda: apply_spelling_fixes(raw_graph, fixes),
             "conflicts": lambda: resolve_label_space_conflicts(raw_graph, "mpcat40", "nyuclass"),
-            "filter": lambda: filter_graph(raw_graph, config, "nyuclass"),
+            "filter": lambda: filter_graph(raw_graph, "nyuclass"),
             "merge": lambda: merge_graphs([raw_graph, parse_scene_file(other)]),
         }[stage]
         graph = run()
