@@ -10,9 +10,10 @@ runs ``convert``, ``ingest``, ``cooc`` (ground truth and proxy), ``infer``
 (on both tables) and ``eval`` in this process with the offline backend.
 Prints one JSON line: the peak resident set size (``ru_maxrss``), the CPU
 seconds in all and per stage (``stage_cpu_s``: convert, ingest, cooc,
-infer, eval, each summed over its runs), and one SHA-256 over every data
-file the chain wrote, so runs of two checkouts can be compared. Exits 1
-if a stage does not exit 0.
+infer, eval, each summed over its runs), the peak after each stage's last
+run (``stage_peak_rss_mb``, so the stage that sets the peak is the first
+to reach it), and one SHA-256 over every data file the chain wrote, so
+runs of two checkouts can be compared. Exits 1 if a stage does not exit 0.
 ``paper_scale_chain.sha256`` next to this script records the digest of
 the current data files; CI fails when a run prints another.
 """
@@ -28,6 +29,7 @@ import resource
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,12 +42,18 @@ BUILDINGS = 90
 SEED = 5
 
 
-def _stage(stage_cpu: dict[str, float], *argv: str) -> None:
-    """Run one CLI stage quietly and add its CPU seconds to ``stage_cpu[argv[0]]``."""
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def _stage(stage_cpu: dict[str, float], stage_peak: dict[str, float], *argv: str) -> None:
+    """Run one CLI stage quietly, add its CPU seconds to ``stage_cpu[argv[0]]``
+    and set ``stage_peak[argv[0]]`` to the peak RSS after it."""
     start = time.process_time()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(list(argv))
     stage_cpu[argv[0]] = stage_cpu.get(argv[0], 0.0) + time.process_time() - start
+    stage_peak[argv[0]] = _peak_rss_mb()
     if code != 0:
         raise SystemExit(f"paper_scale_chain: {argv[0]} exited {code}")
 
@@ -68,26 +76,27 @@ def main() -> None:
         os.mkdir("out")
         os.chdir("out")
         stage_cpu: dict[str, float] = {}
+        stage_peak: dict[str, float] = {}
+        stage = partial(_stage, stage_cpu, stage_peak)
         cpu = time.process_time()
         for stem in stems:
-            _stage(stage_cpu, "convert", "--house", f"../houses/{stem}.house",
-                   "--out", f"{stem}.scene.txt")
-        _stage(stage_cpu, "ingest", *(a for s in stems for a in ("--scene", f"{s}.scene.txt")),
-               "--out", "clean.txt")
+            stage("convert", "--house", f"../houses/{stem}.house", "--out", f"{stem}.scene.txt")
+        stage("ingest", *(a for s in stems for a in ("--scene", f"{s}.scene.txt")),
+              "--out", "clean.txt")
         for mode in ("gt", "proxy"):
-            _stage(stage_cpu, "cooc", "--graph", "clean.txt", "--out", f"{mode}.tsv",
-                   "--mode", mode)
-            _stage(stage_cpu, "infer", "--graph", "clean.txt", "--cooc", f"{mode}.tsv",
-                   "--out", f"{mode}.jsonl")
-        _stage(stage_cpu, "eval", "gt.jsonl", "proxy.jsonl", "--out-dir", "reports")
+            stage("cooc", "--graph", "clean.txt", "--out", f"{mode}.tsv", "--mode", mode)
+            stage("infer", "--graph", "clean.txt", "--cooc", f"{mode}.tsv",
+                  "--out", f"{mode}.jsonl")
+        stage("eval", "gt.jsonl", "proxy.jsonl", "--out-dir", "reports")
         cpu = time.process_time() - cpu
         digest = _data_digest(Path.cwd())
         os.chdir(ROOT)
     print(json.dumps({
         "buildings": BUILDINGS,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": _peak_rss_mb(),
         "cpu_s": round(cpu, 2),
-        "stage_cpu_s": {stage: round(s, 2) for stage, s in stage_cpu.items()},
+        "stage_cpu_s": {name: round(s, 2) for name, s in stage_cpu.items()},
+        "stage_peak_rss_mb": stage_peak,
         "data_sha256": digest,
     }))
 

@@ -24,8 +24,9 @@ def atomic_write(path):
     over ``path`` with :func:`os.replace` once the block exits normally. If
     the block raises, the new file is removed and ``path`` is left as it
     was. The new file is created with the permissions a plain ``open``
-    would give it. The replacement is atomic against an interrupted
-    process; the data is not forced to disk.
+    would give it. Its data is forced to disk before the move, and on POSIX
+    the directory entry after it, so an OS crash or a power loss also
+    leaves either the previous file or the complete new one.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -33,11 +34,19 @@ def atomic_write(path):
     try:
         with handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    if os.name == "posix":
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 # Lines are read in blocks of whole lines of about this many bytes: a block

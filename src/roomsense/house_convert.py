@@ -150,15 +150,18 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
     scene parser refuses: a region box not ordered min <= max on every axis
     and an object hull with a NaN corner. Ids take the house name current
     at their record: the file stem until an ``H`` line names one.
-    An object takes the id its region was given at the region's ``R`` line,
-    and the one label map its category was given at the category's ``C`` line.
+    An object is built at its ``O`` line: it takes the id its region was
+    given at the region's ``R`` line and the one label map its category was
+    given at the category's ``C`` line. A negative region, or one not read
+    by then, skips the object with a warning; a category not read is ``unlabeled``.
     """
     house_name = Path(path).stem
     fine_space = FINE_SPACE_MAPPED if category_map is not None else FINE_SPACE_RAW
 
     categories: dict[int, dict[str, str]] = {}  # index -> label per space
+    unlabeled = {COARSE_SPACE: "unlabeled", fine_space: "unlabeled"}
     rooms: list[RoomNode] = []
-    raw_objects: list[tuple[str, int, int, BoundingBox]] = []
+    objects: list[ObjectNode] = []
     room_ids: dict[int, str] = {}  # region index -> room id
     object_ids: set[int] = set()
 
@@ -206,28 +209,16 @@ def parse_house_file(path, category_map: dict[int, str] | None = None) -> SceneG
                 if obj_index in object_ids:
                     raise ValueError(f"duplicate object index {obj_index}")
                 object_ids.add(obj_index)
+                obj_id = f"{house_name}/O{obj_index}"
                 region_index = int(tokens[2])
-                category_index = int(tokens[3])
-                raw_objects.append(
-                    (
-                        f"{house_name}/O{obj_index}",
-                        region_index,
-                        category_index,
-                        _aabb_of_oriented_box(tuple(map(float, tokens[4:16]))),
-                    )
-                )
+                labels = categories.get(int(tokens[3]), unlabeled)
+                bbox = _aabb_of_oriented_box(tuple(map(float, tokens[4:16])))
+                if region_index < 0 or region_index not in room_ids:
+                    logger.warning("skipping %s: no region assignment", obj_id)
+                    continue
+                objects.append(object_from_fields((obj_id, labels, bbox, room_ids[region_index])))
         except (IndexError, ValueError) as err:
             raise ValueError(f"{path}:{lineno}: malformed {kind!r} record: {err}") from err
-
-    unlabeled = {COARSE_SPACE: "unlabeled", fine_space: "unlabeled"}
-    objects: list[ObjectNode] = []
-    for obj_id, region_index, category_index, bbox in raw_objects:
-        if region_index < 0 or region_index not in room_ids:
-            logger.warning("skipping %s: no region assignment", obj_id)
-            continue
-        objects.append(object_from_fields(
-            (obj_id, categories.get(category_index, unlabeled), bbox, room_ids[region_index])
-        ))
 
     return SceneGraph(
         rooms=tuple(rooms),

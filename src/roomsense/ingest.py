@@ -89,15 +89,15 @@ def load_spelling_fixes(path=None) -> dict[str, str]:
     return fixes
 
 
-def _bbox(fields: list[str], path, lineno: int) -> BoundingBox:
+def _bbox(fields: list[str]) -> BoundingBox:
     try:
         x0, y0, z0, x1, y1, z1 = map(float, fields)
     except ValueError as err:
-        raise ValueError(f"{path}:{lineno}: bad number in {fields!r}") from err
+        raise ValueError(f"bad number in {fields!r}") from err
     try:
         return _ordered_box(x0, y0, z0, x1, y1, z1)
     except ValueError as err:
-        raise ValueError(f"{path}:{lineno}: {err} in {fields!r}") from None
+        raise ValueError(f"{err} in {fields!r}") from None
 
 
 def parse_scene_file(path) -> SceneGraph:
@@ -122,86 +122,80 @@ def parse_scene_file(path) -> SceneGraph:
     objects: dict[str, ObjectNode] = {}
     label_maps: dict[tuple[str, ...], dict[str, str]] = {}
 
-    # the location of a record is formatted only when it is reported
+    # read_lines names its own undecodable line, so it stays outside the try
     for lineno, line in enumerate(read_lines(path), 1):
         if line.lstrip()[:1] in ("", "#"):
             continue
         fields = line.split("\t")
         kind = fields[0]
-
-        if not header_seen:
-            where = f"{path}:{lineno}"
-            if kind != _MAGIC:
-                raise ValueError(f"{where}: expected '{_MAGIC}' header before records")
-            if len(fields) != 4 or fields[1] != _VERSION:
-                raise ValueError(f"{where}: malformed header (need version + spaces + rooms)")
-            if not fields[2].startswith("spaces=") or not fields[3].startswith("rooms="):
-                raise ValueError(f"{where}: header needs 'spaces=' and 'rooms=' fields")
-            space_names = [
-                normalize_label(s)
-                for s in fields[2][len("spaces="):].split(",")
-                if s.strip()
-            ]
-            if not space_names:
-                raise ValueError(f"{where}: header declares no object label spaces")
-            if ROOM_SPACE_NAME in space_names:
-                raise ValueError(f"{where}: '{ROOM_SPACE_NAME}' is reserved for the room space")
-            if len(set(space_names)) != len(space_names):
-                raise ValueError(f"{where}: duplicate label-space name")
-            room_labels = tuple(
-                dict.fromkeys(
-                    normalize_label(r)
-                    for r in fields[3][len("rooms="):].split(",")
-                    if r.strip()
+        try:
+            if not header_seen:
+                if kind != _MAGIC:
+                    raise ValueError(f"expected '{_MAGIC}' header before records")
+                if len(fields) != 4 or fields[1] != _VERSION:
+                    raise ValueError("malformed header (need version + spaces + rooms)")
+                if not fields[2].startswith("spaces=") or not fields[3].startswith("rooms="):
+                    raise ValueError("header needs 'spaces=' and 'rooms=' fields")
+                space_names = [
+                    normalize_label(s)
+                    for s in fields[2][len("spaces="):].split(",")
+                    if s.strip()
+                ]
+                if not space_names:
+                    raise ValueError("header declares no object label spaces")
+                if ROOM_SPACE_NAME in space_names:
+                    raise ValueError(f"'{ROOM_SPACE_NAME}' is reserved for the room space")
+                if len(set(space_names)) != len(space_names):
+                    raise ValueError("duplicate label-space name")
+                room_labels = tuple(
+                    dict.fromkeys(
+                        normalize_label(r)
+                        for r in fields[3][len("rooms="):].split(",")
+                        if r.strip()
+                    )
                 )
-            )
-            if not room_labels:
-                raise ValueError(f"{where}: header declares no room labels")
-            if len(room_labels) < 2:
-                raise ValueError(
-                    f"{where}: header declares one room label, {room_labels[0]!r}; "
-                    "a room needs at least 2 to choose from"
+                if not room_labels:
+                    raise ValueError("header declares no room labels")
+                if len(room_labels) < 2:
+                    raise ValueError(
+                        f"header declares one room label, {room_labels[0]!r}; "
+                        "a room needs at least 2 to choose from"
+                    )
+                label_end = 3 + len(space_names)
+                header_seen = True
+            elif kind == "room":
+                if len(fields) != 9:
+                    raise ValueError(f"room record needs 9 fields, got {len(fields)}")
+                room_id = fields[1]
+                if room_id in rooms:
+                    raise ValueError(f"duplicate room id {room_id!r}")
+                label = normalize_label(fields[2])
+                if label not in room_labels:
+                    raise ValueError(f"room label {label!r} not declared in header")
+                rooms[room_id] = room_from_fields((room_id, label, _bbox(fields[3:9])))
+            elif kind == "object":
+                if len(fields) != label_end + 6:
+                    raise ValueError(
+                        f"object record needs {label_end + 6} fields, got {len(fields)}"
+                    )
+                obj_id = fields[1]
+                if obj_id in objects:
+                    raise ValueError(f"duplicate object id {obj_id!r}")
+                room = rooms.get(fields[2])
+                label_fields = tuple(fields[3:label_end])
+                labels = label_maps.get(label_fields)
+                if labels is None:
+                    labels = label_maps[label_fields] = dict(
+                        zip(space_names, map(normalize_label, label_fields))
+                    )
+                bbox = _bbox(fields[label_end:])
+                objects[obj_id] = object_from_fields(
+                    (obj_id, labels, bbox, fields[2] if room is None else room.id)
                 )
-            label_end = 3 + len(space_names)
-            header_seen = True
-            continue
-
-        if kind == "room":
-            if len(fields) != 9:
-                raise ValueError(
-                    f"{path}:{lineno}: room record needs 9 fields, got {len(fields)}"
-                )
-            room_id = fields[1]
-            if room_id in rooms:
-                raise ValueError(f"{path}:{lineno}: duplicate room id {room_id!r}")
-            label = normalize_label(fields[2])
-            if label not in room_labels:
-                raise ValueError(
-                    f"{path}:{lineno}: room label {label!r} not declared in header"
-                )
-            rooms[room_id] = room_from_fields((room_id, label, _bbox(fields[3:9], path, lineno)))
-        elif kind == "object":
-            if len(fields) != label_end + 6:
-                raise ValueError(
-                    f"{path}:{lineno}: object record needs {label_end + 6} fields, "
-                    f"got {len(fields)}"
-                )
-            obj_id = fields[1]
-            if obj_id in objects:
-                raise ValueError(f"{path}:{lineno}: duplicate object id {obj_id!r}")
-            room = rooms.get(fields[2])
-            label_fields = tuple(fields[3:label_end])
-            labels = label_maps.get(label_fields)
-            if labels is None:
-                labels = label_maps[label_fields] = dict(
-                    zip(space_names, map(normalize_label, label_fields))
-                )
-            bbox = _bbox(fields[label_end:], path, lineno)
-            objects[obj_id] = object_from_fields(
-                (obj_id, labels, bbox, fields[2] if room is None else room.id)
-            )
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
 
     if not header_seen:
         raise ValueError(f"{path}: no '{_MAGIC}' header")

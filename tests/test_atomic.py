@@ -3,15 +3,19 @@ import json
 import os
 import re
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from roomsense import house_convert, ingest
 from roomsense.atomic import atomic_write, read_lines
+from roomsense.cli import main
 from roomsense.cooccurrence import read_table
 from roomsense.inference import read_predictions
 from roomsense.lm_scoring import load_bonus_table
+
+from test_house_convert import HOUSE_TEXT
 
 
 class Interrupted(Exception):
@@ -55,6 +59,64 @@ def test_permissions_match_a_plain_open(tmp_path):
     with atomic_write(replaced) as handle:
         handle.write("x")
     assert stat.S_IMODE(replaced.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a directory is fsynced on POSIX only")
+def test_every_file_the_chain_writes_reaches_disk_before_and_after_its_rename(
+    tmp_path, monkeypatch
+):
+    # the order of calls an OS crash could cut (Pillai et al., OSDI 2014):
+    # each file's data is synced before it is renamed into place, and its
+    # directory after, so the new name never points at unsynced data. What a
+    # power loss leaves behind cannot be tested from inside the process.
+    monkeypatch.chdir(tmp_path)
+    Path("h0.house").write_text(HOUSE_TEXT)
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def identity(st):
+        return st.st_dev, st.st_ino
+
+    def fsync(fd):
+        calls.append(("fsync", identity(os.fstat(fd))))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", identity(os.stat(src)), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    for argv in [
+        ("convert", "--house", "h0.house", "--out", "scene.txt"),
+        ("ingest", "--scene", "scene.txt", "--out", "clean.txt"),
+        ("cooc", "--graph", "clean.txt", "--out", "gt.tsv"),
+        ("cooc", "--graph", "clean.txt", "--out", "proxy.tsv", "--mode", "proxy"),
+        ("infer", "--graph", "clean.txt", "--cooc", "gt.tsv", "--out", "gt.jsonl"),
+        ("infer", "--graph", "clean.txt", "--cooc", "proxy.tsv", "--out", "proxy.jsonl"),
+        ("eval", "gt.jsonl", "proxy.jsonl", "--out-dir", "reports"),
+    ]:
+        assert main(list(argv)) == 0
+
+    replaced = []
+    for at, call in enumerate(calls):
+        if call[0] == "replace":
+            _, temporary, path = call
+            directory = identity(os.stat(os.path.dirname(os.path.abspath(path))))
+            assert calls[at - 1:at + 2] == [("fsync", temporary), call, ("fsync", directory)]
+            replaced.append(path)
+    assert len(calls) == 3 * len(replaced)
+    data = [
+        "scene.txt", "clean.txt", "gt.tsv", "proxy.tsv", "gt.jsonl", "proxy.jsonl",
+        *(f"reports/{stem}.report.json" for stem in ("gt", "proxy")),
+        "reports/conditions.txt",
+    ]
+    assert sorted(replaced) == sorted([
+        *data,
+        *(f"{path}.manifest.json" for path in data),
+        *(f"reports/{stem}.{kind}" for stem in ("gt", "proxy")
+          for kind in ("report.txt", "breakdown.csv")),
+    ])
 
 
 # every separator str.splitlines knows

@@ -16,6 +16,7 @@ from roomsense.ingest import (
     load_spelling_fixes,
     parse_scene_file,
     run_pipeline,
+    write_scene_file,
 )
 from roomsense.scene_model import normalize_label
 
@@ -200,6 +201,54 @@ class TestParseHouse:
             f"{path}:5: unknown region code 'Q', using 'none'",
             "skipping testhouse/O3: no region assignment",
         ]
+
+    # An object is built at its O line, so the R and C records it names must
+    # come before it, as the .house format orders them.
+    LATE_REGION = "R 3 0 0 0 b 30 30 1.5 28 28 0 32 32 3 3.0 0 0 0 0"
+    LATE_CATEGORY = "C 3 13 lamp 20 lighting 0 0 0 0 0"
+    LATE_OBJECT = "O 4 3 3 30 30 1 1 0 0 0 1 0 0.2 0.2 0.2 0 0 0 0 0 0 0 0"
+
+    def test_object_before_its_region_is_skipped(self, tmp_path, caplog):
+        path = tmp_path / "testhouse.house"
+        path.write_text(
+            HOUSE_TEXT + "\n".join([self.LATE_CATEGORY, self.LATE_OBJECT, self.LATE_REGION]) + "\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="roomsense.house_convert"):
+            graph = parse_house_file(path)
+        assert "testhouse/R3" in graph.room_by_id()
+        assert set(object_by_id(graph)) == {"testhouse/O0", "testhouse/O1", "testhouse/O2"}
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping testhouse/O3: no region assignment",
+            "skipping testhouse/O4: no region assignment",
+        ]
+
+    def test_object_before_its_category_is_unlabeled(self, tmp_path):
+        path = tmp_path / "testhouse.house"
+        path.write_text(
+            HOUSE_TEXT + "\n".join([self.LATE_REGION, self.LATE_OBJECT, self.LATE_CATEGORY]) + "\n"
+        )
+        obj = object_by_id(parse_house_file(path))["testhouse/O4"]
+        assert obj.assigned_room == "testhouse/R3"
+        assert obj.label_per_space == {"mpcat40": "unlabeled", "rawcategory": "unlabeled"}
+
+    def test_fixture_order_converts_to_the_same_bytes(self, tmp_path):
+        # Matterport3D writes H, L, R, C, O, as HOUSE_TEXT does; the bench
+        # fixture writes H, C, R, O. L (level) records are not read.
+        lines = HOUSE_TEXT.splitlines()
+        fixture_order = [
+            *lines[:2],
+            *(line for kind in "CRO" for line in lines if line.startswith(f"{kind} ")),
+        ]
+        house_text = {"matterport": HOUSE_TEXT, "fixture": "\n".join(fixture_order) + "\n"}
+        scenes = {}
+        for order, text in house_text.items():
+            house, scene = tmp_path / order / "testhouse.house", tmp_path / f"{order}.txt"
+            house.parent.mkdir()
+            house.write_text(text)
+            write_scene_file(parse_house_file(house), scene)
+            scenes[order] = scene.read_bytes()
+        assert fixture_order[2].startswith("C ") and fixture_order[-1].startswith("O ")
+        assert scenes["fixture"] == scenes["matterport"]
 
     def test_every_letter_maps_to_declared_label(self):
         for label in REGION_LETTER_LABELS.values():

@@ -76,6 +76,70 @@ def raw_graph(fixture_path):
     return parse_scene_file(fixture_path)
 
 
+HEADER = "scenegraph\tv1\tspaces=mpcat40,nyuclass\trooms=bathroom,kitchen"
+ROOM = "room\tr0\tbathroom\t0\t0\t0\t4\t4\t3"
+OBJECT = "object\to0\tr0\ttoilet\ttoilet\t1\t1\t0\t2\t2\t1"
+
+
+# One refused line of each kind, after a comment and a blank line, so the
+# line its message names counts them: (lines before it, line, message).
+REFUSED_AFTER_A_COMMENT = {
+    "header-missing": ([], ROOM, "expected 'scenegraph' header before records"),
+    "header-version": (
+        [], HEADER.replace("v1", "v2"), "malformed header (need version + spaces + rooms)"
+    ),
+    "header-field-count": (
+        [], "scenegraph\tv1\tspaces=mpcat40", "malformed header (need version + spaces + rooms)"
+    ),
+    "header-field-order": (
+        [], "scenegraph\tv1\trooms=bathroom,kitchen\tspaces=mpcat40",
+        "header needs 'spaces=' and 'rooms=' fields",
+    ),
+    "header-no-space": (
+        [], HEADER.replace("mpcat40,nyuclass", " ,"), "header declares no object label spaces"
+    ),
+    "header-reserved-space": (
+        [], HEADER.replace("nyuclass", "Room"), "'room' is reserved for the room space"
+    ),
+    "header-repeated-space": (
+        [], HEADER.replace("nyuclass", "MPCAT40"), "duplicate label-space name"
+    ),
+    "header-no-room-label": (
+        [], HEADER.replace("bathroom,kitchen", " , "), "header declares no room labels"
+    ),
+    "header-one-room-label": (
+        [], HEADER.replace(",kitchen", ""),
+        "header declares one room label, 'bathroom'; a room needs at least 2 to choose from",
+    ),
+    "room-field-count": ([HEADER], ROOM + "\t5", "room record needs 9 fields, got 10"),
+    "room-repeated-id": ([HEADER, ROOM], ROOM, "duplicate room id 'r0'"),
+    "room-undeclared-label": (
+        [HEADER], ROOM.replace("bathroom", "Attic"), "room label 'attic' not declared in header"
+    ),
+    "room-bad-number": (
+        [HEADER], ROOM.replace("\t4\t3", "\tfour\t3"),
+        "bad number in ['0', '0', '0', '4', 'four', '3']",
+    ),
+    "room-unordered-box": (
+        [HEADER], ROOM.replace("\t4\t3", "\t-4\t3"),
+        "bbox corners not ordered min <= max in ['0', '0', '0', '4', '-4', '3']",
+    ),
+    "object-field-count": (
+        [HEADER, ROOM], OBJECT + "\tsink", "object record needs 11 fields, got 12"
+    ),
+    "object-repeated-id": ([HEADER, ROOM, OBJECT], OBJECT, "duplicate object id 'o0'"),
+    "object-bad-number": (
+        [HEADER, ROOM], OBJECT.replace("\t2\t1", "\t2\t1e"),
+        "bad number in ['1', '1', '0', '2', '2', '1e']",
+    ),
+    "object-unordered-box": (
+        [HEADER, ROOM], OBJECT.replace("\t0\t2", "\t3\t2"),
+        "bbox corners not ordered min <= max in ['1', '1', '3', '2', '2', '1']",
+    ),
+    "unknown-kind": ([HEADER, ROOM], "portal\tp0", "unknown record kind 'portal'"),
+}
+
+
 class TestParse:
     def test_counts_preserved(self, scene_path):
         rooms = FIXTURE_ROOMS[:3]
@@ -138,8 +202,12 @@ class TestParse:
          "room\tr0\tbathroom\t0\t0\t0\t4\t4\t3\n"
          "object\to0\tr0\ttoilet\t1\t1\t0\t2\t2\t1", 3,
          "object record needs 11 fields, got 10"),
+        *(
+            ("\n".join([*before, "# a comment", "", record]), len(before) + 3, message)
+            for before, record, message in REFUSED_AFTER_A_COMMENT.values()
+        ),
     ], ids=["version", "field-count", "field-order", "no-space", "reserved-space",
-            "repeated-space", "object-field-count"])
+            "repeated-space", "object-field-count", *REFUSED_AFTER_A_COMMENT])
     def test_malformed_header_or_record_names_its_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "bad.txt"
         path.write_text(text + "\n")
