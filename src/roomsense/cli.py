@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -244,8 +244,8 @@ def cmd_cooc(args) -> int:
     else:
         spaces = graph.object_space(space_name), graph.room_space
         del graph  # a proxy table reads only the two spaces: score without the graph
-        scorer = _make_scorer(args)
-        table = build_proxy_table(scorer, *spaces, template=template)
+        with closing(_make_scorer(args)) as scorer:
+            table = build_proxy_table(scorer, *spaces, template=template)
         backend = scorer.identity
     with _manifested(args, args.out, [args.graph], backend, template.version) as manifest_id:
         write_table(table, args.out, manifest_id=manifest_id)
@@ -276,9 +276,11 @@ def cmd_infer(args) -> int:
     table, room_labels, selections = _select_rooms(args)
     if not any(room.objects for room in selections):
         raise ValueError(f"--graph {args.graph}: no room holds an object to query")
-    scorer = _make_scorer(args)
     template = QueryTemplate(article_mode=args.article)
-    result = inference.classify_selections(selections, room_labels, table, scorer, args.k, template)
+    with closing(_make_scorer(args)) as scorer:
+        result = inference.classify_selections(
+            selections, room_labels, table, scorer, args.k, template
+        )
     with _manifested(
         args, args.out, [args.graph, args.cooc], scorer.identity, template.version
     ) as manifest_id:

@@ -134,10 +134,14 @@ class SentenceScorer:
     A backend names itself by its ``identity`` string, and ``score(sentence)``
     returns the sentence's :class:`SentenceScore`. ``max_inflight`` is how
     many ``score`` calls :func:`score_totals` may run at once; a backend that
-    computes locally keeps 1.
+    computes locally keeps 1. Both are fixed when the scorer is built. A
+    stage calls ``close()`` on the scorer it made once its scoring ends.
     """
 
     max_inflight = 1
+
+    def close(self) -> None:
+        """Release what the scorer holds; most backends hold nothing."""
 
 
 def _require_sentence(sentence: str) -> None:
@@ -203,11 +207,11 @@ def _leading_u64s(count: int) -> struct.Struct:
 
 
 def _unit_floats(digests: bytes) -> list[float]:
-    """Joined SHA-256 digests, each mapped into [0, 1) by its first 8 bytes.
+    """Joined SHA-256 digests, each mapped into [0, 1] by its first 8 bytes.
 
     Those bytes are read as a big-endian integer and scaled by 2**-64: a
     power of two, so the product is the exact quotient by 2**64, rounded
-    once.
+    once. Eight zero bytes give 0.0, and eight 0xff bytes round up to 1.0.
     """
     return [v * 2.0**-64 for v in _leading_u64s(len(digests) // _DIGEST_SIZE).unpack(digests)]
 
@@ -255,7 +259,7 @@ def _word_pattern(label: str) -> re.Pattern:
 class OfflineScorer(SentenceScorer):
     """Deterministic scorer requiring no model.
 
-    The total for a sentence is a hash-derived base in [-8, -4) plus the
+    The total for a sentence is a hash-derived base in [-8, -4] plus the
     summed bonus of every (object label, room label) pair from the table
     whose two labels both occur in the sentence as whole words: no word
     character touches either end of the match. The total is spread over
@@ -286,11 +290,7 @@ class OfflineScorer(SentenceScorer):
             digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:8]
         else:
             digest = "none"
-        self._identity = f"offline:seed={seed}:bonus={digest}"
-
-    @property
-    def identity(self) -> str:
-        return self._identity
+        self.identity = f"offline:seed={seed}:bonus={digest}"
 
     def bonus_value(self, sentence: str) -> float:
         return sum(
@@ -323,7 +323,7 @@ class OfflineScorer(SentenceScorer):
         values = [total * w / weight_sum for w in weights]
         tokens = _tokens_from_pairs(zip(words, values))
         return _score_from_fields(
-            (sentence, math.fsum(values), len(tokens), self._identity, tokens)
+            (sentence, math.fsum(values), len(tokens), self.identity, tokens)
         )
 
 
@@ -504,6 +504,7 @@ class RemoteScorer(SentenceScorer):
             )
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.model = model if model is not None else os.environ.get(MODEL_ENV, "")
+        self.identity = f"remote:{self.model or self.endpoint}"
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if max_attempts < 1:
@@ -516,10 +517,6 @@ class RemoteScorer(SentenceScorer):
         if session is None:
             session = _Session(self.endpoint)
         self._session = session
-
-    @property
-    def identity(self) -> str:
-        return f"remote:{self.model or self.endpoint}"
 
     def _post_once(self, sentence: str) -> SentenceScore:
         """Send one POST; raise a fault worth a retry as an ``OSError`` or a
@@ -540,13 +537,8 @@ class RemoteScorer(SentenceScorer):
             tokens, total, count, model = _parse_response(response.json())
         except ValueError as err:
             raise TransportError(f"malformed response: {err}", sentence) from err
-        return SentenceScore(
-            sentence=sentence,
-            total_logprob=total,
-            token_count=count,
-            backend=self.identity if self.model else f"remote:{model or self.endpoint}",
-            tokens=tokens,
-        )
+        backend = self.identity if self.model else f"remote:{model or self.endpoint}"
+        return _score_from_fields((sentence, total, count, backend, tokens))
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
@@ -567,22 +559,38 @@ class RemoteScorer(SentenceScorer):
         )
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _sync_and_close(handle) -> None:
+    """Flush ``handle``, force its file to disk and close it."""
+    with handle:
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class CachingScorer(SentenceScorer):
     """Transparent append-only score cache keyed by (backend id, sentence).
 
     Cache hits reproduce the stored total and token count (token detail is
     not cached); downstream predictions are identical either way because
-    they consume totals only. Safe for concurrent use within one scorer. A
-    cache file has a single writer: the scorer opens one append handle on
-    its first miss, keeps it until it is collected, and flushes every
-    record as it is written, so an interrupted run resumes where it stopped.
-    A torn last line left by such a run is ended before the first new
+    they consume totals only. Safe for concurrent use within one scorer. It
+    takes the identity and ``max_inflight`` of ``inner`` when it is built.
+    A cache file has a single writer: the scorer opens one append handle on
+    its first miss and flushes every record as it is written, so an
+    interrupted run resumes where it stopped. :meth:`close`, or collecting
+    the scorer, forces the file to disk once and closes the handle. A torn
+    last line left by an interrupted run is ended before the first new
     record, so only the torn record is lost. Only records whose backend is
-    this scorer's identity can hit, so only they are indexed, by sentence.
+    this scorer's identity can hit, so only they are indexed, by sentence,
+    and only if the ``sentence_sha256`` they carry is the sentence's.
     """
 
     def __init__(self, inner: SentenceScorer, path):
         self.inner = inner
+        self.identity = inner.identity
+        self.max_inflight = inner.max_inflight
         self.path = Path(path)
         self._lock = threading.Lock()
         self._memory: dict[str, tuple[float, int]] = {}
@@ -590,18 +598,10 @@ class CachingScorer(SentenceScorer):
         if self.path.exists():
             self._load()
 
-    @property
-    def identity(self) -> str:
-        return self.inner.identity
-
-    @property
-    def max_inflight(self) -> int:
-        return self.inner.max_inflight
-
     def _load(self) -> None:
         # a line that is not UTF-8 reads as U+FFFD, which is not JSON, so it
         # is skipped as a malformed record
-        identity = self.inner.identity
+        identity = self.identity
         for lineno, raw in enumerate(read_lines(self.path, undecodable="\ufffd"), 1):
             line = raw.strip()
             if not line:
@@ -616,29 +616,33 @@ class CachingScorer(SentenceScorer):
                 if type(backend) is not str or type(sentence) is not str:
                     raise TypeError("cached keys are not strings")
                 if backend == identity:
+                    hashed = "sentence_sha256" in record
+                    if hashed and record["sentence_sha256"] != _sha256(sentence):
+                        raise ValueError("sentence_sha256 is not the sentence's")
                     self._memory[sentence] = (total, count)
             except (ValueError, KeyError, TypeError):
                 # a torn trailing record from an interrupted run is expected;
-                # skip it, or any record whose values are not numbers or
-                # whose keys are not strings, and let the sentence be re-scored
+                # skip it, or any record whose values are not numbers, whose
+                # keys are not strings or whose hash is not its sentence's,
+                # and let the sentence be re-scored
                 logger.warning("skipping malformed cache record %s:%d", self.path, lineno)
 
     def _append(self, score: SentenceScore) -> None:
         record = {
             "backend": score.backend,
-            "sentence_sha256": hashlib.sha256(score.sentence.encode("utf-8")).hexdigest(),
+            "sentence_sha256": _sha256(score.sentence),
             "sentence": score.sentence,
             "total_logprob": score.total_logprob,
             "token_count": score.token_count,
         }
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            if score.backend == self.inner.identity:
+            if score.backend == self.identity:
                 self._memory[score.sentence] = (score.total_logprob, score.token_count)
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("a+b")
-                weakref.finalize(self, self._handle.close)
+                self._closer = weakref.finalize(self, _sync_and_close, self._handle)
                 # end a torn last line, so this record is not glued onto it
                 end = self._handle.seek(0, os.SEEK_END)
                 if end:
@@ -652,14 +656,7 @@ class CachingScorer(SentenceScorer):
         cached = self._memory.get(sentence)
         if cached is None:
             return None
-        total, count = cached
-        return SentenceScore(
-            sentence=sentence,
-            total_logprob=total,
-            token_count=count,
-            backend=self.inner.identity,
-            tokens=None,
-        )
+        return _score_from_fields((sentence, *cached, self.identity, None))
 
     def score(self, sentence: str) -> SentenceScore:
         _require_sentence(sentence)
@@ -669,6 +666,14 @@ class CachingScorer(SentenceScorer):
         fresh = self.inner.score(sentence)
         self._append(fresh)
         return fresh
+
+    def close(self) -> None:
+        """Force the records written so far to disk and close the append
+        handle; a later miss opens it again."""
+        with self._lock:
+            if self._handle is not None:
+                self._closer()
+                self._handle = None
 
 
 def make_scorer(

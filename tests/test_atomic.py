@@ -13,7 +13,7 @@ from roomsense.atomic import atomic_write, read_lines
 from roomsense.cli import main
 from roomsense.cooccurrence import read_table
 from roomsense.inference import read_predictions
-from roomsense.lm_scoring import load_bonus_table
+from roomsense.lm_scoring import CachingScorer, load_bonus_table
 
 from test_house_convert import HOUSE_TEXT
 
@@ -117,6 +117,52 @@ def test_every_file_the_chain_writes_reaches_disk_before_and_after_its_rename(
         *(f"reports/{stem}.{kind}" for stem in ("gt", "proxy")
           for kind in ("report.txt", "breakdown.csv")),
     ])
+
+
+def test_score_cache_reaches_disk_once_per_stage_after_its_last_record(tmp_path, monkeypatch):
+    # never once per record: each scoring stage syncs the cache when its
+    # scoring ends, so its records are on disk before its output is written
+    monkeypatch.chdir(tmp_path)
+    Path("h0.house").write_text(HOUSE_TEXT)
+    for argv in [
+        ("convert", "--house", "h0.house", "--out", "scene.txt"),
+        ("ingest", "--scene", "scene.txt", "--out", "clean.txt"),
+    ]:
+        assert main(list(argv)) == 0
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+    real_append = CachingScorer._append
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.fspath(dst)))
+        real_replace(src, dst)
+
+    def append(self, score):
+        real_append(self, score)
+        calls.append(("append",))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(CachingScorer, "_append", append)
+    cache = Path("cache", "scores.jsonl")
+    for argv, out in [
+        (("cooc", "--graph", "clean.txt", "--mode", "proxy"), "proxy.tsv"),
+        (("infer", "--graph", "clean.txt", "--cooc", "proxy.tsv"), "proxy.jsonl"),
+    ]:
+        calls.clear()
+        assert main([*argv, "--out", out, "--cache-dir", "cache"]) == 0
+        seen = [
+            call[0] for call in calls
+            if call[0] == "append" or call == ("replace", out)
+            or call[0] == "fsync" and os.path.samestat(call[1], os.stat(cache))
+        ]
+        appends = seen.count("append")
+        assert appends > 0
+        assert seen == ["append"] * appends + ["fsync", "replace"]
 
 
 # every separator str.splitlines knows

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -429,6 +430,37 @@ class TestClosedStdout:
         assert (done.returncode, done.stderr) == (0, b"")
         assert graph.read_bytes() == expected
         assert (tmp_path / "clean.txt.manifest.json").exists()
+
+    def test_ingest_in_process_points_stdout_at_the_null_device(
+        self, tmp_path, scene, unbuffered, monkeypatch
+    ):
+        # the branch the child runs above, where a line tracer sees it; only
+        # the pipe's descriptor is redirected, never this process's own stdout
+        graph = tmp_path / "clean.txt"
+        assert run("ingest", "--scene", scene, "--out", graph) == 0
+        expected = graph.read_bytes()
+        graph.unlink()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        devnull = os.stat(os.devnull)
+        pointed = []
+        real_dup2 = os.dup2
+
+        def dup2(fd, fd2):
+            assert fd2 == write_end
+            pointed.append(os.path.samestat(os.fstat(fd), devnull))
+            real_dup2(fd, fd2)
+
+        # as the interpreter opens stdout, with or without PYTHONUNBUFFERED
+        binary = open(write_end, "wb", buffering=0 if unbuffered else -1)
+        with io.TextIOWrapper(binary, write_through=unbuffered) as stdout, \
+                monkeypatch.context() as patch:
+            patch.setattr(os, "dup2", dup2)
+            patch.setattr(sys, "stdout", stdout)
+            assert run("ingest", "--scene", scene, "--out", graph) == 0
+            assert os.path.samestat(os.fstat(write_end), devnull)
+        assert pointed == [True]
+        assert graph.read_bytes() == expected
 
     def test_eval_writes_every_report(self, tmp_path, scene, unbuffered):
         pred_paths = []

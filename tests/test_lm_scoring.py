@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import socket
 import socketserver
@@ -389,7 +390,7 @@ _digest_lists = st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_si
 
 
 def _unit_float(digest: bytes) -> float:
-    """One SHA-256 digest mapped into [0, 1): its first 8 bytes as a
+    """One SHA-256 digest mapped into [0, 1]: its first 8 bytes as a
     big-endian integer over 2**64, the reference :func:`_unit_floats` meets."""
     return int.from_bytes(digest[:8], "big") / 2**64
 
@@ -859,6 +860,57 @@ class TestCachingScorer:
         assert sorted(r["sentence"] for r in records) == sorted(sentences)
         by_sentence = {r["sentence"]: r["total_logprob"] for r in records}
         assert [by_sentence[s] for s in sentences] == totals
+
+    @pytest.mark.parametrize("tamper", [
+        pytest.param(lambda r: r.update(sentence="kitchen sinks"), id="sentence-changed"),
+        pytest.param(lambda r: r.update(sentence_sha256="0" * 64), id="hash-changed"),
+        pytest.param(lambda r: r.update(sentence_sha256=None), id="hash-null"),
+    ])
+    def test_record_whose_hash_is_not_its_sentences_is_scored_again(
+        self, tmp_path, caplog, tamper
+    ):
+        path = tmp_path / "cache.jsonl"
+        CachingScorer(OfflineScorer(seed=1), path).score("kitchen sink")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        tamper(record)
+        record["total_logprob"] = -0.25  # what a hit would serve
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="roomsense.lm_scoring"):
+            cached = CachingScorer(OfflineScorer(seed=1), path)
+        assert f"skipping malformed cache record {path}:1" in caplog.text
+        assert cached._memory == {}
+        sentence = record["sentence"]
+        assert score_each(cached, [sentence]) == score_each(OfflineScorer(seed=1), [sentence])
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_close_syncs_the_file_once_and_a_later_miss_reopens_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.path.samestat(os.fstat(fd), os.stat(path)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        cached = CachingScorer(OfflineScorer(seed=1), path)
+        cached.close()  # nothing written, nothing to sync
+        assert synced == []
+        cached.score("one")
+        handle = cached._handle
+        cached.close()
+        cached.close()
+        assert synced == [True]
+        assert handle.closed and cached._handle is None
+        cached.score("two")  # opens the file again
+        handle = cached._handle
+        del cached
+        gc.collect()
+        assert synced == [True, True]  # collecting the scorer syncs too
+        assert handle.closed
+        assert [json.loads(line)["sentence"] for line in path.read_text().splitlines()] == [
+            "one", "two"
+        ]
 
 
 @pytest.fixture(autouse=True)
