@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from contextlib import closing
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atomic import atomic_write, read_lines
 from .lm_scoring import SentenceScorer, TransportError, score_totals
@@ -59,8 +59,7 @@ def softmax_from_logs(log_values) -> tuple[float, ...]:
     return tuple(x / norm for x in exps)
 
 
-@dataclass(frozen=True)
-class CooccurrenceTable:
+class CooccurrenceTable(NamedTuple):
     """Per-object-label conditional distribution over room labels.
 
     ``rows[o]`` is a probability vector aligned with ``room_labels``;

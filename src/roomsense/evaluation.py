@@ -14,14 +14,13 @@ majority is the most frequent ground-truth label's share. A
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .atomic import atomic_write
 from .inference import GraphClassification, TrialCondition
 
 
-@dataclass(frozen=True)
-class LabelStats:
+class LabelStats(NamedTuple):
     correct: int
     total: int
 
@@ -32,8 +31,7 @@ class LabelStats:
         return self.correct / self.total
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     condition: TrialCondition
     room_labels: tuple[str, ...]
     overall_accuracy: float
@@ -78,8 +76,7 @@ def evaluate(run: GraphClassification) -> EvalReport:
     )
 
 
-@dataclass(frozen=True)
-class ConditionTable:
+class ConditionTable(NamedTuple):
     """Accuracy per (row label, object space) cell; rows and columns derive from its keys."""
 
     accuracy: dict[tuple[str, str], float]  # (row label, object_space) -> value
@@ -193,7 +190,7 @@ def write_report(report: EvalReport, path, manifest_id: str | None = None) -> No
     """Structured (JSON) form of the report."""
     payload = {
         "manifest": manifest_id,
-        "condition": asdict(report.condition),
+        "condition": report.condition._asdict(),
         "room_labels": list(report.room_labels),
         "overall_accuracy": report.overall_accuracy,
         "per_label": {

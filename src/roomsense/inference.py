@@ -17,15 +17,15 @@ room with no usable object label, or whose scorer calls fail (after the
 backend's own retries), is marked failed and reported, never silently
 skipped: silent exclusion would inflate accuracy invisibly.
 
-:class:`Candidate` is a named tuple: immutable, compared and hashed as its
-``(room label, sentence, total)`` triple, and cheap to build once per room
-label of every classified or read-back room.
+Every record here is a named tuple, compared as the tuple of its fields;
+a :class:`Candidate`, cheap to build once per room label of every
+classified or read-back room, hashes as its ``(room label, sentence,
+total)`` triple.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -38,8 +38,7 @@ from .scene_model import SceneGraph
 _FORMAT = "roomsense-predictions/v1"
 
 
-@dataclass(frozen=True)
-class TrialCondition:
+class TrialCondition(NamedTuple):
     """Everything that pins down one run of the pipeline."""
 
     object_space: str
@@ -62,8 +61,7 @@ class Candidate(NamedTuple):
 _candidate_from_triple = partial(tuple.__new__, Candidate)
 
 
-@dataclass(frozen=True)
-class RoomPrediction:
+class RoomPrediction(NamedTuple):
     room_id: str
     selected_objects: tuple[str, ...]
     candidates: tuple[Candidate, ...]
@@ -75,14 +73,12 @@ class RoomPrediction:
         return argmax_label(self.candidates)
 
 
-@dataclass(frozen=True)
-class RoomFailure:
+class RoomFailure(NamedTuple):
     room_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class GraphClassification:
+class GraphClassification(NamedTuple):
     predictions: tuple[RoomPrediction, ...]
     failures: tuple[RoomFailure, ...]
     condition: TrialCondition
@@ -189,7 +185,7 @@ def write_predictions(
     header = {
         "kind": "header",
         "format": _FORMAT,
-        **asdict(result.condition),
+        **result.condition._asdict(),
         "manifest": manifest_id,
     }
     with atomic_write(path) as handle:

@@ -141,7 +141,8 @@ class SentenceScorer:
     max_inflight = 1
 
     def close(self) -> None:
-        """Release what the scorer holds; most backends hold nothing."""
+        """Release what the scorer holds, such as open connections or a
+        cache's file handle; the scorer stays usable. Offline holds nothing."""
 
 
 def _require_sentence(sentence: str) -> None:
@@ -481,7 +482,8 @@ class RemoteScorer(SentenceScorer):
     ``requests.Session``; it is used as given, and the scorer retries any
     ``OSError`` it raises. Without one the scorer builds its own, a
     standard-library session that keeps no more connections open than POSTs
-    were in flight at once: under :func:`score_totals`, ``max_inflight``.
+    were in flight at once: under :func:`score_totals`, ``max_inflight``;
+    :meth:`close` closes them, and leaves an injected session alone.
     It ignores ``HTTP(S)_PROXY`` and ``.netrc``, and verifies https
     against the system's CA store. ``http.client`` is imported only then,
     and nowhere else in the package: offline runs and injected sessions
@@ -514,9 +516,8 @@ class RemoteScorer(SentenceScorer):
         self._headers = {"Content-Type": "application/json"}
         if api_key:  # kept only in the headers, so no record or message holds it
             self._headers["Authorization"] = f"Bearer {api_key}"
-        if session is None:
-            session = _Session(self.endpoint)
-        self._session = session
+        self._owns_session = session is None
+        self._session = _Session(self.endpoint) if session is None else session
 
     def _post_once(self, sentence: str) -> SentenceScore:
         """Send one POST; raise a fault worth a retry as an ``OSError`` or a
@@ -557,6 +558,12 @@ class RemoteScorer(SentenceScorer):
         raise TransportError(
             f"backend failed after {self.max_attempts} attempts: {last}", sentence
         )
+
+    def close(self) -> None:
+        """Close the idle connections of the session the scorer built; a
+        later POST opens a new one."""
+        if self._owns_session:
+            self._session.close()
 
 
 def _sha256(text: str) -> str:
@@ -669,11 +676,12 @@ class CachingScorer(SentenceScorer):
 
     def close(self) -> None:
         """Force the records written so far to disk and close the append
-        handle; a later miss opens it again."""
+        handle, then close the inner scorer; a later miss opens both again."""
         with self._lock:
             if self._handle is not None:
                 self._closer()
                 self._handle = None
+        self.inner.close()
 
 
 def make_scorer(

@@ -19,8 +19,7 @@ is its one-object, one-label case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .scene_model import normalize_label
 
@@ -33,8 +32,7 @@ _AN_EXCEPTIONS = frozenset({"utility room", "utility closet"})
 _VOWELS = frozenset("aeiou")
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
+class QueryTemplate(NamedTuple):
     """String format for query sentences.
 
     ``article_mode`` selects how "a(n)" is resolved: ``grammatical`` picks

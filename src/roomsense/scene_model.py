@@ -1,17 +1,16 @@
 """Core domain types for room/object scene graphs.
 
 Everything downstream (ingestion, co-occurrence statistics, inference,
-evaluation) operates on these types, and none of them does I/O. The
-records a parse builds once per box, room and object (:class:`BoundingBox`,
-:class:`ObjectNode`, :class:`RoomNode`) are named tuples: immutable,
-compared as the tuples of their fields, and cheap to build, so a
-graph of tens of thousands of objects parses without a per-field attribute
-store. The parsers build them positionally, boxes through the one
-ordered-corner check and nodes with :data:`object_from_fields` and
-:data:`room_from_fields`; a stage that changes a node still builds a new
-one with ``_replace``.
-:class:`LabelSpace` and :class:`SceneGraph` are frozen dataclasses, and
-a graph caches derived data. The parsers normalize every label string
+evaluation) operates on these types, and none of them does I/O. Every
+record (:class:`LabelSpace`, :class:`BoundingBox`, :class:`ObjectNode`,
+:class:`RoomNode`) is a named tuple: immutable, compared as the tuple of
+its fields, and cheap to build, so a graph of tens of thousands of objects
+parses without a per-field attribute store. The parsers build boxes and
+nodes positionally, boxes through the one ordered-corner check and nodes
+with :data:`object_from_fields` and :data:`room_from_fields`; a stage that
+changes a node still builds a new one with ``_replace``.
+:class:`SceneGraph` is a frozen dataclass, the package's only one, because
+it caches derived data. The parsers normalize every label string
 (:func:`normalize_label`), so comparisons stay stable across data sources
 that mix capitalization.
 
@@ -52,8 +51,7 @@ def normalize_label(label: str) -> str:
     return " ".join(label.split()).lower()
 
 
-@dataclass(frozen=True)
-class LabelSpace:
+class LabelSpace(NamedTuple):
     """A named, ordered set of category strings.
 
     ``labels`` keeps declaration order (it defines column order in

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 import weakref
@@ -19,13 +20,15 @@ from roomsense.cli import main
 from roomsense.cooccurrence import read_table
 from roomsense.inference import read_predictions
 from roomsense.ingest import parse_scene_file
-from roomsense.lm_scoring import OfflineScorer, TransportError
+from roomsense.lm_scoring import OfflineScorer, TransportError, make_scorer
 from roomsense.querygen import render_proxy_query
 
 from conftest import scene_file_text
 from test_house_convert import HOUSE_TEXT
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
-from test_lm_scoring import _Handler, _offline_oracle, mock_endpoint  # noqa: F401 (fixture)
+from test_lm_scoring import (  # noqa: F401 (fixture)
+    _CountingEndpoint, _Handler, _offline_oracle, mock_endpoint,
+)
 
 
 @pytest.fixture
@@ -1168,6 +1171,97 @@ class TestFaultSchedules:
             assert sorted(posted) == sorted(needed - cached)
 
         schedule()
+
+
+class TestKillAnywhereResume:
+    """A remote ``cooc --mode proxy`` then ``infer``, each a child process
+    that the endpoint kills with SIGKILL once it has answered the chain's
+    N-th POST, resumes on a rerun: the outputs are an uninterrupted run's
+    bytes, and only what the killed run did not cache is sent again.
+
+    The kill lands wherever the child is when that answer arrives: waiting
+    on a POST, in a cache append or in a file write (ROADMAP item 9)."""
+
+    MAX_INFLIGHT = 2
+    OUTS = ("proxy.tsv", "p.jsonl")
+
+    @pytest.mark.parametrize("model_flags", [
+        pytest.param(["--model", "m"], id="model"),
+        pytest.param([], id="no-model",
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP bug (a)")),
+    ])
+    def test_a_killed_chain_resumes_to_the_same_bytes(
+        self, tmp_path, scene, monkeypatch, caplog, model_flags
+    ):
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
+        env = _child_env()
+        runs = itertools.count()
+        with _CountingEndpoint(reply=_offline_oracle).serving() as endpoint:
+            remote = ["--backend", "remote", "--endpoint", endpoint.url, *model_flags,
+                      "--max-inflight", str(self.MAX_INFLIGHT), "--cache-dir", "cache"]
+            # relative paths, so every run's manifest ids are the same
+            stages = [
+                ["cooc", "--graph", "../clean.txt", "--out", "proxy.tsv", "--mode", "proxy",
+                 *remote],
+                ["infer", "--graph", "../clean.txt", "--cooc", "proxy.tsv", "--out", "p.jsonl",
+                 *remote],
+            ]
+
+            def chain(work, kill_after=None) -> None:
+                """Run the stages in ``work``; a stage that is killed ends the chain."""
+                with endpoint.lock:
+                    endpoint.kill_after = kill_after and endpoint.posts + kill_after
+                for argv in stages:
+                    child = subprocess.Popen(
+                        [sys.executable, "-m", "roomsense", *argv], cwd=work, env=env,
+                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                    )
+                    endpoint.victim = child
+                    _, err = child.communicate(timeout=120)
+                    if child.returncode == -signal.SIGKILL:
+                        return
+                    assert child.returncode == 0, err
+
+            def fresh() -> Path:
+                work = tmp_path / f"run-{next(runs)}"
+                work.mkdir()
+                return work
+
+            uninterrupted = fresh()
+            chain(uninterrupted)
+            # a chain from an empty cache sends each distinct sentence once
+            distinct = endpoint.posts
+            expected = {name: (uninterrupted / name).read_bytes() for name in self.OUTS}
+
+            def killed_after(n):
+                first = endpoint.posts
+                work = fresh()
+                chain(work, kill_after=n)
+                for name in self.OUTS:
+                    out = work / name
+                    assert not out.exists() or out.read_bytes() == expected[name], name
+                # the killed run's cache loads, skipping at most a torn last record
+                caplog.clear()
+                make_scorer("remote", cache_path=work / "cache" / "scores.jsonl",
+                            endpoint=endpoint.url, model=model_flags[-1] if model_flags else None)
+                assert len([r for r in caplog.records if "malformed" in r.getMessage()]) <= 1
+                chain(work)
+                for name in self.OUTS:
+                    assert (work / name).read_bytes() == expected[name], name
+                assert endpoint.posts - first <= distinct + self.MAX_INFLIGHT
+
+            if not model_flags:
+                killed_after(distinct // 2)
+                return
+
+            @settings(max_examples=4, deadline=None, derandomize=True)
+            @example(distinct)  # after the last answer: an append or a file write
+            @given(st.integers(1, distinct))
+            def any_kill(n):
+                killed_after(n)
+
+            any_kill()
 
 
 # Runs in a fresh interpreter, because pytest has already imported http.client

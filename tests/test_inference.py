@@ -441,9 +441,9 @@ class TestPredictionFiles:
         before = path.read_bytes()
         # the second room's record cannot be serialized, so the write
         # stops after the header and the first room
-        broken = dataclasses.replace(result.predictions[1], gt_label=object())
-        rerun = dataclasses.replace(
-            result, predictions=(result.predictions[0], broken, *result.predictions[2:])
+        broken = result.predictions[1]._replace(gt_label=object())
+        rerun = result._replace(
+            predictions=(result.predictions[0], broken, *result.predictions[2:])
         )
         with pytest.raises(TypeError):
             write_predictions(rerun, path, manifest_id="m2")

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -1207,16 +1208,16 @@ class TestRemoteScorer:
             results = score_each(scorer, [f"sentence {i} x" for i in range(64)])
         finally:
             sys.setswitchinterval(interval)
-            scorer._session.close()
+            scorer.close()
         assert all(isinstance(r, float) for r in results)
         # 64 requests, 16 at a time, over at most 16 kept-alive connections
         assert len(counting_endpoint.clients) <= 16
 
-    def test_injected_session_is_left_as_given(self):
+    def test_injected_session_is_left_as_given(self, tmp_path):
         # a fresh interpreter, because pytest has already imported http.client
         done = subprocess.run(
             [sys.executable, "-c", _INJECTED_SESSION,
-             str(Path(lm_scoring.__file__).resolve().parents[1])],
+             str(Path(lm_scoring.__file__).resolve().parents[1]), str(tmp_path / "c.jsonl")],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -1262,6 +1263,7 @@ class TestRemoteScorer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
 
             def do_POST(self):
                 connections.append(self.connection)
@@ -1291,7 +1293,7 @@ class TestRemoteScorer:
             connections[0].shutdown(socket.SHUT_RDWR)
             assert scorer.score("c d").total_logprob == -1.0
         finally:
-            scorer._session.close()
+            scorer.close()
             server.shutdown()
             server.server_close()
             thread.join()
@@ -1379,7 +1381,7 @@ _INJECTED_SESSION = """
 import sys
 
 sys.path.insert(0, sys.argv[1])
-from roomsense.lm_scoring import RemoteScorer
+from roomsense.lm_scoring import CachingScorer, RemoteScorer
 
 
 class Response:
@@ -1393,28 +1395,53 @@ class Session:
     def post(self, url, json=None, headers=None, timeout=None):
         return Response()
 
+    def close(self):
+        raise AssertionError("the scorer closed an injected session")
+
 
 session = Session()
 scorer = RemoteScorer(endpoint="http://127.0.0.1:9/", session=session)
 assert scorer._session is session
 assert scorer.score("a b").total_logprob == -1.5
 assert "http.client" not in sys.modules
+scorer.close()
+CachingScorer(scorer, sys.argv[2]).close()
 """
 
 
 class _CountingEndpoint:
-    """Keep-alive endpoint that records requests in flight and client ports."""
+    """Keep-alive endpoint that answers with ``reply(payload)``'s body and
+    records requests in flight, client ports, and how many connections it
+    has opened and closed. Once it has answered POST number ``kill_after``
+    it kills the child process ``victim``."""
 
-    def __init__(self, latency_s: float):
+    def __init__(self, latency_s: float = 0.0, reply=_echo_logprobs):
         self.lock = threading.Lock()
         self.active = 0
         self.peak = 0
         self.posts = 0
         self.clients: set[int] = set()
+        self.opened = 0
+        self.closed = 0
+        self.kill_after = None
+        self.victim = None
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with endpoint.lock:
+                    endpoint.opened += 1
+
+            def finish(self):
+                try:
+                    super().finish()
+                finally:
+                    with endpoint.lock:
+                        endpoint.closed += 1
 
             def do_POST(self):
                 with endpoint.lock:
@@ -1422,37 +1449,96 @@ class _CountingEndpoint:
                     endpoint.posts += 1
                     endpoint.peak = max(endpoint.peak, endpoint.active)
                     endpoint.clients.add(self.client_address[1])
+                    # the child that sent this POST
+                    victim = endpoint.victim if endpoint.posts == endpoint.kill_after else None
                 time.sleep(latency_s)
                 length = int(self.headers["Content-Length"])
-                payload = json.loads(self.rfile.read(length))
-                _, body = _echo_logprobs(payload)
-                data = json.dumps(body).encode()
+                raw = self.rfile.read(length)
                 with endpoint.lock:
                     endpoint.active -= 1
+                if len(raw) < length:  # a killed client's request, cut short
+                    self.close_connection = True
+                    return
+                _, body = reply(json.loads(raw))
+                data = json.dumps(body).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+                if victim is not None:
+                    victim.kill()
 
             def log_message(self, *args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def handle_error(self, request, client_address):
+                # a killed client's connections reset while they are answered
+                if not isinstance(sys.exc_info()[1], ConnectionError):
+                    super().handle_error(request, client_address)
+
+        self.server = Server(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_port}/"
+
+    @contextlib.contextmanager
+    def serving(self):
+        thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        thread.start()
+        try:
+            yield self
+        finally:
+            self.server.shutdown()
+            self.server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def all_closed(self, timeout_s: float = 5.0) -> bool:
+        """Whether every connection opened so far is closed within ``timeout_s``.
+
+        Handler threads are daemons, so shutting the server down shows
+        nothing about the connections they hold.
+        """
+        deadline = time.monotonic() + timeout_s
+        while True:
+            with self.lock:
+                if self.closed == self.opened:
+                    return True
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
 
 
 @pytest.fixture
 def counting_endpoint():
-    endpoint = _CountingEndpoint(latency_s=0.05)
-    thread = threading.Thread(
-        target=endpoint.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield endpoint
-    endpoint.server.shutdown()
-    endpoint.server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with _CountingEndpoint(latency_s=0.05).serving() as endpoint:
+        yield endpoint
+
+
+class TestCloseReleasesConnections:
+    """``close()`` closes every connection the scorer's own session opened,
+    also through a cache (``test_injected_session_is_left_as_given`` shows
+    that an injected session is not closed)."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["remote", "cached-remote"])
+    def test_every_connection_the_scorer_opened_is_closed(
+        self, counting_endpoint, tmp_path, cached
+    ):
+        scorer = RemoteScorer(endpoint=counting_endpoint.url, model="test-lm", max_inflight=4)
+        if cached:
+            scorer = CachingScorer(scorer, tmp_path / "scores.jsonl")
+        results = score_each(scorer, [f"sentence {i} x" for i in range(8)])
+        assert all(isinstance(r, float) for r in results)
+        # kept alive, until the scorer is closed
+        assert counting_endpoint.opened > 1 and counting_endpoint.closed == 0
+        scorer.close()
+        assert counting_endpoint.all_closed()
+        # a closed scorer still scores, on a new connection
+        assert isinstance(score_each(scorer, ["one more x"])[0], float)
+        assert counting_endpoint.closed < counting_endpoint.opened
+        scorer.close()
+        assert counting_endpoint.all_closed()
 
 
 class TestFlatScoringStage:
@@ -1468,7 +1554,7 @@ class TestFlatScoringStage:
             endpoint=counting_endpoint.url, model="test-lm", max_inflight=4
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
-        scorer._session.close()
+        scorer.close()
         assert len(result.predictions) == len(rooms) and result.failures == ()
         # two sentences per room: a per-room barrier would cap this at 2
         assert counting_endpoint.peak == 4
@@ -1491,7 +1577,7 @@ class TestDistinctSentences:
             endpoint=mock_endpoint, model="test-lm", max_inflight=2
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
-        scorer._session.close()
+        scorer.close()
         assert [p.room_id for p in result.predictions] == ["r-a", "r-b", "r-c"]
         a, b, _ = result.predictions
         assert a.selected_objects == b.selected_objects
@@ -1518,7 +1604,7 @@ class TestDistinctSentences:
             endpoint=mock_endpoint, model="test-lm", max_attempts=5
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
-        scorer._session.close()
+        scorer.close()
         assert [p.room_id for p in result.predictions] == ["r-c"]
         assert [f.room_id for f in result.failures] == ["r-a", "r-b"]
         reasons = [f.reason.split(": ", 1)[1] for f in result.failures]
