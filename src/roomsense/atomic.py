@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from functools import partial
 from pathlib import Path
 from typing import Iterator
@@ -27,8 +28,14 @@ def atomic_write(path):
     would give it. Its data is forced to disk before the move, and on POSIX
     the directory entry after it, so an OS crash or a power loss also
     leaves either the previous file or the complete new one.
+
+    A writer killed inside the block leaves its new file behind. On POSIX
+    each write first removes those of earlier writers of ``path`` whose
+    process is gone, so a rerun leaves none.
     """
     path = Path(path)
+    if os.name == "posix":
+        _sweep(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8")
     try:
@@ -47,6 +54,25 @@ def atomic_write(path):
             os.fsync(directory)
         finally:
             os.close(directory)
+
+
+def _sweep(path: Path) -> None:
+    """Remove the new files that killed writers of ``path`` left behind:
+    ``.<name>.<pid>.<8 hex>.tmp`` where no process ``pid`` exists. POSIX
+    only: on Windows ``os.kill(pid, 0)`` terminates the process."""
+    # a pid as os.getpid() writes it, of at most 9 digits: it fits os.kill's C int
+    stale = re.compile(re.escape(f".{path.name}.") + r"([1-9][0-9]{0,8})\.[0-9a-f]{8}\.tmp")
+    for name in os.listdir(path.parent):
+        match = stale.fullmatch(name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):  # another writer swept it first
+                os.unlink(path.parent / name)
+        except PermissionError:  # another user's live process
+            pass
 
 
 # Lines are read in blocks of whole lines of about this many bytes: a block

@@ -212,7 +212,8 @@ def cmd_ingest(args) -> int:
     if not graph.rooms:
         raise ValueError("preprocessing leaves no room: every room is filtered out or empty")
 
-    with _manifested(args, args.out, args.scene) as manifest_id:
+    inputs = args.scene + ([args.spelling_fixes] if args.spelling_fixes else [])
+    with _manifested(args, args.out, inputs) as manifest_id:
         ingest.write_scene_file(graph, args.out, manifest_id=manifest_id)
 
     total = len(graph.rooms)

@@ -1,14 +1,15 @@
 """Shared fixtures: small hand-built graphs, scene-file builders, a
 one-label query renderer, a one-result-per-sentence view of
-``score_totals``, the scene-graph invariant oracle and a simulated clock
-for the scoring layer."""
+``score_totals``, the scene-graph invariant oracle, a simulated clock
+for the scoring layer and a scheduled endpoint."""
 
 from __future__ import annotations
 
 import pytest
 
+from endpoint import Endpoint
 from roomsense import lm_scoring
-from roomsense.lm_scoring import TransportError, score_totals
+from roomsense.lm_scoring import OfflineScorer, TransportError, score_totals
 from roomsense.querygen import render_room_queries
 from roomsense.scene_model import (
     BoundingBox,
@@ -203,3 +204,26 @@ def clock(monkeypatch) -> SimulatedClock:
     simulated = SimulatedClock()
     monkeypatch.setattr(lm_scoring, "_sleep", simulated.sleep)
     return simulated
+
+
+@pytest.fixture
+def mock_endpoint():
+    """An :class:`Endpoint` for a per-POST schedule. HTTP/1.0, because the
+    scorer resends a dropped answer on a reused connection: a POST the
+    schedule does not expect."""
+    with Endpoint(keep_alive=False).serving() as endpoint:
+        yield endpoint
+
+
+_ORACLE = OfflineScorer(seed=0)
+
+
+def offline_oracle(payload):
+    """Answers with the offline scorer's token logprobs, every one of them, so
+    a remote total sums to the offline total exactly."""
+    tokens = _ORACLE.score(payload["prompt"]).tokens
+    return 200, {
+        "model": "offline-oracle",
+        "tokens": [t.token for t in tokens],
+        "token_logprobs": [t.logprob for t in tokens],
+    }

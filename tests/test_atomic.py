@@ -2,13 +2,16 @@ import contextlib
 import json
 import os
 import re
+import signal
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from roomsense import house_convert, ingest
+from roomsense import atomic, house_convert, ingest
 from roomsense.atomic import atomic_write, read_lines
 from roomsense.cli import main
 from roomsense.cooccurrence import read_table
@@ -49,6 +52,36 @@ def test_failed_first_write_creates_nothing(tmp_path):
         with atomic_write(path):
             raise Interrupted
     assert os.listdir(tmp_path) == []
+
+
+# A child that SIGKILLs itself inside the block, after its first write.
+_KILLED_WRITER = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from roomsense.atomic import atomic_write
+with atomic_write(sys.argv[2]) as handle:
+    handle.write("half of the new")
+    handle.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="killed writers are swept on POSIX only")
+def test_a_rerun_removes_the_file_a_killed_writer_left(tmp_path):
+    path = tmp_path / "p.jsonl"
+    src = Path(atomic.__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "-c", _KILLED_WRITER, src, path], timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    (left,) = os.listdir(tmp_path)
+    pid = re.fullmatch(r"\.p\.jsonl\.([0-9]+)\.[0-9a-f]{8}\.tmp", left)[1]
+    # a live writer's file, and files no writer of p.jsonl names so, stay
+    kept = [f".p.jsonl.{os.getpid()}.0123abcd.tmp", f".p.jsonl.{pid}.0123abcd.tmp.bak",
+            f".q.jsonl.{pid}.0123abcd.tmp"]
+    for name in kept:
+        (tmp_path / name).write_text("")
+    with atomic_write(path) as handle:
+        handle.write("new\n")
+    assert sorted(os.listdir(tmp_path)) == sorted(["p.jsonl", *kept])
 
 
 def test_permissions_match_a_plain_open(tmp_path):

@@ -23,12 +23,10 @@ from roomsense.ingest import parse_scene_file
 from roomsense.lm_scoring import OfflineScorer, TransportError, make_scorer
 from roomsense.querygen import render_proxy_query
 
-from conftest import scene_file_text
+from conftest import offline_oracle, scene_file_text
+from endpoint import Endpoint
 from test_house_convert import HOUSE_TEXT
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
-from test_lm_scoring import (  # noqa: F401 (fixture)
-    _CountingEndpoint, _Handler, _offline_oracle, mock_endpoint,
-)
 
 
 @pytest.fixture
@@ -359,14 +357,19 @@ class TestObjectSpaceConditions:
 
     def test_spelling_fixes_file_replaces_the_packaged_table(self, tmp_path, scene):
         fixes = tmp_path / "t.txt"
-        fixes.write_text("sofa\tcouch\n")
         graph = tmp_path / "clean.txt"
-        assert run("ingest", "--scene", scene, "--out", graph, "--spelling-fixes", fixes) == 0
-        labels = {obj.id: obj.label_per_space for obj in parse_scene_file(graph).objects}
-        # the file's own correction is applied, in every space
-        assert labels["o-sofa"] == {"mpcat40": "couch", "nyuclass": "couch"}
-        # the packaged table's correction is not
-        assert labels["o-fridge"]["nyuclass"] == "refridgerator"
+        ids = []
+        for correction in ("couch", "settee"):
+            fixes.write_text(f"sofa\t{correction}\n")
+            assert run("ingest", "--scene", scene, "--out", graph, "--spelling-fixes", fixes) == 0
+            labels = {obj.id: obj.label_per_space for obj in parse_scene_file(graph).objects}
+            # the file's own correction is applied, in every space
+            assert labels["o-sofa"] == {"mpcat40": correction, "nyuclass": correction}
+            # the packaged table's correction is not
+            assert labels["o-fridge"]["nyuclass"] == "refridgerator"
+            ids.append(json.loads(Path(f"{graph}.manifest.json").read_text())["manifest_id"])
+        # the file's content is an input: the same command with an edited file gets another id
+        assert ids[0] != ids[1]
 
     def test_duplicate_conditions_rejected(self, tmp_path, scene):
         graph = tmp_path / "clean.txt"
@@ -945,8 +948,8 @@ class TestFailingEndpointCost:
     REMOTE = ("--backend", "remote", "--max-attempts", "2")
 
     @pytest.fixture
-    def graph(self, tmp_path, scene, clock):
-        _Handler.behaviors = [lambda payload: (503, {"error": "unavailable"})]
+    def graph(self, tmp_path, scene, clock, mock_endpoint):
+        mock_endpoint.behaviors = [lambda payload: (503, {"error": "unavailable"})]
         graph = tmp_path / "clean.txt"
         run("ingest", "--scene", scene, "--out", graph)
         return graph
@@ -960,8 +963,8 @@ class TestFailingEndpointCost:
             for room in scene_graph.room_space.labels
         }
         assert run("cooc", "--graph", graph, "--out", tmp_path / "proxy.tsv", "--mode", "proxy",
-                   *self.REMOTE, "--endpoint", mock_endpoint) == 3
-        assert _Handler.calls == len(sentences) * 2
+                   *self.REMOTE, "--endpoint", mock_endpoint.url) == 3
+        assert mock_endpoint.posts == len(sentences) * 2
 
     def test_infer(self, tmp_path, graph, mock_endpoint):
         cooc = tmp_path / "cooc.tsv"
@@ -972,8 +975,8 @@ class TestFailingEndpointCost:
             c.sentence for p in read_predictions(offline).predictions for c in p.candidates
         }
         assert run("infer", "--graph", graph, "--cooc", cooc, "--out", tmp_path / "p.jsonl",
-                   *self.REMOTE, "--endpoint", mock_endpoint) == 3
-        assert _Handler.calls == len(sentences) * 2
+                   *self.REMOTE, "--endpoint", mock_endpoint.url) == 3
+        assert mock_endpoint.posts == len(sentences) * 2
 
 
 def _table_lines(path) -> list[str]:
@@ -996,16 +999,16 @@ class TestRemoteMatchesOffline:
     ):
         monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
         monkeypatch.chdir(tmp_path)
-        _Handler.behaviors = [_offline_oracle]
+        mock_endpoint.behaviors = [offline_oracle]
         run("ingest", "--scene", scene, "--out", "clean.txt")
         run("cooc", "--graph", "clean.txt", "--out", "gt.tsv")
-        remote = ["--backend", "remote", "--endpoint", mock_endpoint, *flags]
+        remote = ["--backend", "remote", "--endpoint", mock_endpoint.url, *flags]
         for name, backend in (("offline", []), ("remote", remote)):
             assert run("cooc", "--graph", "clean.txt", "--out", f"{name}.tsv",
                        "--mode", "proxy", *backend) == 0
             assert run("infer", "--graph", "clean.txt", "--cooc", "gt.tsv",
                        "--out", f"{name}.jsonl", *backend) == 0
-        assert _Handler.calls > 0
+        assert mock_endpoint.posts > 0
         assert _table_lines("remote.tsv") == _table_lines("offline.tsv")
         remote_lines = Path("remote.jsonl").read_text().splitlines()
         offline_lines = Path("offline.jsonl").read_text().splitlines()
@@ -1029,12 +1032,12 @@ class TestApiKey:
         self, tmp_path, scene, mock_endpoint, monkeypatch, capsys, caplog, status
     ):
         monkeypatch.setenv(lm_scoring.API_KEY_ENV, self.KEY)
-        _Handler.behaviors = [
-            _offline_oracle if status == 200 else lambda p: (401, {"error": "unauthorised"})
+        mock_endpoint.behaviors = [
+            offline_oracle if status == 200 else lambda p: (401, {"error": "unauthorised"})
         ]
-        assert self._proxy_cooc(tmp_path, scene, mock_endpoint) == (0 if status == 200 else 3)
-        assert _Handler.calls > 0
-        assert _Handler.authorizations == [f"Bearer {self.KEY}"] * _Handler.calls
+        assert self._proxy_cooc(tmp_path, scene, mock_endpoint.url) == (0 if status == 200 else 3)
+        assert mock_endpoint.posts > 0
+        assert mock_endpoint.authorizations == [f"Bearer {self.KEY}"] * mock_endpoint.posts
         written = [path for path in tmp_path.rglob("*") if path.is_file()]
         assert (tmp_path / "proxy.tsv.manifest.json" in written) == (status == 200)
         assert not any(self.KEY in path.read_text() for path in written)
@@ -1045,16 +1048,16 @@ class TestApiKey:
         self, tmp_path, scene, mock_endpoint, monkeypatch
     ):
         monkeypatch.delenv(lm_scoring.API_KEY_ENV, raising=False)
-        _Handler.behaviors = [_offline_oracle]
-        assert self._proxy_cooc(tmp_path, scene, mock_endpoint) == 0
-        assert _Handler.calls > 0
-        assert _Handler.authorizations == [None] * _Handler.calls
+        mock_endpoint.behaviors = [offline_oracle]
+        assert self._proxy_cooc(tmp_path, scene, mock_endpoint.url) == 0
+        assert mock_endpoint.posts > 0
+        assert mock_endpoint.authorizations == [None] * mock_endpoint.posts
 
 
 # One endpoint answer per outcome of a POST, and the text that a failure
 # record gives for it.
 _OUTCOMES = {
-    "ok": (_offline_oracle, None),
+    "ok": (offline_oracle, None),
     "429": (lambda p: (429, {"error": "slow down"}), "HTTP 429"),
     "429 Retry-After": (lambda p: (429, {"error": "slow down"}, {"Retry-After": "7"}),
                         "HTTP 429"),
@@ -1097,13 +1100,7 @@ class TestFaultSchedules:
             json.loads(line)["room_id"]: line
             for line in (tmp_path / "offline.jsonl").read_text().splitlines()[1:]
         }
-        posted = []
-
-        def healthy(payload):
-            posted.append(payload["prompt"])
-            return _offline_oracle(payload)
-
-        remote = ["--backend", "remote", "--endpoint", mock_endpoint, "--max-inflight", "1",
+        remote = ["--backend", "remote", "--endpoint", mock_endpoint.url, "--max-inflight", "1",
                   *model_flags, "--cache-dir", "cache"]
         runs = itertools.count()
 
@@ -1113,26 +1110,26 @@ class TestFaultSchedules:
             work = tmp_path / f"run-{next(runs)}"
             work.mkdir()
             monkeypatch.chdir(work)
-            _Handler.calls = 0
+            mock_endpoint.posts = 0
             cooc_rc = run("cooc", "--graph", clean, "--out", "proxy.tsv", "--mode", "proxy",
                           *remote)
-            _Handler.calls = 0
+            mock_endpoint.posts = 0
             return cooc_rc, run("infer", "--graph", clean, "--cooc", gt, "--out", "p.jsonl",
                                 *remote)
 
         # the sentences the two stages need
-        _Handler.behaviors = [healthy]
+        mock_endpoint.behaviors = [offline_oracle]
         assert stages() == (0, 0)
-        needed = set(posted)
+        needed = set(mock_endpoint.prompts)
 
         @settings(max_examples=19, deadline=None, derandomize=True)
         @example(["ok"], True)
         @given(st.lists(st.sampled_from(list(_OUTCOMES)), min_size=1, max_size=60),
                st.booleans())
         def schedule(outcomes, recovers):
-            _Handler.behaviors = [_OUTCOMES[name][0] for name in outcomes]
+            mock_endpoint.behaviors = [_OUTCOMES[name][0] for name in outcomes]
             if recovers:
-                _Handler.behaviors.append(_offline_oracle)
+                mock_endpoint.behaviors.append(offline_oracle)
             faults = {_OUTCOMES[name][1] for name in outcomes} - {None}
             cooc_rc, infer_rc = stages()
 
@@ -1160,15 +1157,15 @@ class TestFaultSchedules:
                 json.loads(line)["sentence"]
                 for line in (cache.read_text().splitlines() if cache.exists() else ())
             }
-            _Handler.behaviors = [healthy]
-            posted.clear()
+            mock_endpoint.behaviors = [offline_oracle]
+            mock_endpoint.prompts.clear()
             assert run("cooc", "--graph", clean, "--out", "proxy.tsv", "--mode", "proxy",
                        *remote) == 0
             assert run("infer", "--graph", clean, "--cooc", gt, "--out", "p.jsonl",
                        *remote) == 0
             assert _table_lines("proxy.tsv") == offline_table
             assert Path("p.jsonl").read_text().splitlines()[1:] == list(offline_rooms.values())
-            assert sorted(posted) == sorted(needed - cached)
+            assert sorted(mock_endpoint.prompts) == sorted(needed - cached)
 
         schedule()
 
@@ -1197,7 +1194,7 @@ class TestKillAnywhereResume:
         run("ingest", "--scene", scene, "--out", tmp_path / "clean.txt")
         env = _child_env()
         runs = itertools.count()
-        with _CountingEndpoint(reply=_offline_oracle).serving() as endpoint:
+        with Endpoint(offline_oracle).serving() as endpoint:
             remote = ["--backend", "remote", "--endpoint", endpoint.url, *model_flags,
                       "--max-inflight", str(self.MAX_INFLIGHT), "--cache-dir", "cache"]
             # relative paths, so every run's manifest ids are the same
@@ -1249,6 +1246,7 @@ class TestKillAnywhereResume:
                 chain(work)
                 for name in self.OUTS:
                     assert (work / name).read_bytes() == expected[name], name
+                assert not list(work.glob(".*.tmp"))  # nor what a killed write left
                 assert endpoint.posts - first <= distinct + self.MAX_INFLIGHT
 
             if not model_flags:

@@ -1,4 +1,3 @@
-import contextlib
 import gc
 import hashlib
 import json
@@ -12,7 +11,6 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -37,6 +35,7 @@ from roomsense.lm_scoring import (
 )
 
 from conftest import build_graph, score_each
+from endpoint import Endpoint, echo_logprobs
 from test_inference import BATH_BONUSES
 
 
@@ -919,78 +918,6 @@ def no_backoff(clock):
     """Retries in these tests sleep on the simulated clock, not in real time."""
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Answers POST number ``calls`` with ``behaviors[calls]``, or with the
-    last behavior once they run out. A behavior maps the request payload to
-    ``(status, body dict)`` or ``(status, body dict, extra headers)``; a
-    status of None closes the connection without a response. Each POST's
-    ``Authorization`` header, or None, is kept in ``authorizations``."""
-
-    behaviors = []
-    calls = 0
-    authorizations = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        behavior = _Handler.behaviors[min(_Handler.calls, len(_Handler.behaviors) - 1)]
-        _Handler.calls += 1
-        _Handler.authorizations.append(self.headers["Authorization"])
-        status, body, *extra = behavior(payload)
-        if status is None:
-            return
-        data = json.dumps(body).encode()
-        headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
-        headers.update(*extra)
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def mock_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    # a short poll, so shutdown() at teardown returns at once
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    _Handler.calls = 0
-    _Handler.authorizations = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/completions"
-    server.shutdown()
-    server.server_close()
-    thread.join()
-
-
-def _echo_logprobs(payload):
-    words = payload["prompt"].split()
-    return 200, {
-        "model": "test-lm",
-        "tokens": words,
-        "token_logprobs": [None] + [-1.0] * (len(words) - 1),
-    }
-
-
-_ORACLE = OfflineScorer(seed=0)
-
-
-def _offline_oracle(payload):
-    """Answers with the offline scorer's token logprobs, every one of them, so
-    a remote total sums to the offline total exactly."""
-    tokens = _ORACLE.score(payload["prompt"]).tokens
-    return 200, {
-        "model": "offline-oracle",
-        "tokens": [t.token for t in tokens],
-        "token_logprobs": [t.logprob for t in tokens],
-    }
-
-
 def _openai_shape(payload):
     words = payload["prompt"].split()
     return 200, {
@@ -1003,50 +930,49 @@ def _openai_shape(payload):
 
 class TestRemoteScorer:
     def test_flat_payload(self, mock_endpoint):
-        _Handler.behaviors = [_echo_logprobs]
-        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm")
+        scorer = RemoteScorer(endpoint=mock_endpoint.url, model="test-lm")
         score = scorer.score("a b c d")
         assert score.total_logprob == pytest.approx(-3.0)
         assert score.token_count == 3  # first-token logprob absent
         assert score.tokens[0].logprob is None
 
     def test_completions_payload(self, mock_endpoint):
-        _Handler.behaviors = [_openai_shape]
-        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm")
+        mock_endpoint.behaviors = [_openai_shape]
+        scorer = RemoteScorer(endpoint=mock_endpoint.url, model="test-lm")
         assert scorer.score("a b c").total_logprob == pytest.approx(-1.0)
 
     def test_retry_then_success(self, mock_endpoint):
-        _Handler.behaviors = [lambda p: (500, {"error": "flake"}), _echo_logprobs]
+        mock_endpoint.behaviors = [lambda p: (500, {"error": "flake"}), echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=3
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=3
         )
         assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
-        assert _Handler.calls == 2
+        assert mock_endpoint.posts == 2
 
     def test_bounded_attempts_then_transport_error(self, mock_endpoint):
-        _Handler.behaviors = [lambda p: (500, {"error": "down"})]
+        mock_endpoint.behaviors = [lambda p: (500, {"error": "down"})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=2
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=2
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("x y")
         assert excinfo.value.sentence == "x y"
-        assert _Handler.calls == 2
+        assert mock_endpoint.posts == 2
 
     def test_malformed_payload_is_transport_error(self, mock_endpoint):
-        _Handler.behaviors = [lambda p: (200, {"weird": True})]
+        mock_endpoint.behaviors = [lambda p: (200, {"weird": True})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError):
             scorer.score("x y")
 
     def test_positive_logprob_rejected(self, mock_endpoint):
-        _Handler.behaviors = [
+        mock_endpoint.behaviors = [
             lambda p: (200, {"model": "m", "tokens": ["a"], "token_logprobs": [0.5]})
         ]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError):
             scorer.score("a")
@@ -1055,11 +981,11 @@ class TestRemoteScorer:
         def selective(payload):
             if "bad" in payload["prompt"]:
                 return 500, {"error": "no"}
-            return _echo_logprobs(payload)
+            return echo_logprobs(payload)
 
-        _Handler.behaviors = [selective]
+        mock_endpoint.behaviors = [selective]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint,
+            endpoint=mock_endpoint.url,
             model="test-lm",
             max_attempts=1,
             max_inflight=2,
@@ -1097,11 +1023,11 @@ class TestRemoteScorer:
         assert counting_endpoint.peak <= 2
 
     def test_non_numeric_logprob_is_transport_error(self, mock_endpoint):
-        _Handler.behaviors = [
+        mock_endpoint.behaviors = [
             lambda p: (200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]})
         ]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=1
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("a b")
@@ -1111,16 +1037,16 @@ class TestRemoteScorer:
         def oops_for_stove(payload):
             if "stove" in payload["prompt"]:
                 return 200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, "oops"]}
-            return _echo_logprobs(payload)
+            return echo_logprobs(payload)
 
-        _Handler.behaviors = [oops_for_stove]
+        mock_endpoint.behaviors = [oops_for_stove]
         graph = build_graph(
             {"r-bath": ("bathroom", ["toilet"]), "r-kitchen": ("kitchen", ["stove"])},
             room_labels=("bathroom", "kitchen"),
         )
         table = count_ground_truth(graph, "things")
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=1
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=1
         )
         result = classify_graph(graph, table, scorer, k=3)
         assert [p.room_id for p in result.predictions] == ["r-bath"]
@@ -1131,15 +1057,15 @@ class TestRemoteScorer:
         def huge_for_stove(payload):
             if "stove" in payload["prompt"]:
                 return 200, {"model": "m", "tokens": ["a", "b"], "token_logprobs": [None, -10**400]}
-            return _echo_logprobs(payload)
+            return echo_logprobs(payload)
 
-        _Handler.behaviors = [huge_for_stove]
+        mock_endpoint.behaviors = [huge_for_stove]
         graph = build_graph(
             {"r-bath": ("bathroom", ["toilet"]), "r-kitchen": ("kitchen", ["stove"])},
             room_labels=("bathroom", "kitchen"),
         )
         table = count_ground_truth(graph, "things")
-        scorer = RemoteScorer(endpoint=mock_endpoint, model="test-lm", max_attempts=1)
+        scorer = RemoteScorer(endpoint=mock_endpoint.url, model="test-lm", max_attempts=1)
         result = classify_graph(graph, table, scorer, k=3)
         assert [p.room_id for p in result.predictions] == ["r-bath"]
         assert [f.room_id for f in result.failures] == ["r-kitchen"]
@@ -1147,14 +1073,14 @@ class TestRemoteScorer:
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 405, 413, 422])
     def test_client_errors_are_not_retried(self, mock_endpoint, status):
-        _Handler.behaviors = [lambda p: (status, {"error": "refused"})]
+        mock_endpoint.behaviors = [lambda p: (status, {"error": "refused"})]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=5
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("x y")
         assert excinfo.value.sentence == "x y"
-        assert _Handler.calls == 1
+        assert mock_endpoint.posts == 1
 
     @pytest.mark.parametrize(
         "body",
@@ -1178,23 +1104,23 @@ class TestRemoteScorer:
              "bad-choice", "list"],
     )
     def test_malformed_body_is_not_retried(self, mock_endpoint, body):
-        _Handler.behaviors = [lambda p: (200, body), _echo_logprobs]
+        mock_endpoint.behaviors = [lambda p: (200, body), echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=5
         )
         with pytest.raises(TransportError) as excinfo:
             scorer.score("a b")
         assert excinfo.value.sentence == "a b"
-        assert _Handler.calls == 1
+        assert mock_endpoint.posts == 1
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_timeout_and_rate_limit_statuses_retry(self, mock_endpoint, status):
-        _Handler.behaviors = [lambda p: (status, {"error": "later"}), _echo_logprobs]
+        mock_endpoint.behaviors = [lambda p: (status, {"error": "later"}), echo_logprobs]
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=3
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=3
         )
         assert scorer.score("x y").total_logprob == pytest.approx(-1.0)
-        assert _Handler.calls == 2
+        assert mock_endpoint.posts == 2
 
     def test_own_session_pool_holds_max_inflight_connections(self, counting_endpoint):
         scorer = RemoteScorer(
@@ -1211,7 +1137,7 @@ class TestRemoteScorer:
             scorer.close()
         assert all(isinstance(r, float) for r in results)
         # 64 requests, 16 at a time, over at most 16 kept-alive connections
-        assert len(counting_endpoint.clients) <= 16
+        assert len(set(counting_endpoint.connections)) <= 16
 
     def test_injected_session_is_left_as_given(self, tmp_path):
         # a fresh interpreter, because pytest has already imported http.client
@@ -1258,35 +1184,9 @@ class TestRemoteScorer:
         assert len(connections) == 2
         assert clock.sleeps == [0.5]
 
-    def test_a_connection_closed_while_idle_is_sent_again(self):
-        connections = []
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def do_POST(self):
-                connections.append(self.connection)
-                length = int(self.headers["Content-Length"])
-                _, body = _echo_logprobs(json.loads(self.rfile.read(length)))
-                data = json.dumps(body).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        thread.start()
-        scorer = RemoteScorer(
-            endpoint=f"http://127.0.0.1:{server.server_port}/", model="test-lm",
-            max_attempts=1,
-        )
+    def test_a_connection_closed_while_idle_is_sent_again(self, counting_endpoint):
+        scorer = RemoteScorer(endpoint=counting_endpoint.url, model="test-lm", max_attempts=1)
+        connections = counting_endpoint.connections
         try:
             assert scorer.score("a b").total_logprob == -1.0
             # the server drops the connection the scorer keeps alive
@@ -1294,9 +1194,6 @@ class TestRemoteScorer:
             assert scorer.score("c d").total_logprob == -1.0
         finally:
             scorer.close()
-            server.shutdown()
-            server.server_close()
-            thread.join()
         assert len(connections) == 2 and connections[1] is not connections[0]
 
 
@@ -1315,9 +1212,9 @@ class TestFailingEndpointTime:
     def test_dead_endpoint(self, mock_endpoint, clock):
         """503 on every POST: 5 POSTs and 0.5 + 1 + 2 + 4 = 7.5 s per
         sentence, so 32,085 x 7.5 s / 4 = 16.7 h before the stage exits 3."""
-        _Handler.behaviors = [lambda p: (503, {"error": "unavailable"})]
-        self._all_fail(RemoteScorer(endpoint=mock_endpoint, max_inflight=1))
-        assert _Handler.calls == 5 * 3
+        mock_endpoint.behaviors = [lambda p: (503, {"error": "unavailable"})]
+        self._all_fail(RemoteScorer(endpoint=mock_endpoint.url, max_inflight=1))
+        assert mock_endpoint.posts == 5 * 3
         assert clock.sleeps == [0.5, 1.0, 2.0, 4.0] * 3
         assert clock.now == 7.5 * 3
 
@@ -1341,9 +1238,9 @@ class TestFailingEndpointTime:
     def test_unauthorised_endpoint(self, mock_endpoint, clock):
         """401 on every POST: 1 POST per sentence and no sleep, so 32,085
         POSTs before the stage exits 3."""
-        _Handler.behaviors = [lambda p: (401, {"error": "unauthorised"})]
-        self._all_fail(RemoteScorer(endpoint=mock_endpoint, max_inflight=1))
-        assert _Handler.calls == 3
+        mock_endpoint.behaviors = [lambda p: (401, {"error": "unauthorised"})]
+        self._all_fail(RemoteScorer(endpoint=mock_endpoint.url, max_inflight=1))
+        assert mock_endpoint.posts == 3
         assert clock.sleeps == []
 
 
@@ -1409,111 +1306,39 @@ CachingScorer(scorer, sys.argv[2]).close()
 """
 
 
-class _CountingEndpoint:
-    """Keep-alive endpoint that answers with ``reply(payload)``'s body and
-    records requests in flight, client ports, and how many connections it
-    has opened and closed. Once it has answered POST number ``kill_after``
-    it kills the child process ``victim``."""
-
-    def __init__(self, latency_s: float = 0.0, reply=_echo_logprobs):
-        self.lock = threading.Lock()
-        self.active = 0
-        self.peak = 0
-        self.posts = 0
-        self.clients: set[int] = set()
-        self.opened = 0
-        self.closed = 0
-        self.kill_after = None
-        self.victim = None
-        endpoint = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def setup(self):
-                super().setup()
-                with endpoint.lock:
-                    endpoint.opened += 1
-
-            def finish(self):
-                try:
-                    super().finish()
-                finally:
-                    with endpoint.lock:
-                        endpoint.closed += 1
-
-            def do_POST(self):
-                with endpoint.lock:
-                    endpoint.active += 1
-                    endpoint.posts += 1
-                    endpoint.peak = max(endpoint.peak, endpoint.active)
-                    endpoint.clients.add(self.client_address[1])
-                    # the child that sent this POST
-                    victim = endpoint.victim if endpoint.posts == endpoint.kill_after else None
-                time.sleep(latency_s)
-                length = int(self.headers["Content-Length"])
-                raw = self.rfile.read(length)
-                with endpoint.lock:
-                    endpoint.active -= 1
-                if len(raw) < length:  # a killed client's request, cut short
-                    self.close_connection = True
-                    return
-                _, body = reply(json.loads(raw))
-                data = json.dumps(body).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-                if victim is not None:
-                    victim.kill()
-
-            def log_message(self, *args):
-                pass
-
-        class Server(ThreadingHTTPServer):
-            def handle_error(self, request, client_address):
-                # a killed client's connections reset while they are answered
-                if not isinstance(sys.exc_info()[1], ConnectionError):
-                    super().handle_error(request, client_address)
-
-        self.server = Server(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/"
-
-    @contextlib.contextmanager
-    def serving(self):
-        thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        thread.start()
-        try:
-            yield self
-        finally:
-            self.server.shutdown()
-            self.server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
-
-    def all_closed(self, timeout_s: float = 5.0) -> bool:
-        """Whether every connection opened so far is closed within ``timeout_s``.
-
-        Handler threads are daemons, so shutting the server down shows
-        nothing about the connections they hold.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            with self.lock:
-                if self.closed == self.opened:
-                    return True
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.01)
-
-
 @pytest.fixture
 def counting_endpoint():
-    with _CountingEndpoint(latency_s=0.05).serving() as endpoint:
+    with Endpoint(latency_s=0.05).serving() as endpoint:
         yield endpoint
+
+
+class TestReferenceEndpoint:
+    """The tests' one endpoint (``tests/endpoint.py``), seen through the scorer."""
+
+    @pytest.mark.parametrize("refusing", [True, False], ids=["refusing", "next-test"])
+    def test_each_test_starts_from_an_empty_schedule(self, mock_endpoint, refusing):
+        # the second case runs after the first, which leaves a refusal scheduled
+        state = mock_endpoint.behaviors, mock_endpoint.posts, mock_endpoint.authorizations
+        assert state == ([], 0, [])
+        if refusing:
+            mock_endpoint.behaviors = [lambda p: (400, {"error": "refused"})]
+        scorer = RemoteScorer(endpoint=mock_endpoint.url, max_attempts=1, api_key="sk-test")
+        assert isinstance(score_each(scorer, ["x y"])[0], TransportError) is refusing
+        assert mock_endpoint.authorizations == ["Bearer sk-test"]
+
+    def test_the_script_serves_echo_until_sigterm(self):
+        script = Path(__file__).with_name("endpoint.py")
+        with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                              text=True) as server:
+            try:
+                port = int(server.stdout.readline())
+                scorer = RemoteScorer(endpoint=f"http://127.0.0.1:{port}/v1/completions",
+                                      max_attempts=1)
+                assert scorer.score("a b c").total_logprob == -2.0
+                scorer.close()
+            finally:
+                server.terminate()
+            assert server.wait(timeout=30) == 0
 
 
 class TestCloseReleasesConnections:
@@ -1564,7 +1389,6 @@ class TestDistinctSentences:
     """A stage sends one request per distinct sentence."""
 
     def test_rooms_with_the_same_objects_share_their_posts(self, mock_endpoint):
-        _Handler.behaviors = [_echo_logprobs]
         graph = build_graph(
             {
                 "r-a": ("bathroom", ["toilet", "sink"]),
@@ -1574,7 +1398,7 @@ class TestDistinctSentences:
             room_labels=("bathroom", "kitchen"),
         )
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_inflight=2
+            endpoint=mock_endpoint.url, model="test-lm", max_inflight=2
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
         scorer.close()
@@ -1583,15 +1407,15 @@ class TestDistinctSentences:
         assert a.selected_objects == b.selected_objects
         assert a.candidates == b.candidates
         # 6 sentences rendered, 4 distinct: r-a and r-b render the same two
-        assert _Handler.calls == 4
+        assert mock_endpoint.posts == 4
 
     def test_a_failing_shared_sentence_fails_every_room_using_it(self, mock_endpoint):
         def refuse_toilet_kitchen(payload):
             if "toilet" in payload["prompt"] and "kitchen" in payload["prompt"]:
                 return 400, {"error": "refused"}
-            return _echo_logprobs(payload)
+            return echo_logprobs(payload)
 
-        _Handler.behaviors = [refuse_toilet_kitchen]
+        mock_endpoint.behaviors = [refuse_toilet_kitchen]
         graph = build_graph(
             {
                 "r-a": ("bathroom", ["toilet"]),
@@ -1601,7 +1425,7 @@ class TestDistinctSentences:
             room_labels=("bathroom", "kitchen"),
         )
         scorer = RemoteScorer(
-            endpoint=mock_endpoint, model="test-lm", max_attempts=5
+            endpoint=mock_endpoint.url, model="test-lm", max_attempts=5
         )
         result = classify_graph(graph, count_ground_truth(graph, "things"), scorer, k=3)
         scorer.close()
@@ -1611,7 +1435,7 @@ class TestDistinctSentences:
         assert reasons[0] == reasons[1]
         assert "backend refused the request" in reasons[0] and "400" in reasons[0]
         # the refused sentence is sent once and not retried
-        assert _Handler.calls == 4
+        assert mock_endpoint.posts == 4
 
 
 class TestRemoteResumeThroughCli:
@@ -1642,34 +1466,29 @@ class TestRemoteResumeThroughCli:
         cache = tmp_path / "cache"
         argv = [
             "infer", "--graph", str(graph_path), "--cooc", str(cooc), "--out", str(out),
-            "--backend", "remote", "--endpoint", mock_endpoint, *model_flags,
+            "--backend", "remote", "--endpoint", mock_endpoint.url, *model_flags,
             "--max-inflight", "1", "--cache-dir", str(cache),
         ]
-        posted = []
-
-        def healthy(payload):
-            posted.append(payload["prompt"])
-            return _echo_logprobs(payload)
 
         def run(behaviors):
-            posted.clear()
-            _Handler.behaviors = behaviors
+            mock_endpoint.prompts.clear()
+            mock_endpoint.behaviors = behaviors
             assert main(argv) == 0
-            return list(posted)
+            return list(mock_endpoint.prompts)
 
         # the endpoint refuses every POST after the first few, without a retry
-        run([healthy] * self.OK_POSTS + [lambda p: (400, {"error": "quota exhausted"})])
+        run([echo_logprobs] * self.OK_POSTS + [lambda p: (400, {"error": "quota exhausted"})])
         records = (cache / "scores.jsonl").read_text(encoding="utf-8").splitlines()
         cached = {json.loads(line)["sentence"] for line in records}
         assert len(cached) == self.OK_POSTS
 
-        resumed_posts = run([healthy])
+        resumed_posts = run([echo_logprobs])
         resumed = out.read_bytes()
 
         # the same command from an empty cache on a healthy endpoint
         (cache / "scores.jsonl").unlink()
         out.unlink()
-        distinct = run([healthy])
+        distinct = run([echo_logprobs])
         assert len(distinct) == len(set(distinct)) > self.OK_POSTS
         assert sorted(resumed_posts) == sorted(set(distinct) - cached)
         assert resumed == out.read_bytes()
