@@ -12,7 +12,9 @@ order. :func:`classify_graph` runs in two steps: :func:`select_rooms`
 reads the graph into one selection per room, and :func:`classify_selections`
 decides each room's outcome from that list, so a caller can let the graph
 go in between. Each distinct sentence is scored once per classification,
-so rooms that render the same sentence share its total, or its failure. A
+so rooms that render the same sentence share its total, or its failure;
+one the scorer's cache holds is taken out before any worker starts, so a
+fully warm classification starts no thread and sends nothing. A
 room with no usable object label, or whose scorer calls fail (after the
 backend's own retries), is marked failed and reported, never silently
 skipped: silent exclusion would inflate accuracy invisibly.

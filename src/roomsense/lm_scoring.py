@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .atomic import read_lines
@@ -133,12 +133,20 @@ class SentenceScorer:
 
     A backend names itself by its ``identity`` string, and ``score(sentence)``
     returns the sentence's :class:`SentenceScore`. ``max_inflight`` is how
-    many ``score`` calls :func:`score_totals` may run at once; a backend that
-    computes locally keeps 1. Both are fixed when the scorer is built. A
-    stage calls ``close()`` on the scorer it made once its scoring ends.
+    many misses, the sentences its :meth:`plan` does not know,
+    :func:`score_totals` may score at once; a backend that computes locally
+    keeps 1. Both are fixed when the scorer is built. A stage calls
+    ``close()`` on the scorer it made once its scoring ends.
     """
 
     max_inflight = 1
+
+    def plan(self, sentences: Iterable[str]) -> tuple[dict[str, float], Callable]:
+        """The totals of ``sentences`` the scorer already knows, by sentence,
+        and the callable that scores a miss, any other sentence, before
+        :func:`score_totals` starts a worker. A scorer that stores nothing
+        knows none and scores a miss with :meth:`score`."""
+        return {}, self.score
 
     def close(self) -> None:
         """Release what the scorer holds, such as open connections or a
@@ -157,42 +165,44 @@ def score_totals(
 
     A group's entry is the list of its sentences' total log probabilities,
     or the :class:`TransportError` of its first sentence that failed; a
-    failed group does not abort the others. Each distinct sentence is
-    scored once, in order of first occurrence across the groups.
-    ``scorer.max_inflight`` workers pull distinct sentences from one shared
-    iterator, so up to that many calls are in flight until the last one is
-    taken. Any other exception, in a worker or in the waiting thread (an
+    failed group does not abort the others. Before any worker starts,
+    ``scorer.plan`` takes out the distinct sentences it already knows (a
+    cache's hits). The misses, in order of first occurrence across the
+    groups, are scored once each by ``min(scorer.max_inflight, misses)``
+    workers that pull them from one shared iterator, so up to that many
+    calls are in flight until the last one is taken; with no miss no thread
+    starts. Any other exception, in a worker or in the waiting thread (an
     interrupt), stops every worker after the sentence it is on, and
     propagates. Only totals are kept, never whole :class:`SentenceScore`
     records.
     """
     slot_of: dict[str, int] = {}
     slots = [[slot_of.setdefault(s, len(slot_of)) for s in group] for group in groups]
-    if not slot_of:
-        return [[] for _ in slots]
-    distinct = list(slot_of)
-    totals: list = [None] * len(distinct)
-    # an enumerate over a list hands out each item once, even across threads,
-    # and hands out nothing more once the list is cleared
-    pending = enumerate(distinct)
+    known, score_miss = scorer.plan(slot_of)
+    totals: list = [known.get(s) for s in slot_of]
+    misses = [(i, s) for i, s in enumerate(slot_of) if s not in known]
+    # a list iterator hands out each item once, even across threads, and
+    # hands out nothing more once the list is cleared
+    pending = iter(misses)
 
     def drain() -> None:
         try:
             for i, sentence in pending:
                 try:
-                    totals[i] = scorer.score(sentence).total_logprob
+                    totals[i] = score_miss(sentence).total_logprob
                 except TransportError as err:
                     totals[i] = err
         finally:
-            distinct.clear()
+            misses.clear()
 
-    workers = min(scorer.max_inflight, len(distinct))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for future in [pool.submit(drain) for _ in range(workers)]:
-                future.result()
-        finally:
-            distinct.clear()
+    workers = min(scorer.max_inflight, len(misses))
+    if workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                for future in [pool.submit(drain) for _ in range(workers)]:
+                    future.result()
+            finally:
+                misses.clear()
     # each group's first failure, or its totals if none failed
     rows = ([totals[i] for i in group] for group in slots)
     return [next((t for t in row if isinstance(t, TransportError)), row) for row in rows]
@@ -582,8 +592,12 @@ class CachingScorer(SentenceScorer):
 
     Cache hits reproduce the stored total and token count (token detail is
     not cached); downstream predictions are identical either way because
-    they consume totals only. Safe for concurrent use within one scorer. It
-    takes the identity and ``max_inflight`` of ``inner`` when it is built.
+    they consume totals only. Under :func:`score_totals`, :meth:`plan` takes
+    the hits out before any worker starts, so a fully warm stage starts no
+    thread and the inner scorer sees only the misses, each once;
+    :meth:`score` serves a direct caller the same way. Safe for concurrent
+    use within one scorer. It takes the identity and ``max_inflight`` of
+    ``inner`` when it is built.
     A cache file has a single writer: the scorer opens one append handle on
     its first miss and flushes every record as it is written, so an
     interrupted run resumes where it stopped. :meth:`close`, or collecting
@@ -665,14 +679,21 @@ class CachingScorer(SentenceScorer):
             return None
         return _score_from_fields((sentence, *cached, self.identity, None))
 
-    def score(self, sentence: str) -> SentenceScore:
-        _require_sentence(sentence)
-        hit = self._hit(sentence)
-        if hit is not None:
-            return hit
+    def plan(self, sentences):
+        """The cached totals of ``sentences``, each looked up once through
+        :meth:`_hit`, and the miss path: the inner scorer, then a record."""
+        hits = (self._hit(s) for s in sentences)
+        return {hit.sentence: hit.total_logprob for hit in hits if hit}, self._score_miss
+
+    def _score_miss(self, sentence: str) -> SentenceScore:
         fresh = self.inner.score(sentence)
         self._append(fresh)
         return fresh
+
+    def score(self, sentence: str) -> SentenceScore:
+        _require_sentence(sentence)
+        hit = self._hit(sentence)
+        return hit if hit is not None else self._score_miss(sentence)
 
     def close(self) -> None:
         """Force the records written so far to disk and close the append

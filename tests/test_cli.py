@@ -1170,14 +1170,46 @@ class TestFaultSchedules:
         schedule()
 
 
-class TestKillAnywhereResume:
-    """A remote ``cooc --mode proxy`` then ``infer``, each a child process
-    that the endpoint kills with SIGKILL once it has answered the chain's
-    N-th POST, resumes on a rerun: the outputs are an uninterrupted run's
-    bytes, and only what the killed run did not cache is sent again.
+# Runs one CLI command in a fresh interpreter that SIGKILLs itself on its
+# N-th call of os.replace (N = argv[1], 0 for never): inside atomic_write,
+# once the new file is written and forced to disk but before it is renamed.
+# The last line it prints is how many calls it made.
+_KILLED_AT_REPLACE = """
+import os
+import signal
+import sys
 
-    The kill lands wherever the child is when that answer arrives: waiting
-    on a POST, in a cache append or in a file write (ROADMAP item 9)."""
+from roomsense.cli import main
+
+calls = 0
+replace = os.replace
+
+
+def killing_replace(src, dst):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+
+os.replace = killing_replace
+status = main(sys.argv[2:])
+print(calls)
+sys.exit(status)
+"""
+
+
+class TestKillAnywhereResume:
+    """A chain whose stage is killed with SIGKILL resumes on a rerun: the
+    outputs are an uninterrupted run's bytes, and no file is left behind.
+
+    In the remote chain, ``cooc --mode proxy`` then ``infer``, the endpoint
+    kills the stage once it has answered the chain's N-th POST, wherever the
+    child is then: waiting on a POST, in a cache append or in a file write.
+    Only what the killed run did not cache is sent again. In the local
+    chain, ``convert`` to ``eval``, the stage kills itself at the chain's
+    N-th file rename, so each kill lands inside ``atomic_write``."""
 
     MAX_INFLIGHT = 2
     OUTS = ("proxy.tsv", "p.jsonl")
@@ -1260,6 +1292,71 @@ class TestKillAnywhereResume:
                 killed_after(n)
 
             any_kill()
+
+    LOCAL_STAGES = [
+        ["convert", "--house", "../h0.house", "--out", "h0.scene.txt"],
+        ["ingest", "--scene", "h0.scene.txt", "--out", "clean.txt"],
+        ["cooc", "--graph", "clean.txt", "--out", "gt.tsv", "--mode", "gt"],
+        ["infer", "--graph", "clean.txt", "--cooc", "gt.tsv", "--out", "p.jsonl"],
+        ["eval", "p.jsonl", "--out-dir", "reports"],
+    ]
+
+    def test_a_stage_killed_inside_a_file_write_resumes_to_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "h0.house").write_text(H0_HOUSE)
+        env = _child_env()
+        runs = itertools.count()
+
+        def chain(kill_at=0) -> tuple[Path, list[int]]:
+            """Run the stages in a fresh directory, killing the one that makes
+            the chain's ``kill_at``-th rename; a killed stage ends the chain.
+            Returns the directory and each finished stage's rename count."""
+            work = tmp_path / f"run-{next(runs)}"
+            work.mkdir()
+            counts = []
+            for argv in self.LOCAL_STAGES:
+                child = subprocess.run(
+                    [sys.executable, "-c", _KILLED_AT_REPLACE,
+                     str(max(kill_at - sum(counts), 0)), *argv],
+                    cwd=work, env=env, capture_output=True, text=True, timeout=120,
+                )
+                if child.returncode == -signal.SIGKILL:
+                    break
+                assert child.returncode == 0, child.stderr
+                counts.append(int(child.stdout.splitlines()[-1]))
+            return work, counts
+
+        def files(work: Path) -> dict[str, bytes | None]:
+            """Every file's bytes, by name; a sidecar's bytes hold a timestamp."""
+            return {
+                str(f.relative_to(work)): None if f.name.endswith(".manifest.json")
+                else f.read_bytes()
+                for f in sorted(work.rglob("*")) if f.is_file()
+            }
+
+        uninterrupted, counts = chain()
+        expected = files(uninterrupted)
+        assert not [name for name in expected if name.endswith(".tmp")]
+
+        @settings(max_examples=3, deadline=None, derandomize=True)
+        @example(1)  # convert's scene file
+        @example(sum(counts))  # eval's last sidecar
+        @given(st.integers(1, sum(counts)))
+        def killed_at(n):
+            work, _ = chain(kill_at=n)
+            left = files(work)
+            # the killed write's new file is there, complete but not renamed
+            tmps = [name for name in left if name.endswith(".tmp")]
+            assert len(tmps) == 1, tmps
+            assert {k: v for k, v in left.items() if k not in tmps}.items() <= expected.items()
+            # the rerun runs in this process, which is alive, unlike the killed one
+            monkeypatch.chdir(work)
+            for argv in self.LOCAL_STAGES:
+                assert run(*argv) == 0
+            assert files(work) == expected
+
+        killed_at()
 
 
 # Runs in a fresh interpreter, because pytest has already imported http.client

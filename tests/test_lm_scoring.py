@@ -32,6 +32,7 @@ from roomsense.lm_scoring import (
     _unit_floats,
     load_bonus_table,
     make_scorer,
+    score_totals,
 )
 
 from conftest import build_graph, score_each
@@ -494,8 +495,10 @@ class TestScoreBatch:
         totals = score_each(scorer, sentences)
         assert totals == [scorer.score(s).total_logprob for s in sentences]
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(lm_scoring, "ThreadPoolExecutor", _no_pool)
         assert score_each(OfflineScorer(), []) == []
+        assert score_totals(OfflineScorer(), [[], []]) == [[], []]
 
     def test_partial_failure_marks_slot(self):
         scorer = FixtureScorer({"good": [("good", -1.0)]})
@@ -585,6 +588,10 @@ class TestScoreBatch:
             score_each(scorer, ["fine", "", "unscripted"])
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was built")
+
+
 def _cache_line(sentence, total="-3.5", count="2"):
     """A cache record for ``OfflineScorer(seed=1)`` with raw JSON values."""
     record = {
@@ -634,16 +641,45 @@ class TestCachingScorer:
         assert {r["sentence"] for r in records} == {"one", "two"}
         assert all("sentence_sha256" in r and "token_count" in r for r in records)
 
-    def test_batch_mixes_hits_and_misses(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cached = CachingScorer(OfflineScorer(seed=2), path)
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("groups", [
+        pytest.param([["warm"], ["cold"]], id="one-each"),
+        pytest.param([["cold", "warm", "cold"], ["also warm", "colder", "warm"], ["coldest"]],
+                     id="mixed"),
+        pytest.param([["also warm", "warm"], ["warm"], []], id="fully-warm"),
+    ])
+    def test_batch_mixes_hits_and_misses(self, tmp_path, monkeypatch, workers, groups):
+        """Hits are taken out before any worker starts: each distinct sentence
+        is looked up once, in order of first occurrence, and only the misses
+        reach the inner scorer, once each; a batch without a miss builds no
+        pool."""
+        class Recording(OfflineScorer):
+            max_inflight = workers
+
+            def score(self, sentence):
+                calls.append(sentence)
+                return super().score(sentence)
+
+        calls, looked_up = [], []
+        cached = CachingScorer(Recording(seed=2), tmp_path / "cache.jsonl")
         cached.score("warm")
-        results = score_each(cached, ["warm", "cold"])
+        cached.score("also warm")
+        calls.clear()
+        hit = CachingScorer._hit
+        monkeypatch.setattr(
+            CachingScorer, "_hit", lambda self, s: looked_up.append(s) or hit(self, s)
+        )
+        distinct = list(dict.fromkeys(s for group in groups for s in group))
+        misses = [s for s in distinct if "warm" not in s]
+        if not misses:
+            monkeypatch.setattr(lm_scoring, "ThreadPoolExecutor", _no_pool)
+        results = score_totals(cached, groups)
         plain = OfflineScorer(seed=2)
-        assert results == [
-            plain.score("warm").total_logprob,
-            plain.score("cold").total_logprob,
-        ]
+        assert results == [[plain.score(s).total_logprob for s in group] for group in groups]
+        assert looked_up == distinct
+        assert sorted(calls) == sorted(misses)
+        if workers == 1:
+            assert calls == misses
 
     def test_distinct_backends_do_not_collide(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -1443,15 +1479,10 @@ class TestRemoteResumeThroughCli:
 
     OK_POSTS = 5
 
-    @pytest.mark.parametrize("model_flags", [
-        pytest.param(["--model", "test-lm"], id="model"),
-        pytest.param([], id="no-model",
-                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP bug (a)")),
-    ])
-    def test_rerun_posts_only_what_is_not_cached(
-        self, tmp_path, mock_endpoint, monkeypatch, model_flags
-    ):
-        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+    @staticmethod
+    def infer_argv(tmp_path, endpoint, model_flags) -> tuple[list[str], Path, Path]:
+        """A remote ``infer`` over four rooms with ``--cache-dir``: its argv,
+        its output and its cache directory."""
         graph = build_graph(
             {
                 "r-bath": ("bathroom", ["toilet", "shower", "sink"]),
@@ -1466,9 +1497,21 @@ class TestRemoteResumeThroughCli:
         cache = tmp_path / "cache"
         argv = [
             "infer", "--graph", str(graph_path), "--cooc", str(cooc), "--out", str(out),
-            "--backend", "remote", "--endpoint", mock_endpoint.url, *model_flags,
+            "--backend", "remote", "--endpoint", endpoint.url, *model_flags,
             "--max-inflight", "1", "--cache-dir", str(cache),
         ]
+        return argv, out, cache
+
+    @pytest.mark.parametrize("model_flags", [
+        pytest.param(["--model", "test-lm"], id="model"),
+        pytest.param([], id="no-model",
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP bug (a)")),
+    ])
+    def test_rerun_posts_only_what_is_not_cached(
+        self, tmp_path, mock_endpoint, monkeypatch, model_flags
+    ):
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        argv, out, cache = self.infer_argv(tmp_path, mock_endpoint, model_flags)
 
         def run(behaviors):
             mock_endpoint.prompts.clear()
@@ -1492,6 +1535,21 @@ class TestRemoteResumeThroughCli:
         assert len(distinct) == len(set(distinct)) > self.OK_POSTS
         assert sorted(resumed_posts) == sorted(set(distinct) - cached)
         assert resumed == out.read_bytes()
+
+    def test_a_fully_warm_rerun_sends_nothing(self, tmp_path, mock_endpoint, monkeypatch):
+        # the cache answers every sentence before a worker starts, so the
+        # rerun starts no thread, opens no connection and sends no POST
+        monkeypatch.delenv(lm_scoring.MODEL_ENV, raising=False)
+        argv, out, _ = self.infer_argv(tmp_path, mock_endpoint, ["--model", "m"])
+        assert main(argv) == 0
+        first = out.read_bytes()
+        posts, opened = mock_endpoint.posts, mock_endpoint.opened
+        assert posts > 0
+        out.unlink()
+        monkeypatch.setattr(lm_scoring, "ThreadPoolExecutor", _no_pool)
+        assert main(argv) == 0
+        assert (mock_endpoint.posts, mock_endpoint.opened) == (posts, opened)
+        assert out.read_bytes() == first
 
 
 class TestMakeScorer:
