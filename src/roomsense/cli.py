@@ -124,6 +124,10 @@ def build_manifest(command: str, flags: dict, inputs, outputs, backend: str | No
     return manifest, manifest_id
 
 
+def _sidecar(out) -> Path:
+    return Path(str(out) + ".manifest.json")
+
+
 @contextmanager
 def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None = None,
                 template_version: str | None = None):
@@ -139,8 +143,7 @@ def _manifested(args: argparse.Namespace, out: Path, inputs, backend: str | None
         args.command, flags, inputs, [out], backend, template_version
     )
     yield manifest_id
-    side = Path(str(out) + ".manifest.json")
-    _write_text(side, json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    _write_text(_sidecar(out), json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 @contextmanager
@@ -310,6 +313,13 @@ def cmd_eval(args) -> int:
         if len(reports) > 1 else None
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's files match their sidecars until they are replaced,
+    # so a run stopped part way would leave a set that reads as complete.
+    outs = [args.out_dir / f"{stem}.report.json" for stem in stems]
+    if table is not None:
+        outs.append(args.out_dir / "conditions.txt")
+    for out in outs:
+        _sidecar(out).unlink(missing_ok=True)
     lines = []
     for path, stem, report in zip(args.predictions, stems, reports):
         report_path = args.out_dir / f"{stem}.report.json"

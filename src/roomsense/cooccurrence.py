@@ -172,26 +172,25 @@ def build_proxy_table(
 
 def select_informative(
     room: RoomNode,
-    graph: SceneGraph,
+    labels: set[str],
     table: CooccurrenceTable,
     k: int,
 ) -> list[str]:
-    """The k distinct lowest-entropy object labels present in the room.
+    """The k lowest-entropy of ``labels``, the distinct labels of ``room``'s objects.
 
-    Ordered by ascending entropy, ties broken by the lexicographically
-    smaller label. Duplicate instances of a label count once; a room with
-    fewer than k distinct labels contributes all of them. Invariant under
-    permutation of the graph's objects.
+    The labels are in ``table.object_space``. Ordered by ascending entropy,
+    ties broken by the lexicographically smaller label; a room with fewer
+    than k labels contributes all of them. ``k <= 0`` and a label the table
+    has no row for, named with its room, are a ``ValueError``.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    present = {obj.label_per_space[table.object_space] for obj in graph.objects_in_room(room)}
-    for label in present:
+    for label in labels:
         if label not in table.rows:
             raise ValueError(
                 f"object label {label!r} in room {room.id!r} missing from table"
             )
-    ranked = sorted(present, key=lambda label: (table.entropy[label], label))
+    ranked = sorted(labels, key=lambda label: (table.entropy[label], label))
     return ranked[:k]
 
 

@@ -28,11 +28,12 @@ total)`` triple.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import partial
 from typing import NamedTuple
 
 from .atomic import atomic_write, read_lines
-from .cooccurrence import CooccurrenceTable, select_informative
+from .cooccurrence import GROUND_TRUTH, PROXY, CooccurrenceTable, select_informative
 from .lm_scoring import SentenceScorer, TransportError, _is_finite_number, score_totals
 from .querygen import QueryTemplate, render_room_queries
 from .scene_model import SceneGraph
@@ -103,13 +104,17 @@ class RoomSelection(NamedTuple):
 def select_rooms(graph: SceneGraph, table: CooccurrenceTable, k: int) -> list[RoomSelection]:
     """One selection per room, ordered by room id: its :func:`select_informative` objects.
 
-    A room with no usable object label is selected with no objects. The
-    result holds nothing of the graph but strings, so the graph can go
-    before any room is scored.
+    One pass over the graph's objects gathers each room's labels in
+    ``table.object_space``. A room with no usable object label is selected
+    with no objects. The result holds nothing of the graph but strings, so
+    the graph can go before any room is scored.
     """
+    labels = defaultdict(set)
+    for obj in graph.objects:
+        labels[obj.assigned_room].add(obj.label_per_space[table.object_space])
     return [
-        RoomSelection(room.id, room.gt_label, tuple(select_informative(room, graph, table, k)))
-        for room in sorted(graph.rooms, key=lambda r: r.id)
+        RoomSelection(r.id, r.gt_label, tuple(select_informative(r, labels[r.id], table, k)))
+        for r in sorted(graph.rooms, key=lambda r: r.id)
     ]
 
 
@@ -278,12 +283,13 @@ def read_predictions(path) -> GraphClassification:
     """Read a predictions file back into the result it was written from.
 
     A line that is not a JSON object, a record with a missing or mistyped
-    key, a candidate total that is not a finite number, a prediction with
-    fewer than two candidates or whose predicted label is not
-    :func:`argmax_label` of its candidates, a room id that an earlier record
-    holds, or a prediction whose candidate room labels differ from the first
-    prediction's is a ``ValueError`` naming its ``path:line``. Every prediction's candidates
-    share the first prediction's room label strings.
+    key, a header whose provenance is not ``ground_truth`` or ``proxy`` or
+    whose k is below 1, a candidate total that is not a finite number, a
+    prediction with fewer than two candidates or whose predicted label is
+    not :func:`argmax_label` of its candidates, a room id that an earlier
+    record holds, or a prediction whose candidate room labels differ from
+    the first prediction's is a ``ValueError`` naming its ``path:line``.
+    Every prediction's candidates share the first one's room label strings.
     """
     predictions: list[RoomPrediction] = []
     room_labels: list[str] | None = None
@@ -305,6 +311,11 @@ def read_predictions(path) -> GraphClassification:
                     template_version=_field(record, "template_version", str),
                     backend=_field(record, "backend", str),
                 )
+                if condition.provenance not in (GROUND_TRUTH, PROXY):
+                    raise ValueError(f"provenance {condition.provenance!r} "
+                                     f"is not {GROUND_TRUTH!r} or {PROXY!r}")
+                if condition.k < 1:
+                    raise ValueError(f"k {condition.k} is not a positive integer")
                 continue
             kind = _field(record, "kind", str)
             if kind == "prediction":

@@ -24,7 +24,6 @@ objects carry (:class:`SceneGraph`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -252,7 +251,7 @@ def reassign_objects_by_bbox(graph: SceneGraph) -> SceneGraph:
             (room.id for room in graph.rooms if room.bbox.contains_point(center))
         )
         moved.append(obj._replace(assigned_room=containers[0]) if containers else obj)
-    return replace(graph, objects=tuple(moved))
+    return graph._replace(objects=tuple(moved))
 
 
 def _relabel(graph: SceneGraph, relabel) -> SceneGraph:
@@ -270,7 +269,7 @@ def _relabel(graph: SceneGraph, relabel) -> SceneGraph:
             new_maps[key] = relabel(obj.label_per_space)
         labels = new_maps[key]
         objects.append(obj if labels is None else obj._replace(label_per_space=labels))
-    return replace(graph, objects=tuple(objects))
+    return graph._replace(objects=tuple(objects))
 
 
 def apply_spelling_fixes(graph: SceneGraph, fixes: dict[str, str]) -> SceneGraph:
@@ -374,7 +373,7 @@ def filter_graph(
     occupied = {obj.assigned_room for obj in kept_objects}
     rooms = tuple(room for room in kept_rooms if room.id in occupied)
     room_space = LabelSpace(name=graph.room_space.name, labels=room_labels)
-    return replace(graph, rooms=rooms, objects=kept_objects, room_space=room_space)
+    return graph._replace(rooms=rooms, objects=kept_objects, room_space=room_space)
 
 
 def run_pipeline(
@@ -428,7 +427,7 @@ def merge_graphs(graphs: list[SceneGraph], names=None) -> SceneGraph:
             seen_objects.add(obj.id)
             objects.append(obj)
 
-    return replace(first, rooms=tuple(rooms), objects=tuple(objects))
+    return first._replace(rooms=tuple(rooms), objects=tuple(objects))
 
 
 def room_label_histogram(graph: SceneGraph) -> dict[str, int]:

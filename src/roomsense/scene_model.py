@@ -3,14 +3,13 @@
 Everything downstream (ingestion, co-occurrence statistics, inference,
 evaluation) operates on these types, and none of them does I/O. Every
 record (:class:`LabelSpace`, :class:`BoundingBox`, :class:`ObjectNode`,
-:class:`RoomNode`) is a named tuple: immutable, compared as the tuple of
-its fields, and cheap to build, so a graph of tens of thousands of objects
-parses without a per-field attribute store. The parsers build boxes and
-nodes positionally, boxes through the one ordered-corner check and nodes
-with :data:`object_from_fields` and :data:`room_from_fields`; a stage that
-changes a node still builds a new one with ``_replace``.
-:class:`SceneGraph` is a frozen dataclass, the package's only one, because
-it caches derived data. The parsers normalize every label string
+:class:`RoomNode`, :class:`SceneGraph`) is a named tuple: immutable,
+compared as the tuple of its fields, and cheap to build, so a graph of
+tens of thousands of objects parses without a per-field attribute store.
+The parsers build boxes and nodes positionally, boxes through the one
+ordered-corner check and nodes with :data:`object_from_fields` and
+:data:`room_from_fields`; a stage that changes a node or a graph builds a
+new one with ``_replace``. The parsers normalize every label string
 (:func:`normalize_label`), so comparisons stay stable across data sources
 that mix capitalization.
 
@@ -19,20 +18,13 @@ the objects whose ``assigned_room`` names it, in graph object order. Rooms
 carry no object list.
 
 Object label spaces are derived, not stored: a graph records only their
-names, and an object space's labels are the labels its objects carry.
-
-A :class:`SceneGraph` is immutable after construction and safe to share
-across threads. Pipeline stages that "modify" a graph build a new one.
-Derived data (a graph's objects by room and its object spaces) is built
-once per instance, on first use; it is not a dataclass field, so
-equality, hashing, ``repr`` and ``asdict`` see only the declared data, and
-a graph built from another derives its own.
+names, and an object space's labels are the labels its objects carry. A
+graph caches nothing: whatever it derives, it derives on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 ROOM_SPACE_NAME = "room"
@@ -126,45 +118,31 @@ def _ordered_box(x0, y0, z0, x1, y1, z1) -> BoundingBox:
     raise ValueError("bbox corners not ordered min <= max")
 
 
-@dataclass(frozen=True, kw_only=True)
-class SceneGraph:
+class SceneGraph(NamedTuple):
     """Rooms and objects, the room label space and the object spaces' names.
 
     ``room_space`` is the :class:`LabelSpace` named ``"room"``, declared by
-    the data source; every graph has one, so fields are keyword-only.
-    ``object_space_names`` lists the object spaces in declaration order
-    (coarse space first by convention); each object carries one label per
-    name. Object-space labels are not stored: :attr:`object_spaces` derives
-    them from the objects.
+    the data source. ``object_space_names`` lists the object spaces in
+    declaration order (coarse space first by convention); each object
+    carries one label per name. Object-space labels are not stored:
+    :attr:`object_spaces` derives them from the objects.
     """
 
-    rooms: tuple[RoomNode, ...] = ()
-    objects: tuple[ObjectNode, ...] = ()
+    rooms: tuple[RoomNode, ...]
+    objects: tuple[ObjectNode, ...]
     room_space: LabelSpace
-    object_space_names: tuple[str, ...] = ()
+    object_space_names: tuple[str, ...]
 
-    @cached_property
+    @property
     def object_spaces(self) -> tuple[LabelSpace, ...]:
         """Each named object space, observed from the objects, in name order."""
         return tuple(observed_space(name, self.objects) for name in self.object_space_names)
 
     def object_space(self, name: str) -> LabelSpace:
-        for space in self.object_spaces:
-            if space.name == name:
-                return space
-        raise KeyError(f"no object label space named {name!r}")
+        """The object space ``name``, observed from the objects; ``KeyError`` if undeclared."""
+        if name not in self.object_space_names:
+            raise KeyError(f"no object label space named {name!r}")
+        return observed_space(name, self.objects)
 
     def room_by_id(self) -> dict[str, RoomNode]:
         return {r.id: r for r in self.rooms}
-
-    @cached_property
-    def _room_members(self) -> dict[str, list[ObjectNode]]:
-        members: dict[str, list[ObjectNode]] = {}
-        for obj in self.objects:
-            members.setdefault(obj.assigned_room, []).append(obj)
-        return members
-
-    def objects_in_room(self, room: RoomNode) -> list[ObjectNode]:
-        """The objects whose ``assigned_room`` is ``room.id``, in object order."""
-        return list(self._room_members.get(room.id, ()))
-

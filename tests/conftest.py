@@ -115,6 +115,11 @@ def object_by_id(graph: SceneGraph) -> dict[str, ObjectNode]:
     return {o.id: o for o in graph.objects}
 
 
+def objects_in_room(graph: SceneGraph, room: RoomNode) -> list[ObjectNode]:
+    """The objects whose ``assigned_room`` is ``room.id``, in object order."""
+    return [obj for obj in graph.objects if obj.assigned_room == room.id]
+
+
 def build_graph(room_specs, space_name="things", room_labels=ROOM_LABELS_3) -> SceneGraph:
     """Construct a validated-shape graph from {room_id: (label, [object labels])}.
 

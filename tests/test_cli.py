@@ -5,10 +5,11 @@ import itertools
 import json
 import os
 import pkgutil
+import re
+import shutil
 import signal
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from roomsense.inference import read_predictions
 from roomsense.ingest import parse_scene_file
 from roomsense.lm_scoring import OfflineScorer, TransportError, make_scorer
 from roomsense.querygen import render_proxy_query
+from roomsense.scene_model import SceneGraph
 
 from conftest import offline_oracle, scene_file_text
 from endpoint import Endpoint
@@ -904,6 +906,90 @@ class TestExitCodes:
         assert rc == 3
 
 
+class TestInterruptedEval:
+    """README: a report set is complete when every file's ``manifest:`` id
+    equals its sidecar's. An ``eval`` stopped at any of its renames, over the
+    reports of an earlier run, must leave a set that this rule calls
+    incomplete, and a rerun writes the uninterrupted bytes."""
+
+    @staticmethod
+    def complete(out_dir: Path, stems) -> bool:
+        """README's completeness rule over ``eval``'s files for ``stems``."""
+        owners = {f"{stem}{suffix}": f"{stem}.report.json" for stem in stems
+                  for suffix in (".report.json", ".report.txt", ".breakdown.csv")}
+        owners["conditions.txt"] = "conditions.txt"
+        for name, owner in owners.items():
+            side = out_dir / f"{owner}.manifest.json"
+            if not (out_dir / name).exists() or not side.exists():
+                return False
+            stamped = re.search(r'manifest"?: "?([0-9a-f]{16})', (out_dir / name).read_text())
+            if stamped[1] != json.loads(side.read_text())["manifest_id"]:
+                return False
+        return True
+
+    @staticmethod
+    def files(out_dir: Path) -> dict[str, str]:
+        """Every file's text by name; a sidecar by its id, for its timestamp moves."""
+        return {
+            f.name: json.loads(f.read_text())["manifest_id"]
+            if f.name.endswith(".manifest.json") else f.read_text()
+            for f in sorted(out_dir.iterdir())
+        }
+
+    def test_a_stopped_eval_leaves_an_incomplete_set(self, tmp_path, scene, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run("ingest", "--scene", scene, "--out", "clean.txt")
+        run("cooc", "--graph", "clean.txt", "--out", "cooc.tsv")
+
+        def predict(seed):
+            for stem, k in (("a", "1"), ("b", "3")):
+                run("infer", "--graph", "clean.txt", "--cooc", "cooc.tsv",
+                    "--out", f"{stem}.jsonl", "--k", k, "--seed", seed)
+
+        evaluate = ("eval", "a.jsonl", "b.jsonl", "--out-dir", "r")
+        out_dir = tmp_path / "r"
+        predict("0")
+        assert run(*evaluate) == 0
+        earlier = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        earlier_files = self.files(out_dir)
+        assert self.complete(out_dir, "ab")
+
+        predict("1")
+        real_replace = os.replace
+        renames = []
+
+        def counting_replace(src, dst):
+            renames.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        assert run(*evaluate) == 0
+        assert self.complete(out_dir, "ab")
+        expected = self.files(out_dir)
+        # every file, sidecars too, tells the two runs apart
+        assert expected.keys() == earlier_files.keys()
+        assert all(expected[name] != earlier_files[name] for name in expected)
+
+        for stop_at in range(1, len(renames) + 1):
+            shutil.rmtree(out_dir)
+            out_dir.mkdir()
+            for name, data in earlier.items():
+                (out_dir / name).write_bytes(data)
+            calls = itertools.count(1)
+
+            def failing_replace(src, dst):
+                if next(calls) == stop_at:
+                    raise OSError(f"stopped at rename {stop_at}")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+            assert run(*evaluate) == 1
+            assert not self.complete(out_dir, "ab"), stop_at
+            monkeypatch.setattr(os, "replace", real_replace)
+            assert run(*evaluate) == 0
+            assert self.files(out_dir) == expected, stop_at
+
+
 class TestGraphReleasedBeforeScoring:
     """``cooc --mode proxy`` and ``infer`` drop the parsed graph before they
     score, so a stage holds the graph or its sentences, not both."""
@@ -917,26 +1003,33 @@ class TestGraphReleasedBeforeScoring:
         run("ingest", "--scene", scene, "--out", clean)
         run("cooc", "--graph", clean, "--out", tmp_path / "cooc.tsv")
         monkeypatch.chdir(tmp_path)
-        graphs = []
+        parsed, freed = [], []
+
+        class WatchedGraph(SceneGraph):
+            # a named tuple takes no weak reference, so the graph says when it goes
+            __slots__ = ()
+
+            def __del__(self):
+                freed.append(True)
+
         parse = ingest.parse_scene_file
 
         def parse_and_watch(path):
-            graph = parse(path)
-            graphs.append(weakref.ref(graph))
-            return graph
+            parsed.append(True)
+            return WatchedGraph(*parse(path))
 
         alive_while_scoring = []
         score = OfflineScorer.score
 
         def watched_score(self, sentence):
-            alive_while_scoring.append(any(ref() is not None for ref in graphs))
+            alive_while_scoring.append(len(freed) < len(parsed))
             return score(self, sentence)
 
         monkeypatch.setattr(ingest, "parse_scene_file", parse_and_watch)
         monkeypatch.setattr(OfflineScorer, "score", watched_score)
         command, *flags = argv
         assert run(command, "--graph", clean, "--out", tmp_path / "out", *flags) == 0
-        assert len(graphs) == 1
+        assert len(parsed) == 1
         assert alive_while_scoring and not any(alive_while_scoring)
 
 
@@ -1392,7 +1485,22 @@ assert "requests" not in sys.modules, "RemoteScorer"
 """
 
 
+_LOADED = "import sys; print(*sys.modules)"
+
+
 class TestImportBoundary:
+    def test_the_cli_loads_no_dataclasses_or_inspect(self):
+        def loaded(*imports) -> set[str]:
+            done = subprocess.run(
+                [sys.executable, "-c", "; ".join([*imports, _LOADED])],
+                capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+            )
+            return set(done.stdout.split())
+
+        added = loaded("import roomsense.cli") - loaded()
+        assert "roomsense.scene_model" in added
+        assert not {"dataclasses", "inspect"} & added
+
     def test_only_a_remote_scorer_loads_the_http_client(self, tmp_path):
         (tmp_path / "one.house").write_text(HOUSE_TEXT)
         done = subprocess.run(

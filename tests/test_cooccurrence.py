@@ -13,10 +13,10 @@ from roomsense.cooccurrence import (
     count_ground_truth,
     entropy,
     read_table,
-    select_informative,
     softmax_from_logs,
     write_table,
 )
+from roomsense.inference import select_rooms
 from roomsense.ingest import write_scene_file
 from roomsense.lm_scoring import OfflineScorer, SentenceScore, SentenceScorer, TransportError
 from roomsense.querygen import render_proxy_query
@@ -313,65 +313,56 @@ def make_table(entropies, room_labels=ROOM_LABELS_3):
     )
 
 
-def room_with(labels, graph_builder=None):
-    graph = build_graph({"r0": ("bathroom", list(labels))})
-    return graph.rooms[0], graph
+def selected_in(labels, table, k) -> list[str]:
+    """What ``select_rooms`` selects in a one-room graph of objects labelled ``labels``."""
+    (selection,) = select_rooms(build_graph({"r0": ("bathroom", list(labels))}), table, k)
+    return list(selection.objects)
 
 
 class TestSelectInformative:
     def test_lowest_entropy_first(self):
-        room, graph = room_with(["toilet", "chair", "shower"])
         table = make_table({"toilet": 0.1, "chair": 3.0, "shower": 0.2})
-        assert select_informative(room, graph, table, 2) == ["toilet", "shower"]
+        assert selected_in(["toilet", "chair", "shower"], table, 2) == ["toilet", "shower"]
 
     def test_fewer_distinct_labels_than_k(self):
-        room, graph = room_with(["bed", "lamp"])
         table = make_table({"bed": 0.5, "lamp": 0.4})
-        assert select_informative(room, graph, table, 3) == ["lamp", "bed"]
+        assert selected_in(["bed", "lamp"], table, 3) == ["lamp", "bed"]
 
     def test_equal_entropy_breaks_lexicographically(self):
-        room, graph = room_with(["sink", "oven"])
         table = make_table({"sink": 1.0, "oven": 1.0})
-        assert select_informative(room, graph, table, 1) == ["oven"]
+        assert selected_in(["sink", "oven"], table, 1) == ["oven"]
 
     def test_duplicates_count_once(self):
-        room, graph = room_with(["toilet", "toilet", "chair"])
         table = make_table({"toilet": 0.1, "chair": 3.0})
-        assert select_informative(room, graph, table, 2) == ["toilet", "chair"]
+        assert selected_in(["toilet", "toilet", "chair"], table, 2) == ["toilet", "chair"]
 
     def test_invalid_k(self):
-        room, graph = room_with(["bed"])
         table = make_table({"bed": 0.5})
         with pytest.raises(ValueError):
-            select_informative(room, graph, table, 0)
+            selected_in(["bed"], table, 0)
 
     def test_missing_label_is_contract_error(self):
-        room, graph = room_with(["bed"])
         table = make_table({"chair": 0.5})
         with pytest.raises(ValueError, match="object label 'bed' in room 'r0' missing from table"):
-            select_informative(room, graph, table, 1)
+            selected_in(["bed"], table, 1)
 
     def test_permutation_and_duplication_invariance(self):
         rng = random.Random(7)
         labels = ["toilet", "chair", "shower", "bed", "lamp"]
         table = make_table({l: rng.random() * 3 for l in labels})
-        room, graph = room_with(labels)
-        baseline = select_informative(room, graph, table, 3)
+        baseline = selected_in(labels, table, 3)
         for _ in range(10):
             shuffled = labels[:]
             rng.shuffle(shuffled)
             duplicated = shuffled + [rng.choice(shuffled)]
-            room2, graph2 = room_with(duplicated)
-            assert select_informative(room2, graph2, table, 3) == baseline
+            assert selected_in(duplicated, table, 3) == baseline
 
     def test_adding_high_entropy_object_never_changes_selection(self):
         table = make_table(
             {"toilet": 0.1, "shower": 0.2, "sink": 0.3, "chair": 2.9}
         )
-        room, graph = room_with(["toilet", "shower", "sink"])
-        before = select_informative(room, graph, table, 3)
-        room2, graph2 = room_with(["toilet", "shower", "sink", "chair"])
-        assert select_informative(room2, graph2, table, 3) == before
+        before = selected_in(["toilet", "shower", "sink"], table, 3)
+        assert selected_in(["toilet", "shower", "sink", "chair"], table, 3) == before
 
     def test_brute_force_equivalence_randomized(self):
         rng = random.Random(99)
@@ -384,9 +375,8 @@ class TestSelectInformative:
             table = make_table(entropies)
             members = [rng.choice(vocabulary) for _ in range(rng.randint(1, 12))]
             k = rng.randint(1, 5)
-            room, graph = room_with(members)
             expected = sorted(set(members), key=lambda l: (entropies[l], l))[:k]
-            assert select_informative(room, graph, table, k) == expected
+            assert selected_in(members, table, k) == expected
 
 
 class TestTableInvariantsAndRoundTrip:

@@ -1,5 +1,3 @@
-import dataclasses
-import functools
 import math
 import random
 import re
@@ -25,7 +23,7 @@ from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate
 from roomsense.scene_model import LabelSpace, RoomNode, SceneGraph
 
-from conftest import ROOM_LABELS_3, build_graph, box, render_room_query
+from conftest import ROOM_LABELS_3, build_graph, box, objects_in_room, render_room_query
 from test_cooccurrence import ShiftedScorer, TotalScorer
 
 BATH_BONUSES = {
@@ -50,7 +48,7 @@ class RoomClassificationError(Exception):
 def classify_room(room, graph, table, scorer, k=3, template=None):
     """Predict one room's label: :func:`classify_graph` on a graph holding
     only that room, with its failure raised as :class:`RoomClassificationError`."""
-    result = classify_graph(dataclasses.replace(graph, rooms=(room,)), table, scorer, k, template)
+    result = classify_graph(graph._replace(rooms=(room,)), table, scorer, k, template)
     if result.failures:
         raise RoomClassificationError(result.failures[0].reason, room.id)
     return result.predictions[0]
@@ -80,7 +78,7 @@ class TestClassifyRoom:
         assert prediction.predicted_label == "bathroom"
 
         # independent re-run: selection, templating, scoring, argmax by hand
-        labels = {o.label_per_space["things"] for o in bath_graph.objects_in_room(room)}
+        labels = {o.label_per_space["things"] for o in objects_in_room(bath_graph, room)}
         expected_selection = sorted(labels, key=lambda l: (bath_table.entropy[l], l))[:3]
         assert list(prediction.selected_objects) == expected_selection
         best, best_label = -math.inf, None
@@ -93,9 +91,7 @@ class TestClassifyRoom:
 
     def test_single_label_space_is_vacuous_argmax(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
-        solo = dataclasses.replace(
-            graph, room_space=LabelSpace(name="room", labels=("bathroom",))
-        )
+        solo = graph._replace(room_space=LabelSpace(name="room", labels=("bathroom",)))
         table = count_ground_truth(solo, "things", alpha=1.0)
         prediction = classify_room(
             solo.rooms[0], solo, table, OfflineScorer(seed=1), k=3
@@ -137,7 +133,7 @@ class TestClassifyRoom:
     def test_k_equal_distinct_gives_full_entropy_sort(self, bath_graph, bath_table):
         room = bath_graph.room_by_id()["r-kitchen"]
         prediction = classify_room(room, bath_graph, bath_table, OfflineScorer(), k=3)
-        labels = {o.label_per_space["things"] for o in bath_graph.objects_in_room(room)}
+        labels = {o.label_per_space["things"] for o in objects_in_room(bath_graph, room)}
         assert list(prediction.selected_objects) == sorted(
             labels, key=lambda l: (bath_table.entropy[l], l)
         )
@@ -176,7 +172,7 @@ class TestClassifyRoom:
         scorer = OfflineScorer(seed=2)
         room = bath_graph.room_by_id()["r-bath"]
         base = classify_room(room, bath_graph, bath_table, scorer, k=3)
-        graph = dataclasses.replace(bath_graph, objects=bath_graph.objects[::-1])
+        graph = bath_graph._replace(objects=bath_graph.objects[::-1])
         again = classify_room(room, graph, bath_table, scorer, k=3)
         assert again == base
 
@@ -190,6 +186,8 @@ class TestClassifyGraph:
 
     def test_empty_graph(self):
         graph = SceneGraph(
+            rooms=(),
+            objects=(),
             room_space=LabelSpace(name="room", labels=ROOM_LABELS_3),
             object_space_names=("things",),
         )
@@ -202,14 +200,14 @@ class TestClassifyGraph:
         scorer = OfflineScorer(seed=3)
         bed_room = bath_graph.room_by_id()["r-bed"]
         bed_labels = sorted(
-            {o.label_per_space["things"] for o in bath_graph.objects_in_room(bed_room)},
+            {o.label_per_space["things"] for o in objects_in_room(bath_graph, bed_room)},
             key=lambda l: (bath_table.entropy[l], l),
         )[:3]
         poisoned = {render_room_query(bed_labels, r) for r in ROOM_LABELS_3}
         totals = {}
         for room in bath_graph.rooms:
             labels = sorted(
-                {o.label_per_space["things"] for o in bath_graph.objects_in_room(room)},
+                {o.label_per_space["things"] for o in objects_in_room(bath_graph, room)},
                 key=lambda l: (bath_table.entropy[l], l),
             )[:3]
             for r in ROOM_LABELS_3:
@@ -263,7 +261,7 @@ class TestClassifyGraph:
             "r-e": ("kitchen", ["stove"]),
             "r-f": ("bedroom", []),
         })
-        graph = dataclasses.replace(graph, rooms=graph.rooms[::-1])
+        graph = graph._replace(rooms=graph.rooms[::-1])
         table = count_ground_truth(graph, "things", alpha=1.0)
         objects = ("bed", "toilet", "stove")
         totals = {render_room_query([o], r): -1.0 for o in objects for r in ROOM_LABELS_3}
@@ -285,7 +283,14 @@ class TestClassifyGraph:
             RoomFailure("r-f", "room 'r-f' has no usable object labels"),
         )
 
-    def test_object_index_built_once_per_graph(self, monkeypatch):
+    def test_selection_reads_the_objects_once(self):
+        class CountedTuple(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
         graph = build_graph(
             {
                 "r-bath": ("bathroom", ["toilet", "shower", "sink"]),
@@ -294,23 +299,15 @@ class TestClassifyGraph:
             }
         )
         table = count_ground_truth(graph, "things", alpha=1.0)
-        calls = []
-        index = SceneGraph._room_members.func
-
-        def counted(self):
-            calls.append(self)
-            return index(self)
-
-        counted_index = functools.cached_property(counted)
-        counted_index.__set_name__(SceneGraph, "_room_members")
-        monkeypatch.setattr(SceneGraph, "_room_members", counted_index)
-        result = classify_graph(graph, table, OfflineScorer(seed=13), k=3)
-        assert len(result.predictions) == 3
-        assert len(calls) == 1
+        objects = CountedTuple(graph.objects)
+        selections = select_rooms(graph._replace(objects=objects), table, 3)
+        assert selections == select_rooms(graph, table, 3)
+        assert [len(s.objects) for s in selections] == [3, 2, 2]
+        assert objects.iterations == 1
 
     def test_selection_then_scoring_is_classify_graph(self, bath_graph, bath_table):
         empty = RoomNode(id="r-empty", gt_label="kitchen", bbox=box())
-        graph = dataclasses.replace(bath_graph, rooms=bath_graph.rooms + (empty,))
+        graph = bath_graph._replace(rooms=bath_graph.rooms + (empty,))
         selections = select_rooms(graph, bath_table, 2)
         assert selections == [
             RoomSelection("r-bath", "bathroom", ("shower", "sink")),
@@ -485,62 +482,68 @@ class TestPredictionFiles:
         with pytest.raises(ValueError):
             read_predictions(path)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda line: line[:40], "not valid JSON: Unterminated string starting at"),
-        (lambda line: "[1, 2]", "record is not a JSON object"),
-        (lambda line: line.replace('"room_id"', '"room"'), "missing key 'room_id'"),
-        (lambda line: line.replace('"kind": "prediction", ', ""), "missing key 'kind'"),
-        (lambda line: line.replace('"gt_label": "', '"gt_label": 5, "x": "'),
+    @pytest.mark.parametrize("lineno, edit, message", [
+        (3, lambda line: line[:40], "not valid JSON: Unterminated string starting at"),
+        (3, lambda line: "[1, 2]", "record is not a JSON object"),
+        (3, lambda line: line.replace('"room_id"', '"room"'), "missing key 'room_id'"),
+        (3, lambda line: line.replace('"kind": "prediction", ', ""), "missing key 'kind'"),
+        (3, lambda line: line.replace('"gt_label": "', '"gt_label": 5, "x": "'),
          "key 'gt_label' must be str, got int"),
-        (lambda line: line.replace('"selected_objects": [', '"selected_objects": [7, '),
+        (3, lambda line: line.replace('"selected_objects": [', '"selected_objects": [7, '),
          "key 'selected_objects' must list strings"),
-        (lambda line: line.replace('"candidates": [[', '"candidates": [[true, '),
+        (3, lambda line: line.replace('"candidates": [[', '"candidates": [[true, '),
          "key 'candidates' must list [room label, sentence, total logprob] triples"),
-        (lambda line: line.replace('"kind": "prediction"', '"kind": "guess"'),
+        (3, lambda line: line.replace('"kind": "prediction"', '"kind": "guess"'),
          "unknown record kind 'guess'"),
-        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1NaN", line),
+        (3, lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1NaN", line),
          "candidate total nan is not a finite number"),
-        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1Infinity", line),
+        (3, lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\1Infinity", line),
          "candidate total inf is not a finite number"),
-        (lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\g<1>1" + "0" * 400, line),
+        (3, lambda line: re.sub(r'(\[\["[^"]*", "[^"]*", )[^\]]*', r"\g<1>1" + "0" * 400, line),
          f"candidate total 1{'0' * 400} is not a finite number"),
-        (lambda line: line.replace('"room_id": "r-bed"', '"room_id": "r-bath"'),
+        (3, lambda line: line.replace('"room_id": "r-bed"', '"room_id": "r-bath"'),
          "room id 'r-bath' repeats an earlier record's"),
-        (lambda line: '{"kind": "failure", "reason": "backend down", "room_id": "r-bath"}',
+        (3, lambda line: '{"kind": "failure", "reason": "backend down", "room_id": "r-bath"}',
          "room id 'r-bath' repeats an earlier record's"),
-        (lambda line: line.replace('[["bathroom", ', '[["garage", '),
+        (3, lambda line: line.replace('[["bathroom", ', '[["garage", '),
          "candidate room labels ['garage', 'bedroom', 'kitchen'] differ from the first "
          "prediction's ['bathroom', 'bedroom', 'kitchen']"),
-        (lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "kitchen"'),
+        (3, lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "kitchen"'),
          "predicted label 'kitchen' is not the best candidate 'bedroom'"),
-        (lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "bar"'),
+        (3, lambda line: line.replace('"predicted_label": "bedroom"', '"predicted_label": "bar"'),
          "predicted label 'bar' is not the best candidate 'bedroom'"),
-        (lambda line: re.sub(r'"candidates": \[.*?\]\]', '"candidates": []', line),
+        (3, lambda line: re.sub(r'"candidates": \[.*?\]\]', '"candidates": []', line),
          "key 'candidates' lists no candidate"),
-        (lambda line: re.sub(r'("candidates": \[\[.*?\]).*?\]\]', r"\1]", line),
+        (3, lambda line: re.sub(r'("candidates": \[\[.*?\]).*?\]\]', r"\1]", line),
          "key 'candidates' lists one candidate, 'bathroom'; "
          "a room needs at least 2 to choose from"),
+        (1, lambda line: line.replace('"provenance": "ground_truth"', '"provenance": "bogus"'),
+         "provenance 'bogus' is not 'ground_truth' or 'proxy'"),
+        (1, lambda line: line.replace('"k": 3', '"k": 0'), "k 0 is not a positive integer"),
     ], ids=["torn", "array", "no-room-id", "no-kind", "gt-label", "selected", "candidates",
             "kind", "nan-total", "infinite-total", "huge-int-total", "repeated-prediction",
             "failure-repeats-prediction", "room-labels", "stored-label-not-best",
-            "stored-label-not-a-candidate", "no-candidates", "one-candidate"])
-    def test_bad_record_names_its_line(self, bath_graph, bath_table, tmp_path, edit, message):
+            "stored-label-not-a-candidate", "no-candidates", "one-candidate",
+            "provenance", "k"])
+    def test_bad_record_names_its_line(
+        self, bath_graph, bath_table, tmp_path, lineno, edit, message
+    ):
         scorer = OfflineScorer(seed=4, bonus_table=BATH_BONUSES)
         path = tmp_path / "predictions.jsonl"
         write_predictions(classify_graph(bath_graph, bath_table, scorer, k=3), path)
         lines = path.read_text().splitlines()
-        lines[2] = edit(lines[2])
+        lines[lineno - 1] = edit(lines[lineno - 1])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as caught:
             read_predictions(path)
-        assert str(caught.value).startswith(f"{path}:3: {message}")
+        assert str(caught.value).startswith(f"{path}:{lineno}: {message}")
 
     @pytest.mark.parametrize("value, message", [
         ('7', "key 'room_id' must be str, got int"),
         ('null', "key 'room_id' must be str, got NoneType"),
     ])
     def test_mistyped_failure_record(self, tmp_path, value, message):
-        condition = TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x")
+        condition = TrialCondition("things", "ground_truth", 3, "v1-grammatical", "offline:x")
         result = GraphClassification(
             predictions=(),
             failures=(RoomFailure(room_id="b", reason="backend down"),),
@@ -557,7 +560,7 @@ class TestPredictionFiles:
         result = GraphClassification(
             predictions=(),
             failures=(RoomFailure("b", "backend down"), RoomFailure("b", "timeout")),
-            condition=TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x"),
+            condition=TrialCondition("things", "ground_truth", 3, "v1-grammatical", "offline:x"),
         )
         path = tmp_path / "p.jsonl"
         write_predictions(result, path)
@@ -570,7 +573,7 @@ class TestPredictionFiles:
         write_predictions(
             GraphClassification(
                 predictions=(), failures=(),
-                condition=TrialCondition("things", "gt", 3, "v1-grammatical", "offline:x"),
+                condition=TrialCondition("things", "ground_truth", 3, "v1-grammatical", "offline:x"),
             ),
             path,
         )

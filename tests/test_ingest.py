@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -26,7 +25,7 @@ from roomsense.scene_model import (
     SceneGraph,
 )
 
-from conftest import object_by_id, scene_file_text, validate
+from conftest import object_by_id, objects_in_room, scene_file_text, validate
 
 ROOMS_HEADER = ("bathroom", "bedroom", "kitchen", "living room", "porch", "none")
 
@@ -221,7 +220,7 @@ class TestParse:
             key = tuple(obj.label_per_space.items())
             assert obj.label_per_space is maps.setdefault(key, obj.label_per_space)
         assert len(maps) < len(raw_graph.objects)
-        unshared = dataclasses.replace(raw_graph, objects=tuple(
+        unshared = raw_graph._replace(objects=tuple(
             obj._replace(label_per_space=dict(obj.label_per_space)) for obj in raw_graph.objects
         ))
         assert unshared == raw_graph
@@ -315,8 +314,8 @@ class TestReassignment:
         toilet = object_by_id(graph)["o-toilet"]
         assert toilet.assigned_room == "r-bath"
         bath, living = (graph.room_by_id()[r] for r in ("r-bath", "r-living"))
-        assert toilet in graph.objects_in_room(bath)
-        assert toilet not in graph.objects_in_room(living)
+        assert toilet in objects_in_room(graph, bath)
+        assert toilet not in objects_in_room(graph, living)
 
     def test_contained_object_unchanged(self, raw_graph):
         graph = reassign_objects_by_bbox(raw_graph)
@@ -401,7 +400,7 @@ def _fix_every_object(graph, fixes):
         )
         for obj in graph.objects
     )
-    return dataclasses.replace(graph, objects=objects)
+    return graph._replace(objects=objects)
 
 
 class TestSpellingFixes:
@@ -610,7 +609,7 @@ class TestFullPipeline:
         graph = run_pipeline(raw_graph, "nyuclass", load_spelling_fixes())
         assert not set(graph.room_space.labels) & set(DROPPED_ROOM_LABELS)
         for room in graph.rooms:
-            assert graph.objects_in_room(room)
+            assert objects_in_room(graph, room)
             assert room.gt_label not in DROPPED_ROOM_LABELS
 
 
@@ -724,6 +723,8 @@ class TestRoundTripAndMerge:
 
     def test_header_only_round_trip(self, tmp_path):
         graph = SceneGraph(
+            rooms=(),
+            objects=(),
             room_space=LabelSpace(name="room", labels=("bathroom", "kitchen")),
             object_space_names=("mpcat40", "nyuclass"),
         )
@@ -793,7 +794,7 @@ class TestDerivedObjectSpaces:
 
     def test_a_new_graph_derives_its_own_spaces(self, raw_graph):
         assert len(raw_graph.object_space("nyuclass").labels) > 1
-        smaller = dataclasses.replace(raw_graph, objects=raw_graph.objects[:1])
+        smaller = raw_graph._replace(objects=raw_graph.objects[:1])
         only = smaller.objects[0].label_per_space
         for name in smaller.object_space_names:
             assert smaller.object_space(name).labels == (only[name],)

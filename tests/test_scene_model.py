@@ -1,9 +1,10 @@
-import dataclasses
 import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from roomsense.cooccurrence import count_ground_truth
+from roomsense.inference import RoomSelection, select_rooms
 from roomsense.ingest import parse_scene_file
 from roomsense.scene_model import (
     BoundingBox,
@@ -14,7 +15,8 @@ from roomsense.scene_model import (
     normalize_label,
 )
 
-from conftest import box, build_graph, label_space, validate
+from conftest import box, build_graph, label_space, objects_in_room, validate
+from test_cooccurrence import make_table
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS
 
 
@@ -152,16 +154,14 @@ class TestValidate:
 
     def test_missing_room_reference(self, two_room_graph):
         bad_obj = two_room_graph.objects[0]._replace(assigned_room="ghost")
-        graph = dataclasses.replace(
-            two_room_graph, objects=(bad_obj,) + two_room_graph.objects[1:]
-        )
+        graph = two_room_graph._replace(objects=(bad_obj,) + two_room_graph.objects[1:])
         violations = validate(graph)
         assert any(bad_obj.id in v and "ghost" in v for v in violations)
 
     def test_empty_room(self):
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
         empty = RoomNode(id="r1", gt_label="bedroom", bbox=box())
-        graph = dataclasses.replace(graph, rooms=graph.rooms + (empty,))
+        graph = graph._replace(rooms=graph.rooms + (empty,))
         violations = validate(graph)
         assert any("r1" in v and "no objects" in v for v in violations)
 
@@ -169,7 +169,7 @@ class TestValidate:
         graph = build_graph({"r0": ("bathroom", ["toilet"])})
         empty_a = RoomNode(id="rA", gt_label="bedroom", bbox=box())
         empty_b = RoomNode(id="rB", gt_label="bedroom", bbox=box())
-        graph = dataclasses.replace(graph, rooms=graph.rooms + (empty_a, empty_b))
+        graph = graph._replace(rooms=graph.rooms + (empty_a, empty_b))
         violations = [v for v in validate(graph) if "no objects" in v]
         assert len(violations) == 2
 
@@ -177,17 +177,17 @@ class TestValidate:
         bad = two_room_graph.rooms[0]._replace(
             bbox=BoundingBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
         )
-        graph = dataclasses.replace(two_room_graph, rooms=(bad,) + two_room_graph.rooms[1:])
+        graph = two_room_graph._replace(rooms=(bad,) + two_room_graph.rooms[1:])
         assert any("min exceeds max" in v for v in validate(graph))
 
     def test_label_outside_space(self, two_room_graph):
         bad = two_room_graph.rooms[0]._replace(gt_label="observatory")
-        graph = dataclasses.replace(two_room_graph, rooms=(bad,) + two_room_graph.rooms[1:])
+        graph = two_room_graph._replace(rooms=(bad,) + two_room_graph.rooms[1:])
         assert any("observatory" in v for v in validate(graph))
 
     def test_object_labelled_outside_the_declared_spaces(self, two_room_graph):
         stray = two_room_graph.objects[0]._replace(label_per_space={"other": "toilet"})
-        graph = dataclasses.replace(two_room_graph, objects=(stray,) + two_room_graph.objects[1:])
+        graph = two_room_graph._replace(objects=(stray,) + two_room_graph.objects[1:])
         assert validate(graph) == [
             f"object {stray.id!r}: references undeclared label space 'other'",
             f"object {stray.id!r}: no label in space 'things'",
@@ -199,27 +199,29 @@ class TestValidate:
 
     def test_idempotent_and_read_only(self, two_room_graph):
         graph = two_room_graph
-        before = dataclasses.astuple(graph)
+        before = tuple(graph)
         first = validate(graph)
         second = validate(graph)
         assert first == second
-        assert dataclasses.astuple(graph) == before
+        assert tuple(graph) == before
 
-    def test_objects_in_room_yields_each_placed_object_once(self, two_room_graph, scene_path):
-        ghost = ("o-ghost", "r-ghost", ("chair", "chair"), (0, 0, 0), (1, 1, 1))
+    def test_select_rooms_reads_each_placed_object_once(self, two_room_graph, scene_path):
+        ghost = ("o-ghost", "r-ghost", ("attic fan", "attic fan"), (0, 0, 0), (1, 1, 1))
         parsed = parse_scene_file(scene_path(FIXTURE_ROOMS, [*FIXTURE_OBJECTS, ghost]))
         one_empty = build_graph({"r-a": ("bathroom", ["toilet", "sink"]), "r-b": ("bedroom", [])})
         for graph in (two_room_graph, one_empty, parsed):
-            room_ids = {room.id for room in graph.rooms}
-            yielded = [obj.id for room in graph.rooms for obj in graph.objects_in_room(room)]
-            placed = [obj.id for obj in graph.objects if obj.assigned_room in room_ids]
-            assert sorted(yielded) == sorted(placed)
-            for room in graph.rooms:
-                assert graph.objects_in_room(room) == [
-                    obj for obj in graph.objects if obj.assigned_room == room.id
-                ]
-        assert "o-ghost" in {obj.id for obj in parsed.objects}
-        assert "o-ghost" not in yielded
+            space = graph.object_space_names[-1]
+            labels = graph.object_space(space).labels
+            table = make_table({l: i for i, l in enumerate(labels)})._replace(object_space=space)
+            selections = select_rooms(graph, table, len(labels))
+            assert len(selections) == len(graph.rooms)
+            for room, selection in zip(sorted(graph.rooms), selections):
+                assert selection.room_id == room.id
+                assert selection.objects == tuple(sorted(
+                    {obj.label_per_space[space] for obj in objects_in_room(graph, room)}
+                ))
+        assert "attic fan" in parsed.object_space("nyuclass").labels
+        assert all("attic fan" not in s.objects for s in selections)
 
 
 class TestSceneGraphAccessors:
@@ -231,35 +233,34 @@ class TestSceneGraphAccessors:
         with pytest.raises(KeyError):
             two_room_graph.object_space("room")
 
-    def test_objects_in_room(self, two_room_graph):
-        room = two_room_graph.room_by_id()["r-bath"]
-        labels = {o.label_per_space["things"] for o in two_room_graph.objects_in_room(room)}
-        assert labels == {"toilet", "shower", "sink"}
+    def test_select_rooms_reads_each_rooms_labels(self, two_room_graph):
+        table = count_ground_truth(two_room_graph, "things", alpha=1.0)
+        selections = {s.room_id: s.objects for s in select_rooms(two_room_graph, table, 3)}
+        assert set(selections["r-bath"]) == {"toilet", "shower", "sink"}
 
 
-class TestLookupIndexes:
-    def test_object_index_leaves_the_graph_as_declared(self):
+class TestGraphHoldsOnlyItsFields:
+    def test_a_read_graph_stays_as_declared(self):
         specs = {"r-bath": ("bathroom", ["toilet", "sink"]), "r-bed": ("bedroom", ["bed"])}
         used = build_graph(specs)
-        for room in used.rooms:
-            assert {o.assigned_room for o in used.objects_in_room(room)} == {room.id}
+        select_rooms(used, count_ground_truth(used, "things", alpha=1.0), 2)
         assert used.object_space("things").labels == ("bed", "sink", "toilet")
         fresh = build_graph(specs)
         assert used == fresh
         assert repr(used) == repr(fresh)
-        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
-        assert set(dataclasses.asdict(used)) == {
-            "rooms", "objects", "room_space", "object_space_names",
-        }
+        assert SceneGraph._fields == ("rooms", "objects", "room_space", "object_space_names")
+        assert not hasattr(used, "__dict__")
 
-    def test_indexed_graph_hashes_as_a_fresh_one(self):
+    def test_a_read_graph_hashes_as_a_fresh_one(self):
         # objects carry a label dict, so only an object-free graph hashes
         def graph():
             return SceneGraph(
                 rooms=(RoomNode(id="r1", gt_label="bathroom", bbox=box()),),
+                objects=(),
                 room_space=LabelSpace(name="room", labels=("bathroom", "bedroom")),
+                object_space_names=("things",),
             )
 
         used = graph()
-        assert used.objects_in_room(used.rooms[0]) == []
+        assert select_rooms(used, make_table({}), 3) == [RoomSelection("r1", "bathroom", ())]
         assert hash(used) == hash(graph())
