@@ -165,13 +165,14 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scorer")
     group.add_argument("--backend", choices=["offline", "remote"], default="offline")
     group.add_argument("--seed", type=int, default=0, help="offline scorer seed")
-    group.add_argument("--offline-bonus-file", type=Path, default=None)
     group.add_argument("--endpoint", default=None, help="remote endpoint URL")
     group.add_argument("--model", default=None, help="remote model identity")
     group.add_argument("--max-inflight", type=_positive_int, default=4)
     group.add_argument("--max-attempts", type=_positive_int, default=5,
                        help="remote POSTs per sentence, at most")
     group.add_argument("--cache-dir", type=Path, default=None)
+    # a retired flag's last default stays in the manifest flags, so ids do not move
+    parser.set_defaults(offline_bonus_file=None)
 
 
 def _make_scorer(args: argparse.Namespace):
@@ -182,7 +183,6 @@ def _make_scorer(args: argparse.Namespace):
     return make_scorer(
         backend=args.backend,
         seed=args.seed,
-        bonus_file=args.offline_bonus_file,
         cache_path=cache_path,
         max_inflight=args.max_inflight,
         endpoint=args.endpoint,
@@ -314,11 +314,10 @@ def cmd_eval(args) -> int:
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     # An earlier run's files match their sidecars until they are replaced,
-    # so a run stopped part way would leave a set that reads as complete.
-    outs = [args.out_dir / f"{stem}.report.json" for stem in stems]
-    if table is not None:
-        outs.append(args.out_dir / "conditions.txt")
-    for out in outs:
+    # so a run stopped part way would leave a set that reads as complete;
+    # a one-input run writes no conditions.txt and so unpins an earlier one.
+    for out in [*(args.out_dir / f"{stem}.report.json" for stem in stems),
+                args.out_dir / "conditions.txt"]:
         _sidecar(out).unlink(missing_ok=True)
     lines = []
     for path, stem, report in zip(args.predictions, stems, reports):
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cooc", help="build a co-occurrence table")
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--mode", "--cooc", dest="mode", choices=["gt", "proxy"], default="gt")
+    p.add_argument("--mode", choices=["gt", "proxy"], default="gt")
     p.add_argument("--alpha", type=_non_negative_float, default=1.0,
                    help="Laplace smoothing constant")
     p.add_argument("--presence", action="store_true",

@@ -106,9 +106,10 @@ def parse_scene_file(path) -> SceneGraph:
     comes first and declares at least one object space and two room labels,
     and every room's label must be declared in it; otherwise a
     :class:`ValueError` names the ``path`` (no header) or ``path:line``.
-    Malformed records, boxes whose min corner is not at most their max
-    corner on every axis (a NaN coordinate included) and duplicate ids
-    raise one too, whose message starts with the record's ``path:line``.
+    Malformed records, an object label that is empty in some space, boxes
+    whose min corner is not at most their max corner on every axis (a NaN
+    coordinate included) and duplicate ids raise one too, whose message
+    starts with the record's ``path:line``.
     An object's ``assigned_room`` is its room's ``id`` string itself once
     that room has been read, so a room id is held once however many
     objects name it; in the same way, objects whose label fields are the
@@ -184,9 +185,11 @@ def parse_scene_file(path) -> SceneGraph:
                 label_fields = tuple(fields[3:label_end])
                 labels = label_maps.get(label_fields)
                 if labels is None:
-                    labels = label_maps[label_fields] = dict(
-                        zip(space_names, map(normalize_label, label_fields))
-                    )
+                    labels = dict(zip(space_names, map(normalize_label, label_fields)))
+                    for name, label in labels.items():
+                        if not label:
+                            raise ValueError(f"empty object label in space {name!r}")
+                    label_maps[label_fields] = labels
                 bbox = _bbox(fields[label_end:])
                 objects[obj_id] = object_from_fields(
                     (obj_id, labels, bbox, fields[2] if room is None else room.id)

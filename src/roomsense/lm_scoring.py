@@ -45,7 +45,6 @@ from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .atomic import read_lines
-from .scene_model import normalize_label
 
 logger = logging.getLogger(__name__)
 
@@ -225,38 +224,6 @@ def _unit_floats(digests: bytes) -> list[float]:
     once. Eight zero bytes give 0.0, and eight 0xff bytes round up to 1.0.
     """
     return [v * 2.0**-64 for v in _leading_u64s(len(digests) // _DIGEST_SIZE).unpack(digests)]
-
-
-def load_bonus_table(path) -> dict[tuple[str, str], float]:
-    """Read a bonus fixture file: tab-separated object, room, bonus rows.
-
-    Labels are normalized as scene labels are (:func:`normalize_label`), so
-    a label matches the sentences rendered from it. Whitespace around a row
-    or a field is ignored. A row without three fields, or whose bonus is
-    empty or not a finite number, is a ``ValueError`` naming its
-    ``path:line``.
-    """
-    table: dict[tuple[str, str], float] = {}
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # split before stripping the end, so a tab before an empty bonus
-        # still counts; tabs after the bonus are trailing whitespace
-        fields = raw.lstrip().split("\t")
-        if not "".join(fields[3:]).strip():
-            del fields[3:]
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        text = fields[2].strip()
-        try:
-            bonus = float(text)
-        except ValueError:
-            bonus = math.nan
-        if not math.isfinite(bonus):
-            raise ValueError(f"{path}:{lineno}: bonus {text!r} is not a finite number")
-        table[(normalize_label(fields[0]), normalize_label(fields[1]))] = bonus
-    return table
 
 
 def _word_pattern(label: str) -> re.Pattern:
@@ -706,12 +673,11 @@ class CachingScorer(SentenceScorer):
 
 
 def make_scorer(
-    backend: str, seed: int = 0, bonus_file=None, cache_path=None, **remote
+    backend: str, seed: int = 0, cache_path=None, **remote
 ) -> SentenceScorer:
     """Construct a scorer from CLI-level settings; ``remote`` goes to :class:`RemoteScorer`."""
     if backend == "offline":
-        table = load_bonus_table(bonus_file) if bonus_file else None
-        scorer: SentenceScorer = OfflineScorer(seed=seed, bonus_table=table)
+        scorer: SentenceScorer = OfflineScorer(seed=seed)
     elif backend == "remote":
         scorer = RemoteScorer(**remote)
     else:

@@ -1,15 +1,24 @@
 """Shared fixtures: small hand-built graphs, scene-file builders, a
 one-label query renderer, a one-result-per-sentence view of
-``score_totals``, the scene-graph invariant oracle, a simulated clock
-for the scoring layer and a scheduled endpoint."""
+``score_totals``, scripted scorers, the scene-graph invariant oracle, a
+simulated clock for the scoring layer and a scheduled endpoint."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from endpoint import Endpoint
 from roomsense import lm_scoring
-from roomsense.lm_scoring import OfflineScorer, TransportError, score_totals
+from roomsense.lm_scoring import (
+    OfflineScorer,
+    SentenceScore,
+    SentenceScorer,
+    TokenLogProb,
+    TransportError,
+    score_totals,
+)
 from roomsense.querygen import render_room_queries
 from roomsense.scene_model import (
     BoundingBox,
@@ -47,6 +56,77 @@ def score_each(scorer, sentences) -> list:
     one ``TransportError``, per sentence, in order."""
     results = score_totals(scorer, ([s] for s in sentences))
     return [r if isinstance(r, TransportError) else r[0] for r in results]
+
+
+class FixtureScorer(SentenceScorer):
+    """Scripted backend: sentence -> list of (token, logprob-or-None)."""
+
+    def __init__(self, script):
+        self.script = script
+
+    @property
+    def identity(self):
+        return "fixture"
+
+    def score(self, sentence):
+        if not sentence:
+            raise ValueError("cannot score an empty sentence")
+        if sentence not in self.script:
+            raise TransportError("not scripted", sentence)
+        tokens = tuple(TokenLogProb(t, lp) for t, lp in self.script[sentence])
+        present = [t.logprob for t in tokens if t.logprob is not None]
+        return SentenceScore(
+            sentence=sentence,
+            total_logprob=math.fsum(present),
+            token_count=len(present),
+            backend=self.identity,
+            tokens=tokens,
+        )
+
+
+class TotalScorer(SentenceScorer):
+    """Maps whole sentences to fixed total log probabilities."""
+
+    def __init__(self, totals, fail_on=()):
+        self.totals = totals
+        self.fail_on = set(fail_on)
+
+    @property
+    def identity(self):
+        return "totals"
+
+    def score(self, sentence):
+        if not sentence:
+            raise ValueError("empty sentence")
+        if sentence in self.fail_on:
+            raise TransportError(f"scripted failure: {sentence}", sentence)
+        return SentenceScore(sentence, self.totals[sentence], 1, self.identity)
+
+
+class ShiftedScorer(SentenceScorer):
+    """Wrap a scorer and add a constant to every total.
+
+    Exists for invariance checks: softmax rows and argmax decisions must
+    not move under a uniform shift of all candidate scores.
+    """
+
+    def __init__(self, inner: SentenceScorer, shift: float):
+        self.inner = inner
+        self.shift = shift
+
+    @property
+    def identity(self) -> str:
+        return f"{self.inner.identity}+shift={self.shift}"
+
+    def score(self, sentence: str) -> SentenceScore:
+        base = self.inner.score(sentence)
+        return SentenceScore(
+            sentence=base.sentence,
+            total_logprob=base.total_logprob + self.shift,
+            token_count=base.token_count,
+            backend=self.identity,
+            tokens=None,
+        )
 
 
 def validate(graph: SceneGraph) -> list[str]:

@@ -34,13 +34,16 @@ from roomsense.querygen import QueryTemplate
 from conftest import (
     OBJECT_LABELS_12,
     ROOM_LABELS_3,
+    FixtureScorer,
+    ShiftedScorer,
+    TotalScorer,
     build_graph,
     object_by_id,
     render_room_query,
     scene_file_text,
     validate,
 )
-from test_cooccurrence import ShiftedScorer, TotalScorer, make_table, proxy_conditional, selected_in
+from test_cooccurrence import make_table, proxy_conditional, selected_in
 from test_evaluation import hand_built_predictions, prediction, run_of
 from test_inference import BATH_BONUSES, classify_room, synthetic_graph
 from test_ingest import FIXTURE_OBJECTS, FIXTURE_ROOMS, ROOMS_HEADER
@@ -259,8 +262,6 @@ class TestTemplates:
 class TestScoring:
     def test_summation_shift_and_argmax_invariance(self):
         # totals are the hand-summed per-token conditional log probabilities
-        from test_lm_scoring import FixtureScorer
-
         hand_fixtures = [
             [-1.0, -2.0, -0.5],
             [-0.25, -0.25, -0.25, -0.25],

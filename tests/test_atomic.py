@@ -16,7 +16,7 @@ from roomsense.atomic import atomic_write, read_lines
 from roomsense.cli import main
 from roomsense.cooccurrence import read_table
 from roomsense.inference import read_predictions
-from roomsense.lm_scoring import CachingScorer, load_bonus_table
+from roomsense.lm_scoring import CachingScorer
 
 from test_house_convert import HOUSE_TEXT
 
@@ -286,7 +286,6 @@ READERS = [
                  id="category-map"),
     pytest.param(read_table, "# roomsense-cooccurrence v1", "# alpha: nan", id="table"),
     pytest.param(read_predictions, _PREDICTIONS_HEADER, "{", id="predictions"),
-    pytest.param(load_bonus_table, "bed\tbedroom\t1.0", "bed", id="bonus"),
 ]
 
 

@@ -677,18 +677,6 @@ class TestExitCodes:
             f"roomsense: data error: --graph {bad}: no room holds an object to query"
         ]
 
-    @pytest.mark.parametrize("bonus", ["abc", "nan", "inf"])
-    def test_bad_bonus_file_is_data_error(self, tmp_path, scene, capsys, bonus):
-        graph = tmp_path / "clean.txt"
-        run("ingest", "--scene", scene, "--out", graph)
-        bonus_file = tmp_path / "bonus.tsv"
-        bonus_file.write_text(f"# pairs\ntoilet\tbathroom\t{bonus}\n")
-        out = tmp_path / "proxy.tsv"
-        assert run("cooc", "--graph", graph, "--out", out, "--mode", "proxy",
-                   "--offline-bonus-file", bonus_file) == 2
-        assert f"data error: {bonus_file}:2: bonus '{bonus}'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_torn_predictions_file_is_data_error(self, tmp_path, scene, capsys):
         graph = tmp_path / "clean.txt"
         cooc = tmp_path / "cooc.tsv"
@@ -906,6 +894,38 @@ class TestExitCodes:
         assert rc == 3
 
 
+class TestRetiredFlags:
+    """``--offline-bonus-file`` and ``cooc``'s ``--cooc`` spelling of
+    ``--mode`` are gone; the retired flag's last default stays in the
+    manifest's flags, so no manifest id moves."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cooc", "--cooc", "gt"],
+        ["cooc", "--offline-bonus-file", "x"],
+        ["infer", "--cooc", "t.tsv", "--offline-bonus-file", "x"],
+    ], ids=["cooc-cooc", "cooc-bonus-file", "infer-bonus-file"])
+    def test_retired_flag_is_usage_error(self, tmp_path, scene, capsys, argv):
+        command, *flags = argv
+        out = tmp_path / "out"
+        assert run(command, "--graph", scene, "--out", out, *flags) == 1
+        assert f"unrecognized arguments: {' '.join(flags[-2:])}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sidecars_keep_the_retired_flag_at_its_last_default(self, tmp_path, scene):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "t.tsv"
+        preds = tmp_path / "preds.jsonl"
+        run("ingest", "--scene", scene, "--out", graph)
+        assert run("cooc", "--graph", graph, "--out", cooc, "--mode", "proxy") == 0
+        assert run("infer", "--graph", graph, "--cooc", cooc, "--out", preds) == 0
+        flags = [json.loads(Path(f"{out}.manifest.json").read_text())["flags"]
+                 for out in (cooc, preds)]
+        for flag in flags:
+            assert "offline_bonus_file" in flag and flag["offline_bonus_file"] is None
+        assert flags[0]["mode"] == "proxy" and "cooc" not in flags[0]
+        assert flags[1]["cooc"] == str(cooc)
+
+
 class TestInterruptedEval:
     """README: a report set is complete when every file's ``manifest:`` id
     equals its sidecar's. An ``eval`` stopped at any of its renames, over the
@@ -988,6 +1008,28 @@ class TestInterruptedEval:
             monkeypatch.setattr(os, "replace", real_replace)
             assert run(*evaluate) == 0
             assert self.files(out_dir) == expected, stop_at
+
+    def test_a_one_input_eval_unpins_an_earlier_conditions_table(
+        self, tmp_path, scene, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        run("ingest", "--scene", scene, "--out", "clean.txt")
+        run("cooc", "--graph", "clean.txt", "--out", "cooc.tsv")
+        for stem, k in (("a", "1"), ("b", "3")):
+            run("infer", "--graph", "clean.txt", "--cooc", "cooc.tsv",
+                "--out", f"{stem}.jsonl", "--k", k)
+        out_dir = tmp_path / "r"
+        assert run("eval", "a.jsonl", "b.jsonl", "--out-dir", "r") == 0
+        assert self.complete(out_dir, "ab")
+        earlier = (out_dir / "conditions.txt").read_text()
+
+        run("infer", "--graph", "clean.txt", "--cooc", "cooc.tsv",
+            "--out", "a.jsonl", "--k", "1", "--seed", "5")
+        assert run("eval", "a.jsonl", "--out-dir", "r") == 0
+        # the table still reads the first a.jsonl, and nothing vouches for it
+        assert (out_dir / "conditions.txt").read_text() == earlier
+        assert not (out_dir / "conditions.txt.manifest.json").exists()
+        assert not self.complete(out_dir, "ab")
 
 
 class TestGraphReleasedBeforeScoring:

@@ -18,11 +18,18 @@ from roomsense.cooccurrence import (
 )
 from roomsense.inference import select_rooms
 from roomsense.ingest import write_scene_file
-from roomsense.lm_scoring import OfflineScorer, SentenceScore, SentenceScorer, TransportError
+from roomsense.lm_scoring import OfflineScorer, TransportError
 from roomsense.querygen import render_proxy_query
 from roomsense.scene_model import LabelSpace
 
-from conftest import OBJECT_LABELS_12, ROOM_LABELS_3, build_graph, box, label_space
+from conftest import (
+    OBJECT_LABELS_12,
+    ROOM_LABELS_3,
+    TotalScorer,
+    build_graph,
+    box,
+    label_space,
+)
 
 
 def proxy_conditional(scorer, object_label, room_labels):
@@ -33,51 +40,6 @@ def proxy_conditional(scorer, object_label, room_labels):
         LabelSpace(name="room", labels=tuple(room_labels)),
     )
     return table.rows[object_label]
-
-
-class TotalScorer(SentenceScorer):
-    """Maps whole sentences to fixed total log probabilities."""
-
-    def __init__(self, totals, fail_on=()):
-        self.totals = totals
-        self.fail_on = set(fail_on)
-
-    @property
-    def identity(self):
-        return "totals"
-
-    def score(self, sentence):
-        if not sentence:
-            raise ValueError("empty sentence")
-        if sentence in self.fail_on:
-            raise TransportError(f"scripted failure: {sentence}", sentence)
-        return SentenceScore(sentence, self.totals[sentence], 1, self.identity)
-
-
-class ShiftedScorer(SentenceScorer):
-    """Wrap a scorer and add a constant to every total.
-
-    Exists for invariance checks: softmax rows and argmax decisions must
-    not move under a uniform shift of all candidate scores.
-    """
-
-    def __init__(self, inner: SentenceScorer, shift: float):
-        self.inner = inner
-        self.shift = shift
-
-    @property
-    def identity(self) -> str:
-        return f"{self.inner.identity}+shift={self.shift}"
-
-    def score(self, sentence: str) -> SentenceScore:
-        base = self.inner.score(sentence)
-        return SentenceScore(
-            sentence=base.sentence,
-            total_logprob=base.total_logprob + self.shift,
-            token_count=base.token_count,
-            backend=self.identity,
-            tokens=None,
-        )
 
 
 class TestEntropy:
@@ -431,6 +393,7 @@ _CORRUPTIONS = {
     "nan-cell": (lambda cells: [cells[0], "nan", *cells[2:]], "row"),
     "non-numeric-cell": (lambda cells: [cells[0], "0.5x", *cells[2:]], "row"),
     "duplicate-label": (lambda cells: cells, "appended"),
+    "empty-label": (lambda cells: ["", *cells[1:]], "row"),
     "row-sums-to-0.95": (lambda cells: _scaled(cells, 0.95), "row"),
     "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), "row"),
     "header-repeated-room": (lambda cells: [*cells[:2], cells[1], *cells[3:]], "header"),

@@ -23,8 +23,15 @@ from roomsense.lm_scoring import OfflineScorer
 from roomsense.querygen import QueryTemplate
 from roomsense.scene_model import LabelSpace, RoomNode, SceneGraph
 
-from conftest import ROOM_LABELS_3, build_graph, box, objects_in_room, render_room_query
-from test_cooccurrence import ShiftedScorer, TotalScorer
+from conftest import (
+    ROOM_LABELS_3,
+    ShiftedScorer,
+    TotalScorer,
+    build_graph,
+    box,
+    objects_in_room,
+    render_room_query,
+)
 
 BATH_BONUSES = {
     ("toilet", "bathroom"): 25.0,

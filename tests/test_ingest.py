@@ -127,6 +127,10 @@ REFUSED_AFTER_A_COMMENT = {
         [HEADER, ROOM], OBJECT + "\tsink", "object record needs 11 fields, got 12"
     ),
     "object-repeated-id": ([HEADER, ROOM, OBJECT], OBJECT, "duplicate object id 'o0'"),
+    "object-empty-label": (
+        [HEADER, ROOM], OBJECT.replace("toilet\ttoilet", "toilet\t "),
+        "empty object label in space 'nyuclass'",
+    ),
     "object-bad-number": (
         [HEADER, ROOM], OBJECT.replace("\t2\t1", "\t2\t1e"),
         "bad number in ['1', '1', '0', '2', '2', '1e']",

@@ -30,40 +30,13 @@ from roomsense.lm_scoring import (
     TokenLogProb,
     TransportError,
     _unit_floats,
-    load_bonus_table,
     make_scorer,
     score_totals,
 )
 
-from conftest import build_graph, score_each
+from conftest import FixtureScorer, build_graph, score_each
 from endpoint import Endpoint, echo_logprobs
 from test_inference import BATH_BONUSES
-
-
-class FixtureScorer(SentenceScorer):
-    """Scripted backend: sentence -> list of (token, logprob-or-None)."""
-
-    def __init__(self, script):
-        self.script = script
-
-    @property
-    def identity(self):
-        return "fixture"
-
-    def score(self, sentence):
-        if not sentence:
-            raise ValueError("cannot score an empty sentence")
-        if sentence not in self.script:
-            raise TransportError("not scripted", sentence)
-        tokens = tuple(TokenLogProb(t, lp) for t, lp in self.script[sentence])
-        present = [t.logprob for t in tokens if t.logprob is not None]
-        return SentenceScore(
-            sentence=sentence,
-            total_logprob=math.fsum(present),
-            token_count=len(present),
-            backend=self.identity,
-            tokens=tokens,
-        )
 
 
 class TestScoreContract:
@@ -250,65 +223,6 @@ class TestOfflineScorer:
         scorer = OfflineScorer(seed=7, bonus_table=BATH_BONUSES)
         assert scorer.identity == "offline:seed=7:bonus=d0b88e74"
         assert scorer.score("a bed").backend == scorer.identity
-
-    def test_bonus_file_loader(self, tmp_path):
-        path = tmp_path / "bonus.tsv"
-        path.write_text("# pairs\ntoilet\tbathroom\t5.5\nbed\tbedroom\t2\n")
-        assert load_bonus_table(path) == {
-            ("toilet", "bathroom"): 5.5,
-            ("bed", "bedroom"): 2.0,
-        }
-
-    @pytest.mark.parametrize("bonus", ["abc", "nan", "-inf", "Infinity", "1e999", ""])
-    def test_bonus_file_rejects_a_value_that_is_not_a_finite_number(self, tmp_path, bonus):
-        path = tmp_path / "bonus.tsv"
-        path.write_text(f"toilet\tbathroom\t5.5\nbed\tbedroom\t{bonus}\n")
-        with pytest.raises(ValueError) as caught:
-            load_bonus_table(path)
-        assert str(caught.value) == (
-            f"{path}:2: bonus {bonus!r} is not a finite number"
-        )
-
-    def test_bonus_file_labels_are_normalized_like_scene_labels(self, tmp_path):
-        clean = tmp_path / "clean.tsv"
-        clean.write_text("washing machine\tlaundry room\t5\n")
-        messy = tmp_path / "messy.tsv"
-        messy.write_text(" Washing  machine \tLaundry   Room\t5\n")
-        assert load_bonus_table(messy) == {("washing machine", "laundry room"): 5.0}
-        scorer = OfflineScorer(seed=0, bonus_table=load_bonus_table(messy))
-        sentence = "A room containing washing machine is called a laundry room."
-        assert scorer.bonus_value(sentence) == 5.0
-        assert scorer.identity == OfflineScorer(seed=0, bonus_table=load_bonus_table(clean)).identity
-
-    @pytest.mark.parametrize("row", ["bed\tbedroom\t  ", "bed\tbedroom\t\t"])
-    def test_bonus_file_blank_bonus_is_a_bad_bonus(self, tmp_path, row):
-        path = tmp_path / "bonus.tsv"
-        path.write_text(f"toilet\tbathroom\t5.5\n{row}\n")
-        with pytest.raises(ValueError) as caught:
-            load_bonus_table(path)
-        assert str(caught.value) == f"{path}:2: bonus '' is not a finite number"
-
-    @pytest.mark.parametrize("row", ["bed\tbedroom", "bed\tbedroom ", "bed", "bed\tbedroom\t2\t5"])
-    def test_bonus_file_row_without_three_fields(self, tmp_path, row):
-        path = tmp_path / "bonus.tsv"
-        path.write_text(f"toilet\tbathroom\t5.5\n{row}\n")
-        with pytest.raises(ValueError) as caught:
-            load_bonus_table(path)
-        assert str(caught.value) == f"{path}:2: expected 3 tab-separated fields"
-
-    def test_bonus_file_whitespace_line_ends_and_comments_still_load(self, tmp_path):
-        path = tmp_path / "bonus.tsv"
-        path.write_bytes(
-            b"# pairs\r\n  # indented comment\n\n"
-            b"toilet\tbathroom\t5.5  \r\n"
-            b"bed\tbedroom\t2\t\n"
-            b"  sink\tbathroom\t1.5\t \n"
-        )
-        assert load_bonus_table(path) == {
-            ("toilet", "bathroom"): 5.5,
-            ("bed", "bedroom"): 2.0,
-            ("sink", "bathroom"): 1.5,
-        }
 
 
 class TestTokenLogProb:
