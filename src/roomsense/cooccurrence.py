@@ -246,7 +246,7 @@ def read_table(path) -> CooccurrenceTable:
     a ``# provenance:`` line must hold ``ground_truth`` or ``proxy``, an
     ``# object_space:`` line must be present, and a header row naming each
     room label once, none empty, must follow the metadata. Every row must
-    hold finite numbers, a non-empty label no other row holds,
+    hold finite numbers, a label that is not blank and no other row holds,
     probabilities summing to 1 within 1e-9 and the entropy of those
     probabilities within 1e-9; any other input raises ``ValueError``
     naming ``path:line``.
@@ -293,7 +293,7 @@ def read_table(path) -> CooccurrenceTable:
             cells = line.split("\t")
             label = cells[0]
             where = f"{path}:{lineno}: row {label!r}"
-            if not label:
+            if not label.strip():
                 raise ValueError(f"{where} has an empty label")
             if len(cells) != len(room_labels) + 2:
                 raise ValueError(f"{where} has wrong column count")

@@ -628,6 +628,46 @@ class TestExitCodes:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest"],
+        ["cooc", "--mode", "gt"],
+        ["cooc", "--mode", "proxy"],
+        ["infer"],
+    ], ids=["ingest", "cooc-gt", "cooc-proxy", "infer"])
+    def test_blank_object_label_is_data_error(self, tmp_path, scene, capsys, argv):
+        # no stage may count, write or score a label that normalizes to ""
+        bad = tmp_path / "blank.txt"
+        bad.write_text(scene_file_text(
+            [("r0", "bathroom", (0, 0, 0), (4, 4, 3))],
+            [("o0", "r0", ("toilet", " "), (1, 1, 0), (2, 2, 1))],
+        ))
+        if argv == ["ingest"]:
+            out = tmp_path / "out"
+            assert run("ingest", "--scene", bad, "--out", out) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err.splitlines()
+        else:
+            err = _run_on_bad_graph(tmp_path, scene, capsys, argv, bad)
+        assert err == [f"roomsense: data error: {bad}:3: empty object label in space 'nyuclass'"]
+
+    @pytest.mark.parametrize("label", ["", "  "], ids=["empty", "spaces"])
+    def test_table_row_with_a_blank_label_is_data_error(self, tmp_path, scene, capsys, label):
+        graph = tmp_path / "clean.txt"
+        cooc = tmp_path / "cooc.tsv"
+        run("ingest", "--scene", scene, "--out", graph)
+        run("cooc", "--graph", graph, "--out", cooc)
+        lines = cooc.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("label\t")) + 1
+        lines[row] = label + lines[row][lines[row].index("\t"):]
+        cooc.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        assert run("infer", "--graph", graph, "--cooc", cooc, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"roomsense: data error: {cooc}:{row + 1}: row {label!r} has an empty label"
+        ]
+        assert not out.exists()
+
     def test_one_room_label_left_after_filtering_is_data_error(self, tmp_path, scene, capsys):
         bad = tmp_path / "yard.txt"
         bad.write_text(scene_file_text(
@@ -899,30 +939,38 @@ class TestRetiredFlags:
     ``--mode`` are gone; the retired flag's last default stays in the
     manifest's flags, so no manifest id moves."""
 
-    @pytest.mark.parametrize("argv", [
-        ["cooc", "--cooc", "gt"],
-        ["cooc", "--offline-bonus-file", "x"],
-        ["infer", "--cooc", "t.tsv", "--offline-bonus-file", "x"],
-    ], ids=["cooc-cooc", "cooc-bonus-file", "infer-bonus-file"])
-    def test_retired_flag_is_usage_error(self, tmp_path, scene, capsys, argv):
+    # the command, its flags, and the ones refused; a prefix of a retired
+    # flag was once its abbreviation, and no other flag starts with it
+    @pytest.mark.parametrize("argv, refused", [
+        (["cooc", "--cooc", "gt"], "--cooc gt"),
+        (["cooc", "--offline-bonus-file", "x"], "--offline-bonus-file x"),
+        (["infer", "--cooc", "t.tsv", "--offline-bonus-file", "x"], "--offline-bonus-file x"),
+        (["cooc", "--cooc=proxy"], "--cooc=proxy"),
+        (["cooc", "--co", "gt"], "--co gt"),
+        (["cooc", "--offline-bonus-file=x"], "--offline-bonus-file=x"),
+        (["infer", "--cooc", "t.tsv", "--offline", "x"], "--offline x"),
+    ], ids=["cooc-cooc", "cooc-bonus-file", "infer-bonus-file", "cooc-cooc-equals",
+            "cooc-cooc-prefix", "cooc-bonus-file-equals", "infer-bonus-file-prefix"])
+    def test_retired_flag_is_usage_error(self, tmp_path, scene, capsys, argv, refused):
         command, *flags = argv
         out = tmp_path / "out"
         assert run(command, "--graph", scene, "--out", out, *flags) == 1
-        assert f"unrecognized arguments: {' '.join(flags[-2:])}\n" in capsys.readouterr().err
+        assert f"unrecognized arguments: {refused}\n" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sidecars_keep_the_retired_flag_at_its_last_default(self, tmp_path, scene):
+    @pytest.mark.parametrize("mode", ["gt", "proxy"])
+    def test_sidecars_keep_the_retired_flag_at_its_last_default(self, tmp_path, scene, mode):
         graph = tmp_path / "clean.txt"
         cooc = tmp_path / "t.tsv"
         preds = tmp_path / "preds.jsonl"
         run("ingest", "--scene", scene, "--out", graph)
-        assert run("cooc", "--graph", graph, "--out", cooc, "--mode", "proxy") == 0
+        assert run("cooc", "--graph", graph, "--out", cooc, "--mode", mode) == 0
         assert run("infer", "--graph", graph, "--cooc", cooc, "--out", preds) == 0
         flags = [json.loads(Path(f"{out}.manifest.json").read_text())["flags"]
                  for out in (cooc, preds)]
         for flag in flags:
             assert "offline_bonus_file" in flag and flag["offline_bonus_file"] is None
-        assert flags[0]["mode"] == "proxy" and "cooc" not in flags[0]
+        assert flags[0]["mode"] == mode and "cooc" not in flags[0]
         assert flags[1]["cooc"] == str(cooc)
 
 
@@ -1008,6 +1056,16 @@ class TestInterruptedEval:
             monkeypatch.setattr(os, "replace", real_replace)
             assert run(*evaluate) == 0
             assert self.files(out_dir) == expected, stop_at
+
+    def test_a_one_input_eval_writes_no_conditions_table(self, tmp_path, scene, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run("ingest", "--scene", scene, "--out", "clean.txt")
+        run("cooc", "--graph", "clean.txt", "--out", "cooc.tsv")
+        run("infer", "--graph", "clean.txt", "--cooc", "cooc.tsv", "--out", "a.jsonl")
+        assert run("eval", "a.jsonl", "--out-dir", "r") == 0
+        assert sorted(self.files(tmp_path / "r")) == [
+            "a.breakdown.csv", "a.report.json", "a.report.json.manifest.json", "a.report.txt",
+        ]
 
     def test_a_one_input_eval_unpins_an_earlier_conditions_table(
         self, tmp_path, scene, monkeypatch

@@ -394,6 +394,7 @@ _CORRUPTIONS = {
     "non-numeric-cell": (lambda cells: [cells[0], "0.5x", *cells[2:]], "row"),
     "duplicate-label": (lambda cells: cells, "appended"),
     "empty-label": (lambda cells: ["", *cells[1:]], "row"),
+    "blank-label": (lambda cells: [" ", *cells[1:]], "row"),
     "row-sums-to-0.95": (lambda cells: _scaled(cells, 0.95), "row"),
     "entropy-mismatch": (lambda cells: _entropy_off_by(cells, 1e-6), "row"),
     "header-repeated-room": (lambda cells: [*cells[:2], cells[1], *cells[3:]], "header"),

@@ -131,6 +131,14 @@ REFUSED_AFTER_A_COMMENT = {
         [HEADER, ROOM], OBJECT.replace("toilet\ttoilet", "toilet\t "),
         "empty object label in space 'nyuclass'",
     ),
+    "object-empty-label-field": (
+        [HEADER, ROOM], OBJECT.replace("toilet\ttoilet", "toilet\t"),
+        "empty object label in space 'nyuclass'",
+    ),
+    "object-empty-label-first-space": (
+        [HEADER, ROOM], OBJECT.replace("toilet\ttoilet", "  \ttoilet"),
+        "empty object label in space 'mpcat40'",
+    ),
     "object-bad-number": (
         [HEADER, ROOM], OBJECT.replace("\t2\t1", "\t2\t1e"),
         "bad number in ['1', '1', '0', '2', '2', '1e']",
